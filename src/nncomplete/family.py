@@ -358,7 +358,8 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         c0 = m.entry(i, 2) / s2
         cx = m.entry(i, 3) - m.entry(i, 2) * s3 / s2
         cy = m.entry(i, 4) - m.entry(i, 2) * s4 / s2
-        if c0 == cx == cy == 0:
+        if cx == cy == 0:
+            # c0 = m(i,2)/s2 >= 0, so the constraint holds everywhere
             continue
         outer_hps.append(HalfPlane(c0, cx, cy))
     outer = polygon_from_halfplanes(outer_hps)

@@ -3,24 +3,40 @@
 Used to track how matrix entries and polygon vertices move as a single
 parameter t varies.  Provides exact arithmetic, evaluation, rational root
 extraction, and Sturm-sequence isolation of irrational real roots.
+
+Root finding and gcds work on primitive integer coefficients, and their
+cost is polynomial in the degree and in the coefficient bit size:
+
+- a linear polynomial has its root in closed form;
+- otherwise the real roots of the square-free part are isolated by
+  bisection with its Sturm chain (Collins & Akritas 1976).  A rational
+  root p/q of an integer polynomial with leading coefficient L has q | L,
+  and two such fractions differ by at least 1/L^2, so each root is
+  narrowed to an interval shorter than 1/(2 L^2) and the midpoint's
+  ``limit_denominator(L)`` is the only candidate, which is tested exactly;
+- ``Poly.gcd`` runs a primitive pseudo-remainder sequence.
+
+A ``Poly`` is immutable, so its square-free part and Sturm chain are
+computed once, on first use, and kept on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Poly:
     """Univariate polynomial with Fraction coefficients, low degree first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sturm")
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._sturm = None  # filled by _sturm_chain()
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -154,10 +170,9 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic greatest common divisor; zero only if both are zero."""
+        g = _int_gcd(_integer_primitive(self.coeffs), _integer_primitive(other.coeffs))
+        return Poly(g).monic()
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -176,70 +191,79 @@ class Poly:
 
     # -- roots --------------------------------------------------------
 
+    def _sturm_chain(self) -> tuple:
+        """Sturm chain of the primitive integer square-free part, computed
+        once.  Each member is a positive multiple of the classical one, so
+        sign variations are the same."""
+        if self._sturm is None:
+            p = _integer_primitive(self.coeffs)
+            sq = p
+            if len(p) > 2:
+                g = _int_gcd(p, _primitive(_derivative(p)))
+                if len(g) > 1:
+                    sq = _primitive(_pdivmod(p, g)[0])
+            chain = [sq]
+            if len(sq) > 1:
+                chain.append(_primitive(_derivative(sq)))
+                while True:
+                    r = _pdivmod(chain[-2], chain[-1])[1]
+                    if not r:
+                        break
+                    chain.append(_primitive([-c for c in r]))
+            self._sturm = tuple(chain)
+        return self._sturm
+
     def rational_roots(self) -> list[Fraction]:
         """All rational roots, each listed once, sorted."""
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        cs = list(self.coeffs)
-        roots = set()
-        # factor out t^k
-        k = 0
-        while cs[0] == 0:
-            cs.pop(0)
-            k += 1
-        if k:
-            roots.add(Fraction(0))
-        if len(cs) <= 1:
-            return sorted(roots)
-        # clear denominators to integer coefficients
-        denom_lcm = 1
-        for c in cs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ics = [int(c * denom_lcm) for c in cs]
-        g = 0
-        for c in ics:
-            g = gcd(g, c)
-        ics = [c // g for c in ics]
-        for p in _divisors(abs(ics[0])):
-            for q in _divisors(abs(ics[-1])):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if self(cand) == 0:
-                        roots.add(cand)
-        return sorted(roots)
-
-    def sturm_sequence(self) -> list["Poly"]:
-        seq = [self, self.derivative()]
-        while not seq[-1].is_zero():
-            seq.append(-(seq[-2] % seq[-1]))
-        seq.pop()
-        return seq
+        if self.degree == 1:
+            return [-self.coeffs[0] / self.coeffs[1]]
+        if self.degree < 1:
+            return []
+        chain = self._sturm_chain()
+        sq = chain[0]
+        lead = abs(sq[-1])
+        width = Fraction(1, 2 * lead * lead)
+        b = _cauchy_bound(sq)
+        roots = []
+        stack = [(-b, b, _variations(chain, -b), _variations(chain, b))]
+        while stack:
+            lo, hi, v_lo, v_hi = stack.pop()
+            n = v_lo - v_hi
+            if n == 0:
+                continue
+            if n > 1:
+                mid = (lo + hi) / 2
+                v_mid = _variations(chain, mid)
+                stack.append((lo, mid, v_lo, v_mid))
+                stack.append((mid, hi, v_mid, v_hi))
+                continue
+            # one simple root r in (lo, hi]: halve by the sign of sq alone
+            v_hi = _scaled_value(sq, hi)
+            if v_hi == 0:
+                roots.append(hi)
+                continue
+            s_hi = v_hi > 0
+            while hi - lo >= width:
+                mid = (lo + hi) / 2
+                v = _scaled_value(sq, mid)
+                if v == 0:
+                    lo = hi = mid
+                    break
+                if (v > 0) == s_hi:
+                    hi = mid
+                else:
+                    lo = mid
+            cand = ((lo + hi) / 2).limit_denominator(lead)
+            if _scaled_value(sq, cand) == 0:
+                roots.append(cand)
+        return sorted(set(roots))
 
     def count_roots(self, a: Fraction, b: Fraction) -> int:
         """Number of distinct real roots in (a, b], a < b, via Sturm."""
-        sq = self.squarefree()
-        seq = sq.sturm_sequence()
-
-        def variations(x):
-            signs = [p(x) for p in seq]
-            signs = [s for s in signs if s != 0]
-            return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
-
-        return variations(Fraction(a)) - variations(Fraction(b))
-
-    def squarefree(self) -> "Poly":
-        if self.degree < 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree < 1:
-            return self
-        return self // g
-
-    def root_bound(self) -> Fraction:
-        """Cauchy bound: all real roots lie in (-B, B)."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.leading())
-        return 1 + max(abs(c) for c in self.coeffs[:-1]) / lead
+        chain = self._sturm_chain()
+        return _variations(chain, Fraction(a)) - _variations(chain, Fraction(b))
 
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
         """Disjoint rational intervals (a, b], one per distinct real root.
@@ -250,34 +274,31 @@ class Poly:
             raise ValueError("zero polynomial has every root")
         if self.degree < 1:
             return []
-        sq = self.squarefree()
-        out = []
-        for r in sq.rational_roots():
-            out.append((r, r))
-        lin = Poly([1])
-        for r in sq.rational_roots():
-            lin = lin * Poly([-r, 1])
-        rational = set(sq.rational_roots())
-        rest = sq // lin
-        if rest.degree >= 1:
-            b = rest.root_bound()
-            stack = [(-b, b)]
-            while stack:
-                lo, hi = stack.pop()
-                n = rest.count_roots(lo, hi)
-                if n == 0:
-                    continue
-                # keep bisecting until each bracket holds one root and no
-                # rational root of the original polynomial (disjointness)
-                if n == 1 and not any(lo < r <= hi for r in rational):
-                    out.append((lo, hi))
-                    continue
-                mid = (lo + hi) / 2
-                if rest(mid) == 0:
-                    # only irrational roots remain, so mid cannot be a root
-                    raise AssertionError("unexpected rational root")
-                stack.append((lo, mid))
-                stack.append((mid, hi))
+        rational = self.rational_roots()
+        out = [(r, r) for r in rational]
+        chain = self._sturm_chain()
+        rest = chain[0]
+        if len(rational) == len(rest) - 1:
+            return out
+        # the irrational roots: bisect from the root bound of the quotient
+        # by the rational linear factors until each bracket holds one root
+        # and no rational root (disjointness)
+        for r in rational:
+            rest = _pdivmod(rest, (-r.numerator, r.denominator))[0]
+        b = _cauchy_bound(rest)
+        stack = [(-b, b)]
+        while stack:
+            lo, hi = stack.pop()
+            inside = sum(1 for r in rational if lo < r <= hi)
+            n = _variations(chain, lo) - _variations(chain, hi) - inside
+            if n == 0:
+                continue
+            if n == 1 and not inside:
+                out.append((lo, hi))
+                continue
+            mid = (lo + hi) / 2
+            stack.append((lo, mid))
+            stack.append((mid, hi))
         return sorted(out)
 
 
@@ -289,17 +310,77 @@ def _as_poly(x):
     return None
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+# -- integer coefficient tuples, low degree first -------------------------
+
+
+def _primitive(cs) -> tuple:
+    """Integer coefficients divided by their (positive) content."""
+    g = gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _integer_primitive(coeffs) -> tuple:
+    """Primitive integer polynomial that is a positive multiple of the
+    Fraction polynomial ``coeffs``."""
+    m = lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (m // c.denominator) for c in coeffs])
+
+
+def _derivative(cs) -> list:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _pdivmod(a, b) -> tuple[list, list]:
+    """Pseudo-division (q, r) with |lc(b)|^k a = q b + r for some k >= 0
+    and deg r < deg b: quotient and remainder are positive multiples of
+    the rational ones."""
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 1)
+    r = list(a)
+    while len(r) - 1 >= db:
+        k = len(r) - 1 - db
+        f = r[-1] * sign
+        if scale != 1:
+            r = [c * scale for c in r]
+            q = [c * scale for c in q]
+        q[k] += f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _int_gcd(a, b) -> tuple:
+    """Primitive gcd of two primitive integer polynomials."""
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return a
+
+
+def _scaled_value(cs, x: Fraction) -> int:
+    """den(x)^deg * P(x): an integer with the sign of P(x)."""
+    p, q = x.numerator, x.denominator
+    acc = 0
+    qk = 1
+    for c in reversed(cs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _variations(chain, x: Fraction) -> int:
+    """Sign changes of the chain at x, zeros dropped."""
+    signs = [v > 0 for v in (_scaled_value(p, x) for p in chain) if v != 0]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _cauchy_bound(cs) -> Fraction:
+    """All real roots of the polynomial lie in (-B, B)."""
+    return 1 + Fraction(max(abs(c) for c in cs[:-1]), abs(cs[-1]))
 
 
 class RationalFunction:
@@ -313,14 +394,17 @@ class RationalFunction:
         den = _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num = num // g
-            den = den // g
+        if num.is_zero():
+            den = Poly([1])
+        elif not (num.is_constant() or den.is_constant()):
+            g = num.gcd(den)
+            if g.degree >= 1:
+                num = num // g
+                den = den // g
         lead = den.leading()
         if lead != 1:
-            num = num * Poly([1 / lead])
-            den = den * Poly([1 / lead])
+            num = Poly([c / lead for c in num.coeffs])
+            den = Poly([c / lead for c in den.coeffs])
         self.num = num
         self.den = den
 

@@ -38,6 +38,14 @@ from conftest import restrict, rnd_nonneg_product
 
 F = Fraction
 
+# a positive scalar keeps the nonnegative rank; 1009/1000 grows every
+# coefficient by about ten bits, which once made root finding run away
+SCALES = [F(1), F(1009, 1000)]
+
+
+def scaled(m: PartialMatrix, s) -> PartialMatrix:
+    return PartialMatrix(m.pattern, {k: v * s for k, v in m.values.items()})
+
 
 def t_rf():
     return RationalFunction(Poly.x())
@@ -156,8 +164,9 @@ class TestColumnHolesFamily:
         fam = family_11_21(two_missing_column)
         assert sufficient_11_21(fam) is None
 
-    def test_decision_not_completable(self, two_missing_column):
-        cert = decide_nn3_two_missing(two_missing_column)
+    @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
+    def test_decision_not_completable(self, two_missing_column, scale):
+        cert = decide_nn3_two_missing(scaled(two_missing_column, scale))
         assert cert.verdict == "NotCompletable"
         assert cert.pattern == "11_21"
 
@@ -215,8 +224,9 @@ class TestDiagonalHolesFamily:
         assert contains(p_lo.inner, p_hi.inner) or contains(p_hi.inner, p_lo.inner)
         assert contains(p_lo.outer, p_hi.outer) or contains(p_hi.outer, p_lo.outer)
 
-    def test_decision_not_completable_with_envelope(self, two_missing_diagonal):
-        cert = decide_nn3_two_missing(two_missing_diagonal)
+    @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
+    def test_decision_not_completable_with_envelope(self, two_missing_diagonal, scale):
+        cert = decide_nn3_two_missing(scaled(two_missing_diagonal, scale))
         assert cert.verdict == "NotCompletable"
         assert cert.pattern == "11_22"
         assert cert.envelope is not None
@@ -225,7 +235,7 @@ class TestDiagonalHolesFamily:
         assert pair.is_nested()
         assert nested_triangle(pair) is None
         lo, hi = cert.envelope_t
-        assert (lo, hi) == (F(0), F(4284, 9959))
+        assert (lo, hi) == (F(0), F(4284, 9959) * scale)
 
     def test_feasible_samples_all_fail(self, two_missing_diagonal):
         fam = family_11_22(two_missing_diagonal)
@@ -326,6 +336,22 @@ class TestDecisionEndToEnd:
             else:
                 unknown += 1
         assert completable >= 30
+
+    def test_outer_row_with_vanishing_normal(self):
+        # row 2 of columns 2..4, (1, 1, 8), is proportional to their column
+        # sums (5, 5, 40), so its outer half-plane has a zero normal
+        pm = parse_partial("25 3 2 17\n? 1 1 8\n15 1 2 12\n? 0 0 3\n")
+        cert = decide_nn3_two_missing(pm)
+        assert cert.verdict == "Completable"
+        assert pm.agrees_with(cert.completion)
+        assert cert.completion.is_nonnegative()
+        assert rank(cert.completion) <= 3
+        a, b = cert.witness
+        assert (a.q, b.p) == (3, 3)
+        assert a.is_nonnegative() and b.is_nonnegative()
+        # the witness factors the completion up to the normalizing row
+        # permutation
+        assert sorted(matmul(a, b).to_lists()) == sorted(cert.completion.to_lists())
 
     def test_permutation_equivariance(self, two_missing_column, rng):
         base = decide_nn3_two_missing(two_missing_column)

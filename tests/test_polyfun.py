@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,39 @@ coeffs = st.lists(
 )
 polys = coeffs.map(Poly)
 points = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+big_roots = st.builds(
+    Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64)
+)
+
+
+def _no_rational_root(quadratic) -> bool:
+    c, b, a = quadratic
+    disc = b * b - 4 * a * c
+    return disc < 0 or isqrt(disc) ** 2 != disc
+
+
+# integer coefficients (c, b, a) of c + b t + a t^2, irreducible over Q
+irreducible_quadratics = st.tuples(
+    st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20), st.integers(1, 2**20)
+).filter(_no_rational_root)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_oracle(sympy, p: Poly):
+    """(sorted rational roots, number of distinct real roots) of p."""
+    t = sympy.Symbol("t")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], t)
+    rational = sorted(
+        Fraction(int(r.p), int(r.q))
+        for f, _ in sp.factor_list()[1]
+        if f.degree() == 1
+        for r in [-f.nth(0) / f.nth(1)]
+    )
+    return rational, len(sp.intervals())
 
 
 class TestArithmetic:
@@ -54,6 +88,31 @@ class TestRoots:
             p = p * Poly([-r, 1])
         assert p.rational_roots() == sorted(set(roots))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(big_roots, max_size=4), st.lists(irreducible_quadratics, max_size=2))
+    def test_roots_match_sympy(self, sympy, roots, quadratics):
+        p = Poly([1])
+        for r in roots:
+            p = p * Poly([-r, 1])
+        for q in quadratics:
+            p = p * Poly(q)
+        if p.degree < 1:
+            return
+        rational, n_real = sympy_oracle(sympy, p)
+        assert p.rational_roots() == rational == sorted(set(roots))
+        assert len(p.isolate_real_roots()) == n_real
+
+    def test_quartic_with_large_integer_roots(self, sympy):
+        # two integer roots near 10^8 and two irrational ones: divisor
+        # enumeration of the constant term needs about 10^8 trial divisions
+        p = Poly([-99999989, 1]) * Poly([-100000007, 1]) * Poly([-2, 0, 1])
+        rational, n_real = sympy_oracle(sympy, p)
+        assert p.rational_roots() == rational == [99999989, 100000007]
+        intervals = p.isolate_real_roots()
+        assert len(intervals) == n_real == 4
+        assert (Fraction(99999989), Fraction(99999989)) in intervals
+        assert p.count_roots(Fraction(1), Fraction(2)) == 1
+
     def test_sturm_counts_irrational_roots(self):
         p = Poly([-2, 0, 1])  # t^2 - 2
         assert p.count_roots(Fraction(0), Fraction(2)) == 1
@@ -85,6 +144,13 @@ class TestRationalFunction:
     def test_lowest_terms(self):
         f = RationalFunction(Poly([0, 1, 1]), Poly([0, 1]))  # (t^2+t)/t
         assert f == RationalFunction(Poly([1, 1]))
+        zero = RationalFunction(Poly([]), Poly([-3, 1]))  # 0/(t-3)
+        assert zero == RationalFunction.constant(0)
+        assert zero.den == Poly([1])
+        g = RationalFunction(Poly([5]), Poly([-4, 2]))  # 5/(2t-4)
+        assert g.den == Poly([-2, 1]) and g.num == Poly([Fraction(5, 2)])
+        one = RationalFunction(Poly([-1, 1]), Poly([-1, 1]))  # (t-1)/(t-1)
+        assert one == RationalFunction.constant(1)
 
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, points)
