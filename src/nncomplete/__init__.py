@@ -49,6 +49,7 @@ from .geometry import (
     Polygon2,
     Triangle,
     UnboundedRegionError,
+    VerificationError,
     chord_exit,
     contains,
     convex_hull,

@@ -3,7 +3,8 @@ low-rank and low-nonnegative-rank completions, and render figures.
 
 Exit status contract: 0 for a decided verdict, 2 when the decision
 procedure honestly answers Unknown, 1 for any error (parse failure,
-unsupported pattern, shape mismatch), with a one-line diagnostic.
+unsupported pattern, shape mismatch, or any ValueError or
+ZeroDivisionError raised by the library), with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .completion import (
 from .geometry import nested_triangle, nn_rank_at_most_3, _bounded_slice_pair, _independent_columns
 from .linalg import matmul, solve_linear
 from .family import (
-    FamilyError,
     Nn3Certificate,
     decide_nn3_two_missing,
     family_11_21,
@@ -90,10 +90,7 @@ def _cmd_complete(args, out) -> int:
     elif args.rank == 2:
         if not args.nonnegative:
             raise CliError("complete --rank 2 is supported only with --nonnegative")
-        try:
-            outcome = nn_rank2_complete_3x3(m)
-        except ValueError as e:
-            raise CliError(str(e))
+        outcome = nn_rank2_complete_3x3(m)
     else:
         raise CliError("complete supports --rank 1 and --rank 2")
     _emit(out, outcome.kind.upper() + (f" {outcome.description}" if outcome.description else ""))
@@ -111,10 +108,7 @@ def _cmd_one_missing(args, out) -> int:
         hole = missing[0]
     else:
         hole = _parse_hole(args.hole)
-    try:
-        outcome = classify_one_missing(m, hole, args.rank)
-    except ValueError as e:
-        raise CliError(str(e))
+    outcome = classify_one_missing(m, hole, args.rank)
     if outcome.kind == "unique":
         _emit(out, f"UNIQUE {_frac(outcome.matrix.entry(*hole))}")
         _emit(out, serialize_matrix(outcome.matrix))
@@ -142,10 +136,7 @@ def _cmd_check_nnrank3(args, out) -> int:
 
 def _cmd_nn3_decide(args, out) -> int:
     m = _read_input(args.input)
-    try:
-        cert = decide_nn3_two_missing(m)
-    except FamilyError as e:
-        raise CliError(str(e))
+    cert = decide_nn3_two_missing(m)
     if args.json:
         _emit(out, json.dumps(cert.to_json_dict(), indent=2))
     else:
@@ -190,10 +181,7 @@ def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
         return pair, nested_triangle(pair)
     if len(m.pattern.missing) == 2 and (m.p, m.q) == (4, 4):
         canon, norm = normalize_two_missing(m)
-        try:
-            fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
-        except FamilyError as e:
-            raise CliError(str(e))
+        fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
         if cert is None:
             cert = decide_nn3_two_missing(m)
         if cert.t_star is not None:
@@ -277,7 +265,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args, sys.stdout)
-    except CliError as e:
+    except (CliError, ValueError, ZeroDivisionError) as e:
+        # ValueError covers the library's FamilyError, ParseError and
+        # UnboundedRegionError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -28,9 +28,9 @@ from .geometry import (
     contains,
     nested_triangle,
     nn_rank_at_most_3,
-    orient,
     polygon_from_halfplanes,
     polytopes_from_factorization,
+    side,
     _line_intersection,
 )
 
@@ -195,21 +195,6 @@ def _rf(x) -> RationalFunction:
 
 def rf_matrix_eval(rows, t: Fraction) -> ExactMatrix:
     return ExactMatrix([[_rf(x)(t) for x in row] for row in rows])
-
-
-def rf_matmul(a_rows, b_rows):
-    q = len(b_rows[0])
-    inner = len(b_rows)
-    out = []
-    for row in a_rows:
-        out_row = []
-        for j in range(q):
-            acc = RationalFunction.constant(0)
-            for k in range(inner):
-                acc = acc + _rf(row[k]) * _rf(b_rows[k][j])
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def _det3_poly(rows) -> Poly:
@@ -915,8 +900,8 @@ def _boundary_intersections(poly: Polygon2, a, b) -> list:
         return []
     out = []
     for (e1, e2) in poly.edges():
-        o1 = orient(a, b, e1)
-        o2 = orient(a, b, e2)
+        o1 = side(a, b, e1)
+        o2 = side(a, b, e2)
         if o1 == 0:
             out.append(e1)
         if o2 == 0:

@@ -7,7 +7,11 @@ exactly when a triangle fits between them; the search below enumerates
 anchored candidates (a vertex of the triangle at a vertex of Q, or a side
 containing an edge of P), which is sufficient.
 
-All coordinates are Fractions and every predicate is exact.
+All coordinates are Fractions and every predicate is exact.  Sign tests
+(`side`, `HalfPlane.sign`) cross-multiply the numerators and denominators
+as Python integers, so they take no gcd and build no intermediate
+Fraction.  Values and constructed points (`orient`, `HalfPlane.value`,
+`chord_exit`, line intersections) stay in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -24,13 +28,45 @@ class UnboundedRegionError(ValueError):
     """The intersection of half-planes has a nontrivial recession cone."""
 
 
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
+class VerificationError(AssertionError):
+    """An exact re-verification of a constructed answer failed.
+
+    Deliberately not a ValueError: callers that treat ValueError as "this
+    input is out of reach" must never swallow a wrong answer.
+    """
+
+
+def _verify(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationError(what)
 
 
 def orient(a: Point, b: Point, c: Point) -> Fraction:
     """Twice the signed area of (a, b, c); > 0 iff counterclockwise."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def side(a: Point, b: Point, c: Point) -> int:
+    """Sign of orient(a, b, c): 1 left of a->b, -1 right, 0 on the line.
+
+    Coordinates may be Fractions or ints.  With b - a = (ux, uy) and
+    c - a = (vx, vy) written as integer fractions over positive
+    denominators, the sign of ux*vy - uy*vx is the sign of a
+    cross-multiplied integer difference.
+    """
+    an0, ad0 = a[0].numerator, a[0].denominator
+    an1, ad1 = a[1].numerator, a[1].denominator
+    bn0, bd0 = b[0].numerator, b[0].denominator
+    bn1, bd1 = b[1].numerator, b[1].denominator
+    cn0, cd0 = c[0].numerator, c[0].denominator
+    cn1, cd1 = c[1].numerator, c[1].denominator
+    ux, uxd = bn0 * ad0 - an0 * bd0, bd0 * ad0
+    uy, uyd = bn1 * ad1 - an1 * bd1, bd1 * ad1
+    vx, vxd = cn0 * ad0 - an0 * cd0, cd0 * ad0
+    vy, vyd = cn1 * ad1 - an1 * cd1, cd1 * ad1
+    lhs = ux * vy * uyd * vxd
+    rhs = uy * vx * uxd * vyd
+    return (lhs > rhs) - (lhs < rhs)
 
 
 @dataclass(frozen=True)
@@ -51,8 +87,20 @@ class HalfPlane:
     def value(self, p: Point) -> Fraction:
         return self.c0 + self.cx * p[0] + self.cy * p[1]
 
+    def sign(self, p: Point) -> int:
+        """Sign of value(p), by integer cross-multiplication."""
+        c0, cx, cy = self.c0, self.cx, self.cy
+        xn, xd = p[0].numerator, p[0].denominator
+        yn, yd = p[1].numerator, p[1].denominator
+        # value(p) * c0d * cxd * xd * cyd * yd, all denominators positive
+        xs = cx.denominator * xd
+        ys = cy.denominator * yd
+        c0d = c0.denominator
+        v = c0.numerator * xs * ys + c0d * (cx.numerator * xn * ys + cy.numerator * yn * xs)
+        return (v > 0) - (v < 0)
+
     def contains(self, p: Point) -> bool:
-        return self.value(p) >= 0
+        return self.sign(p) >= 0
 
     @classmethod
     def through(cls, a: Point, b: Point) -> "HalfPlane":
@@ -77,12 +125,12 @@ def convex_hull(points) -> list:
         return pts
     lower = []
     for p in pts:
-        while len(lower) >= 2 and orient(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and side(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and orient(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and side(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -105,11 +153,12 @@ class Polygon2:
         n = len(vs)
         if n >= 3:
             for i in range(n):
-                if orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+                if side(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
                     raise ValueError("vertices must be strictly convex and counterclockwise")
         elif n == 2 and vs[0] == vs[1]:
             raise ValueError("duplicate vertices")
         self.vertices = vs
+        self._facets = None
 
     @classmethod
     def from_points(cls, points) -> "Polygon2":
@@ -131,10 +180,13 @@ class Polygon2:
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
     def facets(self) -> list:
-        """Inward half-planes, one per edge, in edge order."""
+        """Inward half-planes, one per edge, in edge order (a fresh list
+        each call; the half-planes are computed once per polygon)."""
         if self.is_degenerate():
             raise ValueError("degenerate polygon has no facet description")
-        return [HalfPlane.through(a, b) for (a, b) in self.edges()]
+        if self._facets is None:
+            self._facets = [HalfPlane.through(a, b) for (a, b) in self.edges()]
+        return list(self._facets)
 
     def contains_point(self, p: Point) -> bool:
         p = (Fraction(p[0]), Fraction(p[1]))
@@ -142,14 +194,14 @@ class Polygon2:
             return p == self.vertices[0]
         if self.n == 2:
             a, b = self.vertices
-            if orient(a, b, p) != 0:
+            if side(a, b, p) != 0:
                 return False
             d = (b[0] - a[0], b[1] - a[1])
             s = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
             return 0 <= s <= d[0] * d[0] + d[1] * d[1]
         n = self.n
         return all(
-            orient(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0 for i in range(n)
+            side(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0 for i in range(n)
         )
 
     def bounding_box(self):
@@ -200,7 +252,7 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
             x = (-a.c0 * b.cy + b.c0 * a.cy) / denom
             y = (-a.cx * b.c0 + b.cx * a.c0) / denom
             p = (x, y)
-            if all(hp.value(p) >= 0 for hp in hps):
+            if all(hp.sign(p) >= 0 for hp in hps):
                 verts.append(p)
     if not verts:
         raise ValueError("intersection of half-planes is empty")
@@ -214,16 +266,16 @@ class Triangle:
         a = (Fraction(a[0]), Fraction(a[1]))
         b = (Fraction(b[0]), Fraction(b[1]))
         c = (Fraction(c[0]), Fraction(c[1]))
-        area2 = orient(a, b, c)
-        if area2 == 0:
+        s = side(a, b, c)
+        if s == 0:
             raise ValueError("degenerate triangle")
-        if area2 < 0:
+        if s < 0:
             b, c = c, b
         self.vertices = [a, b, c]
 
     def contains_point(self, p: Point) -> bool:
         a, b, c = self.vertices
-        return orient(a, b, p) >= 0 and orient(b, c, p) >= 0 and orient(c, a, p) >= 0
+        return side(a, b, p) >= 0 and side(b, c, p) >= 0 and side(c, a, p) >= 0
 
     def contains_polygon(self, poly: Polygon2) -> bool:
         return all(self.contains_point(v) for v in poly.vertices)
@@ -327,12 +379,19 @@ def tangent_vertex(v: Point, poly: Polygon2) -> Point:
     """Vertex t of poly such that the directed line v -> t keeps the whole
     polygon on its closed left side; ties along the line resolved to the
     farthest vertex.  v may lie on the polygon but not coincide with the
-    only vertex."""
+    only vertex.
+
+    The vertex list is strictly convex and counterclockwise, so the whole
+    polygon lies on the closed left of v -> t exactly when both
+    neighbours of t do (for one or two vertices the neighbours are the
+    polygon itself): one pass over the vertices."""
+    vs = poly.vertices
+    n = len(vs)
     candidates = []
-    for t in poly.vertices:
+    for i, t in enumerate(vs):
         if t == v:
             continue
-        if all(orient(v, t, p) >= 0 for p in poly.vertices):
+        if side(v, t, vs[i - 1]) >= 0 and side(v, t, vs[(i + 1) % n]) >= 0:
             candidates.append(t)
     if not candidates:
         raise ValueError("no tangent vertex; is the point inside the polygon?")
@@ -416,7 +475,7 @@ def nested_triangle(pair: NestedPair):
             tri = Triangle(q0, outer.vertices[i], outer.vertices[i + 1])
             if tri.contains_point(p):
                 return tri
-        raise AssertionError("point inside outer polygon missed by its fan")
+        raise VerificationError("point inside outer polygon missed by its fan")
 
     # side anchored on a line containing an edge of P
     edge_lines = list(inner.edges())
@@ -525,12 +584,12 @@ def _nonneg_rank2_factorization(m: ExactMatrix):
             b_rows[1].append(Fraction(0))
             continue
         sol = solve_linear(a_mat, ExactMatrix.column(cols[j]))
-        assert sol.consistent
+        _verify(sol.consistent, "rank-2 column outside the span of the extreme columns")
         b_rows[0].append(sol.particular.entry(1, 1))
         b_rows[1].append(sol.particular.entry(2, 1))
     b_mat = ExactMatrix(b_rows)
-    assert a_mat.is_nonnegative() and b_mat.is_nonnegative()
-    assert matmul(a_mat, b_mat) == m
+    _verify(a_mat.is_nonnegative() and b_mat.is_nonnegative(), "rank-2 factors not nonnegative")
+    _verify(matmul(a_mat, b_mat) == m, "rank-2 factors do not multiply to the matrix")
     return a_mat, b_mat
 
 
@@ -556,7 +615,7 @@ def _bounded_slice_pair(a0: ExactMatrix, b0: ExactMatrix) -> NestedPair:
         if len(g_rows) < 3 and rank(ExactMatrix(g_rows + [e])) == len(g_rows) + 1:
             g_rows.append(e)
     g = ExactMatrix(g_rows)
-    assert det(g) != 0
+    _verify(det(g) != 0, "slice basis change is singular")
     a_sliced = matmul(a0, inverse(g))
     b_sliced = matmul(g, b0)
     nz_cols = [j for j in range(1, b_sliced.q + 1) if any(x != 0 for x in b_sliced.col(j))]
@@ -583,7 +642,7 @@ def nn_rank_at_most_3(m: ExactMatrix):
         u, v = _nonneg_rank1_factors(m)
         a = _pad_to_width(ExactMatrix.column(u), 3)
         b = _pad_to_height(ExactMatrix.row_vector(v), 3)
-        assert matmul(a, b) == m
+        _verify(matmul(a, b) == m, "rank-1 factors do not multiply to the matrix")
         return True, (a, b)
     if r == 2:
         a2, b2 = _nonneg_rank2_factorization(m)
@@ -594,9 +653,9 @@ def nn_rank_at_most_3(m: ExactMatrix):
     cols = _independent_columns(m, 3)
     a0 = m.submatrix(range(1, m.p + 1), cols)
     sol = solve_linear(a0, m)
-    assert sol.consistent
+    _verify(sol.consistent, "matrix outside the span of its independent columns")
     b0 = sol.particular
-    assert matmul(a0, b0) == m
+    _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
 
     pair = _bounded_slice_pair(a0, b0)
     tri = nested_triangle(pair)
@@ -614,7 +673,6 @@ def triangle_to_factorization(pair: NestedPair, tri: Triangle, m: ExactMatrix):
     nz_cols = pair.provenance["nonzero_columns"]
     c = ExactMatrix([[1, 1, 1]] + [[v[0] for v in tri.vertices], [v[1] for v in tri.vertices]])
     # columns of c are the lifted triangle vertices (1, x, y)
-    c = c  # 3x3
     a_w = matmul(a_sliced, c)
     c_inv = inverse(c)
     b_w_geom = matmul(c_inv, b_geom)
@@ -624,7 +682,7 @@ def triangle_to_factorization(pair: NestedPair, tri: Triangle, m: ExactMatrix):
         for k in range(3):
             rows[k][j - 1] = b_w_geom.entry(k + 1, idx)
     b_w = ExactMatrix(rows)
-    assert a_w.is_nonnegative(), "triangle not inside Q"
-    assert b_w.is_nonnegative(), "P not inside triangle"
-    assert matmul(a_w, b_w) == m
+    _verify(a_w.is_nonnegative(), "triangle not inside Q")
+    _verify(b_w.is_nonnegative(), "P not inside triangle")
+    _verify(matmul(a_w, b_w) == m, "witness factors do not multiply to the matrix")
     return a_w, b_w

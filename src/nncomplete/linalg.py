@@ -104,16 +104,6 @@ class ExactMatrix:
             [[self._rows[i - 1][j - 1] for j in cols] for i in rows]
         )
 
-    def drop_row(self, i: int) -> "ExactMatrix":
-        return self.submatrix(
-            [r for r in range(1, self.p + 1) if r != i], range(1, self.q + 1)
-        )
-
-    def drop_col(self, j: int) -> "ExactMatrix":
-        return self.submatrix(
-            range(1, self.p + 1), [c for c in range(1, self.q + 1) if c != j]
-        )
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             [[self._rows[i][j] for i in range(self.p)] for j in range(self.q)]

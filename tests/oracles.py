@@ -245,3 +245,25 @@ def verify_triangle(pair: NestedPair, tri: Triangle) -> bool:
     return tri.contains_polygon(pair.inner) and contains(
         pair.outer, tri.as_polygon()
     )
+
+
+# ---------------------------------------------------------------------------
+# brute-force tangent vertex
+
+
+def tangent_vertex_brute(v, vertices):
+    """The vertex t != v with every vertex on the closed left of v -> t,
+    farthest from v among such (first in list order on equal distance),
+    or None.  Scans all vertices for every candidate: O(n^2)."""
+    vx, vy = Fraction(v[0]), Fraction(v[1])
+    best, best_d = None, None
+    for t in vertices:
+        if t == (vx, vy):
+            continue
+        dx, dy = t[0] - vx, t[1] - vy
+        if any(dx * (p[1] - vy) < dy * (p[0] - vx) for p in vertices):
+            continue
+        d = dx * dx + dy * dy
+        if best is None or d > best_d:
+            best, best_d = t, d
+    return best

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nncomplete
 from nncomplete.cli import main
 from nncomplete.family import Nn3Certificate
 
@@ -225,3 +230,20 @@ class TestPlot:
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 4\n"))
         code, out, err = run(capsys, "plot", "-")
         assert code == 1 and "rank exactly 3" in err
+
+    def test_library_error_is_one_line_diagnostic(self):
+        """A ValueError from inside the library (here: the family's inner
+        polygon leaves the outer one) exits 1 with one stderr line, in a
+        real process and with the interpreter's optimize level."""
+        env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", "plot", "-"],
+            input="0 2 0 7\n? 1 5 1\n? 1 9 9\n0 2 9 3\n",
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: inner polygon is not contained in the outer polygon\n"
+        assert "Traceback" not in proc.stderr

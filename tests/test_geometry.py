@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nncomplete import (
     ExactMatrix,
@@ -9,6 +10,7 @@ from nncomplete import (
     Polygon2,
     Triangle,
     UnboundedRegionError,
+    VerificationError,
     contains,
     convex_hull,
     matmul,
@@ -21,9 +23,10 @@ from nncomplete import (
     tangent_vertex,
     triangle_to_factorization,
 )
+from nncomplete.geometry import orient, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
-from oracles import nmf_residual, rotation_grid_triangle, verify_triangle
+from oracles import nmf_residual, rotation_grid_triangle, tangent_vertex_brute, verify_triangle
 
 
 def rnd_point(rng, lo=-8, hi=8):
@@ -53,6 +56,89 @@ def rnd_nested_pair(rng) -> NestedPair:
             )
         )
     return NestedPair(Polygon2.from_points(pts), outer)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+BIG = 2**256
+big_rational = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+big_point = st.tuples(big_rational, big_rational)
+small_rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+small_point = st.tuples(small_rational, small_rational)
+
+
+class TestSignPredicates:
+    @settings(max_examples=300, deadline=None)
+    @given(big_point, big_point, big_point, big_rational, st.booleans())
+    def test_side_is_sign_of_orient(self, a, b, c, k, collinear):
+        if collinear:
+            c = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+        assert side(a, b, c) == _sign(orient(a, b, c))
+        if collinear:
+            assert side(a, b, c) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), small_point, small_point)
+    def test_side_accepts_int_coordinates(self, a, b, c):
+        assert side(a, b, c) == _sign(orient(a, b, c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_rational, big_rational, big_rational, big_point, st.booleans())
+    def test_halfplane_sign_is_sign_of_value(self, c0, cx, cy, p, on_line):
+        assume(cx != 0 or cy != 0)
+        hp = HalfPlane(c0, cx, cy)
+        if on_line:
+            p = (p[0], -(c0 + cx * p[0]) / cy) if cy != 0 else (-(c0 + cy * p[1]) / cx, p[1])
+            assert hp.sign(p) == 0
+        assert hp.sign(p) == _sign(hp.value(p))
+        assert hp.contains(p) == (hp.value(p) >= 0)
+
+
+class TestTangentVertex:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(small_point, min_size=1, max_size=8),
+        small_point,
+        st.integers(0, 7),
+        st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
+        st.sampled_from(["free", "vertex", "edge"]),
+    )
+    def test_agrees_with_brute_force(self, pts, free, i, lam, where):
+        poly = Polygon2.from_points(pts)
+        vs = poly.vertices
+        a, b = vs[i % len(vs)], vs[(i + 1) % len(vs)]
+        lam = min(lam, Fraction(1))
+        v = {
+            "free": free,
+            "vertex": a,
+            "edge": (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1])),
+        }[where]
+        assume(not (poly.n == 1 and v == vs[0]))
+        expected = tangent_vertex_brute(v, vs)
+        if expected is None:
+            with pytest.raises(ValueError):
+                tangent_vertex(v, poly)
+        else:
+            assert tangent_vertex(v, poly) == expected
+
+
+class TestFacetCache:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_point, min_size=3, max_size=8))
+    def test_repeated_calls_equal_and_independent(self, pts):
+        poly = Polygon2.from_points(pts)
+        assume(not poly.is_degenerate())
+        fresh = [HalfPlane.through(a, b) for (a, b) in poly.edges()]
+        first = poly.facets()
+        assert first == fresh
+        first.append(HalfPlane(0, 1, 0))
+        first[0] = HalfPlane(0, 0, 1)
+        second = poly.facets()
+        assert second == fresh
+        second.clear()
+        assert poly.facets() == fresh
 
 
 class TestHullAndPolygon:
@@ -258,3 +344,23 @@ class TestNnRankAtMost3:
         a, b = triangle_to_factorization(pair, tri, m)
         assert a.is_nonnegative() and b.is_nonnegative()
         assert matmul(a, b) == m
+
+    def test_triangle_outside_p_fails_verification(self, unique_nmf_matrix):
+        """The re-verification is an explicit check (it runs under -O too)
+        and its error is not a ValueError, so no caller that treats
+        ValueError as 'out of reach' can swallow it."""
+        from nncomplete.geometry import _bounded_slice_pair
+        from nncomplete import solve_linear
+
+        m = unique_nmf_matrix
+        a0 = m.submatrix(range(1, 5), [1, 2, 3])
+        pair = _bounded_slice_pair(a0, solve_linear(a0, m).particular)
+        # a small triangle around one vertex of P lies inside Q but cannot
+        # contain the two-dimensional P
+        (x, y) = pair.inner.vertices[0]
+        eps = Fraction(1, 10**6)
+        tri = Triangle((x - eps, y - eps), (x + eps, y - eps), (x, y + eps))
+        assert not tri.contains_polygon(pair.inner)
+        with pytest.raises(VerificationError, match="P not inside triangle"):
+            triangle_to_factorization(pair, tri, m)
+        assert not issubclass(VerificationError, ValueError)
