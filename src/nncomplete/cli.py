@@ -12,17 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .linalg import ExactMatrix, rank
-from .partial import ParseError, PartialMatrix, parse_partial, serialize_matrix
+from .partial import ParseError, PartialMatrix, format_rational, parse_partial, serialize_matrix
 from .completion import (
     classify_one_missing,
     nn_rank2_complete_3x3,
     rank1_complete,
 )
-from .geometry import nested_triangle, nn_rank_at_most_3, _bounded_slice_pair, _independent_columns
-from .linalg import matmul, solve_linear
+from .geometry import bounded_nested_pair, nested_triangle, nn_rank_at_most_3
 from .family import (
     Nn3Certificate,
     decide_nn3_two_missing,
@@ -50,11 +48,6 @@ def _read_input(path: str) -> PartialMatrix:
         return parse_partial(text)
     except ParseError as e:
         raise CliError(f"parse error: {e}")
-
-
-def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _full(m: PartialMatrix, what: str) -> ExactMatrix:
@@ -110,7 +103,7 @@ def _cmd_one_missing(args, out) -> int:
         hole = _parse_hole(args.hole)
     outcome = classify_one_missing(m, hole, args.rank)
     if outcome.kind == "unique":
-        _emit(out, f"UNIQUE {_frac(outcome.matrix.entry(*hole))}")
+        _emit(out, f"UNIQUE {format_rational(outcome.matrix.entry(*hole))}")
         _emit(out, serialize_matrix(outcome.matrix))
     else:
         _emit(out, outcome.kind.upper())
@@ -149,20 +142,20 @@ def _cmd_nn3_decide(args, out) -> int:
 def _describe_certificate(cert: Nn3Certificate) -> str:
     lines = [f"{cert.verdict} (pattern {cert.pattern})"]
     if cert.t_star is not None:
-        lines.append(f"t* = {_frac(cert.t_star)}")
+        lines.append(f"t* = {format_rational(cert.t_star)}")
     if cert.completion is not None:
         lines.append("completion:")
         lines.append(serialize_matrix(cert.completion).rstrip("\n"))
     if cert.triangle is not None:
-        pts = " ".join(f"({_frac(v[0])},{_frac(v[1])})" for v in cert.triangle.vertices)
+        pts = " ".join(f"({format_rational(v[0])},{format_rational(v[1])})" for v in cert.triangle.vertices)
         lines.append(f"triangle: {pts}")
     if cert.envelope is not None:
         lines.append("refuting envelope:")
         for label, poly in (("inner", cert.envelope[0]), ("outer", cert.envelope[1])):
-            pts = " ".join(f"({_frac(v[0])},{_frac(v[1])})" for v in poly.vertices)
+            pts = " ".join(f"({format_rational(v[0])},{format_rational(v[1])})" for v in poly.vertices)
             lines.append(f"  {label}: {pts}")
     if cert.samples:
-        lines.append("sampled t: " + " ".join(_frac(t) for t in cert.samples))
+        lines.append("sampled t: " + " ".join(format_rational(t) for t in cert.samples))
     return "\n".join(lines)
 
 
@@ -174,10 +167,7 @@ def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
             raise CliError("plot requires a nonnegative matrix")
         if rank(full) != 3:
             raise CliError("plot of a full matrix requires rank exactly 3")
-        cols = _independent_columns(full, 3)
-        a0 = full.submatrix(range(1, full.p + 1), cols)
-        sol = solve_linear(a0, full)
-        pair = _bounded_slice_pair(a0, sol.particular)
+        pair = bounded_nested_pair(full)
         return pair, nested_triangle(pair)
     if len(m.pattern.missing) == 2 and (m.p, m.q) == (4, 4):
         canon, norm = normalize_two_missing(m)

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .geometry import VerificationError
 from .linalg import ExactMatrix, det, matmul, rank
 from .partial import PartialMatrix, Pattern, support_graph, zero_line_property, \
-    cycle_property, zero_entries_line_consistent, _multiplicative_potentials
+    cycle_property, zero_entries_line_consistent, multiplicative_potentials
 
 
 @dataclass
@@ -60,7 +61,8 @@ def rank1_complete(m: PartialMatrix, require_nonnegative: bool = False) -> Compl
         u = [abs(x) for x in u]
         v = [abs(x) for x in v]
     completion = ExactMatrix([[ui * vj for vj in v] for ui in u])
-    assert m.agrees_with(completion)
+    if not m.agrees_with(completion):
+        raise VerificationError("rank-1 completion disagrees with an observed entry")
 
     graph = support_graph(m)
     if graph.nonzero_is_connected():
@@ -82,8 +84,9 @@ def _rank1_factors(m: PartialMatrix):
     that is not already killed from the other side, and canonical
     otherwise); fully unobserved lines take 1 (canonical root)."""
     graph = support_graph(m)
-    row_pot, col_pot, consistent = _multiplicative_potentials(m, graph)
-    assert consistent
+    row_pot, col_pot, consistent = multiplicative_potentials(m, graph)
+    if not consistent:
+        raise VerificationError("multiplicative potentials are inconsistent")
     nz_rows = {i for (i, j) in graph.nonzero_edges}
     nz_cols = {j for (i, j) in graph.nonzero_edges}
     observed_rows = {i for (i, j) in m.pattern.observed}
@@ -274,7 +277,8 @@ def classify_one_missing(m: PartialMatrix, hole: tuple, r: int) -> CompletionOut
         L_full = [cols_wo[l - 1] for l in L]
         value = _solve_vanishing_minor(m, (i, j), sorted(K_full + [i]), sorted(L_full + [j]))
         completion = m.complete_with({(i, j): value})
-        assert rank(completion) == r
+        if rank(completion) != r:
+            raise VerificationError(f"unique completion does not have rank {r}")
         return CompletionOutcome("unique", completion)
 
     return CompletionOutcome("none")
@@ -300,7 +304,8 @@ def _solve_vanishing_minor(m: PartialMatrix, hole, rows, cols) -> Fraction:
     d0 = det(m.complete_with({hole: Fraction(0)}).submatrix(rows, cols))
     d1 = det(m.complete_with({hole: Fraction(1)}).submatrix(rows, cols))
     c1 = d1 - d0
-    assert c1 != 0
+    if c1 == 0:
+        raise VerificationError("complementary minor of the hole vanishes")
     return -d0 / c1
 
 

@@ -12,26 +12,26 @@ the outer polygon and one vertex of the inner polygon move together.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import ExactMatrix, det, matmul, rank, solve_linear
-from .partial import PartialMatrix, Pattern
+from .partial import PartialMatrix, Pattern, format_rational
 from .polyfun import Poly, RationalFunction
-from .completion import CompletionOutcome
 from .geometry import (
     HalfPlane,
     NestedPair,
     Polygon2,
     Triangle,
     UnboundedRegionError,
+    VerificationError,
     contains,
+    line_intersection,
     nested_triangle,
     nn_rank_at_most_3,
     polygon_from_halfplanes,
     polytopes_from_factorization,
     side,
-    _line_intersection,
 )
 
 
@@ -300,7 +300,8 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         if det(block.submatrix([1, 2], others)) != 0:
             free = k
             break
-    assert free is not None
+    if free is None:
+        raise VerificationError("rows 3,4 of rank 2 have no invertible 2x2 block")
     others = [c for c in (1, 2, 3) if c != free]
     sub = block.submatrix([1, 2], others)
     sub_inv_det = det(sub)
@@ -353,7 +354,8 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     if line is not None:
         # the moving vertex satisfies the line identically in t
         residual = _rf(line.c0) + _rf(line.cx) * p1[0] + _rf(line.cy) * p1[1]
-        assert residual.is_zero(), "moving vertex leaves its line"
+        if not residual.is_zero():
+            raise VerificationError("moving vertex leaves its line")
 
     feasible = feasible_set(_completion_sign_constraints_11_21(a_rows, b1))
     fam = NestedFamily(
@@ -414,27 +416,6 @@ def _moving_vertex_line(p1) -> HalfPlane | None:
     return HalfPlane(c0, cx, cy)
 
 
-def _line_from_observed_minors(m: PartialMatrix) -> HalfPlane:
-    """Closed form for the same line in terms of 2x2 minors of the
-    observed entries (used as a cross-check)."""
-
-    def mm(rows, cols):
-        return det(m.observed_submatrix(list(rows), list(cols)))
-
-    c0 = -det(
-        ExactMatrix([[m.entry(3, 1), m.entry(3, 2)], [m.entry(4, 1), m.entry(4, 2)]])
-    )
-    m31 = m.entry(3, 1)
-    m41 = m.entry(4, 1)
-    cx = m41 * (mm((1, 3), (2, 3)) + mm((2, 3), (2, 3)) - mm((3, 4), (2, 3))) - m31 * (
-        mm((1, 4), (2, 3)) + mm((2, 4), (2, 3)) + mm((3, 4), (2, 3))
-    )
-    cy = m41 * (mm((1, 3), (2, 4)) + mm((2, 3), (2, 4)) - mm((3, 4), (2, 4))) - m31 * (
-        mm((1, 4), (2, 4)) + mm((2, 4), (2, 4)) + mm((3, 4), (2, 4))
-    )
-    return HalfPlane(c0, cx, cy)
-
-
 def sufficient_11_21(fam: NestedFamily):
     """Feasible t* realizing the line-intersection sufficient condition:
     the moving vertex can be placed inside the fixed triangle, or on a
@@ -477,7 +458,7 @@ def _line_halfplane_intersection(line: HalfPlane, u, v):
     else:
         a1 = (-line.c0 / line.cx, Fraction(0))
         a2 = (-line.c0 / line.cx, Fraction(1))
-    return _line_intersection(a1, a2, u, v)
+    return line_intersection(a1, a2, u, v)
 
 
 def _point_in_hull(p, pts) -> bool:
@@ -528,7 +509,8 @@ def special_case_low_rank(m: PartialMatrix, r: int):
                 completion = _assemble_block_completion(work, list(I), a_blk, b_blk)
                 if transposed:
                     completion = completion.transpose()
-                assert m.agrees_with(completion)
+                if not m.agrees_with(completion):
+                    raise VerificationError("block-padded completion disagrees with m")
                 return completion
     return None
 
@@ -709,12 +691,13 @@ def normalize_two_missing(m: PartialMatrix):
     return canon, Normalization(transposed, row_perm, col_perm, tag)
 
 
+def _canonical_indices(perm) -> list:
+    """The canonical index of each original index 1..4."""
+    return [perm.index(k) + 1 for k in range(1, 5)]
+
+
 def denormalize_matrix(mat: ExactMatrix, norm: Normalization) -> ExactMatrix:
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(1, 5):
-        for j in range(1, 5):
-            rows[norm.row_perm[i - 1] - 1][norm.col_perm[j - 1] - 1] = mat.entry(i, j)
-    out = ExactMatrix(rows)
+    out = mat.submatrix(_canonical_indices(norm.row_perm), _canonical_indices(norm.col_perm))
     return out.transpose() if norm.transposed else out
 
 
@@ -828,9 +811,9 @@ def _interval_sample_ts(fam: NestedFamily, iv: Interval, criticals) -> list:
     return [t for t in out if iv.contains(t)]
 
 
-def _try_completable_at(fam: NestedFamily, t):
-    """(completion, witness, triangle) if the completion at t has
-    nonnegative rank at most 3, else None."""
+def _completable_at(fam: NestedFamily, t):
+    """A Completable outcome at t if the completion there has nonnegative
+    rank at most 3, else None."""
     t = Fraction(t)
     if not fam.is_feasible(t):
         return None
@@ -840,12 +823,12 @@ def _try_completable_at(fam: NestedFamily, t):
     ok, witness = nn_rank_at_most_3(completion)
     if not ok:
         return None
-    tri = None
     try:
         tri = nested_triangle(fam.pair_at(t))
     except (ValueError, UnboundedRegionError, ZeroDivisionError):
         tri = None
-    return completion, witness, tri
+    return {"verdict": "Completable", "t_star": t, "completion": completion, "witness": witness,
+            "triangle": tri}
 
 
 def _pairs_monotone(pairs) -> bool:
@@ -907,7 +890,7 @@ def _boundary_intersections(poly: Polygon2, a, b) -> list:
         if o2 == 0:
             out.append(e2)
         if (o1 > 0 > o2) or (o1 < 0 < o2):
-            x = _line_intersection(a, b, e1, e2)
+            x = line_intersection(a, b, e1, e2)
             if x is not None:
                 out.append(x)
     seen = []
@@ -1061,8 +1044,7 @@ class Nn3Certificate:
     samples: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        def frac(x):
-            return _frac_str(x)
+        frac = format_rational
 
         def point(p):
             return [frac(p[0]), frac(p[1])]
@@ -1104,11 +1086,6 @@ class Nn3Certificate:
         return out
 
 
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
     """Decide whether a 4x4 partial nonnegative matrix with two missing
     entries admits a completion of nonnegative rank at most 3.
@@ -1116,124 +1093,125 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
     The verdict is three-valued; "Unknown" means neither the constructive
     search nor the refutation machinery resolved the instance.  Verdicts
     of "Completable" are always backed by an exact witness factorization
-    that has been re-verified against the completion.  Since transposition
-    preserves nonnegative rank, an inconclusive run is retried on the
-    transpose, which yields an independent parametrization.
+    (A, B) with A.B equal to the returned completion.  Since transposition
+    preserves nonnegative rank, an inconclusive run on holes in different
+    rows and columns is retried on the transpose, which yields an
+    independent parametrization; holes sharing a row or a column
+    normalize to the same canonical instance either way.
     """
-    cert = _decide_oriented(m)
-    if cert.verdict != "Unknown":
-        return cert
-    flipped = _decide_oriented(m.transpose())
-    if flipped.verdict == "Unknown":
-        return cert
-    return Nn3Certificate(
-        flipped.verdict,
-        flipped.pattern,
-        t_star=flipped.t_star,
-        completion=(
-            flipped.completion.transpose() if flipped.completion is not None else None
-        ),
-        witness=(
-            (flipped.witness[1].transpose(), flipped.witness[0].transpose())
-            if flipped.witness is not None
-            else None
-        ),
-        triangle=flipped.triangle,
-        envelope=flipped.envelope,
-        envelope_t=flipped.envelope_t,
-        samples=flipped.samples,
-    )
-
-
-def _decide_oriented(m: PartialMatrix) -> Nn3Certificate:
     canon, norm = normalize_two_missing(m)
+    outcome = _decide_canonical(canon, norm.tag)
+    if outcome["verdict"] == "Unknown" and norm.tag == "11_22":
+        canon_t, norm_t = normalize_two_missing(m.transpose())
+        flipped = _decide_canonical(canon_t, norm_t.tag)
+        if flipped["verdict"] != "Unknown":
+            # undoing the transpose of m is one more transposition
+            outcome, norm = flipped, replace(norm_t, transposed=not norm_t.transposed)
+    return _certificate(norm, **outcome)
 
-    cert = _decide_special_cases(canon, norm)
-    if cert is not None:
-        return cert
 
+def _certificate(norm: Normalization, verdict: str, completion=None, witness=None,
+                 **fields) -> Nn3Certificate:
+    """The certificate for an outcome of the canonical instance, with the
+    completion and the witness mapped back to the caller's orientation."""
+    if witness is not None:
+        a = witness[0].submatrix(_canonical_indices(norm.row_perm), range(1, 4))
+        b = witness[1].submatrix(range(1, 4), _canonical_indices(norm.col_perm))
+        witness = (b.transpose(), a.transpose()) if norm.transposed else (a, b)
+    if completion is not None:
+        completion = denormalize_matrix(completion, norm)
+    return Nn3Certificate(verdict, norm.tag, completion=completion, witness=witness, **fields)
+
+
+def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
+    """The decision stages on the canonical instance, in order: special
+    cases, family construction, the sufficient condition (11_21) or the
+    simplicial check (11_22) ordering the sampled t, the sampled t, then
+    an envelope or a sweep per feasible interval and the pole check.  The
+    first stage with an answer decides.  Returns the certificate fields;
+    the completion and the witness are in the canonical orientation."""
+    outcome = _special_cases(canon, tag)
+    if outcome is not None:
+        return outcome
     try:
-        fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
+        fam = family_11_21(canon) if tag == "11_21" else family_11_22(canon)
     except FamilyError:
-        return Nn3Certificate("Unknown", norm.tag)
-
+        return {"verdict": "Unknown"}
     criticals = _critical_ts(fam)
-    samples = []
-    for iv in fam.feasible:
-        samples.extend(_interval_sample_ts(fam, iv, criticals))
-    samples = sorted(set(samples))
+    samples = sorted({t for iv in fam.feasible for t in _interval_sample_ts(fam, iv, criticals)})
+    for t in _search_order(fam, samples):
+        hit = _completable_at(fam, t)
+        if hit is not None:
+            return {**hit, "samples": samples}
+    return {**_refute(fam, criticals), "samples": samples}
 
-    # constructive search: line-intersection condition, simplicial outer
-    # cones at samples, then a full nested-triangle attempt per sample
-    candidate_ts = list(samples)
+
+def _special_cases(canon: PartialMatrix, tag: str):
+    """Outcomes that do not need the parametrized family, or None."""
+    # low-rank observed blocks padded with an identity
+    completion = special_case_low_rank(canon, 3)
+    if completion is not None:
+        ok, witness = nn_rank_at_most_3(completion)
+        if ok:
+            return {"verdict": "Completable", "completion": completion, "witness": witness}
+    if tag == "11_21":
+        if all(canon.get(i, 1, Fraction(0)) == 0 for i in (3, 4)):
+            filled = canon.complete_with({(1, 1): 0, (2, 1): 0})
+            ok, witness = nn_rank_at_most_3(filled)
+            if not ok:
+                raise VerificationError("a matrix with a zero column keeps its block rank")
+            return {"verdict": "Completable", "completion": filled, "witness": witness}
+        if (
+            rank(canon.observed_submatrix([3, 4], [2, 3, 4])) <= 1
+            and rank(canon.observed_submatrix([3, 4], [1, 2, 3, 4])) == 2
+            and rank(canon.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) == 3
+        ):
+            # the two fully observed rows force a direction no completion
+            # of rank at most three can match
+            return {"verdict": "NotCompletable"}
+    return None
+
+
+def _search_order(fam: NestedFamily, samples: list) -> list:
+    """The t to try for a completion: the line-intersection t* (11_21) or
+    the samples with a simplicial outer cone (11_22) first, then every
+    other sample."""
     if fam.tag == "11_21":
         t = sufficient_11_21(fam)
-        if t is not None:
-            candidate_ts.insert(0, t)
-    else:
-        simplicial = [t for t in samples if simplicial_sign_check(fam, t)]
-        candidate_ts = simplicial + [t for t in candidate_ts if t not in simplicial]
-    for t in candidate_ts:
-        hit = _try_completable_at(fam, t)
-        if hit is not None:
-            completion, witness, tri = hit
-            return Nn3Certificate(
-                "Completable",
-                norm.tag,
-                t_star=t,
-                completion=denormalize_matrix(completion, norm),
-                witness=witness,
-                triangle=tri,
-                samples=samples,
-            )
+        return samples if t is None else [t] + samples
+    simplicial = [t for t in samples if simplicial_sign_check(fam, t)]
+    return simplicial + [t for t in samples if t not in simplicial]
 
+
+def _refute(fam: NestedFamily, criticals) -> dict:
+    """Rule out every feasible interval, by an envelope pair admitting no
+    nested triangle or, for 11_21, by sweeping the moving vertex; the
+    sweep may find a completion instead."""
     if not fam.feasible:
         # no nonnegative completion of rank at most 3 exists at all
-        return Nn3Certificate("NotCompletable", norm.tag, samples=samples)
-
-    # refutation: every feasible interval must be ruled out
-    envelope = None
-    envelope_t = None
+        return {"verdict": "NotCompletable"}
+    envelope = {}
     for iv in fam.feasible:
-        verdict = None
         env = _envelope_for_interval(fam, iv, criticals)
         if env is not None:
             try:
                 pair = NestedPair(env[0], env[1], list(env[0].vertices), [], {})
                 if nested_triangle(pair) is None:
-                    envelope = env
-                    envelope_t = (iv.lo, iv.hi)
-                    verdict = "refuted"
+                    envelope = {"envelope": env, "envelope_t": (iv.lo, iv.hi)}
+                    continue
             except ValueError:
                 pass
-        if verdict is None and fam.tag == "11_21":
+        if fam.tag == "11_21":
             status, t = _sweep_moving_vertex(fam, iv)
-            if status == "completable":
-                hit = _try_completable_at(fam, t)
-                if hit is not None:
-                    completion, witness, tri = hit
-                    return Nn3Certificate(
-                        "Completable",
-                        norm.tag,
-                        t_star=t,
-                        completion=denormalize_matrix(completion, norm),
-                        witness=witness,
-                        triangle=tri,
-                        samples=samples,
-                    )
-            elif status == "refuted":
-                verdict = "refuted"
-        if verdict is None:
-            return Nn3Certificate("Unknown", norm.tag, samples=samples)
+            if status == "refuted":
+                continue
+            hit = _completable_at(fam, t) if status == "completable" else None
+            if hit is not None:
+                return hit
+        return {"verdict": "Unknown"}
     if fam.tag == "11_22" and not _poles_ruled_out(fam):
-        return Nn3Certificate("Unknown", norm.tag, samples=samples)
-    return Nn3Certificate(
-        "NotCompletable",
-        norm.tag,
-        envelope=envelope,
-        envelope_t=envelope_t,
-        samples=samples,
-    )
+        return {"verdict": "Unknown"}
+    return {"verdict": "NotCompletable", **envelope}
 
 
 def _poles_ruled_out(fam: NestedFamily) -> bool:
@@ -1264,38 +1242,3 @@ def _poles_ruled_out(fam: NestedFamily) -> bool:
             # covered by the sweep; stay honest and report Unknown
             return False
     return True
-
-
-def _decide_special_cases(canon: PartialMatrix, norm: Normalization):
-    """Shortcut verdicts that do not need the parametrized family."""
-    # low-rank observed blocks padded with an identity
-    completion = special_case_low_rank(canon, 3)
-    if completion is not None:
-        ok, witness = nn_rank_at_most_3(completion)
-        if ok:
-            return Nn3Certificate(
-                "Completable",
-                norm.tag,
-                completion=denormalize_matrix(completion, norm),
-                witness=witness,
-            )
-    if norm.tag == "11_21":
-        if all(canon.get(i, 1, Fraction(0)) == 0 for i in (3, 4)):
-            filled = canon.complete_with({(1, 1): 0, (2, 1): 0})
-            ok, witness = nn_rank_at_most_3(filled)
-            assert ok, "a matrix with a zero column keeps its block rank"
-            return Nn3Certificate(
-                "Completable",
-                norm.tag,
-                completion=denormalize_matrix(filled, norm),
-                witness=witness,
-            )
-        if (
-            rank(canon.observed_submatrix([3, 4], [2, 3, 4])) <= 1
-            and rank(canon.observed_submatrix([3, 4], [1, 2, 3, 4])) == 2
-            and rank(canon.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) == 3
-        ):
-            # the two fully observed rows force a direction no completion
-            # of rank at most three can match
-            return Nn3Certificate("NotCompletable", norm.tag)
-    return None

@@ -427,7 +427,7 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
     return (v[0] + hi * d[0], v[1] + hi * d[1])
 
 
-def _line_intersection(a1: Point, a2: Point, b1: Point, b2: Point):
+def line_intersection(a1: Point, a2: Point, b1: Point, b2: Point):
     """Intersection of lines a1a2 and b1b2, or None if parallel."""
     d1 = (a2[0] - a1[0], a2[1] - a1[1])
     d2 = (b2[0] - b1[0], b2[1] - b1[1])
@@ -527,7 +527,7 @@ def _close_chain_from_line(start: Point, v1: Point, inner: Polygon2, outer: Poly
     except ValueError:
         return None
     third = (v2[0] + (t3[0] - v2[0]), v2[1] + (t3[1] - v2[1]))
-    x = _line_intersection(v2, third, start, v1)
+    x = line_intersection(v2, third, start, v1)
     if x is None:
         return None
     return _verified((v1, v2, x), inner, outer)
@@ -625,6 +625,19 @@ def _bounded_slice_pair(a0: ExactMatrix, b0: ExactMatrix) -> NestedPair:
     return pair
 
 
+def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
+    """The bounded nested pair of a nonnegative rank-3 matrix: m factored
+    through three of its independent columns, sliced by their column
+    sums."""
+    cols = _independent_columns(m, 3)
+    a0 = m.submatrix(range(1, m.p + 1), cols)
+    sol = solve_linear(a0, m)
+    _verify(sol.consistent, "matrix outside the span of its independent columns")
+    b0 = sol.particular
+    _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
+    return _bounded_slice_pair(a0, b0)
+
+
 def nn_rank_at_most_3(m: ExactMatrix):
     """Decide nonnegative rank <= 3, with a witness factorization.
 
@@ -650,14 +663,7 @@ def nn_rank_at_most_3(m: ExactMatrix):
     if r > 3:
         return False, None
 
-    cols = _independent_columns(m, 3)
-    a0 = m.submatrix(range(1, m.p + 1), cols)
-    sol = solve_linear(a0, m)
-    _verify(sol.consistent, "matrix outside the span of its independent columns")
-    b0 = sol.particular
-    _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
-
-    pair = _bounded_slice_pair(a0, b0)
+    pair = bounded_nested_pair(m)
     tri = nested_triangle(pair)
     if tri is None:
         return False, None
@@ -666,7 +672,7 @@ def nn_rank_at_most_3(m: ExactMatrix):
 
 
 def triangle_to_factorization(pair: NestedPair, tri: Triangle, m: ExactMatrix):
-    """Convert a nested triangle for the pair built by _bounded_slice_pair
+    """Convert a nested triangle for the pair built by bounded_nested_pair
     back into a size-3 nonnegative factorization of m."""
     a_sliced = pair.provenance["a"]
     b_geom = pair.provenance["b"]

@@ -147,7 +147,8 @@ class PartialMatrix:
 # text format
 
 
-def _format_rational(x: Fraction) -> str:
+def format_rational(x: Fraction) -> str:
+    """``p/q`` text of a rational, or ``p`` when it is an integer."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -189,7 +190,7 @@ def serialize_partial(m: PartialMatrix) -> str:
     for i in range(1, m.p + 1):
         toks = []
         for j in range(1, m.q + 1):
-            toks.append(_format_rational(m.entry(i, j)) if m.is_observed(i, j) else "?")
+            toks.append(format_rational(m.entry(i, j)) if m.is_observed(i, j) else "?")
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -308,7 +309,7 @@ def zero_entries_line_consistent(m: PartialMatrix) -> bool:
     return True
 
 
-def _multiplicative_potentials(m: PartialMatrix, graph: SupportGraph):
+def multiplicative_potentials(m: PartialMatrix, graph: SupportGraph):
     """Row/column multipliers from a spanning forest of the nonzero graph.
 
     Returns (row_pot, col_pot, consistent): potentials satisfy
@@ -388,7 +389,7 @@ def cycle_property(m: PartialMatrix) -> bool:
     component condensation digraph (see _zero_edge_digraph_has_cycle).
     """
     graph = support_graph(m)
-    _, _, consistent = _multiplicative_potentials(m, graph)
+    _, _, consistent = multiplicative_potentials(m, graph)
     if not consistent:
         return False
     return not _zero_edge_digraph_has_cycle(m, graph)

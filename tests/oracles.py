@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from nncomplete import ExactMatrix, PartialMatrix, Poly
+from nncomplete import ExactMatrix, PartialMatrix, Poly, det
 from nncomplete.geometry import (
+    HalfPlane,
     NestedPair,
     Polygon2,
     Triangle,
@@ -267,3 +268,28 @@ def tangent_vertex_brute(v, vertices):
         if best is None or d > best_d:
             best, best_d = t, d
     return best
+
+
+# ---------------------------------------------------------------------------
+# closed-form moving-vertex line of the 11_21 family
+
+
+def line_from_observed_minors(m: PartialMatrix) -> HalfPlane:
+    """The line traced by the moving inner vertex of the 11_21 family, in
+    closed form from 2x2 minors of the observed entries."""
+
+    def mm(rows, cols):
+        return det(m.observed_submatrix(list(rows), list(cols)))
+
+    c0 = -det(
+        ExactMatrix([[m.entry(3, 1), m.entry(3, 2)], [m.entry(4, 1), m.entry(4, 2)]])
+    )
+    m31 = m.entry(3, 1)
+    m41 = m.entry(4, 1)
+    cx = m41 * (mm((1, 3), (2, 3)) + mm((2, 3), (2, 3)) - mm((3, 4), (2, 3))) - m31 * (
+        mm((1, 4), (2, 3)) + mm((2, 4), (2, 3)) + mm((3, 4), (2, 3))
+    )
+    cy = m41 * (mm((1, 3), (2, 4)) + mm((2, 3), (2, 4)) - mm((3, 4), (2, 4))) - m31 * (
+        mm((1, 4), (2, 4)) + mm((2, 4), (2, 4)) + mm((3, 4), (2, 4))
+    )
+    return HalfPlane(c0, cx, cy)

@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nncomplete
 from nncomplete.cli import main
@@ -247,3 +250,62 @@ class TestPlot:
         assert proc.stdout == ""
         assert proc.stderr == "error: inner polygon is not contained in the outer polygon\n"
         assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit contract
+
+ENTRY = st.one_of(
+    st.integers(0, 9).map(str),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 4)),
+)
+BAD_ENTRY = st.sampled_from(["-1", "-3/2", "1/0", "x"])
+# the number of holes each subcommand works on
+HOLES = {"rank": 0, "complete": 2, "one-missing": 1, "check-nnrank3": 0, "nn3-decide": 2, "plot": 2}
+
+
+@st.composite
+def cli_call(draw):
+    """(argv, stdin text): one of the six subcommands reading a small
+    nonnegative matrix, mostly 4x4, from stdin.  The matrix has up to three
+    ``?`` (most often as many as the subcommand works on) and sometimes one
+    negative, zero-denominator or malformed token."""
+    cmd = draw(st.sampled_from(sorted(HOLES)))
+    argv = [cmd, "-"]
+    if cmd in ("complete", "one-missing"):
+        argv += ["--rank", draw(st.sampled_from(["1", "2", "3"]))]
+    if cmd == "complete" and draw(st.booleans()):
+        argv.append("--nonnegative")
+    hole = draw(st.sampled_from([None, "1,1", "2,3", "x"])) if cmd == "one-missing" else None
+    if hole:
+        argv += ["--hole", hole]
+    if cmd == "nn3-decide" and draw(st.booleans()):
+        argv.append("--json")
+    p, q = draw(st.sampled_from([(3, 3), (2, 3), (1, 4), (4, 2)])) if draw(st.integers(0, 4)) == 4 else (4, 4)
+    cells = draw(st.lists(ENTRY, min_size=p * q, max_size=p * q))
+    holes = draw(st.sampled_from([HOLES[cmd], 0, 1, 2, 3]))
+    for k in draw(st.lists(st.integers(0, p * q - 1), min_size=holes, max_size=holes, unique=True)):
+        cells[k] = "?"
+    if draw(st.integers(0, 3)) == 0:
+        cells[draw(st.integers(0, p * q - 1))] = draw(BAD_ENTRY)
+    return argv, "".join(" ".join(cells[i * q:(i + 1) * q]) + "\n" for i in range(p))
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None)
+    @given(call=cli_call())
+    def test_any_input_keeps_the_exit_contract(self, call):
+        """Exit 0, 1 or 2; exit 1 with exactly one error line; nothing but
+        argparse's SystemExit escapes main."""
+        argv, text = call
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -12,6 +12,7 @@ from nncomplete import (
     NestedPair,
     Poly,
     RationalFunction,
+    VerificationError,
     decide_nn3_two_missing,
     family_11_21,
     family_11_22,
@@ -27,14 +28,15 @@ from nncomplete import (
     sufficient_11_21,
     sweep_candidates,
 )
+import nncomplete.family
 from nncomplete.family import (
     _critical_ts,
-    _line_from_observed_minors,
     denormalize_matrix,
     rf_matrix_eval,
 )
 
-from conftest import restrict, rnd_nonneg_product
+from conftest import DATA, restrict, rnd_nonneg_product
+from oracles import line_from_observed_minors
 
 F = Fraction
 
@@ -45,6 +47,19 @@ SCALES = [F(1), F(1009, 1000)]
 
 def scaled(m: PartialMatrix, s) -> PartialMatrix:
     return PartialMatrix(m.pattern, {k: v * s for k, v in m.values.items()})
+
+
+def count_normalizations(monkeypatch) -> list:
+    """Record every normalize_two_missing call the decision makes."""
+    calls = []
+    original = nncomplete.family.normalize_two_missing
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(nncomplete.family, "normalize_two_missing", counting)
+    return calls
 
 
 def t_rf():
@@ -112,7 +127,7 @@ class TestColumnHolesFamily:
         assert line.cx == line.cy != 0
         assert line.c0 / line.cx == F(-3, 40)
         # the closed-form transcription gives the same line
-        alt = _line_from_observed_minors(two_missing_column)
+        alt = line_from_observed_minors(two_missing_column)
         assert alt.c0 * line.cx == line.c0 * alt.cx
         assert alt.cy * line.cx == line.cy * alt.cx
 
@@ -296,11 +311,20 @@ class TestSpecialCases:
         assert ok
 
     def test_zero_column_fill(self):
+        base = parse_partial("? 5 1 9\n? 1 7 7\n0 5 9 1\n0 9 3 3\n")
+        # the transpose, with its holes in row 1, normalizes transposed
+        for pm in (base, base.transpose()):
+            cert = decide_nn3_two_missing(pm)
+            assert cert.verdict == "Completable"
+            assert pm.agrees_with(cert.completion)
+            a, b = cert.witness
+            assert matmul(a, b) == cert.completion
+
+    def test_zero_column_check_survives_stripped_asserts(self, monkeypatch):
+        monkeypatch.setattr(nncomplete.family, "nn_rank_at_most_3", lambda m: (False, None))
         pm = parse_partial("? 5 1 9\n? 1 7 7\n0 5 9 1\n0 9 3 3\n")
-        cert = decide_nn3_two_missing(pm)
-        assert cert.verdict == "Completable"
-        assert pm.agrees_with(cert.completion)
-        a, b = cert.witness
+        with pytest.raises(VerificationError):
+            decide_nn3_two_missing(pm)
 
     def test_obstructed_direction(self):
         # rows 3,4 proportional on columns 2..4 but not on column 1, while
@@ -326,13 +350,7 @@ class TestDecisionEndToEnd:
                 assert cert.completion.is_nonnegative()
                 a, b = cert.witness
                 assert a.is_nonnegative() and b.is_nonnegative()
-                # the witness factors the canonical orientation of the
-                # completion (up to the normalizing permutation), so only
-                # re-verify its own consistency
-                prod = matmul(a, b)
-                assert sorted(
-                    x for row in prod.to_lists() for x in row
-                ) == sorted(x for row in cert.completion.to_lists() for x in row)
+                assert matmul(a, b) == cert.completion
             else:
                 unknown += 1
         assert completable >= 30
@@ -349,9 +367,39 @@ class TestDecisionEndToEnd:
         a, b = cert.witness
         assert (a.q, b.p) == (3, 3)
         assert a.is_nonnegative() and b.is_nonnegative()
-        # the witness factors the completion up to the normalizing row
-        # permutation
-        assert sorted(matmul(a, b).to_lists()) == sorted(cert.completion.to_lists())
+        assert matmul(a, b) == cert.completion
+
+    def test_transpose_retry_witness_in_callers_orientation(self, monkeypatch):
+        # holes (1,4),(2,2): the first orientation answers Unknown and the
+        # transpose decides
+        calls = count_normalizations(monkeypatch)
+        pm = parse_partial("3 9 9 ?\n8 ? 4 5\n7 5 7 2\n3 0 6 6\n")
+        cert = decide_nn3_two_missing(pm)
+        assert len(calls) == 2
+        assert cert.verdict == "Completable" and cert.pattern == "11_22"
+        assert pm.agrees_with(cert.completion)
+        a, b = cert.witness
+        assert (a.q, b.p) == (3, 3)
+        assert a.is_nonnegative() and b.is_nonnegative()
+        assert matmul(a, b) == cert.completion
+
+    def test_retry_only_for_the_diagonal_pattern(self, monkeypatch, two_missing_column):
+        calls = count_normalizations(monkeypatch)
+        assert decide_nn3_two_missing(two_missing_column).verdict == "NotCompletable"
+        assert len(calls) == 1
+        # an Unknown with holes in one column, or in one row, is not
+        # retried: its transpose normalizes to the same canonical instance
+        column = parse_partial("5 2 ? 1\n0 7 5 3\n1 9 3 9\n2 5 ? 9\n")
+        for pm in (column, column.transpose()):
+            calls.clear()
+            cert = decide_nn3_two_missing(pm)
+            assert (cert.verdict, cert.pattern) == ("Unknown", "11_21")
+            assert len(calls) == 1
+        calls.clear()
+        unknown = parse_partial((DATA / "two_missing_unknown.txt").read_text())
+        cert = decide_nn3_two_missing(unknown)
+        assert (cert.verdict, cert.pattern) == ("Unknown", "11_22")
+        assert len(calls) == 2
 
     def test_permutation_equivariance(self, two_missing_column, rng):
         base = decide_nn3_two_missing(two_missing_column)
