@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .linalg import ExactMatrix, rank
@@ -160,32 +161,30 @@ def _describe_certificate(cert: Nn3Certificate) -> str:
 
 
 def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
-    """The nested pair a figure should show, and its triangle if any."""
-    if not m.pattern.missing:
+    """The nested pair a figure should show, and its triangle if any: the
+    pair of the full matrix or of a Completable certificate's completion,
+    else the family's pair at a feasible parameter."""
+    if len(m.pattern.missing) == 2 and (m.p, m.q) == (4, 4):
+        if cert is None:
+            cert = decide_nn3_two_missing(m)
+        if cert.verdict != "Completable":
+            canon, norm = normalize_two_missing(m)
+            fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
+            if not fam.feasible:
+                raise CliError("no feasible parameter to plot")
+            pair = fam.pair_at(fam.feasible[0].sample())
+            return pair, nested_triangle(pair)
+        full = cert.completion
+    elif not m.pattern.missing:
         full = m.to_full_matrix()
         if not full.is_nonnegative():
             raise CliError("plot requires a nonnegative matrix")
-        if rank(full) != 3:
-            raise CliError("plot of a full matrix requires rank exactly 3")
-        pair = bounded_nested_pair(full)
-        return pair, nested_triangle(pair)
-    if len(m.pattern.missing) == 2 and (m.p, m.q) == (4, 4):
-        canon, norm = normalize_two_missing(m)
-        fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
-        if cert is None:
-            cert = decide_nn3_two_missing(m)
-        if cert.t_star is not None:
-            t = cert.t_star
-        elif fam.feasible:
-            t = fam.feasible[0].sample()
-        else:
-            raise CliError("no feasible parameter to plot")
-        pair = fam.pair_at(t)
-        tri = cert.triangle
-        if tri is None:
-            tri = nested_triangle(pair)
-        return pair, tri
-    raise CliError("plot supports full matrices and 4x4 patterns with two holes")
+    else:
+        raise CliError("plot supports full matrices and 4x4 patterns with two holes")
+    if rank(full) != 3:
+        raise CliError("plot of a full matrix requires rank exactly 3")
+    pair = bounded_nested_pair(full)
+    return pair, nested_triangle(pair)
 
 
 def _write_svg_for(m: PartialMatrix, cert: Nn3Certificate | None, path: str):
@@ -254,7 +253,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args, sys.stdout)
+        status = _COMMANDS[args.subcommand](args, sys.stdout)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away: send the rest of stdout, including the
+        # interpreter's own flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        return 1
     except (CliError, ValueError, ZeroDivisionError) as e:
         # ValueError covers the library's FamilyError, ParseError and
         # UnboundedRegionError

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import VerificationError
-from .linalg import ExactMatrix, det, matmul, rank
+from .linalg import ExactMatrix, det, matmul, pivot_columns, rank
 from .partial import PartialMatrix, Pattern, support_graph, zero_line_property, \
     cycle_property, zero_entries_line_consistent, multiplicative_potentials
 
@@ -271,7 +271,9 @@ def classify_one_missing(m: PartialMatrix, hole: tuple, r: int) -> CompletionOut
         return CompletionOutcome("infinite", canonical, "the missing entry may take any value")
 
     if rank(both_deleted) == r and rank(row_deleted) == r and rank(col_deleted) == r:
-        K, L = _nonzero_r_minor(both_deleted, r)
+        # independent rows and independent columns of a rank-r matrix
+        # meet in a nonsingular r x r minor
+        K, L = pivot_columns(both_deleted.transpose()), pivot_columns(both_deleted)
         # translate back to indices of the full matrix
         K_full = [rows_wo[k - 1] for k in K]
         L_full = [cols_wo[l - 1] for l in L]
@@ -282,17 +284,6 @@ def classify_one_missing(m: PartialMatrix, hole: tuple, r: int) -> CompletionOut
         return CompletionOutcome("unique", completion)
 
     return CompletionOutcome("none")
-
-
-def _nonzero_r_minor(m: ExactMatrix, r: int):
-    """1-based index sets (K, L) of some nonsingular r x r submatrix."""
-    from itertools import combinations
-
-    for K in combinations(range(1, m.p + 1), r):
-        for L in combinations(range(1, m.q + 1), r):
-            if det(m.submatrix(K, L)) != 0:
-                return list(K), list(L)
-    raise ValueError(f"matrix has no nonsingular {r}x{r} submatrix")
 
 
 def _solve_vanishing_minor(m: PartialMatrix, hole, rows, cols) -> Fraction:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, matmul, rank, solve_linear
+from .linalg import ExactMatrix, det, matmul, pivot_columns, rank, solve_linear
 from .partial import PartialMatrix, Pattern, format_rational
 from .polyfun import Poly, RationalFunction
 from .geometry import (
@@ -99,12 +99,9 @@ def feasible_set(constraints) -> list:
     over-approximate (never under-approximate) the feasible set there.
     """
     polys = []
-    poles = set()
     for rf in constraints:
         polys.append(rf.num)
         polys.append(rf.den)
-        for root in rf.den.rational_roots() if not rf.den.is_constant() else []:
-            poles.add(root)
     bounds = _boundary_points(polys)
     # build candidate intervals between consecutive boundary points
     candidates = []
@@ -289,20 +286,14 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     if rank(m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) != 3:
         raise FamilyError("columns 2..4 must have rank 3")
     block = m.observed_submatrix([3, 4], [2, 3, 4])
-    if rank(block) != 2:
+    # the free component of b1 is the one column left out of the first
+    # independent pair found from the right, so the complementary 2x2
+    # block is invertible and component 1 (the printed convention) is
+    # preferred
+    others = sorted(4 - c for c in pivot_columns(block.submatrix([1, 2], [3, 2, 1])))
+    if len(others) != 2:
         raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
-
-    # choose the free component of b1 so the complementary 2x2 block is
-    # invertible; component 1 (the printed convention) is preferred
-    free = None
-    for k in (1, 2, 3):
-        others = [c for c in (1, 2, 3) if c != k]
-        if det(block.submatrix([1, 2], others)) != 0:
-            free = k
-            break
-    if free is None:
-        raise VerificationError("rows 3,4 of rank 2 have no invertible 2x2 block")
-    others = [c for c in (1, 2, 3) if c != free]
+    free = next(k for k in (1, 2, 3) if k not in others)
     sub = block.submatrix([1, 2], others)
     sub_inv_det = det(sub)
     t_poly = Poly.x()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, inverse, matmul, rank, solve_linear
+from .linalg import ExactMatrix, det, inverse, matmul, pivot_columns, rank, solve_linear
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -537,17 +537,6 @@ def _close_chain_from_line(start: Point, v1: Point, inner: Polygon2, outer: Poly
 # nonnegative rank at most 3
 
 
-def _independent_columns(m: ExactMatrix, r: int) -> list:
-    cols = []
-    for j in range(1, m.q + 1):
-        trial = cols + [j]
-        if rank(m.submatrix(range(1, m.p + 1), trial)) == len(trial):
-            cols = trial
-            if len(cols) == r:
-                return cols
-    raise ValueError(f"matrix has rank below {r}")
-
-
 def _nonneg_rank1_factors(m: ExactMatrix):
     """(u, v) nonnegative with u v^T = m, for a nonnegative rank-<=1 m."""
     j0 = next((j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))), None)
@@ -609,12 +598,9 @@ def _bounded_slice_pair(a0: ExactMatrix, b0: ExactMatrix) -> NestedPair:
     """Nested pair for M = a0.b0 with a0 nonnegative of rank 3, using the
     column-sum functional of a0 as the slice direction (which is strictly
     positive on the cone of A, making Q bounded)."""
-    w = [sum(a0.col(k)) for k in range(1, 4)]
-    g_rows = [w]
-    for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
-        if len(g_rows) < 3 and rank(ExactMatrix(g_rows + [e])) == len(g_rows) + 1:
-            g_rows.append(e)
-    g = ExactMatrix(g_rows)
+    # w completed to a basis by the first independent unit vectors
+    candidates = ExactMatrix([[sum(a0.col(k)) for k in range(1, 4)], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    g = candidates.submatrix(pivot_columns(candidates.transpose()), [1, 2, 3])
     _verify(det(g) != 0, "slice basis change is singular")
     a_sliced = matmul(a0, inverse(g))
     b_sliced = matmul(g, b0)
@@ -629,7 +615,9 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     """The bounded nested pair of a nonnegative rank-3 matrix: m factored
     through three of its independent columns, sliced by their column
     sums."""
-    cols = _independent_columns(m, 3)
+    cols = pivot_columns(m)[:3]
+    if len(cols) < 3:
+        raise ValueError("matrix has rank below 3")
     a0 = m.submatrix(range(1, m.p + 1), cols)
     sol = solve_linear(a0, m)
     _verify(sol.consistent, "matrix outside the span of its independent columns")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -161,50 +162,66 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 ExactMatrix.__matmul__ = lambda self, other: matmul(self, other)  # type: ignore[attr-defined]
 
 
-def det(m: ExactMatrix) -> Fraction:
-    """Determinant by rational Gaussian elimination."""
-    if m.p != m.q:
-        raise ValueError("determinant of a non-square matrix")
-    a = m.to_lists()
-    n = m.p
-    result = Fraction(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            result = -result
-        result *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] * inv
-                for c in range(k, n):
-                    a[r][c] -= f * a[k][c]
-    return result
+def _echelon(rows: Sequence[Sequence[Fraction]]):
+    """Fraction-free (Bareiss 1968) forward elimination.
 
-
-def rank(m: ExactMatrix) -> int:
-    """Exact rank by Gaussian elimination with exact pivot tests."""
-    a = m.to_lists()
-    p, q = m.p, m.q
-    r = 0
+    Each row is first scaled to integers by its common denominator.
+    Returns ``(echelon, pivots, sign, scale)``: the integer echelon rows,
+    the 0-based pivot columns (the greedy left-to-right independent
+    columns), the sign of the row permutation and the product of the row
+    scales.  The pivot of step k is the k x k minor of the scaled, permuted
+    rows on the first k pivot columns, so every division below is exact and
+    the last pivot of a nonsingular square matrix is sign * scale * det.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        # a list, not a generator: with lcm(*generator), CPython 3.11's
+        # peak memory grew on every pass of nn_rank_at_most_3 over a corpus
+        d = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    p, q = len(a), len(a[0])
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(q):
+        r = len(pivots)
+        if r == p:
+            break
         pivot = next((i for i in range(r, p) if a[i][c] != 0), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        top = a[r]
+        pv = top[c]
         for i in range(r + 1, p):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, q):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        if r == p:
-            break
-    return r
+            f = a[i][c]
+            a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pv
+        pivots.append(c)
+    return a, pivots, sign, scale
+
+
+def det(m: ExactMatrix) -> Fraction:
+    """Determinant: the last pivot of the fraction-free elimination."""
+    if m.p != m.q:
+        raise ValueError("determinant of a non-square matrix")
+    a, pivots, sign, scale = _echelon(m._rows)
+    if len(pivots) < m.p:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale)
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank: the number of pivots of the fraction-free elimination."""
+    return len(_echelon(m._rows)[1])
+
+
+def pivot_columns(m: ExactMatrix) -> list[int]:
+    """1-based indices of the greedy left-to-right independent columns."""
+    return [c + 1 for c in _echelon(m._rows)[1]]
 
 
 def minor(m: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -220,20 +237,10 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square nonsingular matrix."""
     if m.p != m.q:
         raise ValueError("inverse of a non-square matrix")
-    n = m.p
-    a = [row + ident for row, ident in zip(m.to_lists(), ExactMatrix.identity(n).to_lists())]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return ExactMatrix([row[n:] for row in a])
+    sol = solve_linear(m, ExactMatrix.identity(m.p))
+    if not sol.consistent:
+        raise ValueError("matrix is singular")
+    return sol.particular
 
 
 @dataclass
@@ -258,41 +265,27 @@ def solve_linear(a: ExactMatrix, rhs: ExactMatrix) -> LinearSolution:
     """Solve a x = rhs; inconsistency is reported, never raised."""
     if a.p != rhs.p:
         raise ValueError("row counts of system and right-hand side disagree")
-    p, q = a.p, a.q
-    k = rhs.q
-    aug = [ra + rb for ra, rb in zip(a.to_lists(), rhs.to_lists())]
-    # reduced row echelon form
-    pivots: list[int] = []
-    r = 0
-    for c in range(q):
-        pivot = next((i for i in range(r, p) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(p):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == p:
-            break
-    # consistency: a zero row of the coefficient part with nonzero rhs part
-    for i in range(r, p):
-        if any(aug[i][c] != 0 for c in range(q, q + k)):
-            return LinearSolution(False, None, [])
-    free = [c for c in range(q) if c not in pivots]
-    part = [[Fraction(0)] * k for _ in range(q)]
-    for row_idx, c in enumerate(pivots):
-        for j in range(k):
-            part[c][j] = aug[row_idx][q + j]
+    q = a.q
+    u, pivots, _, _ = _echelon([ra + rb for ra, rb in zip(a._rows, rhs._rows)])
+    # a pivot in the right-hand side is a zero coefficient row with a
+    # nonzero right-hand side
+    if pivots and pivots[-1] >= q:
+        return LinearSolution(False, None, [])
+
+    def back_substitute(b: list[int]) -> list[Fraction]:
+        """x with u x = b on the pivot rows and every free variable 0."""
+        x = [Fraction(0)] * q
+        for k in reversed(range(len(pivots))):
+            row = u[k]
+            x[pivots[k]] = Fraction(b[k] - sum(row[c] * x[c] for c in pivots[k + 1:]), row[pivots[k]])
+        return x
+
+    columns = [back_substitute([row[q + j] for row in u]) for j in range(rhs.q)]
+    part = ExactMatrix(zip(*columns))
     kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * q
-        vec[fc] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            vec[c] = -aug[row_idx][fc]
-        kernel.append(ExactMatrix.column(vec))
-    return LinearSolution(True, ExactMatrix(part), kernel)
+    for fc in range(q):
+        if fc not in pivots:
+            vec = back_substitute([-row[fc] for row in u])
+            vec[fc] = Fraction(1)
+            kernel.append(ExactMatrix.column(vec))
+    return LinearSolution(True, part, kernel)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nncomplete import ExactMatrix, PartialMatrix, Poly, det
+from nncomplete import ExactMatrix, LinearSolution, PartialMatrix, Poly, det
 from nncomplete.geometry import (
     HalfPlane,
     NestedPair,
@@ -48,6 +48,71 @@ def det_cofactor(rows):
 def matrix_rank_float(m: ExactMatrix) -> int:
     arr = np.array([[float(x) for x in row] for row in m.to_lists()])
     return int(np.linalg.matrix_rank(arr, tol=1e-9 * (1 + np.abs(arr).max())))
+
+
+def rank_by_minors(m: ExactMatrix) -> int:
+    """The size of the largest nonzero minor, by cofactor expansion."""
+    rows = m.to_lists()
+    for k in range(min(m.p, m.q), 0, -1):
+        for ri in itertools.combinations(range(m.p), k):
+            for ci in itertools.combinations(range(m.q), k):
+                if det_cofactor([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+def greedy_independent_columns(m: ExactMatrix) -> list:
+    """1-based columns taken left to right whenever they raise the rank of
+    the columns taken so far, each rank by minors."""
+    cols = []
+    for j in range(1, m.q + 1):
+        if rank_by_minors(m.submatrix(range(1, m.p + 1), cols + [j])) == len(cols) + 1:
+            cols.append(j)
+    return cols
+
+
+def solve_linear_gauss_jordan(a: ExactMatrix, rhs: ExactMatrix) -> LinearSolution:
+    """Solve a x = rhs by Gauss-Jordan elimination to the reduced row
+    echelon form in Fraction arithmetic: the particular solution has every
+    free variable 0, and kernel vector k has free variable k equal to 1 and
+    the others 0."""
+    p, q = a.p, a.q
+    k = rhs.q
+    aug = [ra + rb for ra, rb in zip(a.to_lists(), rhs.to_lists())]
+    pivots: list[int] = []
+    r = 0
+    for c in range(q):
+        pivot = next((i for i in range(r, p) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(p):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == p:
+            break
+    # consistency: a zero row of the coefficient part with nonzero rhs part
+    for i in range(r, p):
+        if any(aug[i][c] != 0 for c in range(q, q + k)):
+            return LinearSolution(False, None, [])
+    free = [c for c in range(q) if c not in pivots]
+    part = [[Fraction(0)] * k for _ in range(q)]
+    for row_idx, c in enumerate(pivots):
+        for j in range(k):
+            part[c][j] = aug[row_idx][q + j]
+    kernel = []
+    for fc in free:
+        vec = [Fraction(0)] * q
+        vec[fc] = Fraction(1)
+        for row_idx, c in enumerate(pivots):
+            vec[c] = -aug[row_idx][fc]
+        kernel.append(ExactMatrix.column(vec))
+    return LinearSolution(True, ExactMatrix(part), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nncomplete.cli import main
 from nncomplete.family import Nn3Certificate
 
 from conftest import DATA
+from oracles import verify_triangle
 
 
 def run(capsys, *argv):
@@ -234,22 +235,70 @@ class TestPlot:
         code, out, err = run(capsys, "plot", "-")
         assert code == 1 and "rank exactly 3" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # decided by the transpose retry: its t* is a parameter of the
+            # transposed family, not of this one
+            "3 9 9 ?\n8 ? 4 5\n7 5 7 2\n3 0 6 6\n",
+            # the family of this orientation cannot be built
+            "? 6 0 7\n20 9 0 13\n4 0 0 2\n16 6 0 ?\n",
+            # a special case, with no t*
+            "0 2 0 7\n? 1 5 1\n? 1 9 9\n0 2 9 3\n",
+        ],
+        ids=["transpose-retry", "no-family", "special-case"],
+    )
+    def test_completable_draws_its_completion(self, capsys, monkeypatch, text):
+        drawn = []
+        monkeypatch.setattr(
+            "nncomplete.cli.render_nested_pair",
+            lambda pair, tri: drawn.append((pair, tri)) or "<svg/>",
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "plot", "-")
+        assert code == 0 and err == ""
+        [(pair, tri)] = drawn
+        assert tri is not None and verify_triangle(pair, tri)
+
     def test_library_error_is_one_line_diagnostic(self):
-        """A ValueError from inside the library (here: the family's inner
-        polygon leaves the outer one) exits 1 with one stderr line, in a
-        real process and with the interpreter's optimize level."""
+        """A ValueError from inside the library (here: the family of an
+        Unknown instance cannot be built) exits 1 with one stderr line, in
+        a real process and with the interpreter's optimize level."""
         env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", "plot", "-"],
-            input="0 2 0 7\n? 1 5 1\n? 1 9 9\n0 2 9 3\n",
+            input="4 4 8 2\n16 8 24 6\n14 6 20 ?\n? 0 10 6\n",
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "error: inner polygon is not contained in the outer polygon\n"
+        assert proc.stderr == "error: rows 1,3,4 of columns 2..4 must have rank 3\n"
         assert "Traceback" not in proc.stderr
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv", [["nn3-decide"], ["nn3-decide", "--json"], ["plot"]], ids=" ".join
+    )
+    def test_one_line_diagnostic(self, argv):
+        """A reader that goes away before the output is written gets no
+        traceback: exit 1 with one stderr line."""
+        env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", *argv,
+             str(DATA / "two_missing_column.txt")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "error: output pipe closed\n"
 
 
 # ---------------------------------------------------------------------------

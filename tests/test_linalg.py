@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nncomplete import ExactMatrix, det, inverse, matmul, minor, rank, solve_linear
+from nncomplete.linalg import pivot_columns
 
 from conftest import rnd_fraction
-from oracles import det_cofactor, matrix_rank_float
+from oracles import (
+    det_cofactor,
+    greedy_independent_columns,
+    matrix_rank_float,
+    rank_by_minors,
+    solve_linear_gauss_jordan,
+)
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
@@ -17,6 +24,53 @@ def sq_matrix(n):
     return st.lists(
         st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(ExactMatrix)
+
+
+# entries with numerators and denominators up to 2^64, mixed with small ones
+# and zeros so that ties, cancellations and zero pivots occur
+WIDE = st.one_of(
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+    st.integers(-3, 3).map(Fraction),
+)
+
+
+def rows_of(p, q):
+    return st.lists(st.lists(WIDE, min_size=q, max_size=q), min_size=p, max_size=p)
+
+
+@st.composite
+def wide_matrices(draw, square=False):
+    """1-5 x 1-5 matrices: dense, products U.V of inner dimension below
+    min(p, q) where that is possible, or with zeroed rows and columns."""
+    p = draw(st.integers(1, 5))
+    q = p if square else draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["dense", "product", "zero lines"]))
+    if kind == "product":
+        k = draw(st.integers(1, max(1, min(p, q) - 1)))
+        u = draw(rows_of(p, k))
+        v = draw(rows_of(k, q))
+        rows = [[sum(x * y for x, y in zip(ur, vc)) for vc in zip(*v)] for ur in u]
+    else:
+        rows = draw(rows_of(p, q))
+    if kind == "zero lines":
+        zero_rows = draw(st.sets(st.integers(0, p - 1)))
+        zero_cols = draw(st.sets(st.integers(0, q - 1)))
+        rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+                for i, r in enumerate(rows)]
+    return ExactMatrix(rows)
+
+
+@st.composite
+def systems(draw):
+    """(a, rhs) with rhs of 1-2 columns, half of them consistent by
+    construction."""
+    a = draw(wide_matrices())
+    k = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        rhs = matmul(a, ExactMatrix(draw(rows_of(a.q, k))))
+    else:
+        rhs = ExactMatrix(draw(rows_of(a.p, k)))
+    return a, rhs
 
 
 class TestBasics:
@@ -101,3 +155,43 @@ class TestSolveAndInverse:
         assert sol.kernel_dimension == 2
         for k in sol.kernel_basis:
             assert matmul(a, k).is_zero()
+
+
+class TestAgainstOracles:
+    """Exact equality with independent references on wide rationals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrices())
+    def test_rank_is_largest_nonzero_minor(self, m):
+        assert rank(m) == rank_by_minors(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrices(square=True))
+    def test_det_matches_cofactor_expansion(self, m):
+        assert det(m) == det_cofactor(m.to_lists())
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrices(square=True))
+    def test_inverse_matches_gauss_jordan(self, m):
+        reference = solve_linear_gauss_jordan(m, ExactMatrix.identity(m.p))
+        if not reference.consistent:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+        else:
+            assert inverse(m) == reference.particular
+
+    @settings(max_examples=150, deadline=None)
+    @given(systems())
+    def test_solve_matches_gauss_jordan(self, system):
+        """The reduced row echelon form is unique, so the particular
+        solution and the kernel basis are too."""
+        sol = solve_linear(*system)
+        reference = solve_linear_gauss_jordan(*system)
+        assert sol.consistent == reference.consistent
+        assert sol.particular == reference.particular
+        assert sol.kernel_basis == reference.kernel_basis
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_matrices())
+    def test_pivot_columns_are_greedy_independent_columns(self, m):
+        assert pivot_columns(m) == greedy_independent_columns(m)
