@@ -30,7 +30,7 @@ from .partial import (
     zero_entries_line_consistent,
     zero_line_property,
 )
-from .polyfun import Poly, RationalFunction
+from .polyfun import Poly, RationalFunction, SharedDenominator
 from .completion import (
     CompletionOutcome,
     PerturbationSpec,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix, det, matmul, pivot_columns, rank, solve_linear
 from .partial import PartialMatrix, Pattern, format_rational
-from .polyfun import Poly, RationalFunction
+from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
     HalfPlane,
     NestedPair,
@@ -341,7 +341,7 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         outer_hps.append(HalfPlane(c0, cx, cy))
     outer = polygon_from_halfplanes(outer_hps)
 
-    line = _moving_vertex_line(p1)
+    line = _moving_vertex_line(SharedDenominator(p1))
     if line is not None:
         # the moving vertex satisfies the line identically in t
         residual = _rf(line.c0) + _rf(line.cx) * p1[0] + _rf(line.cy) * p1[1]
@@ -374,31 +374,18 @@ def _completion_sign_constraints_11_21(a_rows, b1):
     return out
 
 
-def _moving_vertex_line(p1) -> HalfPlane | None:
-    """The fixed line traced by p1(t) = (n1(t)/d(t), n2(t)/d(t)) with all
-    three polynomials of degree at most one: coefficients (c0, cx, cy)
-    with c0*d + cx*n1 + cy*n2 = 0, found as a cross product.  None when
+def _moving_vertex_line(vertex: SharedDenominator) -> HalfPlane | None:
+    """The fixed line traced by p1(t) = (n1(t)/d(t), n2(t)/d(t)) over its
+    shared denominator, when all three polynomials have degree at most
+    one: coefficients (c0, cx, cy) with c0*d + cx*n1 + cy*n2 = 0, found as
+    a cross product.  d is the lcm of the reduced denominators, so
+    gcd(d, n1, n2) = 1 and no common factor is left to cancel.  None when
     the vertex does not actually move."""
-    x_rf, y_rf = p1
-    den = x_rf.den * y_rf.den
-    n1 = x_rf.num * y_rf.den
-    n2 = y_rf.num * x_rf.den
-    deg = max(den.degree, n1.degree, n2.degree)
-    if deg > 1:
-        # common factors were cancelled unevenly; recombine over a shared
-        # denominator of degree one
-        g = den.gcd(n1).gcd(n2)
-        if g.degree >= 1:
-            den, n1, n2 = den // g, n1 // g, n2 // g
-        deg = max(den.degree, n1.degree, n2.degree)
-    if deg > 1:
+    d, (n1, n2) = vertex.den, vertex.nums
+    if len(d) > 2:
         return None
-
-    def coeff(p: Poly, k: int) -> Fraction:
-        return p.coeffs[k] if k < len(p.coeffs) else Fraction(0)
-
-    r0 = (coeff(den, 0), coeff(n1, 0), coeff(n2, 0))
-    r1 = (coeff(den, 1), coeff(n1, 1), coeff(n2, 1))
+    r0 = (d[0], n1[0], n2[0])
+    r1 = (d[1], n1[1], n2[1]) if len(d) == 2 else (0, 0, 0)
     c0 = r0[1] * r1[2] - r0[2] * r1[1]
     cx = r0[2] * r1[0] - r0[0] * r1[2]
     cy = r0[0] * r1[1] - r0[1] * r1[0]
@@ -696,11 +683,6 @@ def denormalize_matrix(mat: ExactMatrix, norm: Normalization) -> ExactMatrix:
 # sampling and refutation
 
 
-def _rf_line_value(u, w, p):
-    """orient(u, w, p(t)) as a RationalFunction, for fixed u, w."""
-    return (_rf(w[0] - u[0])) * (p[1] - u[1]) - (_rf(w[1] - u[1])) * (p[0] - u[0])
-
-
 def _rational_roots_of(rf: RationalFunction):
     out = []
     if not rf.num.is_zero() and not rf.num.is_constant():
@@ -710,31 +692,37 @@ def _rational_roots_of(rf: RationalFunction):
     return out
 
 
+def _orient_roots(u, w, p: SharedDenominator) -> list:
+    """Critical t of orient(u, w, p(t)) for fixed u, w: the constant
+    (w1-u1)*u0 - (w0-u0)*u1 plus the weights (u1-w1, w0-u0) on p(t)."""
+    dx, dy = w[0] - u[0], w[1] - u[1]
+    return p.combination_roots(dy * u[0] - dx * u[1], (-dy, dx))
+
+
 def _critical_ts(fam: NestedFamily) -> list:
     """Parameter values where the moving geometry can change combinatorics:
     sign changes and poles of the moving data, and incidences of the
-    moving vertex / moving facet with the fixed vertices and lines."""
+    moving vertex / moving facet with the fixed vertices and lines.  Each
+    incidence is a linear combination of the moving data over its shared
+    denominator, so one integer polynomial."""
     crit = set()
     for rows in (fam.a_of_t, fam.b_of_t):
         for row in rows:
             for entry in row:
-                crit.update(_rational_roots_of(_rf(entry)))
+                crit.update(_rational_roots_of(entry))
     if fam.tag == "11_21":
-        p1 = fam.moving_vertex
+        p1 = SharedDenominator(fam.moving_vertex)
         fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
         for u, w in itertools.combinations(fixed, 2):
-            crit.update(_rational_roots_of(_rf_line_value(u, w, p1)))
+            crit.update(_orient_roots(u, w, p1))
         for hp in fam.fixed_outer.facets():
-            val = _rf(hp.c0) + _rf(hp.cx) * p1[0] + _rf(hp.cy) * p1[1]
-            crit.update(_rational_roots_of(val))
+            crit.update(p1.combination_roots(hp.c0, (hp.cx, hp.cy)))
     else:
         b = fam.b_of_t
         # moving inner vertex from column 2 of B (sum-normalized)
         col = [b[k][1] for k in range(3)]
         total = col[0] + col[1] + col[2]
-        p2 = (col[0] / total, col[1] / total)
-        a1 = fam.a_of_t[0]
-        facet = (a1[2], a1[0] - a1[2], a1[1] - a1[2])  # sum-slice halfplane
+        p2 = SharedDenominator((col[0] / total, col[1] / total))
         corners = [
             (Fraction(0), Fraction(0)),
             (Fraction(1), Fraction(0)),
@@ -742,16 +730,20 @@ def _critical_ts(fam: NestedFamily) -> list:
         ]
         fixed_pts = corners + _fixed_inner_points_11_22(fam)
         for u, w in itertools.combinations(fixed_pts, 2):
-            crit.update(_rational_roots_of(_rf_line_value(u, w, p2)))
+            crit.update(_orient_roots(u, w, p2))
+        # the moving facet of the sum slice, a11*x + a12*y + a13*(1-x-y)
+        a1 = SharedDenominator(fam.a_of_t[0])
         for v in fixed_pts:
-            val = facet[0] + facet[1] * v[0] + facet[2] * v[1]
-            crit.update(_rational_roots_of(val))
-        val = facet[0] + facet[1] * p2[0] + facet[2] * p2[1]
-        crit.update(_rational_roots_of(val))
-        # completion entry m11(t)
-        m11 = sum((fam.a_of_t[0][k] * fam.b_of_t[k][0] for k in range(3)),
-                  RationalFunction.constant(0))
-        crit.update(_rational_roots_of(m11))
+            crit.update(a1.combination_roots(0, (v[0], v[1], 1 - v[0] - v[1])))
+        # the facet at p2 itself is a1.col/total = m12/total (a1 solves
+        # a1.N = (m12, m13, m14) and col is N's first column): its one
+        # critical t, the root of total, is a pole of p2 (orient((0,0),
+        # (0,1), p2) = -t/total) or, when total = t, the root of entry t,
+        # so it needs no term of its own
+        #
+        # completion entry m11(t) = a1.(m21, m31, m41)
+        m = fam.source
+        crit.update(a1.combination_roots(0, (m.entry(2, 1), m.entry(3, 1), m.entry(4, 1))))
     return sorted(crit)
 
 

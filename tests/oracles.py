@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nncomplete import ExactMatrix, LinearSolution, PartialMatrix, Poly, det
+from nncomplete import ExactMatrix, LinearSolution, PartialMatrix, Poly, RationalFunction, det
 from nncomplete.geometry import (
     HalfPlane,
     NestedPair,
@@ -358,3 +358,64 @@ def line_from_observed_minors(m: PartialMatrix) -> HalfPlane:
         mm((1, 4), (2, 4)) + mm((2, 4), (2, 4)) + mm((3, 4), (2, 4))
     )
     return HalfPlane(c0, cx, cy)
+
+
+# ---------------------------------------------------------------------------
+# critical parameters of a two-hole family by rational-function arithmetic
+
+
+def rf_roots(rf: RationalFunction) -> list:
+    """Rational roots of the numerator and of the denominator of rf."""
+    out = []
+    if not rf.num.is_zero() and not rf.num.is_constant():
+        out.extend(rf.num.rational_roots())
+    if not rf.den.is_constant():
+        out.extend(rf.den.rational_roots())
+    return out
+
+
+def _rf_orient(u, w, p) -> RationalFunction:
+    """orient(u, w, p(t)) as a chain of RationalFunction sums."""
+    dx = RationalFunction.constant(w[0] - u[0])
+    dy = RationalFunction.constant(w[1] - u[1])
+    return dx * (p[1] - u[1]) - dy * (p[0] - u[0])
+
+
+def critical_ts_by_rational_functions(fam) -> list:
+    """The critical t of a NestedFamily, every incidence built as a
+    RationalFunction (each sum reduced by its own gcd) and the
+    roots of its numerator and denominator collected."""
+    crit = set()
+    for rows in (fam.a_of_t, fam.b_of_t):
+        for row in rows:
+            for entry in row:
+                crit.update(rf_roots(entry))
+    if fam.tag == "11_21":
+        p1 = fam.moving_vertex
+        fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
+        for u, w in itertools.combinations(fixed, 2):
+            crit.update(rf_roots(_rf_orient(u, w, p1)))
+        for hp in fam.fixed_outer.facets():
+            crit.update(rf_roots(hp.c0 + hp.cx * p1[0] + hp.cy * p1[1]))
+        return sorted(crit)
+    b = fam.b_of_t
+    col = [b[k][1] for k in range(3)]
+    total = col[0] + col[1] + col[2]
+    p2 = (col[0] / total, col[1] / total)
+    a1 = fam.a_of_t[0]
+    facet = (a1[2], a1[0] - a1[2], a1[1] - a1[2])
+    fixed_pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    for j in (0, 2, 3):
+        entries = [b[k][j] for k in range(3)]
+        if not all(e.is_constant() for e in entries):
+            continue
+        vals = [e(0) for e in entries]
+        if sum(vals) > 0:
+            fixed_pts.append((vals[0] / sum(vals), vals[1] / sum(vals)))
+    for u, w in itertools.combinations(fixed_pts, 2):
+        crit.update(rf_roots(_rf_orient(u, w, p2)))
+    for v in fixed_pts + [p2]:
+        crit.update(rf_roots(facet[0] + facet[1] * v[0] + facet[2] * v[1]))
+    m11 = a1[0] * b[0][0] + a1[1] * b[1][0] + a1[2] * b[2][0]
+    crit.update(rf_roots(m11))
+    return sorted(crit)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from nncomplete.family import (
 )
 
 from conftest import DATA, restrict, rnd_nonneg_product
-from oracles import line_from_observed_minors
+from oracles import critical_ts_by_rational_functions, line_from_observed_minors
 
 F = Fraction
 
@@ -448,3 +449,108 @@ class TestFamilyPreconditions:
         pm = parse_partial("? 1 2 3\n? 2 4 6\n1 3 6 9\n1 4 8 12\n")
         with pytest.raises(FamilyError):
             family_11_21(pm)
+
+
+CELLS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+FIXTURES = [
+    "two_missing_column",
+    "two_missing_diagonal",
+    "two_missing_unknown",
+    "one_missing_perturbed",
+    "perturbed_full",
+    "rank3_product",
+]
+
+
+def two_hole_inputs(m: PartialMatrix) -> list:
+    """m itself when two entries are missing; otherwise m with its own hole,
+    or (4,4) when it has none, and each other cell hidden in turn."""
+    missing = set(m.pattern.missing)
+    if len(missing) == 2:
+        return [m]
+    first = missing or {(4, 4)}
+    return [
+        PartialMatrix(Pattern(4, 4, frozenset(CELLS) - first - {c}),
+                      {k: v for k, v in m.values.items() if k not in first | {c}})
+        for c in CELLS
+        if c not in first
+    ]
+
+
+def families_of(m: PartialMatrix) -> list:
+    """The families of m and of its transpose that can be built."""
+    out = []
+    for oriented in (m, m.transpose()):
+        canon, norm = normalize_two_missing(oriented)
+        try:
+            out.append(family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon))
+        except FamilyError:
+            pass
+    return out
+
+
+def random_two_hole_inputs(seed: int, n: int) -> list:
+    """n 4x4 inputs with two random holes: integer entries 0..9 and
+    nonnegative rank-3 products, alternately."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        if k % 2:
+            full = rnd_nonneg_product(rng, 4, 4, 3)
+        else:
+            full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+        holes = set(rng.sample(CELLS, 2))
+        out.append(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes)))
+    return out
+
+
+class TestCriticalParameters:
+    """The shared-denominator incidences against the same incidences built
+    from rational-function sums."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_rational_function_reference(self, name):
+        fams = [
+            fam
+            for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text()))
+            for fam in families_of(m)
+        ]
+        # two_missing_unknown is Unknown because neither orientation has a family
+        assert bool(fams) == (name != "two_missing_unknown")
+        for fam in fams:
+            assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+
+    def test_random_inputs_match_rational_function_reference(self):
+        tags = set()
+        for m in random_two_hole_inputs(2027, 80):
+            for fam in families_of(m):
+                tags.add(fam.tag)
+                assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+        assert tags == {"11_21", "11_22"}
+
+    def test_moving_vertex_line_matches_closed_form(self):
+        """The line read off the moving vertex's shared denominator is the
+        closed-form line up to a scalar, and None where the closed form
+        has no normal."""
+        rng = random.Random(2028)
+        lines = 0
+        for _ in range(120):
+            full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+            rows = rng.sample(range(1, 5), 2)
+            col = rng.randint(1, 4)
+            m = restrict(full, Pattern(4, 4, frozenset(CELLS) - {(rows[0], col), (rows[1], col)}))
+            canon, _ = normalize_two_missing(m)
+            try:
+                line = family_11_21(canon).line_p1
+            except FamilyError:
+                continue
+            try:
+                alt = line_from_observed_minors(canon)
+            except ValueError:
+                assert line is None
+                continue
+            assert alt.c0 * line.cx == line.c0 * alt.cx
+            assert alt.c0 * line.cy == line.c0 * alt.cy
+            assert alt.cx * line.cy == line.cx * alt.cy
+            lines += 1
+        assert lines >= 100
