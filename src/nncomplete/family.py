@@ -134,17 +134,9 @@ def feasible_set(constraints) -> list:
 
     intervals = []
     for (lo, hi) in candidates:
-        if lo is None and hi is None:
-            probe = Fraction(0)
-        elif lo is None:
-            probe = hi - 1
-        elif hi is None:
-            probe = lo + 1
-        elif lo == hi:
+        if lo is not None and lo == hi:
             continue
-        else:
-            probe = (lo + hi) / 2
-        if ok(probe) or (
+        if ok(Interval(lo, hi, True, True).sample()) or (
             lo is not None and hi is not None and sign_changes_inside(lo, hi)
         ):
             intervals.append(
@@ -404,7 +396,6 @@ def sufficient_11_21(fam: NestedFamily):
     if fam.line_p1 is None:
         return None
     p2, p3, p4 = fam.fixed_inner_points
-    tri_pts = [p2, p3, p4]
     candidates = []
     # intersections of the moving-vertex line with the edge lines
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
@@ -417,7 +408,7 @@ def sufficient_11_21(fam: NestedFamily):
         t = _solve_moving_vertex(fam, cand)
         if t is None or not fam.is_feasible(t):
             continue
-        inside_triangle = _point_in_hull(cand, tri_pts)
+        inside_triangle = Polygon2.from_points([p2, p3, p4]).contains_point(cand)
         if inside_triangle or fam.fixed_outer.contains_point(cand):
             return t
     # the line may cross the triangle without crossing an edge line inside
@@ -439,10 +430,6 @@ def _line_halfplane_intersection(line: HalfPlane, u, v):
     return line_intersection(a1, a2, u, v)
 
 
-def _point_in_hull(p, pts) -> bool:
-    return Polygon2.from_points(pts).contains_point(p)
-
-
 def _solve_moving_vertex(fam: NestedFamily, target):
     """t with moving_vertex(t) == target, or None."""
     x_rf, y_rf = fam.moving_vertex
@@ -459,90 +446,33 @@ def _solve_moving_vertex(fam: NestedFamily, target):
 
 
 def special_case_low_rank(m: PartialMatrix, r: int):
-    """Block-padded completion when a fully observed row block (or column
-    block) has small nonnegative rank.
+    """The zero fill (every hole set to 0) when a fully observed row block
+    (or column block) certifies it, else None.
 
-    If rows I are fully observed with nonnegative rank k and
-    p - |I| <= r - k, stack a size-k factorization on top of an identity
-    block; missing entries outside I are filled with zero.  Returns the
-    completion or None.
+    If rows I are fully observed with nonnegative rank k <= r - (p - |I|),
+    the zero fill has nonnegative rank at most k + (p - |I|) <= r: the
+    block's factors stacked on an identity for the other rows.  For a
+    nonnegative block of rank at most 2 the nonnegative rank equals the
+    rank, so a rank test decides; rank 3 calls ``nn_rank_at_most_3``.
     """
-    for transposed in (False, True):
-        work = m.transpose() if transposed else m
+    if not m.is_nonnegative():
+        raise ValueError("observed entries must be nonnegative")
+    for work in (m, m.transpose()):
         full_rows = [
             i
             for i in range(1, work.p + 1)
             if all(work.is_observed(i, j) for j in range(1, work.q + 1))
         ]
         for size in range(len(full_rows), 0, -1):
+            k_max = min(r - (work.p - size), 3)
+            if k_max < 1:
+                continue
             for I in itertools.combinations(full_rows, size):
-                k_max = r - (work.p - size)
-                if k_max < 0:
-                    continue
                 block = work.observed_submatrix(list(I), range(1, work.q + 1))
-                factors = _nonneg_factorization_upto(block, k_max)
-                if factors is None:
-                    continue
-                a_blk, b_blk = factors
-                completion = _assemble_block_completion(work, list(I), a_blk, b_blk)
-                if transposed:
-                    completion = completion.transpose()
-                if not m.agrees_with(completion):
-                    raise VerificationError("block-padded completion disagrees with m")
-                return completion
+                k = rank(block)
+                if k <= min(k_max, 2) or (k == 3 == k_max and nn_rank_at_most_3(block)[0]):
+                    return m.complete_with({hole: 0 for hole in m.pattern.missing})
     return None
-
-
-def _nonneg_factorization_upto(block: ExactMatrix, k_max: int):
-    """Nonnegative factorization of width <= min(k_max, 3), or None."""
-    if k_max <= 0:
-        return None
-    ok, wit = nn_rank_at_most_3(block)
-    if not ok:
-        return None
-    a, b = wit
-    width = _essential_width(a, b)
-    if width > k_max:
-        return None
-    keep = list(range(1, width + 1)) if width else [1]
-    if width == 0:
-        return ExactMatrix.zeros(a.p, 1), ExactMatrix.zeros(1, b.q)
-    return a.submatrix(range(1, a.p + 1), keep), b.submatrix(keep, range(1, b.q + 1))
-
-
-def _essential_width(a: ExactMatrix, b: ExactMatrix) -> int:
-    """Number of leading factor columns actually used (the padded builders
-    put zero columns last)."""
-    used = 0
-    for k in range(a.q, 0, -1):
-        if any(x != 0 for x in a.col(k)) and any(x != 0 for x in b.row(k)):
-            used = k
-            break
-    return used
-
-
-def _assemble_block_completion(m: PartialMatrix, I, a_blk, b_blk) -> ExactMatrix:
-    rest = [i for i in range(1, m.p + 1) if i not in I]
-    k = a_blk.q
-    width = k + len(rest)
-    a_rows = []
-    for i in range(1, m.p + 1):
-        if i in I:
-            row = list(a_blk.row(I.index(i) + 1)) + [Fraction(0)] * len(rest)
-        else:
-            row = [Fraction(0)] * k + [
-                Fraction(1) if rest.index(i) == s else Fraction(0) for s in range(len(rest))
-            ]
-        a_rows.append(row)
-    b_rows = [list(b_blk.row(s + 1)) for s in range(k)]
-    for i in rest:
-        b_rows.append(
-            [
-                m.get(i, j, Fraction(0))
-                for j in range(1, m.q + 1)
-            ]
-        )
-    return matmul(ExactMatrix(a_rows), ExactMatrix(b_rows))
 
 
 def family_11_22(m: PartialMatrix) -> NestedFamily:
@@ -1131,27 +1061,25 @@ def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
 
 def _special_cases(canon: PartialMatrix, tag: str):
     """Outcomes that do not need the parametrized family, or None."""
-    # low-rank observed blocks padded with an identity
-    completion = special_case_low_rank(canon, 3)
-    if completion is not None:
-        ok, witness = nn_rank_at_most_3(completion)
-        if ok:
-            return {"verdict": "Completable", "completion": completion, "witness": witness}
-    if tag == "11_21":
-        if all(canon.get(i, 1, Fraction(0)) == 0 for i in (3, 4)):
-            filled = canon.complete_with({(1, 1): 0, (2, 1): 0})
-            ok, witness = nn_rank_at_most_3(filled)
-            if not ok:
-                raise VerificationError("a matrix with a zero column keeps its block rank")
-            return {"verdict": "Completable", "completion": filled, "witness": witness}
-        if (
-            rank(canon.observed_submatrix([3, 4], [2, 3, 4])) <= 1
-            and rank(canon.observed_submatrix([3, 4], [1, 2, 3, 4])) == 2
-            and rank(canon.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) == 3
-        ):
-            # the two fully observed rows force a direction no completion
-            # of rank at most three can match
-            return {"verdict": "NotCompletable"}
+    # the zero fill, certified by a low-rank observed block or, for 11_21,
+    # by the first column being zero in both fully observed rows
+    if special_case_low_rank(canon, 3) is not None or (
+        tag == "11_21" and all(canon.get(i, 1, Fraction(0)) == 0 for i in (3, 4))
+    ):
+        filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
+        ok, witness = nn_rank_at_most_3(filled)
+        if not ok:
+            raise VerificationError("the certified zero fill has nonnegative rank above 3")
+        return {"verdict": "Completable", "completion": filled, "witness": witness}
+    if (
+        tag == "11_21"
+        and rank(canon.observed_submatrix([3, 4], [2, 3, 4])) <= 1
+        and rank(canon.observed_submatrix([3, 4], [1, 2, 3, 4])) == 2
+        and rank(canon.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) == 3
+    ):
+        # the two fully observed rows force a direction no completion
+        # of rank at most three can match
+        return {"verdict": "NotCompletable"}
     return None
 
 

@@ -42,10 +42,6 @@ class Poly:
         self._sturm = None  # filled by _sturm_chain()
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
 
@@ -414,10 +410,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, c) -> "RationalFunction":
         return cls(Poly([c]))
-
-    @classmethod
-    def t(cls) -> "RationalFunction":
-        return cls(Poly.x())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -13,7 +13,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from nncomplete import ExactMatrix, LinearSolution, PartialMatrix, Poly, RationalFunction, det
+from nncomplete import (
+    ExactMatrix,
+    LinearSolution,
+    PartialMatrix,
+    Poly,
+    RationalFunction,
+    VerificationError,
+    det,
+    matmul,
+    nn_rank_at_most_3,
+)
 from nncomplete.geometry import (
     HalfPlane,
     NestedPair,
@@ -419,3 +429,94 @@ def critical_ts_by_rational_functions(fam) -> list:
     m11 = a1[0] * b[0][0] + a1[1] * b[1][0] + a1[2] * b[2][0]
     crit.update(rf_roots(m11))
     return sorted(crit)
+
+
+# ---------------------------------------------------------------------------
+# block-padded special case by explicit factor assembly
+
+
+def special_case_by_block_factorization(m: PartialMatrix, r: int):
+    """Block-padded completion when a fully observed row block (or column
+    block) has small nonnegative rank.
+
+    If rows I are fully observed with nonnegative rank k and
+    p - |I| <= r - k, stack a size-k factorization on top of an identity
+    block; missing entries outside I are filled with zero.  Returns the
+    completion or None.
+    """
+    for transposed in (False, True):
+        work = m.transpose() if transposed else m
+        full_rows = [
+            i
+            for i in range(1, work.p + 1)
+            if all(work.is_observed(i, j) for j in range(1, work.q + 1))
+        ]
+        for size in range(len(full_rows), 0, -1):
+            for I in itertools.combinations(full_rows, size):
+                k_max = r - (work.p - size)
+                if k_max < 0:
+                    continue
+                block = work.observed_submatrix(list(I), range(1, work.q + 1))
+                factors = _nonneg_factorization_upto(block, k_max)
+                if factors is None:
+                    continue
+                a_blk, b_blk = factors
+                completion = _assemble_block_completion(work, list(I), a_blk, b_blk)
+                if transposed:
+                    completion = completion.transpose()
+                if not m.agrees_with(completion):
+                    raise VerificationError("block-padded completion disagrees with m")
+                return completion
+    return None
+
+
+def _nonneg_factorization_upto(block: ExactMatrix, k_max: int):
+    """Nonnegative factorization of width <= min(k_max, 3), or None."""
+    if k_max <= 0:
+        return None
+    ok, wit = nn_rank_at_most_3(block)
+    if not ok:
+        return None
+    a, b = wit
+    width = _essential_width(a, b)
+    if width > k_max:
+        return None
+    keep = list(range(1, width + 1)) if width else [1]
+    if width == 0:
+        return ExactMatrix.zeros(a.p, 1), ExactMatrix.zeros(1, b.q)
+    return a.submatrix(range(1, a.p + 1), keep), b.submatrix(keep, range(1, b.q + 1))
+
+
+def _essential_width(a: ExactMatrix, b: ExactMatrix) -> int:
+    """Number of leading factor columns actually used (the padded builders
+    put zero columns last)."""
+    used = 0
+    for k in range(a.q, 0, -1):
+        if any(x != 0 for x in a.col(k)) and any(x != 0 for x in b.row(k)):
+            used = k
+            break
+    return used
+
+
+def _assemble_block_completion(m: PartialMatrix, I, a_blk, b_blk) -> ExactMatrix:
+    rest = [i for i in range(1, m.p + 1) if i not in I]
+    k = a_blk.q
+    width = k + len(rest)
+    a_rows = []
+    for i in range(1, m.p + 1):
+        if i in I:
+            row = list(a_blk.row(I.index(i) + 1)) + [Fraction(0)] * len(rest)
+        else:
+            row = [Fraction(0)] * k + [
+                Fraction(1) if rest.index(i) == s else Fraction(0) for s in range(len(rest))
+            ]
+        a_rows.append(row)
+    b_rows = [list(b_blk.row(s + 1)) for s in range(k)]
+    for i in rest:
+        b_rows.append(
+            [
+                m.get(i, j, Fraction(0))
+                for j in range(1, m.q + 1)
+            ]
+        )
+    return matmul(ExactMatrix(a_rows), ExactMatrix(b_rows))

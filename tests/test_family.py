@@ -37,7 +37,11 @@ from nncomplete.family import (
 )
 
 from conftest import DATA, restrict, rnd_nonneg_product
-from oracles import critical_ts_by_rational_functions, line_from_observed_minors
+from oracles import (
+    critical_ts_by_rational_functions,
+    line_from_observed_minors,
+    special_case_by_block_factorization,
+)
 
 F = Fraction
 
@@ -321,11 +325,51 @@ class TestSpecialCases:
             a, b = cert.witness
             assert matmul(a, b) == cert.completion
 
-    def test_zero_column_check_survives_stripped_asserts(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "text",
+        ["? 5 1 9\n? 1 7 7\n0 5 9 1\n0 9 3 3\n", "? 5 1 9\n? 1 7 7\n1 2 3 4\n2 4 6 8\n"],
+        ids=["zero_column", "block_padding"],
+    )
+    def test_zero_column_check_survives_stripped_asserts(self, monkeypatch, text):
         monkeypatch.setattr(nncomplete.family, "nn_rank_at_most_3", lambda m: (False, None))
-        pm = parse_partial("? 5 1 9\n? 1 7 7\n0 5 9 1\n0 9 3 3\n")
         with pytest.raises(VerificationError):
-            decide_nn3_two_missing(pm)
+            decide_nn3_two_missing(parse_partial(text))
+
+    def test_rank_test_matches_block_factorization(self, perturbed_full):
+        # a fully observed rank-3 block of nonnegative rank 4 above an
+        # unobserved row, then mostly low-rank nonnegative products, so a
+        # fully observed block often certifies the zero fill; every fourth
+        # random input is 0..9 noise
+        top = frozenset((i, j) for i in range(1, 5) for j in range(1, 5))
+        inputs = [restrict(perturbed_full, Pattern(5, 4, top))]
+        rng = random.Random(2029)
+        for n in range(160):
+            p, q = rng.choice([(3, 3), (3, 4), (4, 3), (4, 4), (4, 5)])
+            if n % 4:
+                full = rnd_nonneg_product(rng, p, q, rng.randint(1, 3))
+            else:
+                full = ExactMatrix([[rng.randint(0, 9) for _ in range(q)] for _ in range(p)])
+            cells = [(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
+            holes = rng.sample(cells, rng.randint(1, 3))
+            inputs.append(restrict(full, Pattern(p, q, frozenset(cells) - set(holes))))
+        fired = 0
+        for pm in inputs:
+            zero_fill = pm.complete_with({hole: 0 for hole in pm.pattern.missing})
+            for r in range(1, 5):
+                got = special_case_low_rank(pm, r)
+                want = special_case_by_block_factorization(pm, r)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == want == zero_fill
+                    fired += 1
+        assert fired >= 100
+
+    def test_negative_entry_is_rejected(self):
+        # the fully observed row 3 alone would certify the zero fill; the
+        # rank shortcut is sound only for nonnegative matrices
+        pm = parse_partial("? 1 2\n-1 ? 4\n5 6 7\n")
+        with pytest.raises(ValueError, match="observed entries must be nonnegative"):
+            special_case_low_rank(pm, 3)
 
     def test_obstructed_direction(self):
         # rows 3,4 proportional on columns 2..4 but not on column 1, while
