@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .geometry import VerificationError
 from .linalg import ExactMatrix, det, matmul, pivot_columns, rank
-from .partial import PartialMatrix, Pattern, support_graph, zero_line_property, \
-    cycle_property, zero_entries_line_consistent, multiplicative_potentials
+from .partial import PartialMatrix, Pattern, support_graph, cycle_property, \
+    zero_entries_line_consistent, multiplicative_potentials
 
 
 @dataclass

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, matmul, pivot_columns, rank, solve_linear
+from .linalg import ExactMatrix, matmul, rank, solve_linear
 from .partial import PartialMatrix, Pattern, format_rational
 from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
@@ -277,29 +277,19 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     _require_pattern(m, {(1, 1), (2, 1)})
     if rank(m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) != 3:
         raise FamilyError("columns 2..4 must have rank 3")
-    block = m.observed_submatrix([3, 4], [2, 3, 4])
-    # the free component of b1 is the one column left out of the first
-    # independent pair found from the right, so the complementary 2x2
-    # block is invertible and component 1 (the printed convention) is
-    # preferred
-    others = sorted(4 - c for c in pivot_columns(block.submatrix([1, 2], [3, 2, 1])))
-    if len(others) != 2:
+    # b1 solves rows 3-4 with the columns reversed, so the free component
+    # is the one column left out of the first independent pair found from
+    # the right: the complementary 2x2 block is invertible and component 1
+    # (the printed convention) is preferred.  Then b1 = x0 + t*k with the
+    # free component of k equal to 1, so t is that component.
+    sol = solve_linear(
+        m.observed_submatrix([3, 4], [4, 3, 2]),
+        ExactMatrix.column([m.entry(3, 1), m.entry(4, 1)]),
+    )
+    if sol.kernel_dimension != 1:
         raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
-    free = next(k for k in (1, 2, 3) if k not in others)
-    sub = block.submatrix([1, 2], others)
-    sub_inv_det = det(sub)
-    t_poly = Poly.x()
-    rhs = [
-        _rf(m.entry(3, 1)) - RationalFunction(t_poly) * block.entry(1, free),
-        _rf(m.entry(4, 1)) - RationalFunction(t_poly) * block.entry(2, free),
-    ]
-    # Cramer on the constant 2x2 block
-    solved = {
-        others[0]: (rhs[0] * sub.entry(2, 2) - rhs[1] * sub.entry(1, 2)) / sub_inv_det,
-        others[1]: (rhs[1] * sub.entry(1, 1) - rhs[0] * sub.entry(2, 1)) / sub_inv_det,
-        free: RationalFunction(t_poly),
-    }
-    b1 = [solved[1], solved[2], solved[3]]
+    x0_k = ExactMatrix(zip(sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]))
+    b1 = [RationalFunction(Poly(row)) for row in x0_k.to_lists()]
 
     a_rows = [[_rf(m.entry(i, j)) for j in (2, 3, 4)] for i in (1, 2, 3, 4)]
     b_rows = [
@@ -340,7 +330,9 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         if not residual.is_zero():
             raise VerificationError("moving vertex leaves its line")
 
-    feasible = feasible_set(_completion_sign_constraints_11_21(a_rows, b1))
+    # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
+    filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
+    feasible = feasible_set([RationalFunction(Poly(row)) for row in filled.to_lists()])
     fam = NestedFamily(
         "11_21",
         m,
@@ -353,17 +345,6 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         line_p1=line,
     )
     return fam
-
-
-def _completion_sign_constraints_11_21(a_rows, b1):
-    """Sign constraints for the two filled entries m11(t), m21(t)."""
-    out = []
-    for i in (0, 1):
-        acc = RationalFunction.constant(0)
-        for k in range(3):
-            acc = acc + a_rows[i][k] * b1[k]
-        out.append(acc)
-    return out
 
 
 def _moving_vertex_line(vertex: SharedDenominator) -> HalfPlane | None:
@@ -417,17 +398,14 @@ def sufficient_11_21(fam: NestedFamily):
 
 
 def _line_halfplane_intersection(line: HalfPlane, u, v):
-    """Intersection point of the boundary of ``line`` with the line u-v."""
-    if line.cx == 0 and line.cy == 0:
+    """Intersection point u + s*(v - u) of the boundary of ``line`` with
+    the line u-v, or None when they are parallel."""
+    dx, dy = v[0] - u[0], v[1] - u[1]
+    slope = line.cx * dx + line.cy * dy
+    if slope == 0:
         return None
-    # boundary of `line`: two points on it
-    if line.cy != 0:
-        a1 = (Fraction(0), -line.c0 / line.cy)
-        a2 = (Fraction(1), (-line.c0 - line.cx) / line.cy)
-    else:
-        a1 = (-line.c0 / line.cx, Fraction(0))
-        a2 = (-line.c0 / line.cx, Fraction(1))
-    return line_intersection(a1, a2, u, v)
+    s = -line.value(u) / slope
+    return (u[0] + s * dx, u[1] + s * dy)
 
 
 def _solve_moving_vertex(fam: NestedFamily, target):
@@ -744,20 +722,15 @@ def _completable_at(fam: NestedFamily, t):
             "triangle": tri}
 
 
-def _pairs_monotone(pairs) -> bool:
-    """Inner and outer polygons each shrink monotonically (in one of the
-    two directions) along the given list of nested pairs."""
-    if len(pairs) < 2:
-        return True
-    inners = [p.inner for p in pairs]
-    outers = [p.outer for p in pairs]
-
-    def chain_ok(seq):
-        fwd = all(contains(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
-        bwd = all(contains(seq[i + 1], seq[i]) for i in range(len(seq) - 1))
-        return fwd or bwd
-
-    return chain_ok(inners) and chain_ok(outers)
+def _chain_ends(polys):
+    """(largest, smallest) of polygons nested monotonically, each
+    containing the next in one of the two directions; else None."""
+    steps = list(zip(polys, polys[1:]))
+    if all(contains(a, b) for a, b in steps):
+        return polys[0], polys[-1]
+    if all(contains(b, a) for a, b in steps):
+        return polys[-1], polys[0]
+    return None
 
 
 def _envelope_for_interval(fam: NestedFamily, iv: Interval, criticals):
@@ -772,19 +745,12 @@ def _envelope_for_interval(fam: NestedFamily, iv: Interval, criticals):
         pairs = [fam.pair_at(t) for t in ts]
     except (ValueError, UnboundedRegionError, ZeroDivisionError):
         return None
-    if not _pairs_monotone(pairs):
+    inner_ends = _chain_ends([p.inner for p in pairs])
+    outer_ends = _chain_ends([p.outer for p in pairs])
+    if inner_ends is None or outer_ends is None:
         return None
-    inners = [p.inner for p in pairs]
-    outers = [p.outer for p in pairs]
-    # innermost inner: contained in every other inner
-    inner_env = next(
-        (c for c in inners if all(contains(o, c) for o in inners)), None
-    )
-    outer_env = next(
-        (c for c in outers if all(contains(c, o) for o in outers)), None
-    )
-    if inner_env is None or outer_env is None:
-        return None
+    # the innermost inner and the outermost outer
+    inner_env, outer_env = inner_ends[1], outer_ends[0]
     if not contains(outer_env, inner_env):
         return None
     return inner_env, outer_env
@@ -1128,25 +1094,15 @@ def _refute(fam: NestedFamily, criticals) -> dict:
 def _poles_ruled_out(fam: NestedFamily) -> bool:
     """Completions at parameter values outside the family (where the
     solved first row has a pole) must be separately impossible for a
-    refutation to be sound."""
-    den = fam.a_of_t[0][0].den
-    for k in (1, 2):
-        den = den * fam.a_of_t[0][k].den
-    if den.is_constant():
-        return True
+    refutation to be sound.  The poles are the roots of the first-row
+    denominators, and B at a pole is the family's own B(t0)."""
+    poles = {t0 for rf in fam.a_of_t[0] for t0 in rf.den.rational_roots()}
     m = fam.source
-    for t0 in den.rational_roots():
+    rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
+    for t0 in sorted(poles):
         if t0 < 0:
             continue  # the parameter is an entry and must be nonnegative
-        b_rows = ExactMatrix(
-            [
-                [m.entry(2, 1), t0, m.entry(2, 3), m.entry(2, 4)],
-                [m.entry(3, j) for j in (1, 2, 3, 4)],
-                [m.entry(4, j) for j in (1, 2, 3, 4)],
-            ]
-        )
-        n_t = b_rows.submatrix([1, 2, 3], [2, 3, 4]).transpose()
-        rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
+        n_t = rf_matrix_eval(fam.b_of_t, t0).submatrix([1, 2, 3], [2, 3, 4]).transpose()
         sol = solve_linear(n_t, rhs)
         if sol.consistent:
             # a rank-<=3 completion family lives at this pole and is not

@@ -484,7 +484,16 @@ def nested_triangle(pair: NestedPair):
         edge_lines = [(a, b), (b, a)]
     for (a, b) in edge_lines:
         v1 = chord_exit(a, b, outer)
-        tri = _close_chain_from_line(a, v1, inner, outer)
+        v2 = _advance(v1, inner, outer)
+        if v2 is None:
+            continue
+        # the closing side needs only the tangent's direction, not its exit
+        try:
+            t3 = tangent_vertex(v2, inner)
+        except ValueError:
+            continue
+        x = line_intersection(v2, t3, a, v1)
+        tri = x and _verified((v1, v2, x), inner, outer)
         if tri is not None:
             return tri
 
@@ -492,45 +501,24 @@ def nested_triangle(pair: NestedPair):
     for q in outer.vertices:
         if inner.contains_point(q) and inner.n >= 3:
             continue  # q inside P would mean P touches Q; tangents handle boundary
-        try:
-            t1 = tangent_vertex(q, inner)
-        except ValueError:
-            continue
-        v1 = chord_exit(q, t1, outer)
-        if v1 == q:
-            continue
-        try:
-            t2 = tangent_vertex(v1, inner)
-        except ValueError:
-            continue
-        v2 = chord_exit(v1, t2, outer)
-        tri = _verified((q, v1, v2), inner, outer)
+        v1 = _advance(q, inner, outer)
+        v2 = v1 and _advance(v1, inner, outer)
+        tri = v2 and _verified((q, v1, v2), inner, outer)
         if tri is not None:
             return tri
     return None
 
 
-def _close_chain_from_line(start: Point, v1: Point, inner: Polygon2, outer: Polygon2):
-    """Greedy closure of an anchored chain whose first side lies on the
-    directed line start -> v1 (already extended to its exit point v1)."""
-    if v1 == start:
-        return None
+def _advance(v: Point, inner: Polygon2, outer: Polygon2):
+    """One greedy step of a chain: the tangent from v to inner, extended to
+    its exit point from outer; None when there is no tangent or v does
+    not move."""
     try:
-        t2 = tangent_vertex(v1, inner)
+        t = tangent_vertex(v, inner)
     except ValueError:
         return None
-    v2 = chord_exit(v1, t2, outer)
-    if v2 == v1:
-        return None
-    try:
-        t3 = tangent_vertex(v2, inner)
-    except ValueError:
-        return None
-    third = (v2[0] + (t3[0] - v2[0]), v2[1] + (t3[1] - v2[1]))
-    x = line_intersection(v2, third, start, v1)
-    if x is None:
-        return None
-    return _verified((v1, v2, x), inner, outer)
+    w = chord_exit(v, t, outer)
+    return None if w == v else w
 
 
 # ---------------------------------------------------------------------------

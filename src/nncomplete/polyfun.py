@@ -212,20 +212,26 @@ class Poly:
             self._sturm = tuple(chain)
         return self._sturm
 
-    def rational_roots(self) -> list[Fraction]:
-        """All rational roots, each listed once, sorted."""
+    def _roots(self) -> list[tuple[Fraction, Fraction]]:
+        """One bisection with the Sturm chain, sorted: (r, r) for each
+        rational root r and a bracket (a, b] for each irrational one.
+
+        Each bracket holding one root is narrowed below 1/(2 L^2), and the
+        ``limit_denominator(L)`` candidate is tested exactly.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        if self.degree == 1:
-            return [-self.coeffs[0] / self.coeffs[1]]
         if self.degree < 1:
             return []
+        if self.degree == 1:
+            r = -self.coeffs[0] / self.coeffs[1]
+            return [(r, r)]
         chain = self._sturm_chain()
         sq = chain[0]
         lead = abs(sq[-1])
         width = Fraction(1, 2 * lead * lead)
         b = _cauchy_bound(sq)
-        roots = []
+        out = []
         stack = [(-b, b, _variations(chain, -b), _variations(chain, b))]
         while stack:
             lo, hi, v_lo, v_hi = stack.pop()
@@ -241,23 +247,30 @@ class Poly:
             # one simple root r in (lo, hi]: halve by the sign of sq alone
             v_hi = _scaled_value(sq, hi)
             if v_hi == 0:
-                roots.append(hi)
+                out.append((hi, hi))
                 continue
             s_hi = v_hi > 0
             while hi - lo >= width:
                 mid = (lo + hi) / 2
                 v = _scaled_value(sq, mid)
                 if v == 0:
-                    lo = hi = mid
+                    out.append((mid, mid))
                     break
                 if (v > 0) == s_hi:
                     hi = mid
                 else:
                     lo = mid
-            cand = ((lo + hi) / 2).limit_denominator(lead)
-            if _scaled_value(sq, cand) == 0:
-                roots.append(cand)
-        return sorted(set(roots))
+            else:
+                # r is in the open (lo, hi); the candidate may also be a
+                # root next to it, so it must lie inside
+                cand = ((lo + hi) / 2).limit_denominator(lead)
+                rational = lo < cand < hi and _scaled_value(sq, cand) == 0
+                out.append((cand, cand) if rational else (lo, hi))
+        return sorted(out)
+
+    def rational_roots(self) -> list[Fraction]:
+        """All rational roots, each listed once, sorted."""
+        return [a for a, b in self._roots() if a == b]
 
     def count_roots(self, a: Fraction, b: Fraction) -> int:
         """Number of distinct real roots in (a, b], a < b, via Sturm."""
@@ -269,36 +282,7 @@ class Poly:
 
         A rational root r yields the degenerate interval (r, r].
         """
-        if self.is_zero():
-            raise ValueError("zero polynomial has every root")
-        if self.degree < 1:
-            return []
-        rational = self.rational_roots()
-        out = [(r, r) for r in rational]
-        chain = self._sturm_chain()
-        rest = chain[0]
-        if len(rational) == len(rest) - 1:
-            return out
-        # the irrational roots: bisect from the root bound of the quotient
-        # by the rational linear factors until each bracket holds one root
-        # and no rational root (disjointness)
-        for r in rational:
-            rest = _pdivmod(rest, (-r.numerator, r.denominator))[0]
-        b = _cauchy_bound(rest)
-        stack = [(-b, b)]
-        while stack:
-            lo, hi = stack.pop()
-            inside = sum(1 for r in rational if lo < r <= hi)
-            n = _variations(chain, lo) - _variations(chain, hi) - inside
-            if n == 0:
-                continue
-            if n == 1 and not inside:
-                out.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-        return sorted(out)
+        return self._roots()
 
 
 def _as_poly(x):

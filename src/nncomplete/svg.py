@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import NestedPair, Polygon2, Triangle
+from .geometry import NestedPair, Triangle
 
 _SIGNIFICANT = 12
 

@@ -24,15 +24,7 @@ from nncomplete import (
     matmul,
     nn_rank_at_most_3,
 )
-from nncomplete.geometry import (
-    HalfPlane,
-    NestedPair,
-    Polygon2,
-    Triangle,
-    chord_exit,
-    contains,
-    _close_chain_from_line,
-)
+from nncomplete.geometry import HalfPlane, NestedPair, Triangle, contains
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +289,11 @@ def nmf_residual(m: ExactMatrix, r: int, seed: int = 0, iters: int = 4000) -> fl
 def rotation_grid_triangle(pair: NestedPair, n: int = 720):
     """Try to close a triangle around the inner polygon starting from a
     supporting line of each of n exact rational directions; any verified
-    success certifies that a nested triangle exists."""
-    inner, outer = pair.inner, pair.outer
+    success certifies that a nested triangle exists.  The chain steps, the
+    ray exits, the line intersections and the final check are all written
+    here in Fraction arithmetic, so no search code of the library is
+    shared."""
+    inner, outer = list(pair.inner.vertices), list(pair.outer.vertices)
     for k in range(-(n // 2), n - (n // 2)):
         u = Fraction(k, n // 2) if n // 2 else Fraction(k)
         base = (1 - u * u, 2 * u)  # rational point on the circle, unnormalized
@@ -306,15 +301,72 @@ def rotation_grid_triangle(pair: NestedPair, n: int = 720):
             if d == (0, 0):
                 continue
             nrm = (-d[1], d[0])
-            anchor = min(
-                inner.vertices, key=lambda p: nrm[0] * p[0] + nrm[1] * p[1]
-            )
-            back = chord_exit(anchor, (anchor[0] - d[0], anchor[1] - d[1]), outer)
-            fwd = chord_exit(back, (back[0] + d[0], back[1] + d[1]), outer)
-            tri = _close_chain_from_line(back, fwd, inner, outer)
+            anchor = min(inner, key=lambda p: nrm[0] * p[0] + nrm[1] * p[1])
+            back = _ray_exit(anchor, (-d[0], -d[1]), outer)
+            fwd = _ray_exit(back, d, outer)
+            tri = _close_grid_chain(back, fwd, inner, outer)
             if tri is not None:
                 return tri
     return None
+
+
+def _cross(o, a, b):
+    """(a - o) x (b - o)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ray_exit(v, d, outer):
+    """Last point of the counterclockwise polygon ``outer`` on the ray
+    v + s*d, s >= 0, for v inside it: the smallest s at which the ray
+    crosses an edge it approaches from the inside."""
+    best = None
+    for e1, e2 in zip(outer, outer[1:] + outer[:1]):
+        ex, ey = e2[0] - e1[0], e2[1] - e1[1]
+        rate = ex * d[1] - ey * d[0]  # d(cross(e1, e2, v + s*d)) / ds
+        if rate < 0:
+            s = _cross(e1, e2, v) / -rate
+            best = s if best is None else min(best, s)
+    return (v[0] + best * d[0], v[1] + best * d[1])
+
+
+def _lines_meet(a1, a2, b1, b2):
+    """Intersection of the lines a1a2 and b1b2 by Cramer's rule, or None."""
+    m11, m12 = a2[0] - a1[0], b1[0] - b2[0]
+    m21, m22 = a2[1] - a1[1], b1[1] - b2[1]
+    d = m11 * m22 - m12 * m21
+    if d == 0:
+        return None
+    r1, r2 = b1[0] - a1[0], b1[1] - a1[1]
+    s = (r1 * m22 - m12 * r2) / d
+    return (a1[0] + s * m11, a1[1] + s * m21)
+
+
+def _close_grid_chain(start, v1, inner, outer):
+    """Greedy closure of the chain whose first side lies on the line
+    start -> v1: tangent from v1 to the inner polygon, out to the outer
+    boundary at v2, tangent from v2, back to the first line at x; the
+    triangle (v1, v2, x) if it is nested."""
+    t2 = tangent_vertex_brute(v1, inner)
+    if t2 is None:
+        return None
+    v2 = _ray_exit(v1, (t2[0] - v1[0], t2[1] - v1[1]), outer)
+    t3 = tangent_vertex_brute(v2, inner)
+    if t3 is None:
+        return None
+    x = _lines_meet(v2, t3, start, v1)
+    if x is None:
+        return None
+    corners = [v1, v2, x]
+    if _cross(*corners) < 0:
+        corners = [v1, x, v2]
+    if _cross(*corners) == 0:
+        return None
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    if any(_cross(a, b, p) < 0 for a, b in edges for p in inner):
+        return None
+    if any(_cross(e1, e2, c) < 0 for e1, e2 in zip(outer, outer[1:] + outer[:1]) for c in corners):
+        return None
+    return Triangle(*corners)
 
 
 def verify_triangle(pair: NestedPair, tri: Triangle) -> bool:

@@ -276,6 +276,41 @@ class TestDiagonalHolesFamily:
             simplicial_sign_check(fam, F(-5))
 
 
+class TestPoleCheck:
+    """A refutation of the diagonal pattern must first rule out every
+    nonnegative pole of the solved first row of A, where B(t0) leaves the
+    family; these inputs have one pole each, and its system is
+    inconsistent."""
+
+    @pytest.mark.parametrize(
+        "text, pole, t_hi",
+        [
+            ("? 2 0 5\n8 ? 5 0\n2 0 4 7\n4 0 5 0\n", F(0), F(28, 3)),
+            ("? 6 0 8\n0 ? 9 4\n2 2 7 9\n1 4 2 0\n", F(38, 3), F(38, 3)),
+        ],
+        ids=["pole_at_zero", "pole_at_38_3"],
+    )
+    def test_pole_solve_runs_and_is_inconsistent(self, monkeypatch, text, pole, t_hi):
+        solves = []
+        original = nncomplete.family.solve_linear
+
+        def spy(a, rhs):
+            sol = original(a, rhs)
+            solves.append((a, sol))
+            return sol
+
+        monkeypatch.setattr(nncomplete.family, "solve_linear", spy)
+        cert = decide_nn3_two_missing(parse_partial(text))
+        assert (cert.verdict, cert.pattern) == ("NotCompletable", "11_22")
+        assert cert.envelope_t == (F(0), t_hi)
+        assert len(solves) == 1
+        (n_t, sol), = solves
+        # column 2 of B(t0), whose first entry is the parameter, is row 1
+        # of the transposed system
+        assert n_t.entry(1, 1) == pole
+        assert not sol.consistent
+
+
 class TestNormalization:
     def test_round_trip_all_hole_placements(self, rng):
         cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]

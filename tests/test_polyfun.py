@@ -132,6 +132,20 @@ class TestRoots:
         for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
             assert b1 <= a2
 
+    def test_rational_root_next_to_an_irrational_bracket(self):
+        # (t + 2)(4t^2 + 6t - 3): the bracket of the root near -1.896 is
+        # narrowed next to -2, whose fraction is the bracket midpoint's
+        # limit_denominator(4); it is a root, but not the bracket's one
+        p = Poly([2, 1]) * Poly([-3, 6, 4])
+        assert p.rational_roots() == [Fraction(-2)]
+        intervals = p.isolate_real_roots()
+        assert len(intervals) == 3
+        assert intervals[0] == (Fraction(-2), Fraction(-2))
+        for (a, b) in intervals[1:]:
+            assert a < b and p.count_roots(a, b) == 1
+        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
+            assert b1 <= a2
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(points, min_size=1, max_size=3, unique=True))
     def test_isolation_degenerate_for_rational_roots(self, roots):
