@@ -44,6 +44,7 @@ from .completion import (
     rank1_complete,
 )
 from .geometry import (
+    SUM_CHART,
     HalfPlane,
     NestedPair,
     Polygon2,

@@ -15,10 +15,11 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import ExactMatrix, matmul, rank, solve_linear
+from .linalg import ExactMatrix, inverse, matmul, rank, solve_linear
 from .partial import PartialMatrix, Pattern, format_rational
 from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
+    SUM_CHART,
     HalfPlane,
     NestedPair,
     Polygon2,
@@ -29,9 +30,9 @@ from .geometry import (
     line_intersection,
     nested_triangle,
     nn_rank_at_most_3,
-    polygon_from_halfplanes,
     polytopes_from_factorization,
     side,
+    triangle_to_factorization,
 )
 
 
@@ -200,10 +201,13 @@ def _det3_poly(rows) -> Poly:
 class NestedFamily:
     """Symbolic factor pair A(t), B(t) with geometry and feasibility data.
 
-    For tag "11_21" the outer polygon is fixed and the moving vertex
-    p1(t) of the inner polygon stays on ``line_p1``; for tag "11_22" both
-    one facet of the outer polygon and one vertex of the inner polygon
-    move.
+    The pair at t is A(t).B(t) sliced in ``chart``.  ``fixed_outer`` and
+    ``fixed_inner_points`` slice the t-free rows of A and columns of B,
+    and ``moving_vertex`` slices the column of B that moves.  For tag
+    "11_21" the outer polygon is fixed and the moving vertex p1(t) stays
+    on ``line_p1``; for tag "11_22" one facet of the outer polygon (the
+    first row of A) moves as well, and ``fixed_outer`` is the simplex cut
+    out by the other three rows.
     """
 
     tag: str
@@ -211,10 +215,10 @@ class NestedFamily:
     a_of_t: list
     b_of_t: list
     feasible: list
-    # 11_21 geometry
-    fixed_outer: Polygon2 | None = None
-    fixed_inner_points: list | None = None
-    moving_vertex: tuple | None = None  # (RationalFunction x, RationalFunction y)
+    chart: ExactMatrix
+    fixed_outer: Polygon2
+    fixed_inner_points: list
+    moving_vertex: tuple  # (RationalFunction x, RationalFunction y)
     line_p1: HalfPlane | None = None
 
     def completion_at(self, t) -> ExactMatrix:
@@ -226,20 +230,9 @@ class NestedFamily:
 
     def pair_at(self, t) -> NestedPair:
         t = Fraction(t)
-        if self.tag == "11_21":
-            p1 = (self.moving_vertex[0](t), self.moving_vertex[1](t))
-            inner = Polygon2.from_points([p1] + self.fixed_inner_points)
-            pair = NestedPair(
-                inner,
-                self.fixed_outer,
-                [p1] + self.fixed_inner_points,
-                [],
-                {"t": t},
-            )
-            return pair
-        a_t = rf_matrix_eval(self.a_of_t, t)
-        b_t = rf_matrix_eval(self.b_of_t, t)
-        return polytopes_from_factorization(a_t, b_t, "sum")
+        return polytopes_from_factorization(
+            rf_matrix_eval(self.a_of_t, t), rf_matrix_eval(self.b_of_t, t), self.chart
+        )
 
     def moving_vertex_limit(self):
         """Limit point of the moving vertex as t -> +infinity (11_21)."""
@@ -256,6 +249,15 @@ def _limit_at_infinity(rf: RationalFunction):
     return None  # diverges
 
 
+def _chart_vertex(chart: ExactMatrix, column) -> tuple:
+    """The slice point (y/w, z/w) of a column of rational functions, where
+    (w, y, z) is the column in the chart."""
+    w, y, z = (sum((g * x for g, x in zip(row, column) if g), _rf(0)) for row in chart.to_lists())
+    if w.is_zero():
+        raise FamilyError("normalizing column sum vanishes identically")
+    return (y / w, z / w)
+
+
 def _require_pattern(m: PartialMatrix, holes: set):
     if (m.p, m.q) != (4, 4):
         raise FamilyError("matrix must be 4x4")
@@ -269,13 +271,14 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     """Family for holes (1,1) and (2,1).
 
     A = M_{:,234} is fixed; the first column of B is parametrized linearly
-    by t from the two observed entries of column 1.  The outer polygon is
-    fixed while the inner vertex p1(t) slides along ``line_p1``, which
-    always passes through the vertex of the outer polygon cut out by its
-    third and fourth defining facets.
+    by t from the two observed entries of column 1.  In the chart of the
+    column sums of A the outer polygon is fixed while the inner vertex
+    p1(t) slides along ``line_p1``, which always passes through the vertex
+    of the outer polygon cut out by its third and fourth defining facets.
     """
     _require_pattern(m, {(1, 1), (2, 1)})
-    if rank(m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) != 3:
+    a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
+    if rank(a) != 3:
         raise FamilyError("columns 2..4 must have rank 3")
     # b1 solves rows 3-4 with the columns reversed, so the free component
     # is the one column left out of the first independent pair found from
@@ -291,37 +294,14 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     x0_k = ExactMatrix(zip(sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]))
     b1 = [RationalFunction(Poly(row)) for row in x0_k.to_lists()]
 
-    a_rows = [[_rf(m.entry(i, j)) for j in (2, 3, 4)] for i in (1, 2, 3, 4)]
-    b_rows = [
-        [b1[0], _rf(1), _rf(0), _rf(0)],
-        [b1[1], _rf(0), _rf(1), _rf(0)],
-        [b1[2], _rf(0), _rf(0), _rf(1)],
-    ]
+    a_rows = [[_rf(x) for x in row] for row in a.to_lists()]
+    b_rows = [[b1[k]] + [_rf(int(k == j)) for j in range(3)] for k in range(3)]
 
-    s2 = sum(m.entry(i, 2) for i in range(1, 5))
-    s3 = sum(m.entry(i, 3) for i in range(1, 5))
-    s4 = sum(m.entry(i, 4) for i in range(1, 5))
-    if s2 == 0 or s3 == 0 or s4 == 0:
-        raise FamilyError("observed columns must have nonzero column sums")
-    denom = b1[0] * s2 + b1[1] * s3 + b1[2] * s4
-    if denom.is_zero():
-        raise FamilyError("normalizing column sum vanishes identically")
-    p1 = (b1[1] / denom, b1[2] / denom)
-    fixed_inner = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1) / s3, Fraction(0)),
-        (Fraction(0), Fraction(1) / s4),
-    ]
-    outer_hps = []
-    for i in range(1, 5):
-        c0 = m.entry(i, 2) / s2
-        cx = m.entry(i, 3) - m.entry(i, 2) * s3 / s2
-        cy = m.entry(i, 4) - m.entry(i, 2) * s4 / s2
-        if cx == cy == 0:
-            # c0 = m(i,2)/s2 >= 0, so the constraint holds everywhere
-            continue
-        outer_hps.append(HalfPlane(c0, cx, cy))
-    outer = polygon_from_halfplanes(outer_hps)
+    # the column sums of A are positive: a nonnegative column with sum 0
+    # would be zero, and A has rank 3
+    chart = ExactMatrix([[sum(a.col(k)) for k in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
+    fixed = polytopes_from_factorization(a, ExactMatrix.identity(3), chart)
+    p1 = _chart_vertex(chart, b1)
 
     line = _moving_vertex_line(SharedDenominator(p1))
     if line is not None:
@@ -333,18 +313,9 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
     filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
     feasible = feasible_set([RationalFunction(Poly(row)) for row in filled.to_lists()])
-    fam = NestedFamily(
-        "11_21",
-        m,
-        a_rows,
-        b_rows,
-        feasible,
-        fixed_outer=outer,
-        fixed_inner_points=fixed_inner,
-        moving_vertex=p1,
-        line_p1=line,
+    return NestedFamily(
+        "11_21", m, a_rows, b_rows, feasible, chart, fixed.outer, fixed.inner_generators, p1, line
     )
-    return fam
 
 
 def _moving_vertex_line(vertex: SharedDenominator) -> HalfPlane | None:
@@ -499,7 +470,14 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
         a1[0] * m.entry(2, 1) + a1[1] * m.entry(3, 1) + a1[2] * m.entry(4, 1)
     )
     feasible = feasible_set([m11, RationalFunction(t)])
-    return NestedFamily("11_22", m, a_rows, b_rows, feasible)
+    # rows 2-4 of A are the identity and columns 1, 3, 4 of B are free of t
+    fixed = polytopes_from_factorization(
+        ExactMatrix.identity(3), m.observed_submatrix([2, 3, 4], [1, 3, 4]), SUM_CHART
+    )
+    moving = _chart_vertex(SUM_CHART, [row[1] for row in b_rows])
+    return NestedFamily(
+        "11_22", m, a_rows, b_rows, feasible, SUM_CHART, fixed.outer, fixed.inner_generators, moving
+    )
 
 
 def simplicial_sign_check(fam: NestedFamily, t) -> bool:
@@ -618,55 +596,30 @@ def _critical_ts(fam: NestedFamily) -> list:
         for row in rows:
             for entry in row:
                 crit.update(_rational_roots_of(entry))
-    if fam.tag == "11_21":
-        p1 = SharedDenominator(fam.moving_vertex)
-        fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
-        for u, w in itertools.combinations(fixed, 2):
-            crit.update(_orient_roots(u, w, p1))
-        for hp in fam.fixed_outer.facets():
-            crit.update(p1.combination_roots(hp.c0, (hp.cx, hp.cy)))
-    else:
-        b = fam.b_of_t
-        # moving inner vertex from column 2 of B (sum-normalized)
-        col = [b[k][1] for k in range(3)]
-        total = col[0] + col[1] + col[2]
-        p2 = SharedDenominator((col[0] / total, col[1] / total))
-        corners = [
-            (Fraction(0), Fraction(0)),
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-        ]
-        fixed_pts = corners + _fixed_inner_points_11_22(fam)
-        for u, w in itertools.combinations(fixed_pts, 2):
-            crit.update(_orient_roots(u, w, p2))
-        # the moving facet of the sum slice, a11*x + a12*y + a13*(1-x-y)
+    # the moving vertex against every line through two fixed points; the
+    # lines through consecutive outer vertices are the fixed facets
+    p = SharedDenominator(fam.moving_vertex)
+    fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
+    for u, w in itertools.combinations(fixed, 2):
+        crit.update(_orient_roots(u, w, p))
+    if fam.tag == "11_22":
+        # the moving facet at the point (1, x, y) of the chart G is
+        # a1.G^-1.(1, x, y)
         a1 = SharedDenominator(fam.a_of_t[0])
-        for v in fixed_pts:
-            crit.update(a1.combination_roots(0, (v[0], v[1], 1 - v[0] - v[1])))
-        # the facet at p2 itself is a1.col/total = m12/total (a1 solves
-        # a1.N = (m12, m13, m14) and col is N's first column): its one
-        # critical t, the root of total, is a pole of p2 (orient((0,0),
-        # (0,1), p2) = -t/total) or, when total = t, the root of entry t,
-        # so it needs no term of its own
+        g_inv = inverse(fam.chart).to_lists()
+        for x, y in fixed:
+            crit.update(a1.combination_roots(0, [c + cx * x + cy * y for c, cx, cy in g_inv]))
+        # the facet at the moving vertex itself is a1.col/total = m12/total
+        # (col is column 2 of B, with sum total; a1 solves a1.N = (m12,
+        # m13, m14) and col is N's first column): its one critical t, the
+        # root of total, is a pole of the vertex (orient((0,0), (0,1), p) =
+        # -t/total) or, when total = t, the root of entry t, so it needs no
+        # term of its own
         #
         # completion entry m11(t) = a1.(m21, m31, m41)
         m = fam.source
         crit.update(a1.combination_roots(0, (m.entry(2, 1), m.entry(3, 1), m.entry(4, 1))))
     return sorted(crit)
-
-
-def _fixed_inner_points_11_22(fam: NestedFamily) -> list:
-    pts = []
-    for j in (0, 2, 3):
-        col = [_rf(fam.b_of_t[k][j]) for k in range(3)]
-        vals = [c(0) if c.is_constant() else None for c in col]
-        if any(v is None for v in vals):
-            continue
-        total = sum(vals)
-        if total <= 0:
-            continue
-        pts.append((vals[0] / total, vals[1] / total))
-    return pts
 
 
 def _interval_sample_ts(fam: NestedFamily, iv: Interval, criticals) -> list:
@@ -703,21 +656,23 @@ def _interval_sample_ts(fam: NestedFamily, iv: Interval, criticals) -> list:
 
 
 def _completable_at(fam: NestedFamily, t):
-    """A Completable outcome at t if the completion there has nonnegative
-    rank at most 3, else None."""
+    """A Completable outcome at t if a triangle nests in the pair there,
+    else None.  The completion there then has nonnegative rank at most 3,
+    and the witness is that triangle lifted to a factorization of it."""
     t = Fraction(t)
     if not fam.is_feasible(t):
         return None
     completion = fam.completion_at(t)
     if not completion.is_nonnegative():
         return None
-    ok, witness = nn_rank_at_most_3(completion)
-    if not ok:
-        return None
     try:
-        tri = nested_triangle(fam.pair_at(t))
-    except (ValueError, UnboundedRegionError, ZeroDivisionError):
-        tri = None
+        pair = fam.pair_at(t)
+        tri = nested_triangle(pair)
+    except ValueError:
+        return None
+    if tri is None:
+        return None
+    witness = triangle_to_factorization(pair, tri, completion)
     return {"verdict": "Completable", "t_star": t, "completion": completion, "witness": witness,
             "triangle": tri}
 

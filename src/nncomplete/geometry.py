@@ -317,29 +317,16 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 # slices of a rank-3 factorization
 
-SLICES = ("first", "sum")
+# chart of the coordinate-sum slice: G.(x, y, z) = (x + y + z, x, y)
+SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
 
 
-def _slice_parts(column, convention: str):
-    """(weight, planar point) of a lifted column under the slice."""
-    x, y, z = column
-    if convention == "first":
-        return x, None if x == 0 else (y / x, z / x)
-    w = x + y + z
-    return w, None if w == 0 else (x / w, y / w)
-
-
-def _slice_halfplane(row, convention: str):
-    """Row (a1,a2,a3) of A as a half-plane in slice coordinates, or None
-    when the constraint is trivially satisfied (zero row, or a constraint
-    whose normal vanishes and whose constant is nonnegative)."""
-    a1, a2, a3 = row
-    if convention == "first":
-        # point (1, x, y)
-        c0, cx, cy = a1, a2, a3
-    else:
-        # point (x, y, 1-x-y)
-        c0, cx, cy = a3, a1 - a3, a2 - a3
+def _slice_halfplane(row):
+    """Row (c0, cx, cy) of the charted A as the half-plane c0 + cx*x +
+    cy*y >= 0, or None when the constraint is trivially satisfied (zero
+    row, or a constraint whose normal vanishes and whose constant is
+    nonnegative)."""
+    c0, cx, cy = row
     if cx == 0 and cy == 0:
         if c0 < 0:
             raise ValueError(f"row {tuple(row)} is infeasible on the slice")
@@ -347,28 +334,33 @@ def _slice_halfplane(row, convention: str):
     return HalfPlane(c0, cx, cy)
 
 
-def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, slice: str = "first") -> NestedPair:
-    """Nested pair (P, Q) from a factorization A.B via an affine slice.
+def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart=None) -> NestedPair:
+    """Nested pair (P, Q) from a factorization A.B sliced in a chart.
 
-    P is spanned by the sliced columns of B and Q is cut out by the sliced
-    rows of A.  Supported conventions: "first" (first coordinate = 1) and
-    "sum" (coordinate sum = 1).  Every column of B must have strictly
-    positive slice weight, and Q must come out bounded.
+    A chart is a nonsingular 3x3 matrix G, None standing for the identity.
+    The pair is the slice at first coordinate 1 of the factorization
+    (A.G^-1).(G.B) of the same product: P is spanned by the points
+    (y/w, z/w) of the columns (w, y, z) of G.B and Q is cut out by the rows
+    (c0, cx, cy) of A.G^-1.  SUM_CHART slices at coordinate sum 1.  Every
+    column of G.B must have strictly positive slice weight w, and Q must
+    come out bounded.  The provenance keeps the charted factors, so
+    triangle_to_factorization can lift a triangle of the pair.
     """
-    if slice not in SLICES:
-        raise ValueError(f"unknown slice convention {slice!r}")
     if a.q != 3 or b.p != 3:
         raise ValueError("factors must have inner dimension 3")
+    if chart is not None:
+        a, b = matmul(a, inverse(chart)), matmul(chart, b)
     gens = []
     for j in range(1, b.q + 1):
-        w, p = _slice_parts(b.col(j), slice)
+        w, y, z = b.col(j)
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {w}")
-        gens.append(p)
-    hps = [hp for hp in (_slice_halfplane(a.row(i), slice) for i in range(1, a.p + 1)) if hp]
+        gens.append((y / w, z / w))
+    hps = [hp for hp in map(_slice_halfplane, a.to_lists()) if hp]
     outer = polygon_from_halfplanes(hps)  # may raise UnboundedRegionError
     inner = Polygon2.from_points(gens)
-    return NestedPair(inner, outer, gens, hps, {"a": a, "b": b, "slice": slice})
+    provenance = {"a": a, "b": b, "nonzero_columns": list(range(1, b.q + 1))}
+    return NestedPair(inner, outer, gens, hps, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -582,27 +574,13 @@ def _pad_to_height(b: ExactMatrix, height: int) -> ExactMatrix:
     return b.vstack(ExactMatrix.zeros(height - b.p, b.q))
 
 
-def _bounded_slice_pair(a0: ExactMatrix, b0: ExactMatrix) -> NestedPair:
-    """Nested pair for M = a0.b0 with a0 nonnegative of rank 3, using the
-    column-sum functional of a0 as the slice direction (which is strictly
-    positive on the cone of A, making Q bounded)."""
-    # w completed to a basis by the first independent unit vectors
-    candidates = ExactMatrix([[sum(a0.col(k)) for k in range(1, 4)], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g = candidates.submatrix(pivot_columns(candidates.transpose()), [1, 2, 3])
-    _verify(det(g) != 0, "slice basis change is singular")
-    a_sliced = matmul(a0, inverse(g))
-    b_sliced = matmul(g, b0)
-    nz_cols = [j for j in range(1, b_sliced.q + 1) if any(x != 0 for x in b_sliced.col(j))]
-    b_geom = b_sliced.submatrix(range(1, 4), nz_cols)
-    pair = polytopes_from_factorization(a_sliced, b_geom, "first")
-    pair.provenance.update({"basis_change": g, "nonzero_columns": nz_cols})
-    return pair
-
-
 def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     """The bounded nested pair of a nonnegative rank-3 matrix: m factored
-    through three of its independent columns, sliced by their column
-    sums."""
+    through three of its independent columns a0, in the chart of the
+    column-sum functional of a0 (strictly positive on the cone of a0, so Q
+    is bounded) completed to a basis by the first independent unit
+    vectors.  Zero columns of m carry no point and are dropped before
+    slicing."""
     cols = pivot_columns(m)[:3]
     if len(cols) < 3:
         raise ValueError("matrix has rank below 3")
@@ -611,7 +589,13 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     _verify(sol.consistent, "matrix outside the span of its independent columns")
     b0 = sol.particular
     _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
-    return _bounded_slice_pair(a0, b0)
+    candidates = ExactMatrix([[sum(a0.col(k)) for k in range(1, 4)], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    g = candidates.submatrix(pivot_columns(candidates.transpose()), [1, 2, 3])
+    _verify(det(g) != 0, "slice basis change is singular")
+    nz_cols = [j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))]
+    pair = polytopes_from_factorization(a0, b0.submatrix(range(1, 4), nz_cols), g)
+    pair.provenance["nonzero_columns"] = nz_cols
+    return pair
 
 
 def nn_rank_at_most_3(m: ExactMatrix):
@@ -648,8 +632,10 @@ def nn_rank_at_most_3(m: ExactMatrix):
 
 
 def triangle_to_factorization(pair: NestedPair, tri: Triangle, m: ExactMatrix):
-    """Convert a nested triangle for the pair built by bounded_nested_pair
-    back into a size-3 nonnegative factorization of m."""
+    """Convert a nested triangle of a pair built by
+    polytopes_from_factorization (or bounded_nested_pair) back into a
+    size-3 nonnegative factorization of m, the product of the pair's
+    factors."""
     a_sliced = pair.provenance["a"]
     b_geom = pair.provenance["b"]
     nz_cols = pair.provenance["nonzero_columns"]

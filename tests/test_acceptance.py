@@ -2,13 +2,10 @@
 reported with a single PASS/FAIL line."""
 
 import functools
-import json
 import random
 import sys
 import time
 from fractions import Fraction
-
-import pytest
 
 from nncomplete import (
     ExactMatrix,

@@ -139,8 +139,7 @@ class TestCheckNnrank3:
         assert lines[0] == "TRUE"
         a_start = lines.index("A:") + 1
         b_start = lines.index("B:") + 1
-        from fractions import Fraction
-        from nncomplete import ExactMatrix, matmul, parse_partial
+        from nncomplete import matmul, parse_partial
 
         a = parse_partial("\n".join(lines[a_start : b_start - 1])).to_full_matrix()
         b = parse_partial("\n".join(lines[b_start:])).to_full_matrix()

@@ -28,12 +28,13 @@ from nncomplete import (
     special_case_low_rank,
     sufficient_11_21,
     sweep_candidates,
+    triangle_to_factorization,
 )
 import nncomplete.family
 from nncomplete.family import (
     _critical_ts,
+    _interval_sample_ts,
     denormalize_matrix,
-    rf_matrix_eval,
 )
 
 from conftest import DATA, restrict, rnd_nonneg_product
@@ -633,3 +634,49 @@ class TestCriticalParameters:
             assert alt.cx * line.cy == line.cx * alt.cy
             lines += 1
         assert lines >= 100
+
+
+def canonical_products(seed: int, holes, n: int) -> list:
+    """n nonnegative rank-3 products with the given canonical holes, so
+    that normalization is the identity."""
+    rng = random.Random(seed)
+    pattern = Pattern(4, 4, frozenset(CELLS) - set(holes))
+    return [restrict(rnd_nonneg_product(rng, 4, 4, 3), pattern) for _ in range(n)]
+
+
+class TestSingleSearch:
+    """The family stage searches the pair at each sampled t once; its
+    triangle is both the printed triangle and the witness."""
+
+    @pytest.mark.parametrize("holes,build", [
+        (((1, 1), (2, 1)), family_11_21),
+        (((1, 1), (2, 2)), family_11_22),
+    ], ids=["11_21", "11_22"])
+    def test_witness_lifts_the_printed_triangle(self, holes, build):
+        lifted = 0
+        for pm in canonical_products(3, holes, 100):
+            cert = decide_nn3_two_missing(pm)
+            if cert.t_star is None:
+                continue
+            pair = build(pm).pair_at(cert.t_star)
+            assert cert.witness == triangle_to_factorization(pair, cert.triangle, cert.completion)
+            lifted += 1
+        assert lifted >= 60
+
+    def test_triangle_in_the_family_chart_iff_nonnegative_rank_3(self):
+        """At every sampled t, a triangle nests in the family's pair exactly
+        when the bounded chart of the completion finds one."""
+        inputs = [parse_partial((DATA / f"{name}.txt").read_text()) for name in FIXTURES[:3]]
+        inputs += canonical_products(4, ((1, 1), (2, 1)), 6)
+        inputs += canonical_products(4, ((1, 1), (2, 2)), 6)
+        counts = {True: 0, False: 0}
+        for fam in (fam for m in inputs for fam in families_of(m)):
+            criticals = _critical_ts(fam)
+            for t in sorted({t for iv in fam.feasible for t in _interval_sample_ts(fam, iv, criticals)}):
+                completion = fam.completion_at(t)
+                if not completion.is_nonnegative():
+                    continue
+                found = nested_triangle(fam.pair_at(t)) is not None
+                assert found == nn_rank_at_most_3(completion)[0], (fam.tag, t)
+                counts[found] += 1
+        assert counts[True] >= 20 and counts[False] >= 20

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nncomplete import (
+    SUM_CHART,
     ExactMatrix,
     HalfPlane,
     NestedPair,
@@ -23,7 +24,7 @@ from nncomplete import (
     tangent_vertex,
     triangle_to_factorization,
 )
-from nncomplete.geometry import orient, side
+from nncomplete.geometry import bounded_nested_pair, orient, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import nmf_residual, rotation_grid_triangle, tangent_vertex_brute, verify_triangle
@@ -203,7 +204,7 @@ class TestSlackMatrix:
     def test_lines_up_with_factorization(self):
         a = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
         b = ExactMatrix([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
-        pair = polytopes_from_factorization(a, b, "sum")
+        pair = polytopes_from_factorization(a, b, SUM_CHART)
         s = slack_matrix(pair)
         # the all-ones row of A is trivially satisfied on the sum slice and
         # contributes no half-plane
@@ -220,12 +221,12 @@ class TestPolytopesFromFactorization:
             b = ExactMatrix(
                 [[rnd_fraction(rng, 0, 6) for _ in range(4)] for _ in range(3)]
             )
-            # make column weights positive for the "sum" slice
+            # make column weights positive for the sum chart
             b = ExactMatrix(
                 [[x + Fraction(1, 7) for x in row] for row in b.to_lists()]
             )
             try:
-                pair = polytopes_from_factorization(a, b, "sum")
+                pair = polytopes_from_factorization(a, b, SUM_CHART)
             except (UnboundedRegionError, ValueError):
                 continue
             assert matmul(a, b).is_nonnegative() == slack_matrix(pair).is_nonnegative()
@@ -234,7 +235,7 @@ class TestPolytopesFromFactorization:
         a = ExactMatrix.identity(3)
         b = ExactMatrix([[1, 0], [0, 0], [0, 0]])
         with pytest.raises(ValueError):
-            polytopes_from_factorization(a, b, "sum")  # column 2 weight 0
+            polytopes_from_factorization(a, b, SUM_CHART)  # column 2 weight 0
 
 
 class TestNestedTriangle:
@@ -332,13 +333,8 @@ class TestNnRankAtMost3:
         assert not ok
 
     def test_triangle_to_factorization_round_trip(self, unique_nmf_matrix):
-        from nncomplete.geometry import _bounded_slice_pair
-        from nncomplete import solve_linear
-
         m = unique_nmf_matrix
-        a0 = m.submatrix(range(1, 5), [1, 2, 3])
-        b0 = solve_linear(a0, m).particular
-        pair = _bounded_slice_pair(a0, b0)
+        pair = bounded_nested_pair(m)
         tri = nested_triangle(pair)
         assert tri is not None
         a, b = triangle_to_factorization(pair, tri, m)
@@ -349,12 +345,8 @@ class TestNnRankAtMost3:
         """The re-verification is an explicit check (it runs under -O too)
         and its error is not a ValueError, so no caller that treats
         ValueError as 'out of reach' can swallow it."""
-        from nncomplete.geometry import _bounded_slice_pair
-        from nncomplete import solve_linear
-
         m = unique_nmf_matrix
-        a0 = m.submatrix(range(1, 5), [1, 2, 3])
-        pair = _bounded_slice_pair(a0, solve_linear(a0, m).particular)
+        pair = bounded_nested_pair(m)
         # a small triangle around one vertex of P lies inside Q but cannot
         # contain the two-dimensional P
         (x, y) = pair.inner.vertices[0]

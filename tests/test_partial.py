@@ -6,7 +6,6 @@ from nncomplete import (
     ExactMatrix,
     ParseError,
     PartialMatrix,
-    Pattern,
     cycle_property,
     minors_zero_consistent,
     parse_partial,
