@@ -99,78 +99,44 @@ def feasible_set(constraints) -> list:
     surrounding rational bracket, so the result may slightly
     over-approximate (never under-approximate) the feasible set there.
     """
-    polys = []
-    for rf in constraints:
-        polys.append(rf.num)
-        polys.append(rf.den)
+    polys = [p for rf in constraints for p in (rf.num, rf.den)]
     bounds = _boundary_points(polys)
-    # build candidate intervals between consecutive boundary points
-    candidates = []
-    if not bounds:
-        candidates.append((None, None))
-    else:
-        candidates.append((None, bounds[0]))
-        for a, b in zip(bounds, bounds[1:]):
-            candidates.append((a, b))
-        candidates.append((bounds[-1], None))
 
     def ok(t):
-        for rf in constraints:
-            if rf.den(t) == 0 or rf(t) < 0:
-                return False
-        return True
+        return all(rf.den(t) != 0 and rf(t) >= 0 for rf in constraints)
 
     def sign_changes_inside(lo, hi):
         """Some constraint has an (irrational) root strictly between two
-        consecutive boundary points, so one probe cannot decide the
-        candidate; keep it conservatively."""
-        for rf in constraints:
-            for p in (rf.num, rf.den):
-                if p.is_zero() or p.is_constant():
-                    continue
-                inside = p.count_roots(lo, hi) - (1 if p(hi) == 0 else 0)
-                if inside > 0:
-                    return True
+        consecutive boundary points, so one probe cannot decide the gap;
+        keep it conservatively."""
+        for p in polys:
+            if not p.is_constant() and p.count_roots(lo, hi) - (1 if p(hi) == 0 else 0) > 0:
+                return True
         return False
 
-    intervals = []
-    for (lo, hi) in candidates:
-        if lo is not None and lo == hi:
-            continue
-        if ok(Interval(lo, hi, True, True).sample()) or (
+    def feasible(lo, hi, gap):
+        if not gap:
+            return ok(lo)
+        return ok(Interval(lo, hi, True, True).sample()) or (
             lo is not None and hi is not None and sign_changes_inside(lo, hi)
-        ):
-            intervals.append(
-                Interval(
-                    lo,
-                    hi,
-                    lo_open=lo is not None and not ok(lo),
-                    hi_open=hi is not None and not ok(hi),
-                )
-            )
-    # also admit isolated feasible boundary points
+        )
+
+    # the cells of the t-line in order: the gap below each boundary point,
+    # the point itself, and the last gap
+    cells, lo = [], None
     for b in bounds:
-        if ok(b) and not any(iv.contains(b) for iv in intervals):
-            intervals.append(Interval(b, b))
-    intervals.sort(key=lambda iv: (iv.lo is not None, iv.lo))
-    return _merge_adjacent(intervals)
-
-
-def _merge_adjacent(intervals):
-    merged = []
-    for iv in intervals:
-        if merged:
-            last = merged[-1]
-            if (
-                last.hi is not None
-                and iv.lo is not None
-                and last.hi == iv.lo
-                and not (last.hi_open and iv.lo_open)
-            ):
-                merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-                continue
-        merged.append(iv)
-    return merged
+        cells += [(lo, b, True), (b, b, False)]
+        lo = b
+    cells.append((lo, None, True))
+    intervals = []
+    for keep, run in itertools.groupby(cells, key=lambda cell: feasible(*cell)):
+        if keep:
+            run = list(run)
+            (lo, _, lo_gap), (_, hi, hi_gap) = run[0], run[-1]
+            # a run of feasible cells is open exactly at a finite end that
+            # is a gap: the boundary point beyond it is infeasible
+            intervals.append(Interval(lo, hi, lo_gap and lo is not None, hi_gap and hi is not None))
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +243,10 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     of the outer polygon cut out by its third and fourth defining facets.
     """
     _require_pattern(m, {(1, 1), (2, 1)})
+    if m.entry(3, 1) == m.entry(4, 1) == 0:
+        # b1 would be t times a fixed vector, so at t = 0 the first column
+        # of the completion is zero and has no point in the slice
+        raise FamilyError("column 1 is zero in rows 3,4")
     a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
     if rank(a) != 3:
         raise FamilyError("columns 2..4 must have rank 3")
@@ -622,23 +592,23 @@ def _critical_ts(fam: NestedFamily) -> list:
     return sorted(crit)
 
 
-def _interval_sample_ts(fam: NestedFamily, iv: Interval, criticals) -> list:
-    """Endpoints, interior criticals and midpoints of one feasible interval."""
+def _interval_sample_ts(iv: Interval, criticals) -> list:
+    """Endpoints, interior criticals and midpoints of one feasible interval.
+
+    Every anchor lies in the interval, so every midpoint does too."""
     inner_crit = [c for c in criticals if iv.contains(c)]
     anchors = []
     if iv.lo is not None and not iv.lo_open:
         anchors.append(iv.lo)
     elif iv.lo is not None:
-        # just inside an open end
-        nxt = min([c for c in inner_crit if c > iv.lo] + ([iv.hi] if iv.hi is not None else []),
-                  default=iv.lo + 2)
-        anchors.append((iv.lo + nxt) / 2 if nxt > iv.lo else iv.lo + 1)
+        # just inside an open end, halfway to the next point beyond it
+        nxt = min(inner_crit + ([iv.hi] if iv.hi is not None else []), default=iv.lo + 2)
+        anchors.append((iv.lo + nxt) / 2)
     if iv.hi is not None and not iv.hi_open:
         anchors.append(iv.hi)
     elif iv.hi is not None:
-        prv = max([c for c in inner_crit if c < iv.hi] + ([iv.lo] if iv.lo is not None else []),
-                  default=iv.hi - 2)
-        anchors.append((prv + iv.hi) / 2 if prv < iv.hi else iv.hi - 1)
+        prv = max(inner_crit + ([iv.lo] if iv.lo is not None else []), default=iv.hi - 2)
+        anchors.append((prv + iv.hi) / 2)
     if iv.lo is None:
         ref = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else Fraction(0))
         anchors.append(ref - 1)
@@ -650,9 +620,8 @@ def _interval_sample_ts(fam: NestedFamily, iv: Interval, criticals) -> list:
     for a, b in zip(pts, pts[1:]):
         out.append(a)
         out.append((a + b) / 2)
-    if pts:
-        out.append(pts[-1])
-    return [t for t in out if iv.contains(t)]
+    out.append(pts[-1])
+    return out
 
 
 def _completable_at(fam: NestedFamily, t):
@@ -688,12 +657,12 @@ def _chain_ends(polys):
     return None
 
 
-def _envelope_for_interval(fam: NestedFamily, iv: Interval, criticals):
+def _envelope_for_interval(fam: NestedFamily, iv: Interval, ts):
     """(inner, outer) envelope polygons valid for every t in the interval,
-    when the pairs move monotonically across it; else None."""
+    when the pairs at its sampled ts move monotonically across it; else
+    None."""
     if iv.lo is None or iv.hi is None:
         return None
-    ts = _interval_sample_ts(fam, iv, criticals)
     if len(ts) < 2:
         return None
     try:
@@ -972,12 +941,13 @@ def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
     except FamilyError:
         return {"verdict": "Unknown"}
     criticals = _critical_ts(fam)
-    samples = sorted({t for iv in fam.feasible for t in _interval_sample_ts(fam, iv, criticals)})
+    sampled = [(iv, _interval_sample_ts(iv, criticals)) for iv in fam.feasible]
+    samples = sorted({t for _, ts in sampled for t in ts})
     for t in _search_order(fam, samples):
         hit = _completable_at(fam, t)
         if hit is not None:
             return {**hit, "samples": samples}
-    return {**_refute(fam, criticals), "samples": samples}
+    return {**_refute(fam, sampled), "samples": samples}
 
 
 def _special_cases(canon: PartialMatrix, tag: str):
@@ -1015,16 +985,16 @@ def _search_order(fam: NestedFamily, samples: list) -> list:
     return simplicial + [t for t in samples if t not in simplicial]
 
 
-def _refute(fam: NestedFamily, criticals) -> dict:
-    """Rule out every feasible interval, by an envelope pair admitting no
-    nested triangle or, for 11_21, by sweeping the moving vertex; the
-    sweep may find a completion instead."""
-    if not fam.feasible:
+def _refute(fam: NestedFamily, sampled) -> dict:
+    """Rule out every feasible interval, given with its sampled ts, by an
+    envelope pair admitting no nested triangle or, for 11_21, by sweeping
+    the moving vertex; the sweep may find a completion instead."""
+    if not sampled:
         # no nonnegative completion of rank at most 3 exists at all
         return {"verdict": "NotCompletable"}
     envelope = {}
-    for iv in fam.feasible:
-        env = _envelope_for_interval(fam, iv, criticals)
+    for iv, ts in sampled:
+        env = _envelope_for_interval(fam, iv, ts)
         if env is not None:
             try:
                 pair = NestedPair(env[0], env[1], list(env[0].vertices), [], {})

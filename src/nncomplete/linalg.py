@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -125,23 +123,6 @@ class ExactMatrix:
             raise ValueError("column count mismatch in vstack")
         return ExactMatrix(self.to_lists() + other.to_lists())
 
-    def scale(self, c) -> "ExactMatrix":
-        c = _to_fraction(c)
-        return ExactMatrix([[c * x for x in r] for r in self._rows])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
-
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for r in self._rows for x in r)
 
@@ -157,9 +138,6 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.to_lists()]
     )
-
-
-ExactMatrix.__matmul__ = lambda self, other: matmul(self, other)  # type: ignore[attr-defined]
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]):

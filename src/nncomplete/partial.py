@@ -294,13 +294,8 @@ def zero_entries_line_consistent(m: PartialMatrix) -> bool:
     zero has all other observed entries of its row zero, or all other
     observed entries of its column zero.  This is exactly 1x1 minors
     zero-consistency, and exactly what rank-1 completability needs."""
-    zero_rows = set()
-    nonzero_rows = set()
-    zero_cols = set()
-    nonzero_cols = set()
-    for (i, j), v in m.values.items():
-        (nonzero_rows if v != 0 else zero_rows).add(i)
-        (nonzero_cols if v != 0 else zero_cols).add(j)
+    nonzero_rows = {i for (i, _), v in m.values.items() if v != 0}
+    nonzero_cols = {j for (_, j), v in m.values.items() if v != 0}
     for (i, j), v in m.values.items():
         if v != 0:
             continue

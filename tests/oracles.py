@@ -15,6 +15,7 @@ import numpy as np
 
 from nncomplete import (
     ExactMatrix,
+    Interval,
     LinearSolution,
     PartialMatrix,
     Poly,
@@ -420,6 +421,59 @@ def line_from_observed_minors(m: PartialMatrix) -> HalfPlane:
         mm((1, 4), (2, 4)) + mm((2, 4), (2, 4)) + mm((3, 4), (2, 4))
     )
     return HalfPlane(c0, cx, cy)
+
+
+# ---------------------------------------------------------------------------
+# feasible sets by candidate intervals
+
+
+def feasible_set_by_candidates(constraints) -> list:
+    """The feasible set of rational-function constraints built in passes:
+    keep each candidate interval between consecutive boundary points whose
+    interior probe is feasible (or that hides an irrational root), closed
+    at its feasible ends; then admit the feasible boundary points no kept
+    interval contains; then sort and join intervals that share a closed
+    end."""
+    bounds = set()
+    for rf in constraints:
+        for p in (rf.num, rf.den):
+            if not (p.is_zero() or p.is_constant()):
+                for a, b in p.isolate_real_roots():
+                    bounds.update((a, b))
+    bounds = sorted(bounds)
+    edges = [None] + bounds + [None]
+    candidates = list(zip(edges, edges[1:]))
+
+    def ok(t):
+        return all(rf.den(t) != 0 and rf(t) >= 0 for rf in constraints)
+
+    def hides_root(lo, hi):
+        return any(
+            p.count_roots(lo, hi) - (1 if p(hi) == 0 else 0) > 0
+            for rf in constraints
+            for p in (rf.num, rf.den)
+            if not (p.is_zero() or p.is_constant())
+        )
+
+    intervals = []
+    for lo, hi in candidates:
+        probe = Interval(lo, hi, True, True).sample()
+        if ok(probe) or (lo is not None and hi is not None and hides_root(lo, hi)):
+            lo_open, hi_open = lo is not None and not ok(lo), hi is not None and not ok(hi)
+            intervals.append(Interval(lo, hi, lo_open, hi_open))
+    for b in bounds:
+        if ok(b) and not any(iv.contains(b) for iv in intervals):
+            intervals.append(Interval(b, b))
+    intervals.sort(key=lambda iv: (iv.lo is not None, iv.lo))
+    merged = []
+    for iv in intervals:
+        last = merged[-1] if merged else None
+        if (last is not None and last.hi is not None and iv.lo is not None and last.hi == iv.lo
+                and not (last.hi_open and iv.lo_open)):
+            merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+        else:
+            merged.append(iv)
+    return merged
 
 
 # ---------------------------------------------------------------------------

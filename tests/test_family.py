@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nncomplete import (
     ExactMatrix,
@@ -40,6 +41,7 @@ from nncomplete.family import (
 from conftest import DATA, restrict, rnd_nonneg_product
 from oracles import (
     critical_ts_by_rational_functions,
+    feasible_set_by_candidates,
     line_from_observed_minors,
     special_case_by_block_factorization,
 )
@@ -72,6 +74,30 @@ def t_rf():
     return RationalFunction(Poly.x())
 
 
+small_root = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def constraint(draw):
+    """A rational function with rational roots of multiplicity 1-2, rational
+    poles and an optional factor t^2 - c (irrational roots when c is not a
+    square)."""
+
+    def product(factors):
+        out = Poly([draw(st.sampled_from([-3, -1, 1, 2]))])
+        for r, k in factors:
+            for _ in range(k):
+                out = out * Poly([-r, 1])
+        return out
+
+    root = st.tuples(small_root, st.integers(1, 2))
+    num = product(draw(st.lists(root, max_size=3)))
+    if draw(st.booleans()):
+        num = num * Poly([-draw(st.integers(1, 8)), 0, 1])
+    den = product(draw(st.lists(root, max_size=2)))
+    return RationalFunction(num, den)
+
+
 class TestFeasibleSet:
     def test_half_line(self):
         ivs = feasible_set([t_rf()])
@@ -97,6 +123,17 @@ class TestFeasibleSet:
         # -(t-2)^2 >= 0 only at t = 2
         rf = RationalFunction(Poly([-4, 4, -1]))
         assert feasible_set([rf]) == [Interval(F(2), F(2))]
+
+    def test_feasible_point_joins_two_gaps(self):
+        # (t-1)^2 t >= 0 on [0, inf): the feasible point 1 joins (0, 1) and
+        # (1, inf) into one interval
+        rf = RationalFunction(Poly([-1, 1]) * Poly([-1, 1]) * Poly.x())
+        assert feasible_set([rf]) == [Interval(F(0), None)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(constraint(), min_size=1, max_size=3))
+    def test_walk_matches_candidate_intervals(self, constraints):
+        assert feasible_set(constraints) == feasible_set_by_candidates(constraints)
 
     def test_irrational_boundary_over_approximates(self):
         # t^2 - 2 >= 0: feasible outside (-sqrt2, sqrt2); the result must
@@ -530,6 +567,15 @@ class TestFamilyPreconditions:
         with pytest.raises(FamilyError):
             family_11_21(pm)
 
+    def test_rejects_zero_first_column(self):
+        # with m31 = m41 = 0 the first column of B is t times a fixed vector;
+        # the zero-column special case decides such an input
+        pm = parse_partial("? 14 19 6\n? 14 17 4\n0 18 19 4\n0 6 8 2\n")
+        with pytest.raises(FamilyError, match="column 1 is zero in rows 3,4"):
+            family_11_21(pm)
+        cert = decide_nn3_two_missing(pm)
+        assert cert.verdict == "Completable" and cert.t_star is None
+
 
 CELLS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
 FIXTURES = [
@@ -672,7 +718,7 @@ class TestSingleSearch:
         counts = {True: 0, False: 0}
         for fam in (fam for m in inputs for fam in families_of(m)):
             criticals = _critical_ts(fam)
-            for t in sorted({t for iv in fam.feasible for t in _interval_sample_ts(fam, iv, criticals)}):
+            for t in sorted({t for iv in fam.feasible for t in _interval_sample_ts(iv, criticals)}):
                 completion = fam.completion_at(t)
                 if not completion.is_nonnegative():
                     continue
