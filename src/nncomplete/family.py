@@ -974,15 +974,22 @@ def _special_cases(canon: PartialMatrix, tag: str):
     return None
 
 
-def _search_order(fam: NestedFamily, samples: list) -> list:
-    """The t to try for a completion: the line-intersection t* (11_21) or
-    the samples with a simplicial outer cone (11_22) first, then every
-    other sample."""
+def _search_order(fam: NestedFamily, samples: list):
+    """The t to try for a completion, lazily: the line-intersection t*
+    (11_21) or the samples with a simplicial outer cone (11_22) first,
+    then every other sample.  A simplicial sample is yielded as soon as
+    the check finds it, so a hit among them stops the checks there."""
     if fam.tag == "11_21":
         t = sufficient_11_21(fam)
-        return samples if t is None else [t] + samples
-    simplicial = [t for t in samples if simplicial_sign_check(fam, t)]
-    return simplicial + [t for t in samples if t not in simplicial]
+        yield from samples if t is None else [t] + samples
+        return
+    rest = []
+    for t in samples:
+        if simplicial_sign_check(fam, t):
+            yield t
+        else:
+            rest.append(t)
+    yield from rest
 
 
 def _refute(fam: NestedFamily, sampled) -> dict:

@@ -7,11 +7,15 @@ exactly when a triangle fits between them; the search below enumerates
 anchored candidates (a vertex of the triangle at a vertex of Q, or a side
 containing an edge of P), which is sufficient.
 
-All coordinates are Fractions and every predicate is exact.  Sign tests
-(`side`, `HalfPlane.sign`) cross-multiply the numerators and denominators
-as Python integers, so they take no gcd and build no intermediate
-Fraction.  Values and constructed points (`orient`, `HalfPlane.value`,
-`chord_exit`, line intersections) stay in Fraction arithmetic.
+All coordinates are Fractions and every predicate is exact.  The kernels
+of the triangle search compute on Python integers and build a Fraction
+only for a value they return.  `side` cross-multiplies numerators and
+denominators.  Each half-plane keeps its coefficients as one integer
+triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates at a point.
+`polygon_from_halfplanes` meets two integer lines in their cross product
+and tests it with integer dot products, and `chord_exit` compares exit
+bounds by cross-multiplication.  `orient`, `HalfPlane.value` and
+`line_intersection` stay in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, inverse, matmul, pivot_columns, rank, solve_linear
+from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, pivot_columns, rank
+from .linalg import solve_linear, to_fraction
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -54,12 +59,12 @@ def side(a: Point, b: Point, c: Point) -> int:
     denominators, the sign of ux*vy - uy*vx is the sign of a
     cross-multiplied integer difference.
     """
-    an0, ad0 = a[0].numerator, a[0].denominator
-    an1, ad1 = a[1].numerator, a[1].denominator
-    bn0, bd0 = b[0].numerator, b[0].denominator
-    bn1, bd1 = b[1].numerator, b[1].denominator
-    cn0, cd0 = c[0].numerator, c[0].denominator
-    cn1, cd1 = c[1].numerator, c[1].denominator
+    an0, ad0 = a[0].as_integer_ratio()
+    an1, ad1 = a[1].as_integer_ratio()
+    bn0, bd0 = b[0].as_integer_ratio()
+    bn1, bd1 = b[1].as_integer_ratio()
+    cn0, cd0 = c[0].as_integer_ratio()
+    cn1, cd1 = c[1].as_integer_ratio()
     ux, uxd = bn0 * ad0 - an0 * bd0, bd0 * ad0
     uy, uyd = bn1 * ad1 - an1 * bd1, bd1 * ad1
     vx, vxd = cn0 * ad0 - an0 * cd0, cd0 * ad0
@@ -71,32 +76,35 @@ def side(a: Point, b: Point, c: Point) -> int:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """The set c0 + cx*x + cy*y >= 0."""
+    """The set c0 + cx*x + cy*y >= 0.
+
+    ``line`` is (c0, cx, cy) times the positive lcm of their denominators:
+    integers whose value at any point has the sign of the half-plane's."""
 
     c0: Fraction
     cx: Fraction
     cy: Fraction
+    line: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        object.__setattr__(self, "cx", Fraction(self.cx))
-        object.__setattr__(self, "cy", Fraction(self.cy))
+        c = [to_fraction(x) for x in (self.c0, self.cx, self.cy)]
+        object.__setattr__(self, "c0", c[0])
+        object.__setattr__(self, "cx", c[1])
+        object.__setattr__(self, "cy", c[2])
         if self.cx == 0 and self.cy == 0:
             raise ValueError("half-plane normal must be nonzero")
+        object.__setattr__(self, "line", tuple(integer_scaled(c)[0]))
 
     def value(self, p: Point) -> Fraction:
         return self.c0 + self.cx * p[0] + self.cy * p[1]
 
     def sign(self, p: Point) -> int:
-        """Sign of value(p), by integer cross-multiplication."""
-        c0, cx, cy = self.c0, self.cx, self.cy
-        xn, xd = p[0].numerator, p[0].denominator
-        yn, yd = p[1].numerator, p[1].denominator
-        # value(p) * c0d * cxd * xd * cyd * yd, all denominators positive
-        xs = cx.denominator * xd
-        ys = cy.denominator * yd
-        c0d = c0.denominator
-        v = c0.numerator * xs * ys + c0d * (cx.numerator * xn * ys + cy.numerator * yn * xs)
+        """Sign of value(p): the integer line at the homogeneous point
+        (xd*yd, xn*yd, yn*xd) of p = (xn/xd, yn/yd)."""
+        n0, nx, ny = self.line
+        xn, xd = p[0].as_integer_ratio()
+        yn, yd = p[1].as_integer_ratio()
+        v = n0 * xd * yd + nx * xn * yd + ny * yn * xd
         return (v > 0) - (v < 0)
 
     def contains(self, p: Point) -> bool:
@@ -118,7 +126,7 @@ def convex_hull(points) -> list:
     Collinear input collapses to the two extreme points; coincident input
     to a single point.
     """
-    pts = sorted(set((Fraction(x), Fraction(y)) for (x, y) in points))
+    pts = sorted(set((to_fraction(x), to_fraction(y)) for (x, y) in points))
     if not pts:
         raise ValueError("need at least one point")
     if len(pts) == 1:
@@ -147,7 +155,7 @@ class Polygon2:
     """
 
     def __init__(self, vertices):
-        vs = [(Fraction(x), Fraction(y)) for (x, y) in vertices]
+        vs = [(to_fraction(x), to_fraction(y)) for (x, y) in vertices]
         if not vs:
             raise ValueError("polygon needs at least one vertex")
         n = len(vs)
@@ -189,7 +197,7 @@ class Polygon2:
         return list(self._facets)
 
     def contains_point(self, p: Point) -> bool:
-        p = (Fraction(p[0]), Fraction(p[1]))
+        p = (to_fraction(p[0]), to_fraction(p[1]))
         if self.n == 1:
             return p == self.vertices[0]
         if self.n == 2:
@@ -230,30 +238,26 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
     hps = list(halfplanes)
     if not hps:
         raise UnboundedRegionError("no constraints")
+    lines = [hp.line for hp in hps]
     # nontrivial recession direction: d != 0 with all normals . d >= 0;
     # if one exists, some extreme candidate (a rotated normal) works
-    candidates = []
     for hp in hps:
-        candidates.append((-hp.cy, hp.cx))
-        candidates.append((hp.cy, -hp.cx))
-    for d in candidates:
-        if d == (0, 0):
-            continue
-        if all(hp.cx * d[0] + hp.cy * d[1] >= 0 for hp in hps):
-            raise UnboundedRegionError(f"region is unbounded in direction {d}")
+        for s in (1, -1):
+            dx, dy = -s * hp.line[2], s * hp.line[1]
+            if all(nx * dx + ny * dy >= 0 for _, nx, ny in lines):
+                d = (-s * hp.cy, s * hp.cx)
+                raise UnboundedRegionError(f"region is unbounded in direction {d}")
     verts = []
-    m = len(hps)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = hps[i], hps[j]
-            denom = a.cx * b.cy - a.cy * b.cx
-            if denom == 0:
+    for i, (a0, ax, ay) in enumerate(lines):
+        for b0, bx, by in lines[i + 1:]:
+            # the lines meet in their cross product (w, x, y), w > 0
+            w = ax * by - ay * bx
+            if w == 0:
                 continue
-            x = (-a.c0 * b.cy + b.c0 * a.cy) / denom
-            y = (-a.cx * b.c0 + b.cx * a.c0) / denom
-            p = (x, y)
-            if all(hp.sign(p) >= 0 for hp in hps):
-                verts.append(p)
+            s = 1 if w > 0 else -1
+            w, x, y = s * w, s * (ay * b0 - a0 * by), s * (a0 * bx - ax * b0)
+            if all(n0 * w + nx * x + ny * y >= 0 for n0, nx, ny in lines):
+                verts.append((Fraction(x, w), Fraction(y, w)))
     if not verts:
         raise ValueError("intersection of half-planes is empty")
     return Polygon2.from_points(verts)
@@ -263,9 +267,7 @@ class Triangle:
     """Non-degenerate triangle, stored counterclockwise."""
 
     def __init__(self, a: Point, b: Point, c: Point):
-        a = (Fraction(a[0]), Fraction(a[1]))
-        b = (Fraction(b[0]), Fraction(b[1]))
-        c = (Fraction(c[0]), Fraction(c[1]))
+        a, b, c = ((to_fraction(x), to_fraction(y)) for (x, y) in (a, b, c))
         s = side(a, b, c)
         if s == 0:
             raise ValueError("degenerate triangle")
@@ -403,20 +405,25 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
     """
     if v == towards:
         raise ValueError("undirected chord")
+    (vx, vy), vw = integer_scaled(v)
+    (tx, ty), tw = integer_scaled(towards)
+    # the ray leaves through a facet with values fv at v and ft at towards,
+    # fv > ft, at s = fv / (fv - ft); num and den are fv and fv - ft times
+    # one positive integer, so the least s is found by cross-multiplication
     hi = None
     for hp in outer.facets():
-        fv = hp.value(v)
-        ft = hp.value(towards)
-        slope = ft - fv
-        if slope >= 0:
+        n0, nx, ny = hp.line
+        num = (n0 * vw + nx * vx + ny * vy) * tw
+        den = num - (n0 * tw + nx * tx + ny * ty) * vw
+        if den <= 0:
             continue  # never leaves through this facet in forward direction
-        bound = fv / (-slope)
-        if hi is None or bound < hi:
-            hi = bound
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = (num, den)
     if hi is None:
         raise ValueError("ray never leaves the polygon; outer must be bounded")
+    s = Fraction(*hi)
     d = (towards[0] - v[0], towards[1] - v[1])
-    return (v[0] + hi * d[0], v[1] + hi * d[1])
+    return (v[0] + s * d[0], v[1] + s * d[1])
 
 
 def line_intersection(a1: Point, a2: Point, b1: Point, b2: Point):

@@ -10,10 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
-def _to_fraction(x) -> Fraction:
+def to_fraction(x) -> Fraction:
+    """x as a Fraction, refusing a binary float (0.1 would silently become
+    3602879701896397/36028797018963968)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
@@ -27,7 +30,7 @@ class ExactMatrix:
     __slots__ = ("_rows", "p", "q")
 
     def __init__(self, rows: Iterable[Sequence]):
-        data = [[_to_fraction(x) for x in row] for row in rows]
+        data = [[to_fraction(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         q = len(data[0])
@@ -110,7 +113,7 @@ class ExactMatrix:
 
     def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
         rows = self.to_lists()
-        rows[i - 1][j - 1] = _to_fraction(value)
+        rows[i - 1][j - 1] = to_fraction(value)
         return ExactMatrix(rows)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -130,14 +133,25 @@ class ExactMatrix:
         return all(x == 0 for r in self._rows for x in r)
 
 
+def integer_scaled(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ns, d): the Fractions xs times d, the lcm of their denominators, so
+    ns are integers and x_k = ns[k] / d."""
+    # a list, not a generator: with lcm(*generator), CPython 3.11's peak
+    # memory grew on every pass of nn_rank_at_most_3 over a corpus
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = lcm(*[q for _, q in ratios])
+    return [n * (d // q) for n, q in ratios], d
+
+
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product over common denominators: each row of a and
+    each column of b is scaled to integers by the lcm of its denominators,
+    so an entry is one integer dot product and one Fraction."""
     if a.q != b.p:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    bt = b.transpose().to_lists()
-    return ExactMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.to_lists()]
-    )
+    cols = [integer_scaled(col) for col in zip(*b._rows)]
+    rows = map(integer_scaled, a._rows)
+    return ExactMatrix([[Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in cols] for rn, rd in rows])
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]):
@@ -154,10 +168,8 @@ def _echelon(rows: Sequence[Sequence[Fraction]]):
     a = []
     scale = 1
     for row in rows:
-        # a list, not a generator: with lcm(*generator), CPython 3.11's
-        # peak memory grew on every pass of nn_rank_at_most_3 over a corpus
-        d = lcm(*[x.denominator for x in row])
-        a.append([x.numerator * (d // x.denominator) for x in row])
+        ns, d = integer_scaled(row)
+        a.append(ns)
         scale *= d
     p, q = len(a), len(a[0])
     pivots: list[int] = []

@@ -24,8 +24,9 @@ from nncomplete import (
     det,
     matmul,
     nn_rank_at_most_3,
+    simplicial_sign_check,
 )
-from nncomplete.geometry import HalfPlane, NestedPair, Triangle, contains
+from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, Triangle, UnboundedRegionError, contains
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +627,76 @@ def _assemble_block_completion(m: PartialMatrix, I, a_blk, b_blk) -> ExactMatrix
             ]
         )
     return matmul(ExactMatrix(a_rows), ExactMatrix(b_rows))
+
+
+# ---------------------------------------------------------------------------
+# Fraction kernels of the triangle search
+
+
+def matmul_by_fractions(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The matrix product with every entry a sum of Fraction products."""
+    if a.q != b.p:
+        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+    bt = b.transpose().to_lists()
+    return ExactMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.to_lists()]
+    )
+
+
+def chord_exit_by_fractions(v, towards, outer: Polygon2):
+    """Farthest point of outer on the ray v + s*(towards - v), s >= 0: the
+    least exit bound fv / (fv - ft) over the facets, each facet value a
+    Fraction."""
+    if v == towards:
+        raise ValueError("undirected chord")
+    hi = None
+    for hp in outer.facets():
+        fv = hp.value(v)
+        ft = hp.value(towards)
+        slope = ft - fv
+        if slope >= 0:
+            continue
+        bound = fv / (-slope)
+        if hi is None or bound < hi:
+            hi = bound
+    if hi is None:
+        raise ValueError("ray never leaves the polygon; outer must be bounded")
+    d = (towards[0] - v[0], towards[1] - v[1])
+    return (v[0] + hi * d[0], v[1] + hi * d[1])
+
+
+def polygon_from_halfplanes_by_fractions(halfplanes) -> Polygon2:
+    """Bounded intersection of half-planes: a rotated normal that every
+    normal meets at a nonnegative angle is a recession direction; the
+    vertices are the pairwise line intersections by Cramer's rule that
+    satisfy every half-plane, all in Fraction arithmetic."""
+    hps = list(halfplanes)
+    if not hps:
+        raise UnboundedRegionError("no constraints")
+    for hp in hps:
+        for d in ((-hp.cy, hp.cx), (hp.cy, -hp.cx)):
+            if all(h.cx * d[0] + h.cy * d[1] >= 0 for h in hps):
+                raise UnboundedRegionError(f"region is unbounded in direction {d}")
+    verts = []
+    for i, a in enumerate(hps):
+        for b in hps[i + 1:]:
+            denom = a.cx * b.cy - a.cy * b.cx
+            if denom == 0:
+                continue
+            p = ((-a.c0 * b.cy + b.c0 * a.cy) / denom, (-a.cx * b.c0 + b.cx * a.c0) / denom)
+            if all(h.value(p) >= 0 for h in hps):
+                verts.append(p)
+    if not verts:
+        raise ValueError("intersection of half-planes is empty")
+    return Polygon2.from_points(verts)
+
+
+# ---------------------------------------------------------------------------
+# the 11_22 search order, built in full before any t is tried
+
+
+def search_order_eager(fam, samples: list) -> list:
+    """Every sample with a simplicial outer cone, then every other sample,
+    both in sample order."""
+    simplicial = [t for t in samples if simplicial_sign_check(fam, t)]
+    return simplicial + [t for t in samples if t not in simplicial]

@@ -43,6 +43,7 @@ from oracles import (
     critical_ts_by_rational_functions,
     feasible_set_by_candidates,
     line_from_observed_minors,
+    search_order_eager,
     special_case_by_block_factorization,
 )
 
@@ -726,3 +727,35 @@ class TestSingleSearch:
                 assert found == nn_rank_at_most_3(completion)[0], (fam.tag, t)
                 counts[found] += 1
         assert counts[True] >= 20 and counts[False] >= 20
+
+
+class TestLazySearchOrder:
+    """The 11_22 search tries each simplicial sample as soon as the check
+    finds it; the sequence of tried t is still the eager order (every
+    simplicial sample, then the others)."""
+
+    # the fixtures whose two-hole inputs reach an 11_22 search
+    @pytest.mark.parametrize("name", [n for n in FIXTURES if n not in ("two_missing_column", "two_missing_unknown")])
+    def test_tried_sequence_is_the_eager_order(self, name, monkeypatch):
+        tried = {}
+        completable_at = nncomplete.family._completable_at
+
+        def recording(fam, t):
+            hit = completable_at(fam, t)
+            tried.setdefault(id(fam), (fam, []))[1].append((t, hit is not None))
+            return hit
+
+        monkeypatch.setattr(nncomplete.family, "_completable_at", recording)
+        for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text())):
+            decide_nn3_two_missing(m)
+        searches = [(fam, outcomes) for fam, outcomes in tried.values() if fam.tag == "11_22"]
+        for fam, outcomes in searches:
+            criticals = _critical_ts(fam)
+            samples = sorted({t for iv in fam.feasible for t in _interval_sample_ts(iv, criticals)})
+            eager = search_order_eager(fam, samples)
+            assert list(nncomplete.family._search_order(fam, samples)) == eager
+            ts = [t for t, _ in outcomes]
+            hit = outcomes[-1][1]
+            assert ts == (eager[:len(ts)] if hit else eager)
+            assert not any(found for _, found in outcomes[:-1])
+        assert searches

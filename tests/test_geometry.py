@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,10 +25,21 @@ from nncomplete import (
     tangent_vertex,
     triangle_to_factorization,
 )
-from nncomplete.geometry import bounded_nested_pair, orient, side
+import nncomplete.geometry
+from nncomplete.geometry import bounded_nested_pair, chord_exit, orient, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
-from oracles import nmf_residual, rotation_grid_triangle, tangent_vertex_brute, verify_triangle
+from oracles import (
+    chord_exit_by_fractions,
+    matmul_by_fractions,
+    nmf_residual,
+    polygon_from_halfplanes_by_fractions,
+    rotation_grid_triangle,
+    tangent_vertex_brute,
+    verify_triangle,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def rnd_point(rng, lo=-8, hi=8):
@@ -356,3 +368,131 @@ class TestNnRankAtMost3:
         with pytest.raises(VerificationError, match="P not inside triangle"):
             triangle_to_factorization(pair, tri, m)
         assert not issubclass(VerificationError, ValueError)
+
+
+def rnd_big_point(rng):
+    """A point whose coordinates have numerators and denominators of up
+    to 60 bits."""
+    return tuple(Fraction(rng.randint(-(2**60), 2**60), rng.randint(1, 2**60)) for _ in range(2))
+
+
+def rnd_halfplane(rng, big) -> HalfPlane:
+    coef = (lambda: rnd_big_point(rng)[0]) if big else (lambda: rnd_fraction(rng, -6, 6))
+    while True:
+        c0, cx, cy = coef(), coef(), coef()
+        if cx != 0 or cy != 0:
+            return HalfPlane(c0, cx, cy)
+
+
+def kernel_outcome(kernel, *args):
+    """What a kernel returns, as printed, or the type and message of the
+    ValueError it raises."""
+    try:
+        out = kernel(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    return repr(out.vertices if isinstance(out, Polygon2) else out)
+
+
+class TestIntegerKernelsAgainstFractionOracles:
+    """chord_exit and polygon_from_halfplanes on integers against the same
+    kernels in Fraction arithmetic: equal points print the same."""
+
+    def test_chord_exit_on_random_polygons(self, rng):
+        for trial in range(300):
+            outer = Polygon2.from_points([rnd_big_point(rng) if trial % 2 else rnd_point(rng)
+                                          for _ in range(rng.randint(3, 8))])
+            if outer.is_degenerate():
+                continue
+            vs = outer.vertices
+            weights = [rng.randint(0, 3) for _ in vs]
+            weights[rng.randrange(len(vs))] += 1
+            inside = tuple(sum(w * v[c] for w, v in zip(weights, vs)) / sum(weights) for c in (0, 1))
+            for v in (inside, vs[0]):
+                towards = rnd_point(rng) if trial % 3 else vs[rng.randrange(len(vs))]
+                if towards == v:
+                    continue
+                assert repr(chord_exit(v, towards, outer)) == repr(chord_exit_by_fractions(v, towards, outer))
+
+    def test_chord_exit_on_int_points(self, rng):
+        for _ in range(200):
+            outer = Polygon2.from_points([(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)])
+            if outer.is_degenerate():
+                continue
+            v = next((x, y) for x in range(-9, 10) for y in range(-9, 10) if outer.contains_point((x, y)))
+            towards = (rng.randint(-9, 9), rng.randint(-9, 9))
+            assert kernel_outcome(chord_exit, v, towards, outer) == kernel_outcome(
+                chord_exit_by_fractions, v, towards, outer)
+
+    def test_undirected_chord_is_refused(self):
+        square = Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert kernel_outcome(chord_exit, (0, 0), (0, 0), square) == (ValueError, "undirected chord")
+        assert kernel_outcome(chord_exit_by_fractions, (0, 0), (0, 0), square) == (ValueError, "undirected chord")
+
+    def test_polygon_from_random_halfplanes(self, rng):
+        """Random constraints with parallel and duplicate facets: bounded,
+        unbounded and empty regions all occur."""
+        kinds = {"bounded": 0, "unbounded": 0, "empty": 0}
+        for trial in range(400):
+            hps = [rnd_halfplane(rng, big=trial % 2 == 1) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 3)):
+                hp = rng.choice(hps)
+                k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                hps.append(rng.choice([
+                    hp,  # a duplicate
+                    HalfPlane(k * hp.c0, k * hp.cx, k * hp.cy),  # the same line, scaled
+                    HalfPlane(hp.c0 + k, hp.cx, hp.cy),  # parallel, facing the same way
+                    HalfPlane(k - hp.c0, -hp.cx, -hp.cy),  # parallel, facing the other way
+                ]))
+            rng.shuffle(hps)
+            got = kernel_outcome(polygon_from_halfplanes, hps)
+            assert got == kernel_outcome(polygon_from_halfplanes_by_fractions, hps)
+            kinds["bounded" if isinstance(got, str) else
+                  "unbounded" if got[0] is UnboundedRegionError else "empty"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    @pytest.mark.parametrize("hps", [
+        [],
+        [HalfPlane(0, 1, 0), HalfPlane(0, 0, 1)],
+        [HalfPlane(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)), HalfPlane(1, Fraction(2, 7), Fraction(-5, 2))],
+        [HalfPlane(-1, 1, 0), HalfPlane(-1, -1, 0), HalfPlane(1, 0, 1), HalfPlane(1, 0, -1)],
+        [HalfPlane(0, 1, 0), HalfPlane(0, 0, 1), HalfPlane(1, -1, -1), HalfPlane(2, -2, -2)],
+    ], ids=["none", "quadrant", "strip", "empty", "triangle-duplicate-facet"])
+    def test_polygon_from_halfplanes_edge_cases(self, hps):
+        assert kernel_outcome(polygon_from_halfplanes, hps) == kernel_outcome(polygon_from_halfplanes_by_fractions, hps)
+
+    def test_nnrank3_corpus_witnesses(self, monkeypatch):
+        """A sample of the benchmark's nnrank3 corpus at both corpus seeds
+        decides with the same witness under the Fraction kernels."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        cases = [c for seed in (corpus.DEFAULT_CORPUS_SEED, corpus.HELD_OUT_CORPUS_SEED)
+                 for c in corpus.nnrank3(seed)[::6]]
+        matrices = [ExactMatrix(c.rows) for c in cases]
+        integer = [repr(nn_rank_at_most_3(m)) for m in matrices]
+        monkeypatch.setattr(nncomplete.geometry, "matmul", matmul_by_fractions)
+        monkeypatch.setattr(nncomplete.geometry, "chord_exit", chord_exit_by_fractions)
+        monkeypatch.setattr(nncomplete.geometry, "polygon_from_halfplanes", polygon_from_halfplanes_by_fractions)
+        assert [repr(nn_rank_at_most_3(m)) for m in matrices] == integer
+        assert {w.startswith("(True") for w in integer} == {True, False}
+
+
+class TestRefusesBinaryFloats:
+    """Like ExactMatrix, the geometry constructors take ints, Fractions and
+    strings, and refuse a binary float instead of reading its exact value."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: HalfPlane(0.1, 1, 0),
+        lambda: convex_hull([(0.1, 0), (1, 0), (0, 1)]),
+        lambda: Polygon2([(0.1, 0), (1, 0), (0, 1)]),
+        lambda: Polygon2([(0, 0), (1, 0), (0, 1)]).contains_point((0.1, 0)),
+        lambda: Triangle((0.1, 0), (1, 0), (0, 1)),
+    ], ids=["HalfPlane", "convex_hull", "Polygon2", "contains_point", "Triangle"])
+    def test_float_raises_type_error(self, build):
+        with pytest.raises(TypeError, match="refusing float 0.1"):
+            build()
+
+    def test_strings_and_ints_still_accepted(self):
+        assert HalfPlane("1/2", 1, 0) == HalfPlane(Fraction(1, 2), 1, 0)
+        assert Triangle(("1/2", 0), (1, 0), (0, 1)).vertices[0] == (Fraction(1, 2), 0)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import rnd_fraction
 from oracles import (
     det_cofactor,
     greedy_independent_columns,
+    matmul_by_fractions,
     matrix_rank_float,
     rank_by_minors,
     solve_linear_gauss_jordan,
@@ -195,3 +197,48 @@ class TestAgainstOracles:
     @given(wide_matrices())
     def test_pivot_columns_are_greedy_independent_columns(self, m):
         assert pivot_columns(m) == greedy_independent_columns(m)
+
+
+def rnd_mixed_rational(rng) -> Fraction:
+    """Zero, a small rational, or one with a numerator and a denominator
+    of up to 80 bits, each of either sign."""
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.6:
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+    return Fraction(rng.randint(-(2**80), 2**80), rng.randint(1, 2**80))
+
+
+class TestMatmulAgainstFractionOracle:
+    """The integer product over common denominators against the sum of
+    Fraction products; Fractions are normalized, so equal entries print
+    the same."""
+
+    def test_random_rationals_with_large_and_mixed_denominators(self):
+        rng = random.Random(4111)
+        for _ in range(300):
+            p, k, q = (rng.randint(1, 5) for _ in range(3))
+            a = ExactMatrix([[rnd_mixed_rational(rng) for _ in range(k)] for _ in range(p)])
+            b = ExactMatrix([[rnd_mixed_rational(rng) for _ in range(q)] for _ in range(k)])
+            assert repr(matmul(a, b)) == repr(matmul_by_fractions(a, b))
+
+    def test_zero_rows_and_zero_columns(self):
+        rng = random.Random(4112)
+        for _ in range(100):
+            p, k, q = (rng.randint(1, 4) for _ in range(3))
+            rows = [[rnd_mixed_rational(rng) for _ in range(k)] for _ in range(p)]
+            cols = [[rnd_mixed_rational(rng) for _ in range(k)] for _ in range(q)]
+            rows[rng.randrange(p)] = [0] * k
+            cols[rng.randrange(q)] = [0] * k
+            a, b = ExactMatrix(rows), ExactMatrix(cols).transpose()
+            product = matmul(a, b)
+            assert product == matmul_by_fractions(a, b)
+            assert any(all(x == 0 for x in product.row(i)) for i in range(1, p + 1))
+            assert any(all(x == 0 for x in product.col(j)) for j in range(1, q + 1))
+
+    def test_inner_dimensions_must_agree(self):
+        a, b = ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3)
+        for mul in (matmul, matmul_by_fractions):
+            with pytest.raises(ValueError, match="inner dimensions disagree"):
+                mul(a, b)
