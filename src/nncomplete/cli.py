@@ -15,7 +15,7 @@ import os
 import sys
 
 from .linalg import ExactMatrix, rank
-from .partial import ParseError, PartialMatrix, format_rational, parse_partial, serialize_matrix
+from .partial import ParseError, PartialMatrix, parse_partial, serialize_matrix
 from .completion import (
     classify_one_missing,
     nn_rank2_complete_3x3,
@@ -104,7 +104,7 @@ def _cmd_one_missing(args, out) -> int:
         hole = _parse_hole(args.hole)
     outcome = classify_one_missing(m, hole, args.rank)
     if outcome.kind == "unique":
-        _emit(out, f"UNIQUE {format_rational(outcome.matrix.entry(*hole))}")
+        _emit(out, f"UNIQUE {outcome.matrix.entry(*hole)}")
         _emit(out, serialize_matrix(outcome.matrix))
     else:
         _emit(out, outcome.kind.upper())
@@ -136,27 +136,30 @@ def _cmd_nn3_decide(args, out) -> int:
     else:
         _emit(out, _describe_certificate(cert))
     if args.svg:
-        _write_svg_for(m, cert, args.svg)
+        _write_svg(m, cert, args.svg, out)
     return 2 if cert.verdict == "Unknown" else 0
 
 
 def _describe_certificate(cert: Nn3Certificate) -> str:
-    lines = [f"{cert.verdict} (pattern {cert.pattern})"]
-    if cert.t_star is not None:
-        lines.append(f"t* = {format_rational(cert.t_star)}")
-    if cert.completion is not None:
+    d = cert.to_json_dict()
+
+    def points(vertices):
+        return " ".join(f"({x},{y})" for x, y in vertices)
+
+    lines = [f"{d['verdict']} (pattern {d['pattern']})"]
+    if d["t_star"] is not None:
+        lines.append(f"t* = {d['t_star']}")
+    if d["completion"] is not None:
         lines.append("completion:")
-        lines.append(serialize_matrix(cert.completion).rstrip("\n"))
-    if cert.triangle is not None:
-        pts = " ".join(f"({format_rational(v[0])},{format_rational(v[1])})" for v in cert.triangle.vertices)
-        lines.append(f"triangle: {pts}")
-    if cert.envelope is not None:
+        lines += [" ".join(row) for row in d["completion"]]
+    if d["triangle"] is not None:
+        lines.append(f"triangle: {points(d['triangle'])}")
+    if d["envelope"] is not None:
         lines.append("refuting envelope:")
-        for label, poly in (("inner", cert.envelope[0]), ("outer", cert.envelope[1])):
-            pts = " ".join(f"({format_rational(v[0])},{format_rational(v[1])})" for v in poly.vertices)
-            lines.append(f"  {label}: {pts}")
-    if cert.samples:
-        lines.append("sampled t: " + " ".join(format_rational(t) for t in cert.samples))
+        lines.append(f"  inner: {points(d['envelope']['inner'])}")
+        lines.append(f"  outer: {points(d['envelope']['outer'])}")
+    if d["samples"]:
+        lines.append("sampled t: " + " ".join(d["samples"]))
     return "\n".join(lines)
 
 
@@ -187,22 +190,19 @@ def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
     return pair, nested_triangle(pair)
 
 
-def _write_svg_for(m: PartialMatrix, cert: Nn3Certificate | None, path: str):
+def _write_svg(m: PartialMatrix, cert: Nn3Certificate | None, path: str | None, out):
+    """Render the figure of m into the file at path, or to out without one."""
     pair, tri = _pair_for_plot(m, cert)
     svg = render_nested_pair(pair, tri)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-
-
-def _cmd_plot(args, out) -> int:
-    m = _read_input(args.input)
-    pair, tri = _pair_for_plot(m, None)
-    svg = render_nested_pair(pair, tri)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
     else:
         out.write(svg)
+
+
+def _cmd_plot(args, out) -> int:
+    _write_svg(_read_input(args.input), None, args.out, out)
     return 0
 
 

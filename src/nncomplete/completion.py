@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .geometry import VerificationError
 from .linalg import ExactMatrix, det, matmul, pivot_columns, rank
-from .partial import PartialMatrix, Pattern, support_graph, cycle_property, \
-    zero_entries_line_consistent, multiplicative_potentials
+from .partial import PartialMatrix, Pattern, multiplicative_potentials, nonzero_lines, support_graph, \
+    zero_entries_line_consistent
 
 
 @dataclass
@@ -53,10 +53,21 @@ def rank1_complete(m: PartialMatrix, require_nonnegative: bool = False) -> Compl
     if require_nonnegative and not m.is_nonnegative():
         raise ValueError("nonnegative completion requested but an observed entry is negative")
 
-    if not zero_entries_line_consistent(m) or not cycle_property(m):
+    if not zero_entries_line_consistent(m):
+        return CompletionOutcome("none")
+    # With every observed zero line-consistent, the cycle property is the
+    # consistency of the potentials: each arc of the zero-edge digraph
+    # (see cycle_property) starts at a row with no nonzero entry, which no
+    # arc enters, or ends at a column with no nonzero entry, which no arc
+    # leaves, so no cycle passes through a zero entry.
+    graph = support_graph(m)
+    row_pot, col_pot, consistent = multiplicative_potentials(m, graph)
+    if not consistent:
         return CompletionOutcome("none")
 
-    u, v = _rank1_factors(m)
+    nz_rows, nz_cols = nonzero_lines(m)
+    u = _rank1_factor(m.p, nz_rows, {i for i, _ in m.pattern.observed}, row_pot)
+    v = _rank1_factor(m.q, nz_cols, {j for _, j in m.pattern.observed}, col_pot)
     if require_nonnegative:
         u = [abs(x) for x in u]
         v = [abs(x) for x in v]
@@ -64,10 +75,9 @@ def rank1_complete(m: PartialMatrix, require_nonnegative: bool = False) -> Compl
     if not m.agrees_with(completion):
         raise VerificationError("rank-1 completion disagrees with an observed entry")
 
-    graph = support_graph(m)
-    if graph.nonzero_is_connected():
-        return CompletionOutcome("unique", completion)
     free = len(graph.components(nonzero_only=True)) - 1
+    if free == 0:
+        return CompletionOutcome("unique", completion)
     return CompletionOutcome(
         "infinite",
         completion,
@@ -75,39 +85,17 @@ def rank1_complete(m: PartialMatrix, require_nonnegative: bool = False) -> Compl
     )
 
 
-def _rank1_factors(m: PartialMatrix):
-    """Vectors u, v with u v^T completing m, assuming 1x1 minors
-    zero-consistency and the cycle property hold.
+def _rank1_factor(n: int, nonzero: set, observed: set, potentials: dict) -> list:
+    """One factor of the canonical rank-1 completion, over lines 1..n.
 
-    Rows/columns with a nonzero observed entry take their multiplicative
+    Lines with a nonzero observed entry take their multiplicative
     potential; observed-but-all-zero lines take 0 (forced for every zero
     that is not already killed from the other side, and canonical
     otherwise); fully unobserved lines take 1 (canonical root)."""
-    graph = support_graph(m)
-    row_pot, col_pot, consistent = multiplicative_potentials(m, graph)
-    if not consistent:
-        raise VerificationError("multiplicative potentials are inconsistent")
-    nz_rows = {i for (i, j) in graph.nonzero_edges}
-    nz_cols = {j for (i, j) in graph.nonzero_edges}
-    observed_rows = {i for (i, j) in m.pattern.observed}
-    observed_cols = {j for (i, j) in m.pattern.observed}
-    u = []
-    for i in range(1, m.p + 1):
-        if i in nz_rows:
-            u.append(row_pot[i])
-        elif i in observed_rows:
-            u.append(Fraction(0))
-        else:
-            u.append(Fraction(1))
-    v = []
-    for j in range(1, m.q + 1):
-        if j in nz_cols:
-            v.append(col_pot[j])
-        elif j in observed_cols:
-            v.append(Fraction(0))
-        else:
-            v.append(Fraction(1))
-    return u, v
+    return [
+        potentials[k] if k in nonzero else Fraction(0) if k in observed else Fraction(1)
+        for k in range(1, n + 1)
+    ]
 
 
 def extend_by_sparse_row(m: PartialMatrix, completed_rest: ExactMatrix, i: int) -> ExactMatrix:
@@ -166,8 +154,10 @@ def nn_rank2_complete_3x3(m: PartialMatrix) -> CompletionOutcome:
     characterization.
 
     Covered cases: fully observed; a row or column with at most one
-    observed entry (deleted, completed, re-attached).  Other patterns raise
-    an "unsupported pattern" error rather than risking a wrong answer.
+    observed entry (deleted, completed, re-attached), which every other
+    pattern without a diagonal-like missing set has.  A pattern without
+    one would raise an "unsupported pattern" error rather than risk a
+    wrong answer.
     """
     if (m.p, m.q) != (3, 3):
         raise ValueError("matrix must be 3x3")
@@ -182,62 +172,59 @@ def nn_rank2_complete_3x3(m: PartialMatrix) -> CompletionOutcome:
             return CompletionOutcome("unique", full)
         return CompletionOutcome("none")
 
-    for transpose in (False, True):
-        work = m.transpose() if transpose else m
-        out = _complete_via_sparse_line(work)
-        if out is not None:
-            if out.kind != "none" and transpose:
-                out = CompletionOutcome(out.kind, out.matrix.transpose(), out.description)
-            return out
+    # holes are filled only when no line qualifies without them, so that
+    # every answer of the first pass stays as it is
+    for fill_hole in (False, True):
+        for transpose in (False, True):
+            work = m.transpose() if transpose else m
+            out = _complete_via_sparse_line(work, fill_hole)
+            if out is not None:
+                if out.kind != "none" and transpose:
+                    out = CompletionOutcome(out.kind, out.matrix.transpose(), out.description)
+                return out
     raise ValueError("unsupported pattern: no row or column with at most one observed entry")
 
 
-def _complete_via_sparse_line(m: PartialMatrix) -> CompletionOutcome | None:
-    """Try the sparse-row reduction; None means no row of m qualifies."""
+def _complete_via_sparse_line(m: PartialMatrix, fill_hole: bool) -> CompletionOutcome | None:
+    """Try the sparse-row reduction; None means no row of m qualifies.
+
+    A row whose only observed entry m_ij is nonzero is re-attached by
+    scaling another row at column j.  When column j has holes and no other
+    nonzero entry, the row qualifies only with ``fill_hole``, which puts a
+    1 in the first of those holes.
+    """
     for i in range(1, m.p + 1):
         observed = [(j, m.entry(i, j)) for j in range(1, m.q + 1) if m.is_observed(i, j)]
         if len(observed) > 1:
             continue
         rest_rows = [r for r in range(1, m.p + 1) if r != i]
-        rest = PartialMatrix(
-            Pattern(
-                m.p - 1,
-                m.q,
-                frozenset(
-                    (rest_rows.index(r) + 1, j) for (r, j) in m.pattern.observed if r != i
-                ),
-            ),
-            {
-                (rest_rows.index(r) + 1, j): val
-                for (r, j), val in m.values.items()
-                if r != i
-            },
-        )
+        rest = PartialMatrix.from_rows([[m.get(r, c) for c in range(1, m.q + 1)] for r in rest_rows])
+        fills = {pos: Fraction(0) for pos in rest.pattern.missing}
         if observed and observed[0][1] != 0:
-            j = observed[0][0]
-            col_rest = [m.entry(r, j) for r in rest_rows if m.is_observed(r, j)]
-            observed_in_col = sum(1 for r in rest_rows if m.is_observed(r, j))
-            if any(x != 0 for x in col_rest):
-                # scale another row: any nonnegative fill of the 2x3 rest works
-                completed_rest = rest.complete_with(
-                    {pos: Fraction(0) for pos in rest.pattern.missing}
-                )
-                return CompletionOutcome("some", extend_by_sparse_row(m, completed_rest, i))
-            if observed_in_col < m.p - 1:
-                continue  # column undetermined; try another line
-            # all other entries of column j are observed zeros: the rest
-            # must have a rank-<=1 completion for any rank-<=2 completion
-            # of m to exist at all
-            rest_outcome = rank1_complete(rest, require_nonnegative=True)
-            if rest_outcome.kind == "none":
-                return CompletionOutcome("none")
-            rows = rest_outcome.matrix.to_lists()
-            new_row = [Fraction(0)] * m.q
-            new_row[j - 1] = observed[0][1]
-            rows.insert(i - 1, new_row)
-            return CompletionOutcome("some", ExactMatrix(rows))
-        completed_rest = rest.complete_with({pos: Fraction(0) for pos in rest.pattern.missing})
-        return CompletionOutcome("some", extend_by_sparse_row(m, completed_rest, i))
+            j, mij = observed[0]
+            col_rest = [m.get(r, j) for r in rest_rows]
+            if all(x is None or x == 0 for x in col_rest):
+                if None not in col_rest:
+                    # all other entries of column j are observed zeros: the
+                    # rest must have a rank-<=1 completion for any rank-<=2
+                    # completion of m to exist at all
+                    rest_outcome = rank1_complete(rest, require_nonnegative=True)
+                    if rest_outcome.kind == "none":
+                        return CompletionOutcome("none")
+                    rows = rest_outcome.matrix.to_lists()
+                    new_row = [Fraction(0)] * m.q
+                    new_row[j - 1] = mij
+                    rows.insert(i - 1, new_row)
+                    return CompletionOutcome("some", ExactMatrix(rows))
+                if not fill_hole:
+                    continue  # column undetermined; try another line
+                k = col_rest.index(None) + 1
+                fills[(k, j)] = Fraction(1)
+                rows = rest.complete_with(fills).to_lists()
+                rows.insert(i - 1, [mij * x for x in rows[k - 1]])
+                return CompletionOutcome("some", ExactMatrix(rows))
+        # scale another row: any nonnegative fill of the 2x3 rest works
+        return CompletionOutcome("some", extend_by_sparse_row(m, rest.complete_with(fills), i))
     return None
 
 
@@ -255,20 +242,15 @@ def classify_one_missing(m: PartialMatrix, hole: tuple, r: int) -> CompletionOut
         raise ValueError(f"rank bound {r} exceeds matrix dimensions")
     if r < 1:
         raise ValueError("rank bound must be >= 1")
-    if m.pattern.missing != frozenset({(i, j)}):
-        raise ValueError(f"pattern must be missing exactly the entry {hole}")
+    if in_singular_image(m, hole, r):
+        canonical = m.complete_with({(i, j): Fraction(0)})
+        return CompletionOutcome("infinite", canonical, "the missing entry may take any value")
 
     rows_wo = [x for x in range(1, m.p + 1) if x != i]
     cols_wo = [y for y in range(1, m.q + 1) if y != j]
-    all_rows = list(range(1, m.p + 1))
-    all_cols = list(range(1, m.q + 1))
-    row_deleted = m.observed_submatrix(rows_wo, all_cols)
-    col_deleted = m.observed_submatrix(all_rows, cols_wo)
+    row_deleted = m.observed_submatrix(rows_wo, range(1, m.q + 1))
+    col_deleted = m.observed_submatrix(range(1, m.p + 1), cols_wo)
     both_deleted = m.observed_submatrix(rows_wo, cols_wo)
-
-    if rank(row_deleted) <= r - 1 or rank(col_deleted) <= r - 1:
-        canonical = m.complete_with({(i, j): Fraction(0)})
-        return CompletionOutcome("infinite", canonical, "the missing entry may take any value")
 
     if rank(both_deleted) == r and rank(row_deleted) == r and rank(col_deleted) == r:
         # independent rows and independent columns of a rank-r matrix
@@ -309,8 +291,8 @@ def in_singular_image(m: PartialMatrix, hole: tuple, r: int) -> bool:
         raise ValueError(f"pattern must be missing exactly the entry {hole}")
     rows_wo = [x for x in range(1, m.p + 1) if x != i]
     cols_wo = [y for y in range(1, m.q + 1) if y != j]
-    row_deleted = m.observed_submatrix(rows_wo, list(range(1, m.q + 1)))
-    col_deleted = m.observed_submatrix(list(range(1, m.p + 1)), cols_wo)
+    row_deleted = m.observed_submatrix(rows_wo, range(1, m.q + 1))
+    col_deleted = m.observed_submatrix(range(1, m.p + 1), cols_wo)
     return rank(row_deleted) <= r - 1 or rank(col_deleted) <= r - 1
 
 

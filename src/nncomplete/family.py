@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import ExactMatrix, inverse, matmul, rank, solve_linear
-from .partial import PartialMatrix, Pattern, format_rational
+from .partial import PartialMatrix
 from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
     SUM_CHART,
@@ -187,18 +187,19 @@ class NestedFamily:
     moving_vertex: tuple  # (RationalFunction x, RationalFunction y)
     line_p1: HalfPlane | None = None
 
-    def completion_at(self, t) -> ExactMatrix:
+    def factors_at(self, t) -> tuple:
+        """The factors (A(t), B(t))."""
         t = Fraction(t)
-        return matmul(rf_matrix_eval(self.a_of_t, t), rf_matrix_eval(self.b_of_t, t))
+        return rf_matrix_eval(self.a_of_t, t), rf_matrix_eval(self.b_of_t, t)
+
+    def completion_at(self, t) -> ExactMatrix:
+        return matmul(*self.factors_at(t))
 
     def is_feasible(self, t) -> bool:
         return any(iv.contains(Fraction(t)) for iv in self.feasible)
 
     def pair_at(self, t) -> NestedPair:
-        t = Fraction(t)
-        return polytopes_from_factorization(
-            rf_matrix_eval(self.a_of_t, t), rf_matrix_eval(self.b_of_t, t), self.chart
-        )
+        return polytopes_from_factorization(*self.factors_at(t), self.chart)
 
     def moving_vertex_limit(self):
         """Limit point of the moving vertex as t -> +infinity (11_21)."""
@@ -513,15 +514,7 @@ def normalize_two_missing(m: PartialMatrix):
         tag = "11_22"
         row_perm = (r1, r2) + tuple(i for i in (1, 2, 3, 4) if i not in (r1, r2))
         col_perm = (c1, c2) + tuple(j for j in (1, 2, 3, 4) if j not in (c1, c2))
-    values = {}
-    observed = set()
-    for i in range(1, 5):
-        for j in range(1, 5):
-            oi, oj = row_perm[i - 1], col_perm[j - 1]
-            if m.is_observed(oi, oj):
-                observed.add((i, j))
-                values[(i, j)] = m.entry(oi, oj)
-    canon = PartialMatrix(Pattern(4, 4, frozenset(observed)), values)
+    canon = PartialMatrix.from_rows([[m.get(i, j) for j in col_perm] for i in row_perm])
     return canon, Normalization(transposed, row_perm, col_perm, tag)
 
 
@@ -631,11 +624,12 @@ def _completable_at(fam: NestedFamily, t):
     t = Fraction(t)
     if not fam.is_feasible(t):
         return None
-    completion = fam.completion_at(t)
+    a, b = fam.factors_at(t)
+    completion = matmul(a, b)
     if not completion.is_nonnegative():
         return None
     try:
-        pair = fam.pair_at(t)
+        pair = polytopes_from_factorization(a, b, fam.chart)
         tri = nested_triangle(pair)
     except ValueError:
         return None
@@ -847,46 +841,30 @@ class Nn3Certificate:
     samples: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        frac = format_rational
+        def text(x):
+            return None if x is None else str(x)
 
-        def point(p):
-            return [frac(p[0]), frac(p[1])]
+        def points(polygon):
+            return [[str(x), str(y)] for x, y in polygon.vertices]
 
-        out = {
+        t_lo, t_hi = self.envelope_t or (None, None)
+        return {
             "verdict": self.verdict,
             "pattern": self.pattern,
-            "t_star": frac(self.t_star) if self.t_star is not None else None,
+            "t_star": text(self.t_star),
             "completion": (
-                [[frac(x) for x in row] for row in self.completion.to_lists()]
-                if self.completion is not None
-                else None
+                None if self.completion is None
+                else [[str(x) for x in row] for row in self.completion.to_lists()]
             ),
-            "triangle": (
-                [point(v) for v in self.triangle.vertices]
-                if self.triangle is not None
-                else None
-            ),
-            "envelope": (
-                {
-                    "inner": [point(v) for v in self.envelope[0].vertices],
-                    "outer": [point(v) for v in self.envelope[1].vertices],
-                    "t_lo": (
-                        frac(self.envelope_t[0])
-                        if self.envelope_t and self.envelope_t[0] is not None
-                        else None
-                    ),
-                    "t_hi": (
-                        frac(self.envelope_t[1])
-                        if self.envelope_t and self.envelope_t[1] is not None
-                        else None
-                    ),
-                }
-                if self.envelope is not None
-                else None
-            ),
-            "samples": [frac(t) for t in self.samples],
+            "triangle": None if self.triangle is None else points(self.triangle),
+            "envelope": None if self.envelope is None else {
+                "inner": points(self.envelope[0]),
+                "outer": points(self.envelope[1]),
+                "t_lo": text(t_lo),
+                "t_hi": text(t_hi),
+            },
+            "samples": [str(t) for t in self.samples],
         }
-        return out
 
 
 def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:

@@ -147,11 +147,6 @@ class PartialMatrix:
 # text format
 
 
-def format_rational(x: Fraction) -> str:
-    """``p/q`` text of a rational, or ``p`` when it is an integer."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_partial(text: str) -> PartialMatrix:
     """Parse the whitespace-separated matrix text format.
 
@@ -190,7 +185,7 @@ def serialize_partial(m: PartialMatrix) -> str:
     for i in range(1, m.p + 1):
         toks = []
         for j in range(1, m.q + 1):
-            toks.append(format_rational(m.entry(i, j)) if m.is_observed(i, j) else "?")
+            toks.append(str(m.entry(i, j)) if m.is_observed(i, j) else "?")
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -265,28 +260,21 @@ class ZeroLineFlags:
         return self.row or self.column
 
 
+def nonzero_lines(m: PartialMatrix):
+    """(rows, columns) that hold a nonzero observed entry."""
+    nonzero = [pos for pos, v in m.values.items() if v != 0]
+    return {i for i, _ in nonzero}, {j for _, j in nonzero}
+
+
 def zero_line_property(m: PartialMatrix) -> ZeroLineFlags:
     """Zero row / zero column property flags.
 
     Row flag: every observed zero entry has all other observed entries in
     its row equal to zero.  Column flag analogous.
     """
-    row_ok = True
-    col_ok = True
-    for (i, j), v in m.values.items():
-        if v != 0:
-            continue
-        if row_ok and any(
-            m.get(i, jj, Fraction(0)) != 0 for jj in range(1, m.q + 1) if jj != j
-        ):
-            row_ok = False
-        if col_ok and any(
-            m.get(ii, j, Fraction(0)) != 0 for ii in range(1, m.p + 1) if ii != i
-        ):
-            col_ok = False
-        if not row_ok and not col_ok:
-            break
-    return ZeroLineFlags(row_ok, col_ok)
+    rows, cols = nonzero_lines(m)
+    zeros = [pos for pos, v in m.values.items() if v == 0]
+    return ZeroLineFlags(all(i not in rows for i, _ in zeros), all(j not in cols for _, j in zeros))
 
 
 def zero_entries_line_consistent(m: PartialMatrix) -> bool:
@@ -294,14 +282,8 @@ def zero_entries_line_consistent(m: PartialMatrix) -> bool:
     zero has all other observed entries of its row zero, or all other
     observed entries of its column zero.  This is exactly 1x1 minors
     zero-consistency, and exactly what rank-1 completability needs."""
-    nonzero_rows = {i for (i, _), v in m.values.items() if v != 0}
-    nonzero_cols = {j for (_, j), v in m.values.items() if v != 0}
-    for (i, j), v in m.values.items():
-        if v != 0:
-            continue
-        if i in nonzero_rows and j in nonzero_cols:
-            return False
-    return True
+    rows, cols = nonzero_lines(m)
+    return not any(v == 0 and i in rows and j in cols for (i, j), v in m.values.items())
 
 
 def multiplicative_potentials(m: PartialMatrix, graph: SupportGraph):

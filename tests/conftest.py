@@ -90,6 +90,29 @@ def rnd_nonneg_product(rng, p, q, r, zero_chance=0.25) -> ExactMatrix:
     return matmul(a, b)
 
 
+def rnd_signed_partial(rng) -> PartialMatrix:
+    """1x1 to 4x4 with about a third of the entries missing.  Entries are
+    independent in 0..3 or -2..3, or those of a rank-1 product u v^T with
+    u, v in -2..3; now and then a row or a column is zeroed."""
+    p, q = rng.randint(1, 4), rng.randint(1, 4)
+    lo = rng.choice((0, -2))
+    if rng.random() < 0.5:
+        rows = [[rng.randint(lo, 3) for _ in range(q)] for _ in range(p)]
+    else:
+        u = [rng.randint(lo, 3) for _ in range(p)]
+        v = [rng.randint(lo, 3) for _ in range(q)]
+        rows = [[x * y for y in v] for x in u]
+    if rng.random() < 0.3:
+        rows[rng.randrange(p)] = [0] * q
+    if rng.random() < 0.3:
+        j = rng.randrange(q)
+        for row in rows:
+            row[j] = 0
+    return PartialMatrix.from_rows(
+        [[None if rng.random() < 0.35 else x for x in row] for row in rows]
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from nncomplete import (
+    CompletionOutcome,
     ExactMatrix,
     Interval,
     LinearSolution,
@@ -21,12 +22,16 @@ from nncomplete import (
     Poly,
     RationalFunction,
     VerificationError,
+    cycle_property,
     det,
     matmul,
     nn_rank_at_most_3,
     simplicial_sign_check,
+    support_graph,
+    zero_entries_line_consistent,
 )
 from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, Triangle, UnboundedRegionError, contains
+from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +216,81 @@ def cycle_condition_brute_force(m: PartialMatrix) -> bool:
         if even != odd:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# rank-1 completion through the full cycle property, and the zero-line
+# flags by scanning every line of every observed zero
+
+
+def rank1_complete_by_cycle_property(m: PartialMatrix, require_nonnegative: bool = False):
+    """rank1_complete that tests the cycle property in full, zero entries
+    included, and builds the support graph and the potentials afresh for
+    the factors and again for uniqueness."""
+    if require_nonnegative and not m.is_nonnegative():
+        raise ValueError("nonnegative completion requested but an observed entry is negative")
+    if not zero_entries_line_consistent(m) or not cycle_property(m):
+        return CompletionOutcome("none")
+    graph = support_graph(m)
+    row_pot, col_pot, consistent = multiplicative_potentials(m, graph)
+    if not consistent:
+        raise VerificationError("multiplicative potentials are inconsistent")
+    nz_rows = {i for (i, j) in graph.nonzero_edges}
+    nz_cols = {j for (i, j) in graph.nonzero_edges}
+    observed_rows = {i for (i, j) in m.pattern.observed}
+    observed_cols = {j for (i, j) in m.pattern.observed}
+    u = []
+    for i in range(1, m.p + 1):
+        if i in nz_rows:
+            u.append(row_pot[i])
+        elif i in observed_rows:
+            u.append(Fraction(0))
+        else:
+            u.append(Fraction(1))
+    v = []
+    for j in range(1, m.q + 1):
+        if j in nz_cols:
+            v.append(col_pot[j])
+        elif j in observed_cols:
+            v.append(Fraction(0))
+        else:
+            v.append(Fraction(1))
+    if require_nonnegative:
+        u = [abs(x) for x in u]
+        v = [abs(x) for x in v]
+    completion = ExactMatrix([[ui * vj for vj in v] for ui in u])
+    if not m.agrees_with(completion):
+        raise VerificationError("rank-1 completion disagrees with an observed entry")
+    graph = support_graph(m)
+    if graph.nonzero_is_connected():
+        return CompletionOutcome("unique", completion)
+    free = len(graph.components(nonzero_only=True)) - 1
+    return CompletionOutcome(
+        "infinite",
+        completion,
+        f"{free} free relative scaling(s) between components of the nonzero support graph",
+    )
+
+
+def zero_line_property_by_loops(m: PartialMatrix) -> ZeroLineFlags:
+    """Row flag: no observed zero shares its row with an observed nonzero;
+    column flag likewise, each found by scanning the zero's whole line."""
+    row_ok = True
+    col_ok = True
+    for (i, j), v in m.values.items():
+        if v != 0:
+            continue
+        if row_ok and any(
+            m.get(i, jj, Fraction(0)) != 0 for jj in range(1, m.q + 1) if jj != j
+        ):
+            row_ok = False
+        if col_ok and any(
+            m.get(ii, j, Fraction(0)) != 0 for ii in range(1, m.p + 1) if ii != i
+        ):
+            col_ok = False
+        if not row_ok and not col_ok:
+            break
+    return ZeroLineFlags(row_ok, col_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,13 +30,23 @@ from conftest import (
     rnd_nonneg_product,
     rnd_pattern,
     rnd_rank1_nonneg,
+    rnd_signed_partial,
 )
 from oracles import (
     cycle_condition_brute_force,
     one_missing_by_minors,
     random_boundary_product,
+    rank1_complete_by_cycle_property,
     sextic_by_text,
 )
+
+
+def _outcome_text(fn, *args) -> str:
+    """repr of the result, or the type and message of a ValueError."""
+    try:
+        return repr(fn(*args))
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 class TestRank1Complete:
@@ -102,6 +113,19 @@ class TestRank1Complete:
         assert rank1_complete(parse_partial("1 2\n3 4\n")).kind == "none"
         assert not cycle_property(parse_partial("1 2\n3 4\n"))
 
+    def test_matches_full_cycle_property_oracle(self, rng):
+        """Same outcome, byte for byte, as testing the cycle property in
+        full, on 4,000 seeded matrices with zero lines and negative
+        entries."""
+        kinds = Counter()
+        for _ in range(4000):
+            pm = rnd_signed_partial(rng)
+            for nonneg in (False, True):
+                got = _outcome_text(rank1_complete, pm, nonneg)
+                assert got == _outcome_text(rank1_complete_by_cycle_property, pm, nonneg), repr(pm)
+                kinds[next(k for k in ("'none'", "'unique'", "'infinite'", "ValueError") if k in got)] += 1
+        assert len(kinds) == 4 and min(kinds.values()) > 200
+
 
 class TestExtendBySparseRow:
     def test_scaled_row_keeps_rank(self):
@@ -150,11 +174,7 @@ class TestNnRank2Complete3x3:
                 with pytest.raises(ValueError):
                     nn_rank2_complete_3x3(pm)
                 continue
-            try:
-                out = nn_rank2_complete_3x3(pm)
-            except ValueError as e:
-                assert "unsupported pattern" in str(e)
-                continue
+            out = nn_rank2_complete_3x3(pm)
             if out.has_completion():
                 produced += 1
                 assert pm.agrees_with(out.matrix)
@@ -178,6 +198,23 @@ class TestNnRank2Complete3x3:
         assert rank(out.matrix) <= 2 and out.matrix.is_nonnegative()
         pm_bad = parse_partial("3 ? ?\n0 1 2\n0 2 5\n")
         assert nn_rank2_complete_3x3(pm_bad).kind == "none"
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("? 3 ?\n3 ? ?\n? 0 3\n", [[9, 3, 0], [3, 1, 0], [0, 0, 3]]),
+            ("2 ? 3\n? 1 ?\n1 ? 1\n", [[2, 1, 3], [2, 1, 3], [1, 0, 1]]),
+        ],
+    )
+    def test_sparse_row_over_column_without_nonzero(self, text, want):
+        # no sparse line qualifies without a fill: the only entry of each
+        # sparse row or column lies across holes and zeros, so a 1 goes into
+        # a hole of that column and the sparse row scales the row it is in
+        pm = parse_partial(text)
+        out = nn_rank2_complete_3x3(pm)
+        assert out.kind == "some"
+        assert out.matrix == ExactMatrix(want)
+        assert pm.agrees_with(out.matrix) and rank(out.matrix) <= 2
 
 
 def _random_one_missing(rng, case):

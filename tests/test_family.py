@@ -759,3 +759,34 @@ class TestLazySearchOrder:
             assert ts == (eager[:len(ts)] if hit else eager)
             assert not any(found for _, found in outcomes[:-1])
         assert searches
+
+
+class TestFactorsAt:
+    def test_each_tried_t_evaluates_the_factors_once(self, monkeypatch):
+        """The search evaluates A(t) and B(t) once per feasible tried t and
+        reads the completion and the pair from those two matrices."""
+        evaluated = []
+        rf_matrix_eval = nncomplete.family.rf_matrix_eval
+        completable_at = nncomplete.family._completable_at
+
+        def counting_eval(rows, t):
+            evaluated.append(t)
+            return rf_matrix_eval(rows, t)
+
+        def checking(fam, t):
+            before = len(evaluated)
+            hit = completable_at(fam, t)
+            assert len(evaluated) - before == (2 if fam.is_feasible(t) else 0)
+            if hit is not None:
+                assert hit["completion"] == fam.completion_at(t)
+            tried.append(t)
+            return hit
+
+        tried = []
+        monkeypatch.setattr(nncomplete.family, "rf_matrix_eval", counting_eval)
+        monkeypatch.setattr(nncomplete.family, "_completable_at", checking)
+        inputs = [parse_partial((DATA / f"{name}.txt").read_text())
+                  for name in ("two_missing_completable", "two_missing_diagonal")]
+        inputs += canonical_products(5, ((1, 1), (2, 2)), 4)
+        verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
+        assert tried and verdicts >= {"Completable", "NotCompletable"}

@@ -18,6 +18,9 @@ CASES_STDOUT = [
     ("perturbed.check.txt", ("check-nnrank3", "perturbed_full.txt")),
     ("column_holes.json", ("nn3-decide", "two_missing_column.txt", "--json")),
     ("diagonal_holes.json", ("nn3-decide", "two_missing_diagonal.txt", "--json")),
+    ("two_missing_column.txt", ("nn3-decide", "two_missing_column.txt")),
+    ("two_missing_diagonal.txt", ("nn3-decide", "two_missing_diagonal.txt")),
+    ("two_missing_completable.txt", ("nn3-decide", "two_missing_completable.txt")),
 ]
 
 CASES_SVG = [

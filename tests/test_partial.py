@@ -16,7 +16,10 @@ from nncomplete import (
     zero_line_property,
 )
 
-from conftest import restrict, rnd_pattern, rnd_rank1_nonneg
+from nncomplete.partial import multiplicative_potentials
+
+from conftest import restrict, rnd_pattern, rnd_rank1_nonneg, rnd_signed_partial
+from oracles import zero_line_property_by_loops
 
 
 class TestParsing:
@@ -105,6 +108,18 @@ class TestZeroLineProperty:
         assert not zero_entries_line_consistent(m)
         assert not zero_line_property(m).either()
 
+    def test_flags_match_loop_oracle(self, rng):
+        """The flags read from the nonzero lines equal those found by
+        scanning the lines of every zero, on 4,000 seeded matrices with
+        zero lines and negative entries."""
+        seen = set()
+        for _ in range(4000):
+            pm = rnd_signed_partial(rng)
+            flags = zero_line_property(pm)
+            assert repr(flags) == repr(zero_line_property_by_loops(pm)), repr(pm)
+            seen.add(flags)
+        assert len(seen) == 4
+
 
 class TestCycleProperty:
     def test_matches_brute_force_enumeration(self, rng):
@@ -130,6 +145,20 @@ class TestCycleProperty:
                 assert got == want
                 agree += 1
         assert agree > 50  # the comparison actually exercised both answers
+
+    def test_line_consistent_zeros_leave_only_potentials(self, rng):
+        """Once every observed zero is line-consistent, no cycle through a
+        zero entry can fail: the cycle property is then the consistency
+        flag of the potentials, which rank1_complete relies on."""
+        seen = set()
+        for _ in range(4000):
+            pm = rnd_signed_partial(rng)
+            if not zero_entries_line_consistent(pm):
+                continue
+            _, _, consistent = multiplicative_potentials(pm, support_graph(pm))
+            assert cycle_property(pm) == consistent, repr(pm)
+            seen.add((consistent, any(v == 0 for v in pm.values.values())))
+        assert len(seen) == 4  # either answer, with and without observed zeros
 
     def test_simple_violation(self):
         pm = parse_partial("1 2\n3 4\n")  # 1*4 != 2*3
