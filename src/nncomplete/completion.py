@@ -242,17 +242,13 @@ def classify_one_missing(m: PartialMatrix, hole: tuple, r: int) -> CompletionOut
         raise ValueError(f"rank bound {r} exceeds matrix dimensions")
     if r < 1:
         raise ValueError("rank bound must be >= 1")
-    if in_singular_image(m, hole, r):
+    rows_wo, cols_wo, (row_rank, col_rank) = _deleted_line_ranks(m, hole)
+    if min(row_rank, col_rank) <= r - 1:
         canonical = m.complete_with({(i, j): Fraction(0)})
         return CompletionOutcome("infinite", canonical, "the missing entry may take any value")
 
-    rows_wo = [x for x in range(1, m.p + 1) if x != i]
-    cols_wo = [y for y in range(1, m.q + 1) if y != j]
-    row_deleted = m.observed_submatrix(rows_wo, range(1, m.q + 1))
-    col_deleted = m.observed_submatrix(range(1, m.p + 1), cols_wo)
     both_deleted = m.observed_submatrix(rows_wo, cols_wo)
-
-    if rank(both_deleted) == r and rank(row_deleted) == r and rank(col_deleted) == r:
+    if row_rank == col_rank == r and rank(both_deleted) == r:
         # independent rows and independent columns of a rank-r matrix
         # meet in a nonsingular r x r minor
         K, L = pivot_columns(both_deleted.transpose()), pivot_columns(both_deleted)
@@ -286,14 +282,23 @@ def in_singular_image(m: PartialMatrix, hole: tuple, r: int) -> bool:
     """Whether the one-missing-entry instance lies in the image of the
     singular locus of the forget-one-entry projection: deleting the hole's
     row or column already drops the rank below r."""
+    return min(_deleted_line_ranks(m, hole)[2]) <= r - 1
+
+
+def _deleted_line_ranks(m: PartialMatrix, hole: tuple):
+    """The rows other than the hole's, the columns other than the hole's,
+    and the ranks of m with the hole's row deleted and with its column
+    deleted."""
     i, j = hole
     if m.pattern.missing != frozenset({(i, j)}):
         raise ValueError(f"pattern must be missing exactly the entry {hole}")
     rows_wo = [x for x in range(1, m.p + 1) if x != i]
     cols_wo = [y for y in range(1, m.q + 1) if y != j]
-    row_deleted = m.observed_submatrix(rows_wo, range(1, m.q + 1))
-    col_deleted = m.observed_submatrix(range(1, m.p + 1), cols_wo)
-    return rank(row_deleted) <= r - 1 or rank(col_deleted) <= r - 1
+    ranks = (
+        rank(m.observed_submatrix(rows_wo, range(1, m.q + 1))),
+        rank(m.observed_submatrix(range(1, m.p + 1), cols_wo)),
+    )
+    return rows_wo, cols_wo, ranks
 
 
 # term list: (sign, [(i,j) factors]); degree six, 24 monomials

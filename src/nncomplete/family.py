@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import ExactMatrix, inverse, matmul, rank, solve_linear
+from .linalg import ExactMatrix, det, inverse, matmul, rank, solve_linear
 from .partial import PartialMatrix
 from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
@@ -374,6 +374,7 @@ def special_case_low_rank(m: PartialMatrix, r: int):
     block's factors stacked on an identity for the other rows.  For a
     nonnegative block of rank at most 2 the nonnegative rank equals the
     rank, so a rank test decides; rank 3 calls ``nn_rank_at_most_3``.
+    The two-hole decision no longer calls it: it tests the zero fill.
     """
     if not m.is_nonnegative():
         raise ValueError("observed entries must be nonnegative")
@@ -739,42 +740,39 @@ def sweep_candidates(fam: NestedFamily) -> set:
     return candidates
 
 
-def _sweep_moving_vertex(fam: NestedFamily, iv: Interval):
-    """Exhaustive check along the arc of the moving vertex when it stays
-    on the boundary of the fixed outer polygon.
+def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
+    """Whether an exhaustive check along the arc of the moving vertex,
+    when it stays on the boundary of the fixed outer polygon, refutes the
+    interval.
 
-    Returns ("completable", t), ("refuted", None) or ("unknown", None).
     The arc is cut at every candidate position where the greedy chain can
     change combinatorics (incidences of chain lines with vertices of the
     polygons, propagated up to three chords back); between consecutive
     candidates the chain moves monotonically, so testing candidates and
-    midpoints decides the whole arc.
+    midpoints decides the whole arc.  A nested triangle at any position
+    inside the outer polygon leaves the interval unrefuted.
     """
     line = fam.line_p1
     outer = fam.fixed_outer
     if line is None or _facet_of(outer, line) is None:
-        return "unknown", None
+        return False
     x_rf, y_rf = fam.moving_vertex
-
-    def p1_at(t):
-        return (x_rf(t), y_rf(t))
-
     # arc endpoints
     ends = []
-    for bound, is_open in ((iv.lo, iv.lo_open), (iv.hi, iv.hi_open)):
+    for bound in (iv.lo, iv.hi):
         if bound is None:
             lim = fam.moving_vertex_limit()
             if lim[0] is None or lim[1] is None:
-                return "unknown", None
+                return False
             ends.append(lim)
         else:
             if not (x_rf.defined_at(bound) and y_rf.defined_at(bound)):
-                return "unknown", None
-            ends.append(p1_at(bound))
+                return False
+            ends.append((x_rf(bound), y_rf(bound)))
     e0, e1 = ends
     if e0 == e1:
         # the vertex does not move; a plain sample decides
-        return "unknown", None
+        return False
     d = (e1[0] - e0[0], e1[1] - e0[1])
 
     def along(p):
@@ -795,24 +793,15 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval):
     if on_arc:
         probe_points.append(on_arc[-1])
 
-    found_unrealizable = False
     for c in probe_points:
         inner = Polygon2.from_points([c] + fixed_pts)
         if not contains(outer, inner):
             # positions outside the outer polygon cannot occur for
             # feasible t; skip them
             continue
-        pair = NestedPair(inner, outer, [c] + fixed_pts, [], {})
-        tri = nested_triangle(pair)
-        if tri is None:
-            continue
-        t = _solve_moving_vertex(fam, c)
-        if t is not None and iv.contains(t):
-            return "completable", t
-        found_unrealizable = True
-    if found_unrealizable:
-        return "unknown", None
-    return "refuted", None
+        if nested_triangle(NestedPair(inner, outer, [c] + fixed_pts, [], {})) is not None:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +860,11 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
     """Decide whether a 4x4 partial nonnegative matrix with two missing
     entries admits a completion of nonnegative rank at most 3.
 
-    The verdict is three-valued; "Unknown" means neither the constructive
-    search nor the refutation machinery resolved the instance.  Verdicts
-    of "Completable" are always backed by an exact witness factorization
-    (A, B) with A.B equal to the returned completion.  Since transposition
+    The verdict is three-valued; "Unknown" means neither the zero fill,
+    the constructive search, the refutation machinery nor the determinant
+    curve resolved the instance.  Verdicts of "Completable" are always
+    backed by an exact witness factorization (A, B) with A.B equal to the
+    returned completion.  Since transposition
     preserves nonnegative rank, an inconclusive run on holes in different
     rows and columns is retried on the transpose, which yields an
     independent parametrization; holes sharing a row or a column
@@ -905,19 +895,24 @@ def _certificate(norm: Normalization, verdict: str, completion=None, witness=Non
 
 
 def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
-    """The decision stages on the canonical instance, in order: special
-    cases, family construction, the sufficient condition (11_21) or the
+    """The decision stages on the canonical instance, in order: the zero
+    fill, family construction, the sufficient condition (11_21) or the
     simplicial check (11_22) ordering the sampled t, the sampled t, then
-    an envelope or a sweep per feasible interval and the pole check.  The
-    first stage with an answer decides.  Returns the certificate fields;
-    the completion and the witness are in the canonical orientation."""
-    outcome = _special_cases(canon, tag)
-    if outcome is not None:
-        return outcome
+    an envelope or a sweep per feasible interval and the pole check.  When
+    no family can be built or its feasible set is empty, the determinant
+    curve decides instead.  The first stage with an answer decides.
+    Returns the certificate fields; the completion and the witness are in
+    the canonical orientation."""
+    filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
+    ok, witness = nn_rank_at_most_3(filled)
+    if ok:
+        return {"verdict": "Completable", "completion": filled, "witness": witness}
     try:
         fam = family_11_21(canon) if tag == "11_21" else family_11_22(canon)
     except FamilyError:
-        return {"verdict": "Unknown"}
+        fam = None
+    if fam is None or not fam.feasible:
+        return {"verdict": "NotCompletable" if _curve_misses_quadrant(canon) else "Unknown"}
     criticals = _critical_ts(fam)
     sampled = [(iv, _interval_sample_ts(iv, criticals)) for iv in fam.feasible]
     samples = sorted({t for _, ts in sampled for t in ts})
@@ -928,28 +923,23 @@ def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
     return {**_refute(fam, sampled), "samples": samples}
 
 
-def _special_cases(canon: PartialMatrix, tag: str):
-    """Outcomes that do not need the parametrized family, or None."""
-    # the zero fill, certified by a low-rank observed block or, for 11_21,
-    # by the first column being zero in both fully observed rows
-    if special_case_low_rank(canon, 3) is not None or (
-        tag == "11_21" and all(canon.get(i, 1, Fraction(0)) == 0 for i in (3, 4))
-    ):
-        filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
-        ok, witness = nn_rank_at_most_3(filled)
-        if not ok:
-            raise VerificationError("the certified zero fill has nonnegative rank above 3")
-        return {"verdict": "Completable", "completion": filled, "witness": witness}
-    if (
-        tag == "11_21"
-        and rank(canon.observed_submatrix([3, 4], [2, 3, 4])) <= 1
-        and rank(canon.observed_submatrix([3, 4], [1, 2, 3, 4])) == 2
-        and rank(canon.observed_submatrix([1, 2, 3, 4], [2, 3, 4])) == 3
-    ):
-        # the two fully observed rows force a direction no completion
-        # of rank at most three can match
-        return {"verdict": "NotCompletable"}
-    return None
+def _curve_misses_quadrant(m: PartialMatrix) -> bool:
+    """Whether no fill of the two holes with values s, h >= 0 makes the
+    4x4 matrix singular, so that no completion has rank at most 3.
+
+    The determinant is affine in each hole, alpha*s*h + beta*s + gamma*h
+    + delta, and four fills read off its coefficients.  The curve misses
+    the closed quadrant exactly when delta != 0 and each of alpha, beta,
+    gamma is 0 or has the sign of delta: otherwise it vanishes at (0, 0)
+    or changes sign along s = 0, h = 0 or s = h.
+    """
+    first, second = sorted(m.pattern.missing)
+    delta, d10, d01, d11 = (
+        det(m.complete_with({first: s, second: h})) for s, h in ((0, 0), (1, 0), (0, 1), (1, 1))
+    )
+    beta, gamma = d10 - delta, d01 - delta
+    alpha = d11 - beta - gamma - delta
+    return delta != 0 and all(c * delta >= 0 for c in (alpha, beta, gamma))
 
 
 def _search_order(fam: NestedFamily, samples: list):
@@ -973,10 +963,7 @@ def _search_order(fam: NestedFamily, samples: list):
 def _refute(fam: NestedFamily, sampled) -> dict:
     """Rule out every feasible interval, given with its sampled ts, by an
     envelope pair admitting no nested triangle or, for 11_21, by sweeping
-    the moving vertex; the sweep may find a completion instead."""
-    if not sampled:
-        # no nonnegative completion of rank at most 3 exists at all
-        return {"verdict": "NotCompletable"}
+    the moving vertex."""
     envelope = {}
     for iv, ts in sampled:
         env = _envelope_for_interval(fam, iv, ts)
@@ -988,14 +975,8 @@ def _refute(fam: NestedFamily, sampled) -> dict:
                     continue
             except ValueError:
                 pass
-        if fam.tag == "11_21":
-            status, t = _sweep_moving_vertex(fam, iv)
-            if status == "refuted":
-                continue
-            hit = _completable_at(fam, t) if status == "completable" else None
-            if hit is not None:
-                return hit
-        return {"verdict": "Unknown"}
+        if not (fam.tag == "11_21" and _sweep_moving_vertex(fam, iv)):
+            return {"verdict": "Unknown"}
     if fam.tag == "11_22" and not _poles_ruled_out(fam):
         return {"verdict": "Unknown"}
     return {"verdict": "NotCompletable", **envelope}

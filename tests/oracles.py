@@ -780,3 +780,28 @@ def search_order_eager(fam, samples: list) -> list:
     both in sample order."""
     simplicial = [t for t in samples if simplicial_sign_check(fam, t)]
     return simplicial + [t for t in samples if t not in simplicial]
+
+
+# ---------------------------------------------------------------------------
+# the determinant curve of a two-hole 4x4 matrix, on a grid of hole values
+
+
+CURVE_GRID = [0] + [2**k for k in range(0, 49, 4)]
+
+
+def curve_meets_quadrant_on_grid(m: PartialMatrix) -> bool:
+    """Whether the determinant, as the two holes range over the grid
+    {0} u {2^k : k = 0, 4, ..., 48}, is 0 somewhere or takes both signs:
+    then it vanishes somewhere in the closed quadrant of hole values.
+    Integer entries stay Python ints, which keeps the 169 cofactor
+    expansions cheap."""
+    (i1, j1), (i2, j2) = sorted(m.pattern.missing)
+    base = [[m.get(i, j, Fraction(0)) for j in range(1, 5)] for i in range(1, 5)]
+    base = [[x.numerator if x.denominator == 1 else x for x in row] for row in base]
+    signs = set()
+    for s, h in itertools.product(CURVE_GRID, repeat=2):
+        rows = [list(row) for row in base]
+        rows[i1 - 1][j1 - 1], rows[i2 - 1][j2 - 1] = s, h
+        d = det_cofactor(rows)
+        signs.add((d > 0) - (d < 0))
+    return 0 in signs or signs == {-1, 1}

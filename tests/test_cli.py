@@ -182,6 +182,14 @@ class TestNn3Decide:
         assert lines[0].startswith("Completable")
         assert "completion:" in lines
 
+    def test_curve_refutation_exits_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("2 4 ? 3\n8 ? 2 3\n6 4 0 5\n6 2 2 4\n")
+        )
+        code, out, err = run(capsys, "nn3-decide", "-")
+        assert code == 0
+        assert out.splitlines()[0] == "NotCompletable (pattern 11_22)"
+
     def test_unknown_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "nncomplete.cli.decide_nn3_two_missing",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nncomplete.completion
 from nncomplete import (
     ExactMatrix,
     PartialMatrix,
@@ -303,6 +304,21 @@ class TestClassifyOneMissing:
         out = classify_one_missing(perturbed_one_missing, (1, 1), 3)
         assert out.kind == "unique"
         assert out.matrix.entry(1, 1) == 12
+
+    def test_each_deleted_line_ranked_once(self, monkeypatch, perturbed_one_missing):
+        # the row-deleted and column-deleted ranks serve both the infinite
+        # test and the unique test; then the both-deleted block and the
+        # completion are ranked
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return rank(m)
+
+        monkeypatch.setattr(nncomplete.completion, "rank", counting)
+        out = classify_one_missing(perturbed_one_missing, (1, 1), 3)
+        assert out.kind == "unique"
+        assert len(calls) == 4
 
     def test_in_singular_image(self):
         pm = parse_partial("? 1 1\n1 1 1\n1 1 1\n")

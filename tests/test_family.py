@@ -14,7 +14,6 @@ from nncomplete import (
     NestedPair,
     Poly,
     RationalFunction,
-    VerificationError,
     decide_nn3_two_missing,
     family_11_21,
     family_11_22,
@@ -34,6 +33,7 @@ from nncomplete import (
 import nncomplete.family
 from nncomplete.family import (
     _critical_ts,
+    _curve_misses_quadrant,
     _interval_sample_ts,
     denormalize_matrix,
 )
@@ -41,6 +41,7 @@ from nncomplete.family import (
 from conftest import DATA, restrict, rnd_nonneg_product
 from oracles import (
     critical_ts_by_rational_functions,
+    curve_meets_quadrant_on_grid,
     feasible_set_by_candidates,
     line_from_observed_minors,
     search_order_eager,
@@ -399,16 +400,6 @@ class TestSpecialCases:
             a, b = cert.witness
             assert matmul(a, b) == cert.completion
 
-    @pytest.mark.parametrize(
-        "text",
-        ["? 5 1 9\n? 1 7 7\n0 5 9 1\n0 9 3 3\n", "? 5 1 9\n? 1 7 7\n1 2 3 4\n2 4 6 8\n"],
-        ids=["zero_column", "block_padding"],
-    )
-    def test_zero_column_check_survives_stripped_asserts(self, monkeypatch, text):
-        monkeypatch.setattr(nncomplete.family, "nn_rank_at_most_3", lambda m: (False, None))
-        with pytest.raises(VerificationError):
-            decide_nn3_two_missing(parse_partial(text))
-
     def test_rank_test_matches_block_factorization(self, perturbed_full):
         # a fully observed rank-3 block of nonnegative rank 4 above an
         # unobserved row, then mostly low-rank nonnegative products, so a
@@ -451,6 +442,36 @@ class TestSpecialCases:
         pm = parse_partial("? 1 0 0\n? 0 1 0\n1 1 2 3\n5 2 4 6\n")
         cert = decide_nn3_two_missing(pm)
         assert cert.verdict == "NotCompletable"
+
+
+class TestDeterminantCurve:
+    def test_zero_fill_decides_before_the_family(self):
+        pm = parse_partial("11 9 14 5\n14 6 16 5\n16 ? 16 4\n5 3 ? 2\n")
+        cert = decide_nn3_two_missing(pm)
+        assert cert.verdict == "Completable"
+        assert cert.completion == pm.complete_with({hole: 0 for hole in pm.pattern.missing})
+        assert cert.t_star is None and cert.samples == []
+        a, b = cert.witness
+        assert matmul(a, b) == cert.completion
+
+    def test_curve_missing_the_quadrant_refutes(self):
+        # det = 6sh + 12s + 16h + 32 is positive for every s, h >= 0
+        pm = parse_partial("2 4 ? 3\n8 ? 2 3\n6 4 0 5\n6 2 2 4\n")
+        assert _curve_misses_quadrant(pm)
+        assert decide_nn3_two_missing(pm).verdict == "NotCompletable"
+
+    def test_sign_rule_matches_grid_oracle(self):
+        rng = random.Random(1301)
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        fired = 0
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 3) for _ in range(4)] for _ in range(4)])
+            holes = rng.sample(cells, 2)
+            pm = restrict(full, Pattern(4, 4, frozenset(cells) - set(holes)))
+            misses = _curve_misses_quadrant(pm)
+            assert misses == (not curve_meets_quadrant_on_grid(pm))
+            fired += misses
+        assert fired >= 10
 
 
 class TestDecisionEndToEnd:
