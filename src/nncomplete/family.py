@@ -619,7 +619,7 @@ def _interval_sample_ts(iv: Interval, criticals) -> list:
 
 
 def _completable_at(fam: NestedFamily, t):
-    """A Completable outcome at t if a triangle nests in the pair there,
+    """A Completable certificate at t if a triangle nests in the pair there,
     else None.  The completion there then has nonnegative rank at most 3,
     and the witness is that triangle lifted to a factorization of it."""
     t = Fraction(t)
@@ -637,8 +637,8 @@ def _completable_at(fam: NestedFamily, t):
     if tri is None:
         return None
     witness = triangle_to_factorization(pair, tri, completion)
-    return {"verdict": "Completable", "t_star": t, "completion": completion, "witness": witness,
-            "triangle": tri}
+    return Nn3Certificate("Completable", fam.tag, t_star=t, completion=completion, witness=witness,
+                          triangle=tri)
 
 
 def _chain_ends(polys):
@@ -860,67 +860,67 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
     """Decide whether a 4x4 partial nonnegative matrix with two missing
     entries admits a completion of nonnegative rank at most 3.
 
-    The verdict is three-valued; "Unknown" means neither the zero fill,
-    the constructive search, the refutation machinery nor the determinant
-    curve resolved the instance.  Verdicts of "Completable" are always
-    backed by an exact witness factorization (A, B) with A.B equal to the
-    returned completion.  Since transposition
-    preserves nonnegative rank, an inconclusive run on holes in different
-    rows and columns is retried on the transpose, which yields an
-    independent parametrization; holes sharing a row or a column
-    normalize to the same canonical instance either way.
+    The stages on the canonical instance, in order: the zero fill (every
+    hole 0) tested by `nn_rank_at_most_3`; the family stages; on an
+    Unknown, the determinant curve, once; and on an Unknown with holes in
+    different rows and columns, the family stages alone on the transpose,
+    which keeps the nonnegative rank and gives an independent
+    parametrization.  "Completable" is always backed by an exact witness
+    (A, B) with A.B equal to the returned completion.
     """
     canon, norm = normalize_two_missing(m)
-    outcome = _decide_canonical(canon, norm.tag)
-    if outcome["verdict"] == "Unknown" and norm.tag == "11_22":
+    filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
+    ok, witness = nn_rank_at_most_3(filled)
+    if ok:
+        cert = Nn3Certificate("Completable", norm.tag, completion=filled, witness=witness)
+    else:
+        cert = _family_stages(canon, norm.tag)
+    if cert.verdict == "Unknown" and _curve_misses_quadrant(canon):
+        # the certificate of a curve refutation is the input itself
+        cert = Nn3Certificate("NotCompletable", norm.tag)
+    if cert.verdict == "Unknown" and norm.tag == "11_22":
         canon_t, norm_t = normalize_two_missing(m.transpose())
-        flipped = _decide_canonical(canon_t, norm_t.tag)
-        if flipped["verdict"] != "Unknown":
+        flipped = _family_stages(canon_t, norm_t.tag)
+        if flipped.verdict != "Unknown":
             # undoing the transpose of m is one more transposition
-            outcome, norm = flipped, replace(norm_t, transposed=not norm_t.transposed)
-    return _certificate(norm, **outcome)
+            cert, norm = flipped, replace(norm_t, transposed=not norm_t.transposed)
+    return _in_callers_orientation(cert, norm)
 
 
-def _certificate(norm: Normalization, verdict: str, completion=None, witness=None,
-                 **fields) -> Nn3Certificate:
-    """The certificate for an outcome of the canonical instance, with the
-    completion and the witness mapped back to the caller's orientation."""
+def _in_callers_orientation(cert: Nn3Certificate, norm: Normalization) -> Nn3Certificate:
+    """The certificate of the canonical instance, with the completion and
+    the witness mapped back to the caller's orientation."""
+    completion, witness = cert.completion, cert.witness
     if witness is not None:
         a = witness[0].submatrix(_canonical_indices(norm.row_perm), range(1, 4))
         b = witness[1].submatrix(range(1, 4), _canonical_indices(norm.col_perm))
         witness = (b.transpose(), a.transpose()) if norm.transposed else (a, b)
     if completion is not None:
         completion = denormalize_matrix(completion, norm)
-    return Nn3Certificate(verdict, norm.tag, completion=completion, witness=witness, **fields)
+    return replace(cert, completion=completion, witness=witness)
 
 
-def _decide_canonical(canon: PartialMatrix, tag: str) -> dict:
-    """The decision stages on the canonical instance, in order: the zero
-    fill, family construction, the sufficient condition (11_21) or the
-    simplicial check (11_22) ordering the sampled t, the sampled t, then
-    an envelope or a sweep per feasible interval and the pole check.  When
-    no family can be built or its feasible set is empty, the determinant
-    curve decides instead.  The first stage with an answer decides.
-    Returns the certificate fields; the completion and the witness are in
-    the canonical orientation."""
-    filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
-    ok, witness = nn_rank_at_most_3(filled)
-    if ok:
-        return {"verdict": "Completable", "completion": filled, "witness": witness}
+def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
+    """The stages that depend on the orientation, on the canonical
+    instance: family construction, the sufficient condition (11_21) or
+    the simplicial check (11_22) ordering the sampled t, the sampled t,
+    then an envelope or a sweep per feasible interval and the pole check.
+    Unknown when no family can be built or its feasible set is empty.
+    The completion and the witness are in the canonical orientation."""
     try:
         fam = family_11_21(canon) if tag == "11_21" else family_11_22(canon)
     except FamilyError:
-        fam = None
-    if fam is None or not fam.feasible:
-        return {"verdict": "NotCompletable" if _curve_misses_quadrant(canon) else "Unknown"}
+        return Nn3Certificate("Unknown", tag)
+    if not fam.feasible:
+        return Nn3Certificate("Unknown", tag)
     criticals = _critical_ts(fam)
     sampled = [(iv, _interval_sample_ts(iv, criticals)) for iv in fam.feasible]
     samples = sorted({t for _, ts in sampled for t in ts})
     for t in _search_order(fam, samples):
         hit = _completable_at(fam, t)
         if hit is not None:
-            return {**hit, "samples": samples}
-    return {**_refute(fam, sampled), "samples": samples}
+            return replace(hit, samples=samples)
+    return replace(_refute(fam, sampled), samples=samples)
 
 
 def _curve_misses_quadrant(m: PartialMatrix) -> bool:
@@ -960,26 +960,26 @@ def _search_order(fam: NestedFamily, samples: list):
     yield from rest
 
 
-def _refute(fam: NestedFamily, sampled) -> dict:
+def _refute(fam: NestedFamily, sampled) -> Nn3Certificate:
     """Rule out every feasible interval, given with its sampled ts, by an
     envelope pair admitting no nested triangle or, for 11_21, by sweeping
-    the moving vertex."""
-    envelope = {}
+    the moving vertex; Unknown when some interval or pole stays open."""
+    envelope = envelope_t = None
     for iv, ts in sampled:
         env = _envelope_for_interval(fam, iv, ts)
         if env is not None:
             try:
                 pair = NestedPair(env[0], env[1], list(env[0].vertices), [], {})
                 if nested_triangle(pair) is None:
-                    envelope = {"envelope": env, "envelope_t": (iv.lo, iv.hi)}
+                    envelope, envelope_t = env, (iv.lo, iv.hi)
                     continue
             except ValueError:
                 pass
         if not (fam.tag == "11_21" and _sweep_moving_vertex(fam, iv)):
-            return {"verdict": "Unknown"}
+            return Nn3Certificate("Unknown", fam.tag)
     if fam.tag == "11_22" and not _poles_ruled_out(fam):
-        return {"verdict": "Unknown"}
-    return {"verdict": "NotCompletable", **envelope}
+        return Nn3Certificate("Unknown", fam.tag)
+    return Nn3Certificate("NotCompletable", fam.tag, envelope=envelope, envelope_t=envelope_t)
 
 
 def _poles_ruled_out(fam: NestedFamily) -> bool:

@@ -14,7 +14,7 @@ denominators.  Each half-plane keeps its coefficients as one integer
 triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates at a point.
 `polygon_from_halfplanes` meets two integer lines in their cross product
 and tests it with integer dot products, and `chord_exit` compares exit
-bounds by cross-multiplication.  `orient`, `HalfPlane.value` and
+bounds by cross-multiplication.  `HalfPlane.value` and
 `line_intersection` stay in Fraction arithmetic.
 """
 
@@ -46,13 +46,8 @@ def _verify(ok: bool, what: str) -> None:
         raise VerificationError(what)
 
 
-def orient(a: Point, b: Point, c: Point) -> Fraction:
-    """Twice the signed area of (a, b, c); > 0 iff counterclockwise."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def side(a: Point, b: Point, c: Point) -> int:
-    """Sign of orient(a, b, c): 1 left of a->b, -1 right, 0 on the line.
+    """Sign of the signed area of (a, b, c): 1 left of a->b, -1 right, 0 on the line.
 
     Coordinates may be Fractions or ints.  With b - a = (ux, uy) and
     c - a = (vx, vy) written as integer fractions over positive

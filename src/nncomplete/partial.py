@@ -151,7 +151,8 @@ def parse_partial(text: str) -> PartialMatrix:
     """Parse the whitespace-separated matrix text format.
 
     One matrix row per line; tokens are integers, ``p/q`` rationals, finite
-    decimals (converted exactly), or ``?`` for a missing entry.
+    decimals (converted exactly), or ``?`` for a missing entry.  Exponents
+    are rejected: ``1e10000000`` would build a 33-million-bit integer.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -169,6 +170,8 @@ def parse_partial(text: str) -> PartialMatrix:
             if tok == "?":
                 row.append(None)
                 continue
+            if "e" in tok.lower():
+                raise ParseError(f"exponent in token {tok!r} at line {lineno}")
             try:
                 row.append(Fraction(tok))
             except ZeroDivisionError:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,20 +17,26 @@ import numpy as np
 from nncomplete import (
     CompletionOutcome,
     ExactMatrix,
+    FamilyError,
     Interval,
     LinearSolution,
+    Nn3Certificate,
     PartialMatrix,
     Poly,
     RationalFunction,
     VerificationError,
     cycle_property,
     det,
+    family_11_21,
+    family_11_22,
     matmul,
     nn_rank_at_most_3,
+    normalize_two_missing,
     simplicial_sign_check,
     support_graph,
     zero_entries_line_consistent,
 )
+from nncomplete.family import _family_stages
 from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, Triangle, UnboundedRegionError, contains
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
@@ -392,8 +399,9 @@ def rotation_grid_triangle(pair: NestedPair, n: int = 720):
     return None
 
 
-def _cross(o, a, b):
-    """(a - o) x (b - o)."""
+def orient(o, a, b):
+    """Twice the signed area of (o, a, b), (a - o) x (b - o); > 0 iff
+    counterclockwise.  The reference for `geometry.side`."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -406,7 +414,7 @@ def _ray_exit(v, d, outer):
         ex, ey = e2[0] - e1[0], e2[1] - e1[1]
         rate = ex * d[1] - ey * d[0]  # d(cross(e1, e2, v + s*d)) / ds
         if rate < 0:
-            s = _cross(e1, e2, v) / -rate
+            s = orient(e1, e2, v) / -rate
             best = s if best is None else min(best, s)
     return (v[0] + best * d[0], v[1] + best * d[1])
 
@@ -439,14 +447,14 @@ def _close_grid_chain(start, v1, inner, outer):
     if x is None:
         return None
     corners = [v1, v2, x]
-    if _cross(*corners) < 0:
+    if orient(*corners) < 0:
         corners = [v1, x, v2]
-    if _cross(*corners) == 0:
+    if orient(*corners) == 0:
         return None
     edges = list(zip(corners, corners[1:] + corners[:1]))
-    if any(_cross(a, b, p) < 0 for a, b in edges for p in inner):
+    if any(orient(a, b, p) < 0 for a, b in edges for p in inner):
         return None
-    if any(_cross(e1, e2, c) < 0 for e1, e2 in zip(outer, outer[1:] + outer[:1]) for c in corners):
+    if any(orient(e1, e2, c) < 0 for e1, e2 in zip(outer, outer[1:] + outer[:1]) for c in corners):
         return None
     return Triangle(*corners)
 
@@ -805,3 +813,58 @@ def curve_meets_quadrant_on_grid(m: PartialMatrix) -> bool:
         d = det_cofactor(rows)
         signs.add((d > 0) - (d < 0))
     return 0 in signs or signs == {-1, 1}
+
+
+# ---------------------------------------------------------------------------
+# the two-hole decision run whole in each orientation
+
+
+def decide_two_missing_per_orientation(m: PartialMatrix) -> Nn3Certificate:
+    """The two-hole decision with every stage run in each orientation: the
+    zero fill, the family, the curve (on the hole grid) only when there is
+    no family or its feasible set is empty, then the family stages; an
+    11_22 Unknown reruns all of it on the transpose.  The family stages
+    are the library's; the completion and the witness are mapped back to
+    the caller's orientation by index lists, not by the library."""
+    canon, norm = normalize_two_missing(m)
+    cert, transposed = _decide_one_orientation(canon, norm.tag), norm.transposed
+    if cert.verdict == "Unknown" and norm.tag == "11_22":
+        canon_t, norm_t = normalize_two_missing(m.transpose())
+        flipped = _decide_one_orientation(canon_t, norm_t.tag)
+        if flipped.verdict != "Unknown":
+            # m was transposed before normalizing: one more transposition
+            cert, norm, transposed = flipped, norm_t, not norm_t.transposed
+
+    def original(mat: ExactMatrix, row_perm, col_perm) -> ExactMatrix:
+        rows = mat.to_lists()
+        out = [[None] * len(col_perm) for _ in row_perm]
+        for i, r in enumerate(row_perm):
+            for j, c in enumerate(col_perm):
+                out[r - 1][c - 1] = rows[i][j]
+        return ExactMatrix(out)
+
+    completion, witness = cert.completion, cert.witness
+    if completion is not None:
+        completion = original(completion, norm.row_perm, norm.col_perm)
+    if witness is not None:
+        witness = (original(witness[0], norm.row_perm, (1, 2, 3)),
+                   original(witness[1], (1, 2, 3), norm.col_perm))
+    if transposed:
+        completion = None if completion is None else completion.transpose()
+        witness = None if witness is None else (witness[1].transpose(), witness[0].transpose())
+    return replace(cert, completion=completion, witness=witness)
+
+
+def _decide_one_orientation(canon: PartialMatrix, tag: str) -> Nn3Certificate:
+    """Every stage on one canonical instance, in the canonical orientation."""
+    filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
+    ok, witness = nn_rank_at_most_3(filled)
+    if ok:
+        return Nn3Certificate("Completable", tag, completion=filled, witness=witness)
+    try:
+        fam = family_11_21(canon) if tag == "11_21" else family_11_22(canon)
+    except FamilyError:
+        fam = None
+    if fam is None or not fam.feasible:
+        return Nn3Certificate("Unknown" if curve_meets_quadrant_on_grid(canon) else "NotCompletable", tag)
+    return _family_stages(canon, tag)

@@ -48,6 +48,12 @@ class TestRank:
         code, out, err = run(capsys, "rank", "-")
         assert code == 1 and err.startswith("error: parse error")
 
+    def test_exponent_token_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1e3000000\n2 3\n"))
+        code, out, err = run(capsys, "rank", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("error: parse error") and err.count("\n") == 1
+
 
 class TestComplete:
     def test_rank1_unique(self, capsys, monkeypatch):

@@ -42,6 +42,7 @@ from conftest import DATA, restrict, rnd_nonneg_product
 from oracles import (
     critical_ts_by_rational_functions,
     curve_meets_quadrant_on_grid,
+    decide_two_missing_per_orientation,
     feasible_set_by_candidates,
     line_from_observed_minors,
     search_order_eager,
@@ -59,17 +60,23 @@ def scaled(m: PartialMatrix, s) -> PartialMatrix:
     return PartialMatrix(m.pattern, {k: v * s for k, v in m.values.items()})
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the first argument of every call the decision makes to the
+    module-level function ``nncomplete.family.<name>``."""
+    calls = []
+    original = getattr(nncomplete.family, name)
+
+    def counting(m, *args):
+        calls.append(m)
+        return original(m, *args)
+
+    monkeypatch.setattr(nncomplete.family, name, counting)
+    return calls
+
+
 def count_normalizations(monkeypatch) -> list:
     """Record every normalize_two_missing call the decision makes."""
-    calls = []
-    original = nncomplete.family.normalize_two_missing
-
-    def counting(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(nncomplete.family, "normalize_two_missing", counting)
-    return calls
+    return count_calls(monkeypatch, "normalize_two_missing")
 
 
 def t_rf():
@@ -799,7 +806,7 @@ class TestFactorsAt:
             hit = completable_at(fam, t)
             assert len(evaluated) - before == (2 if fam.is_feasible(t) else 0)
             if hit is not None:
-                assert hit["completion"] == fam.completion_at(t)
+                assert hit.completion == fam.completion_at(t)
             tried.append(t)
             return hit
 
@@ -811,3 +818,44 @@ class TestFactorsAt:
         inputs += canonical_products(5, ((1, 1), (2, 2)), 4)
         verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
         assert tried and verdicts >= {"Completable", "NotCompletable"}
+
+
+class TestOnePipeline:
+    """The zero fill and the determinant curve do not depend on the
+    orientation, so a decision asks each of them once and the transpose
+    retry reruns only the family stages.  The answers are those of running
+    every stage in each orientation."""
+
+    def test_retry_asks_the_orientation_free_tests_once(self, monkeypatch):
+        normalizations = count_normalizations(monkeypatch)
+        zero_fills = count_calls(monkeypatch, "nn_rank_at_most_3")
+        curves = count_calls(monkeypatch, "_curve_misses_quadrant")
+        cert = decide_nn3_two_missing(parse_partial((DATA / "two_missing_unknown.txt").read_text()))
+        assert (cert.verdict, cert.pattern) == ("Unknown", "11_22")
+        assert (len(normalizations), len(zero_fills), len(curves)) == (2, 1, 1)
+
+    @staticmethod
+    def same_decision(m: PartialMatrix) -> str:
+        cert, reference = decide_nn3_two_missing(m), decide_two_missing_per_orientation(m)
+        assert cert.to_json_dict() == reference.to_json_dict()
+        assert cert.witness == reference.witness
+        return cert.verdict
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_the_run_per_orientation(self, name):
+        for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text())):
+            self.same_decision(m)
+
+    def test_small_entries_match_the_run_per_orientation(self, monkeypatch):
+        """Entries 0..3 often leave no family, so they reach the curve and
+        the transpose retry."""
+        rng = random.Random(1402)
+        curves = count_calls(monkeypatch, "_curve_misses_quadrant")
+        normalizations = count_normalizations(monkeypatch)
+        verdicts = []
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 3) for _ in range(4)] for _ in range(4)])
+            holes = rng.sample(CELLS, 2)
+            verdicts.append(self.same_decision(restrict(full, Pattern(4, 4, frozenset(CELLS) - set(holes)))))
+        assert min(verdicts.count(v) for v in ("Completable", "NotCompletable", "Unknown")) >= 10
+        assert len(curves) >= 30 and len(normalizations) - 300 >= 20

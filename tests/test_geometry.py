@@ -26,13 +26,14 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.geometry
-from nncomplete.geometry import bounded_nested_pair, chord_exit, orient, side
+from nncomplete.geometry import bounded_nested_pair, chord_exit, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import (
     chord_exit_by_fractions,
     matmul_by_fractions,
     nmf_residual,
+    orient,
     polygon_from_halfplanes_by_fractions,
     rotation_grid_triangle,
     tangent_vertex_brute,

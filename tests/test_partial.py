@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,14 @@ class TestParsing:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_partial("   \n")
+
+    @pytest.mark.parametrize("token", ["1e10000000", "1E10000000", "2.5e-3", "1/2e3"])
+    def test_exponent_rejected_before_any_arithmetic(self, token):
+        """Fraction would read 1e10000000 as a 33-million-bit integer."""
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent"):
+            parse_partial(f"1 {token}\n2 3\n")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPartialMatrix:
