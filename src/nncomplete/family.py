@@ -27,7 +27,9 @@ from .geometry import (
     UnboundedRegionError,
     VerificationError,
     contains,
-    line_intersection,
+    cross,
+    join,
+    meet,
     nested_triangle,
     nn_rank_at_most_3,
     polytopes_from_factorization,
@@ -292,62 +294,41 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
 def _moving_vertex_line(vertex: SharedDenominator) -> HalfPlane | None:
     """The fixed line traced by p1(t) = (n1(t)/d(t), n2(t)/d(t)) over its
     shared denominator, when all three polynomials have degree at most
-    one: coefficients (c0, cx, cy) with c0*d + cx*n1 + cy*n2 = 0, found as
-    a cross product.  d is the lcm of the reduced denominators, so
-    gcd(d, n1, n2) = 1 and no common factor is left to cancel.  None when
-    the vertex does not actually move."""
+    one: coefficients (c0, cx, cy) with c0*d + cx*n1 + cy*n2 = 0, the
+    cross product of the constant and linear coefficient triples.  d is
+    the lcm of the reduced denominators, so gcd(d, n1, n2) = 1 and no
+    common factor is left to cancel.  None when the vertex does not
+    actually move."""
     d, (n1, n2) = vertex.den, vertex.nums
-    if len(d) > 2:
+    if len(d) != 2:
         return None
-    r0 = (d[0], n1[0], n2[0])
-    r1 = (d[1], n1[1], n2[1]) if len(d) == 2 else (0, 0, 0)
-    c0 = r0[1] * r1[2] - r0[2] * r1[1]
-    cx = r0[2] * r1[0] - r0[0] * r1[2]
-    cy = r0[0] * r1[1] - r0[1] * r1[0]
-    if c0 == cx == cy == 0:
-        return None
-    return HalfPlane(c0, cx, cy)
+    line = cross((d[0], n1[0], n2[0]), (d[1], n1[1], n2[1]))
+    return HalfPlane(*line) if any(line) else None
 
 
 def sufficient_11_21(fam: NestedFamily):
     """Feasible t* realizing the line-intersection sufficient condition:
-    the moving vertex can be placed inside the fixed triangle, or on a
-    line through one of its edges at a point inside the outer polygon.
-    Returns t* or None (inconclusive)."""
+    the moving vertex can be placed on a line through an edge of the
+    fixed triangle at a point inside the outer polygon.  Returns t* or
+    None (inconclusive)."""
     if fam.tag != "11_21":
         raise ValueError("family must have the 11_21 shape")
     if fam.line_p1 is None:
         return None
     p2, p3, p4 = fam.fixed_inner_points
-    candidates = []
-    # intersections of the moving-vertex line with the edge lines
+    # intersections of the moving-vertex line with the edge lines; the
+    # fixed triangle lies in the outer polygon (A >= 0 is the slack of its
+    # vertices), so testing the outer polygon covers it
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        if u == v:
+        cand = meet(fam.line_p1.line, join(u, v))
+        if cand is None or not fam.fixed_outer.contains_point(cand):
             continue
-        cand = _line_halfplane_intersection(fam.line_p1, u, v)
-        if cand is not None:
-            candidates.append(cand)
-    for cand in candidates:
         t = _solve_moving_vertex(fam, cand)
-        if t is None or not fam.is_feasible(t):
-            continue
-        inside_triangle = Polygon2.from_points([p2, p3, p4]).contains_point(cand)
-        if inside_triangle or fam.fixed_outer.contains_point(cand):
+        if t is not None and fam.is_feasible(t):
             return t
     # the line may cross the triangle without crossing an edge line inside
     # Q only through a vertex; the edge intersections above cover that
     return None
-
-
-def _line_halfplane_intersection(line: HalfPlane, u, v):
-    """Intersection point u + s*(v - u) of the boundary of ``line`` with
-    the line u-v, or None when they are parallel."""
-    dx, dy = v[0] - u[0], v[1] - u[1]
-    slope = line.cx * dx + line.cy * dy
-    if slope == 0:
-        return None
-    s = -line.value(u) / slope
-    return (u[0] + s * dx, u[1] + s * dy)
 
 
 def _solve_moving_vertex(fam: NestedFamily, target):
@@ -542,13 +523,6 @@ def _rational_roots_of(rf: RationalFunction):
     return out
 
 
-def _orient_roots(u, w, p: SharedDenominator) -> list:
-    """Critical t of orient(u, w, p(t)) for fixed u, w: the constant
-    (w1-u1)*u0 - (w0-u0)*u1 plus the weights (u1-w1, w0-u0) on p(t)."""
-    dx, dy = w[0] - u[0], w[1] - u[1]
-    return p.combination_roots(dy * u[0] - dx * u[1], (-dy, dx))
-
-
 def _critical_ts(fam: NestedFamily) -> list:
     """Parameter values where the moving geometry can change combinatorics:
     sign changes and poles of the moving data, and incidences of the
@@ -565,7 +539,8 @@ def _critical_ts(fam: NestedFamily) -> list:
     p = SharedDenominator(fam.moving_vertex)
     fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
     for u, w in itertools.combinations(fixed, 2):
-        crit.update(_orient_roots(u, w, p))
+        c0, cx, cy = join(u, w)
+        crit.update(p.combination_roots(c0, (cx, cy)))
     if fam.tag == "11_22":
         # the moving facet at the point (1, x, y) of the chart G is
         # a1.G^-1.(1, x, y)
@@ -679,6 +654,7 @@ def _boundary_intersections(poly: Polygon2, a, b) -> list:
     """All points where the infinite line a-b meets the boundary of poly."""
     if a == b:
         return []
+    line = join(a, b)
     out = []
     for (e1, e2) in poly.edges():
         o1 = side(a, b, e1)
@@ -688,25 +664,12 @@ def _boundary_intersections(poly: Polygon2, a, b) -> list:
         if o2 == 0:
             out.append(e2)
         if (o1 > 0 > o2) or (o1 < 0 < o2):
-            x = line_intersection(a, b, e1, e2)
-            if x is not None:
-                out.append(x)
+            out.append(meet(line, join(e1, e2)))
     seen = []
     for x in out:
         if x not in seen:
             seen.append(x)
     return seen
-
-
-def _facet_of(poly: Polygon2, line: HalfPlane):
-    """A facet of poly whose boundary line equals the given line, or None."""
-    for hp in poly.facets():
-        cross1 = hp.c0 * line.cx - hp.cx * line.c0
-        cross2 = hp.c0 * line.cy - hp.cy * line.c0
-        cross3 = hp.cx * line.cy - hp.cy * line.cx
-        if cross1 == 0 and cross2 == 0 and cross3 == 0:
-            return hp
-    return None
 
 
 def sweep_candidates(fam: NestedFamily) -> set:
@@ -721,9 +684,7 @@ def sweep_candidates(fam: NestedFamily) -> set:
     all_pts = fixed_pts + list(outer.vertices)
     candidates = set()
     for u, w in itertools.combinations(all_pts, 2):
-        x = _line_halfplane_intersection(line, u, w)
-        if x is not None:
-            candidates.add(x)
+        candidates.add(meet(line.line, join(u, w)))
     level1 = set()
     for qv in outer.vertices:
         for pv in fixed_pts:
@@ -734,9 +695,8 @@ def sweep_candidates(fam: NestedFamily) -> set:
             level2.update(_boundary_intersections(outer, x, pv))
     for x in level1 | level2:
         for pv in fixed_pts:
-            c = _line_halfplane_intersection(line, x, pv)
-            if c is not None:
-                candidates.add(c)
+            candidates.add(meet(line.line, join(x, pv)))
+    candidates.discard(None)
     return candidates
 
 
@@ -754,7 +714,7 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     """
     line = fam.line_p1
     outer = fam.fixed_outer
-    if line is None or _facet_of(outer, line) is None:
+    if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
         return False
     x_rf, y_rf = fam.moving_vertex
     # arc endpoints
@@ -799,7 +759,7 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
             # positions outside the outer polygon cannot occur for
             # feasible t; skip them
             continue
-        if nested_triangle(NestedPair(inner, outer, [c] + fixed_pts, [], {})) is not None:
+        if nested_triangle(NestedPair(inner, outer)) is not None:
             return False
     return True
 
@@ -904,7 +864,7 @@ def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
     """The stages that depend on the orientation, on the canonical
     instance: family construction, the sufficient condition (11_21) or
     the simplicial check (11_22) ordering the sampled t, the sampled t,
-    then an envelope or a sweep per feasible interval and the pole check.
+    then an envelope or a sweep per feasible interval.
     Unknown when no family can be built or its feasible set is empty.
     The completion and the witness are in the canonical orientation."""
     try:
@@ -963,40 +923,22 @@ def _search_order(fam: NestedFamily, samples: list):
 def _refute(fam: NestedFamily, sampled) -> Nn3Certificate:
     """Rule out every feasible interval, given with its sampled ts, by an
     envelope pair admitting no nested triangle or, for 11_21, by sweeping
-    the moving vertex; Unknown when some interval or pole stays open."""
+    the moving vertex; Unknown when some interval stays open.
+
+    No completion hides at a pole of the 11_22 family: there N(t0) is
+    singular, so its row space is spanned by rows 3-4 of columns 2..4,
+    and (m12, m13, m14) is outside that span because the family requires
+    rows 1, 3, 4 of columns 2..4 to have rank 3."""
     envelope = envelope_t = None
     for iv, ts in sampled:
         env = _envelope_for_interval(fam, iv, ts)
         if env is not None:
             try:
-                pair = NestedPair(env[0], env[1], list(env[0].vertices), [], {})
-                if nested_triangle(pair) is None:
+                if nested_triangle(NestedPair(*env)) is None:
                     envelope, envelope_t = env, (iv.lo, iv.hi)
                     continue
             except ValueError:
                 pass
-        if not (fam.tag == "11_21" and _sweep_moving_vertex(fam, iv)):
+        if not _sweep_moving_vertex(fam, iv):
             return Nn3Certificate("Unknown", fam.tag)
-    if fam.tag == "11_22" and not _poles_ruled_out(fam):
-        return Nn3Certificate("Unknown", fam.tag)
     return Nn3Certificate("NotCompletable", fam.tag, envelope=envelope, envelope_t=envelope_t)
-
-
-def _poles_ruled_out(fam: NestedFamily) -> bool:
-    """Completions at parameter values outside the family (where the
-    solved first row has a pole) must be separately impossible for a
-    refutation to be sound.  The poles are the roots of the first-row
-    denominators, and B at a pole is the family's own B(t0)."""
-    poles = {t0 for rf in fam.a_of_t[0] for t0 in rf.den.rational_roots()}
-    m = fam.source
-    rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
-    for t0 in sorted(poles):
-        if t0 < 0:
-            continue  # the parameter is an entry and must be nonnegative
-        n_t = rf_matrix_eval(fam.b_of_t, t0).submatrix([1, 2, 3], [2, 3, 4]).transpose()
-        sol = solve_linear(n_t, rhs)
-        if sol.consistent:
-            # a rank-<=3 completion family lives at this pole and is not
-            # covered by the sweep; stay honest and report Unknown
-            return False
-    return True

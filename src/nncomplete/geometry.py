@@ -7,15 +7,20 @@ exactly when a triangle fits between them; the search below enumerates
 anchored candidates (a vertex of the triangle at a vertex of Q, or a side
 containing an edge of P), which is sufficient.
 
-All coordinates are Fractions and every predicate is exact.  The kernels
-of the triangle search compute on Python integers and build a Fraction
-only for a value they return.  `side` cross-multiplies numerators and
-denominators.  Each half-plane keeps its coefficients as one integer
-triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates at a point.
-`polygon_from_halfplanes` meets two integer lines in their cross product
-and tests it with integer dot products, and `chord_exit` compares exit
-bounds by cross-multiplication.  `HalfPlane.value` and
-`line_intersection` stay in Fraction arithmetic.
+All coordinates are Fractions and every predicate is exact.  Lines are
+homogeneous triples (c0, cx, cy), the points (x, y) with c0 + cx*x +
+cy*y = 0, and one cross product answers both line questions: `join` is
+the line through two points, `cross` of two lines is their meeting point
+in homogeneous coordinates, and `meet` divides it out once, at the end.
+No other code writes out a line formula.
+
+The kernels of the triangle search compute on Python integers and build
+a Fraction only for a value they return.  `side` cross-multiplies
+numerators and denominators.  Each half-plane keeps its coefficients as
+one integer triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates
+at a point.  `polygon_from_halfplanes` meets two integer lines in their
+cross product and tests it with integer dot products, and `chord_exit`
+compares exit bounds by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -69,6 +74,27 @@ def side(a: Point, b: Point, c: Point) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def cross(u, v) -> tuple:
+    """The cross product of two 3-vectors of ints or Fractions."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def join(a: Point, b: Point) -> tuple:
+    """The line (c0, cx, cy) through a and b, with the side left of a->b
+    positive: c0 + cx*x + cy*y is twice the signed area of (a, b, (x, y)).
+    Zero when a == b."""
+    return cross((1, *a), (1, *b))
+
+
+def meet(l1, l2):
+    """The point on the lines l1 and l2, or None when they are parallel
+    (or one of them is zero)."""
+    w, x, y = cross(l1, l2)
+    if w == 0:
+        return None
+    return (Fraction(x, w), Fraction(y, w))
+
+
 @dataclass(frozen=True)
 class HalfPlane:
     """The set c0 + cx*x + cy*y >= 0.
@@ -110,9 +136,7 @@ class HalfPlane:
         """Half-plane whose boundary is the line a->b, left side included."""
         if a == b:
             raise ValueError("points must be distinct")
-        cx = a[1] - b[1]
-        cy = b[0] - a[0]
-        return cls(-(cx * a[0] + cy * a[1]), cx, cy)
+        return cls(*join(a, b))
 
 
 def convex_hull(points) -> list:
@@ -243,14 +267,14 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
                 d = (-s * hp.cy, s * hp.cx)
                 raise UnboundedRegionError(f"region is unbounded in direction {d}")
     verts = []
-    for i, (a0, ax, ay) in enumerate(lines):
-        for b0, bx, by in lines[i + 1:]:
-            # the lines meet in their cross product (w, x, y), w > 0
-            w = ax * by - ay * bx
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            # the lines meet in their cross product (w, x, y), made w > 0
+            w, x, y = cross(a, b)
             if w == 0:
                 continue
-            s = 1 if w > 0 else -1
-            w, x, y = s * w, s * (ay * b0 - a0 * by), s * (a0 * bx - ax * b0)
+            if w < 0:
+                w, x, y = -w, -x, -y
             if all(n0 * w + nx * x + ny * y >= 0 for n0, nx, ny in lines):
                 verts.append((Fraction(x, w), Fraction(y, w)))
     if not verts:
@@ -421,17 +445,6 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
     return (v[0] + s * d[0], v[1] + s * d[1])
 
 
-def line_intersection(a1: Point, a2: Point, b1: Point, b2: Point):
-    """Intersection of lines a1a2 and b1b2, or None if parallel."""
-    d1 = (a2[0] - a1[0], a2[1] - a1[1])
-    d2 = (b2[0] - b1[0], b2[1] - b1[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        return None
-    s = ((b1[0] - a1[0]) * d2[1] - (b1[1] - a1[1]) * d2[0]) / denom
-    return (a1[0] + s * d1[0], a1[1] + s * d1[1])
-
-
 def _verified(candidate, inner: Polygon2, outer: Polygon2):
     try:
         tri = Triangle(*candidate)
@@ -486,7 +499,7 @@ def nested_triangle(pair: NestedPair):
             t3 = tangent_vertex(v2, inner)
         except ValueError:
             continue
-        x = line_intersection(v2, t3, a, v1)
+        x = meet(join(v2, t3), join(a, v1))
         tri = x and _verified((v1, v2, x), inner, outer)
         if tri is not None:
             return tri

@@ -791,6 +791,30 @@ def search_order_eager(fam, samples: list) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the poles of an 11_22 family, each ruled out by solving its linear system
+
+
+def poles_of_11_22(fam) -> list:
+    """The nonnegative rational poles of the solved first row of A."""
+    return sorted({t0 for rf in fam.a_of_t[0] for t0 in rf.den.rational_roots() if t0 >= 0})
+
+
+def poles_ruled_out_by_solve(fam) -> bool:
+    """Whether no completion lives at a nonnegative pole t0 of an 11_22
+    family: at each, the system a1 . N(t0) = (m12, m13, m14) for the
+    first row a1 of A, with N(t0) columns 2..4 of the family's B(t0), is
+    inconsistent.  The library skips this solve, because rows 1, 3, 4 of
+    columns 2..4 having rank 3 already make it inconsistent."""
+    m = fam.source
+    rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
+    for t0 in poles_of_11_22(fam):
+        n_t = ExactMatrix([[fam.b_of_t[k][j](t0) for k in range(3)] for j in (1, 2, 3)])
+        if solve_linear_gauss_jordan(n_t, rhs).consistent:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # the determinant curve of a two-hole 4x4 matrix, on a grid of hole values
 
 

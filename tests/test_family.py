@@ -11,6 +11,7 @@ from nncomplete import (
     PartialMatrix,
     Pattern,
     Polygon2,
+    contains,
     NestedPair,
     Poly,
     RationalFunction,
@@ -45,6 +46,8 @@ from oracles import (
     decide_two_missing_per_orientation,
     feasible_set_by_candidates,
     line_from_observed_minors,
+    poles_of_11_22,
+    poles_ruled_out_by_solve,
     search_order_eager,
     special_case_by_block_factorization,
 )
@@ -231,6 +234,23 @@ class TestColumnHolesFamily:
         fam = family_11_21(two_missing_column)
         assert sufficient_11_21(fam) is None
 
+    def test_fixed_points_lie_in_the_outer_polygon(self):
+        """A >= 0 is the slack of the fixed points against the outer
+        polygon's facets, so their triangle lies in it and the sufficient
+        condition needs no triangle test of its own."""
+        rng = random.Random(2030)
+        pattern = Pattern(4, 4, frozenset(CELLS) - {(1, 1), (2, 1)})
+        checked = 0
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+            try:
+                fam = family_11_21(restrict(full, pattern))
+            except FamilyError:
+                continue
+            assert contains(fam.fixed_outer, Polygon2.from_points(fam.fixed_inner_points))
+            checked += 1
+        assert checked >= 250
+
     @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
     def test_decision_not_completable(self, two_missing_column, scale):
         cert = decide_nn3_two_missing(scaled(two_missing_column, scale))
@@ -324,10 +344,12 @@ class TestDiagonalHolesFamily:
 
 
 class TestPoleCheck:
-    """A refutation of the diagonal pattern must first rule out every
+    """A refutation of the diagonal pattern needs no completion at a
     nonnegative pole of the solved first row of A, where B(t0) leaves the
-    family; these inputs have one pole each, and its system is
-    inconsistent."""
+    family.  None can exist: N(t0) is singular there, so its row space is
+    spanned by rows 3-4 of columns 2..4, which never contain (m12, m13,
+    m14) because rows 1, 3, 4 of columns 2..4 have rank 3.  The library
+    therefore skips the solve; the oracle runs it."""
 
     @pytest.mark.parametrize(
         "text, pole, t_hi",
@@ -337,25 +359,28 @@ class TestPoleCheck:
         ],
         ids=["pole_at_zero", "pole_at_38_3"],
     )
-    def test_pole_solve_runs_and_is_inconsistent(self, monkeypatch, text, pole, t_hi):
-        solves = []
-        original = nncomplete.family.solve_linear
-
-        def spy(a, rhs):
-            sol = original(a, rhs)
-            solves.append((a, sol))
-            return sol
-
-        monkeypatch.setattr(nncomplete.family, "solve_linear", spy)
-        cert = decide_nn3_two_missing(parse_partial(text))
+    def test_pole_solve_runs_and_is_inconsistent(self, text, pole, t_hi):
+        m = parse_partial(text)
+        cert = decide_nn3_two_missing(m)
         assert (cert.verdict, cert.pattern) == ("NotCompletable", "11_22")
         assert cert.envelope_t == (F(0), t_hi)
-        assert len(solves) == 1
-        (n_t, sol), = solves
-        # column 2 of B(t0), whose first entry is the parameter, is row 1
-        # of the transposed system
-        assert n_t.entry(1, 1) == pole
-        assert not sol.consistent
+        fam = family_11_22(m)
+        assert poles_of_11_22(fam) == [pole]
+        assert poles_ruled_out_by_solve(fam)
+
+    def test_random_families_never_have_a_consistent_pole(self):
+        rng = random.Random(2029)
+        pattern = Pattern(4, 4, frozenset(CELLS) - {(1, 1), (2, 2)})
+        with_pole = 0
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+            try:
+                fam = family_11_22(restrict(full, pattern))
+            except FamilyError:
+                continue
+            with_pole += bool(poles_of_11_22(fam))
+            assert poles_ruled_out_by_solve(fam)
+        assert with_pole >= 150
 
 
 class TestNormalization:
@@ -681,6 +706,20 @@ class TestCriticalParameters:
             for fam in families_of(m):
                 tags.add(fam.tag)
                 assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+        assert tags == {"11_21", "11_22"}
+
+    def test_fixed_point_on_an_outer_vertex(self):
+        """A fixed inner point that is also an outer vertex joins it in the
+        zero line, which adds no critical t and builds no half-plane."""
+        rng = random.Random(2031)
+        tags = set()
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 2) for _ in range(4)] for _ in range(4)])
+            holes = set(rng.sample(CELLS, 2))
+            for fam in families_of(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes))):
+                if set(fam.fixed_inner_points) & set(fam.fixed_outer.vertices):
+                    tags.add(fam.tag)
+                    assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
         assert tags == {"11_21", "11_22"}
 
     def test_moving_vertex_line_matches_closed_form(self):

@@ -26,10 +26,11 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.geometry
-from nncomplete.geometry import bounded_nested_pair, chord_exit, side
+from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, meet, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import (
+    _lines_meet,
     chord_exit_by_fractions,
     matmul_by_fractions,
     nmf_residual,
@@ -108,6 +109,54 @@ class TestSignPredicates:
             assert hp.sign(p) == 0
         assert hp.sign(p) == _sign(hp.value(p))
         assert hp.contains(p) == (hp.value(p) >= 0)
+
+
+class TestLineHelpers:
+    """join and meet, one cross product each, against the orientation
+    determinant and Cramer's rule."""
+
+    def test_cross_of_unit_vectors(self):
+        assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+        assert cross((0, 1, 0), (1, 0, 0)) == (0, 0, -1)
+        assert cross((2, 3, 5), (4, 6, 10)) == (0, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_point, big_point, big_point, big_rational, st.booleans())
+    def test_join_sign_is_side(self, a, b, c, k, collinear):
+        if collinear:
+            c = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+        c0, cx, cy = join(a, b)
+        assert _sign(c0 + cx * c[0] + cy * c[1]) == side(a, b, c) == _sign(orient(a, b, c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_point, small_point, small_point, small_point, small_rational,
+           st.sampled_from(["free", "parallel", "coincident"]))
+    def test_meet_matches_cramer(self, a1, a2, b1, b2, k, shape):
+        if shape == "parallel":
+            b2 = (b1[0] + k * (a2[0] - a1[0]), b1[1] + k * (a2[1] - a1[1]))
+        elif shape == "coincident":
+            a2 = a1
+        x = meet(join(a1, a2), join(b1, b2))
+        assert x == _lines_meet(a1, a2, b1, b2)
+        if shape != "free":
+            assert x is None
+
+    def test_meet_of_integer_lines_is_a_fraction_point(self):
+        # x = 1 and y = 2 as integer lines (c0, cx, cy)
+        assert meet((-1, 1, 0), (-2, 0, 1)) == (Fraction(1), Fraction(2))
+        assert all(isinstance(c, Fraction) for c in meet((-1, 2, 0), (-1, 0, 3)))
+        assert meet((-1, 1, 0), (-2, 1, 0)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_point, small_point)
+    def test_halfplane_through_is_join(self, a, b):
+        if a == b:
+            assert join(a, b) == (0, 0, 0)
+            with pytest.raises(ValueError, match="distinct"):
+                HalfPlane.through(a, b)
+            return
+        hp = HalfPlane.through(a, b)
+        assert (hp.c0, hp.cx, hp.cy) == join(a, b)
 
 
 class TestTangentVertex:
