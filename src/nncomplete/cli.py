@@ -2,8 +2,8 @@
 low-rank and low-nonnegative-rank completions, and render figures.
 
 Exit status contract: 0 for a decided verdict, 2 when the decision
-procedure honestly answers Unknown, 1 for any error (parse failure,
-unsupported pattern, shape mismatch, or any ValueError or
+procedure honestly answers Unknown, 1 for any error (a usage error, parse
+failure, unsupported pattern, shape mismatch, or any ValueError or
 ZeroDivisionError raised by the library), with a one-line diagnostic.
 """
 
@@ -34,6 +34,15 @@ from .svg import render_nested_pair
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CliError, so that they
+    exit 1 with one diagnostic line like every other error; argparse's
+    own exit code 2 would read as Unknown."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _read_input(path: str) -> PartialMatrix:
@@ -207,7 +216,7 @@ def _cmd_plot(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nncomplete",
         description="Exact low-rank and low-nonnegative-rank matrix completion.",
     )
@@ -251,8 +260,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = _COMMANDS[args.subcommand](args, sys.stdout)
         sys.stdout.flush()
         return status

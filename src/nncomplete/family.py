@@ -7,6 +7,13 @@ and transposition): holes (1,1),(2,1) in one column, where the outer
 polygon is fixed and one vertex of the inner polygon slides along a line;
 and holes (1,1),(2,2) in different rows and columns, where one facet of
 the outer polygon and one vertex of the inner polygon move together.
+
+The parameter t enters exactly one entry, so every datum of a family is
+an affine pencil in t: the factor entries, over one denominator for A;
+the moving vertex, as a homogeneous triple; and each incidence of the
+moving vertex or facet with a fixed point or line.  Every critical t and
+every feasibility boundary is the root of an affine function, taken in
+closed form, so no polynomial arithmetic or root isolation is needed.
 """
 
 from __future__ import annotations
@@ -15,9 +22,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, inverse, matmul, rank, solve_linear
+from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, solve_linear
 from .partial import PartialMatrix
-from .polyfun import Poly, RationalFunction, SharedDenominator
 from .geometry import (
     SUM_CHART,
     HalfPlane,
@@ -25,7 +31,6 @@ from .geometry import (
     Polygon2,
     Triangle,
     UnboundedRegionError,
-    VerificationError,
     contains,
     cross,
     join,
@@ -43,7 +48,7 @@ class FamilyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# feasible sets of rational-function inequalities
+# feasible sets of affine sign constraints
 
 
 @dataclass(frozen=True)
@@ -79,49 +84,36 @@ class Interval:
         return (self.lo + self.hi) / 2
 
 
-def _boundary_points(polys) -> list:
-    """Sorted rational boundary candidates: rational roots plus rational
-    brackets around irrational roots of the given polynomials."""
-    pts = set()
-    for p in polys:
-        if p.is_zero() or p.is_constant():
-            continue
-        for (a, b) in p.isolate_real_roots():
-            pts.add(a)
-            pts.add(b)
-    return sorted(pts)
+def _ratio_roots(n, d) -> list:
+    """The roots of the numerator and of the denominator of n/d in lowest
+    terms, for affine n = n0 + t*n1 and d = d0 + t*d1 given as pairs:
+    none when n/d is constant (n0*d1 == n1*d0), otherwise the root of
+    each of n, d whose t-coefficient is nonzero."""
+    (n0, n1), (d0, d1) = n, d
+    if n0 * d1 == n1 * d0:
+        return []
+    return [-Fraction(c0) / c1 for c0, c1 in (n, d) if c1]
 
 
 def feasible_set(constraints) -> list:
-    """Intervals where every constraint num/den is >= 0 and den != 0.
+    """Intervals where every constraint n/d is >= 0 and d != 0.
 
-    ``constraints`` is a list of RationalFunction; the result is a list of
-    Interval objects covering the exact feasible set.  Boundaries at
-    rational roots are exact; an irrational boundary is absorbed into the
-    surrounding rational bracket, so the result may slightly
-    over-approximate (never under-approximate) the feasible set there.
+    ``constraints`` is a list of pairs (n, d) of affine functions of t,
+    each a pair (c0, c1) for c0 + t*c1.  The boundary points are the
+    roots of every n and d that is not constant, so no n or d changes
+    sign or vanishes between consecutive ones, and one probe decides each
+    cell: the result is a list of Interval objects covering the feasible
+    set exactly.  A root of d stays a boundary point even where n/d
+    cancels to a constant, since n/d is undefined there.
     """
-    polys = [p for rf in constraints for p in (rf.num, rf.den)]
-    bounds = _boundary_points(polys)
+    bounds = sorted({-Fraction(c0) / c1 for nd in constraints for c0, c1 in nd if c1})
 
     def ok(t):
-        return all(rf.den(t) != 0 and rf(t) >= 0 for rf in constraints)
-
-    def sign_changes_inside(lo, hi):
-        """Some constraint has an (irrational) root strictly between two
-        consecutive boundary points, so one probe cannot decide the gap;
-        keep it conservatively."""
-        for p in polys:
-            if not p.is_constant() and p.count_roots(lo, hi) - (1 if p(hi) == 0 else 0) > 0:
-                return True
-        return False
-
-    def feasible(lo, hi, gap):
-        if not gap:
-            return ok(lo)
-        return ok(Interval(lo, hi, True, True).sample()) or (
-            lo is not None and hi is not None and sign_changes_inside(lo, hi)
-        )
+        for (n0, n1), (d0, d1) in constraints:
+            d = d0 + t * d1
+            if d == 0 or (n0 + t * n1) * d < 0:
+                return False
+        return True
 
     # the cells of the t-line in order: the gap below each boundary point,
     # the point itself, and the last gap
@@ -130,6 +122,10 @@ def feasible_set(constraints) -> list:
         cells += [(lo, b, True), (b, b, False)]
         lo = b
     cells.append((lo, None, True))
+
+    def feasible(lo, hi, gap):
+        return ok(Interval(lo, hi, True, True).sample() if gap else lo)
+
     intervals = []
     for keep, run in itertools.groupby(cells, key=lambda cell: feasible(*cell)):
         if keep:
@@ -142,57 +138,61 @@ def feasible_set(constraints) -> list:
 
 
 # ---------------------------------------------------------------------------
-# rational-function matrices
-
-
-def _rf(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    return RationalFunction.constant(Fraction(x))
-
-
-def rf_matrix_eval(rows, t: Fraction) -> ExactMatrix:
-    return ExactMatrix([[_rf(x)(t) for x in row] for row in rows])
-
-
-def _det3_poly(rows) -> Poly:
-    """Determinant of a 3x3 matrix of Poly entries by cofactor expansion."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-# ---------------------------------------------------------------------------
 # the two families
+
+
+def _at(pencil, t, den=1) -> list:
+    """The rows of (M0 + t*M1)/den for a matrix pencil (M0, M1)."""
+    m0, m1 = pencil
+    return [[(x + t * y) / den for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _integers(*vectors) -> list:
+    """The vectors times the lcm of all their denominators: integer
+    tuples, with every ratio between two entries kept."""
+    ns = iter(integer_scaled([x for v in vectors for x in v])[0])
+    return [tuple(itertools.islice(ns, len(v))) for v in vectors]
 
 
 @dataclass
 class NestedFamily:
-    """Symbolic factor pair A(t), B(t) with geometry and feasibility data.
+    """A factor pair affine in t, with geometry and feasibility data.
 
-    The pair at t is A(t).B(t) sliced in ``chart``.  ``fixed_outer`` and
-    ``fixed_inner_points`` slice the t-free rows of A and columns of B,
-    and ``moving_vertex`` slices the column of B that moves.  For tag
-    "11_21" the outer polygon is fixed and the moving vertex p1(t) stays
-    on ``line_p1``; for tag "11_22" one facet of the outer polygon (the
-    first row of A) moves as well, and ``fixed_outer`` is the simplex cut
-    out by the other three rows.
+    The parameter t enters one entry of the partial matrix, so every
+    datum is an affine pencil: A(t) = (A0 + t*A1)/(d0 + t*d1) with
+    ``a_pencil`` = (A0, A1) and ``a_den`` = (d0, d1), and B(t) = B0 +
+    t*B1 with ``b_pencil`` = (B0, B1), each matrix a list of rows.  The
+    pair at t is A(t).B(t) sliced in ``chart``.  ``fixed_outer`` and
+    ``fixed_inner_points`` slice the t-free rows of A and columns of B.
+    ``moving_vertex`` = (v0, v1) is the column of B that moves, in the
+    chart: the homogeneous triple v0 + t*v1 = (w, y, z), whose point is
+    (y/w, z/w).  For tag "11_21" the outer polygon is fixed and that point
+    stays on ``line_p1``, the cross product of v0 and v1; for tag "11_22"
+    one facet of the outer polygon (the first row of A) moves as well,
+    and ``fixed_outer`` is the simplex cut out by the other three rows.
     """
 
     tag: str
     source: PartialMatrix
-    a_of_t: list
-    b_of_t: list
+    a_pencil: tuple
+    a_den: tuple
+    b_pencil: tuple
     feasible: list
     chart: ExactMatrix
     fixed_outer: Polygon2
     fixed_inner_points: list
-    moving_vertex: tuple  # (RationalFunction x, RationalFunction y)
+    moving_vertex: tuple
     line_p1: HalfPlane | None = None
 
     def factors_at(self, t) -> tuple:
-        """The factors (A(t), B(t))."""
+        """The factors (A(t), B(t)); ZeroDivisionError at a pole of A."""
         t = Fraction(t)
-        return rf_matrix_eval(self.a_of_t, t), rf_matrix_eval(self.b_of_t, t)
+        d0, d1 = self.a_den
+        return ExactMatrix(_at(self.a_pencil, t, d0 + t * d1)), ExactMatrix(_at(self.b_pencil, t))
 
     def completion_at(self, t) -> ExactMatrix:
         return matmul(*self.factors_at(t))
@@ -203,28 +203,28 @@ class NestedFamily:
     def pair_at(self, t) -> NestedPair:
         return polytopes_from_factorization(*self.factors_at(t), self.chart)
 
+    def vertex_at(self, t) -> tuple:
+        """The moving vertex (y/w, z/w) at t; ZeroDivisionError where w = 0."""
+        t = Fraction(t)
+        w, y, z = (c0 + t * c1 for c0, c1 in zip(*self.moving_vertex))
+        return (y / w, z / w)
+
     def moving_vertex_limit(self):
-        """Limit point of the moving vertex as t -> +infinity (11_21)."""
-        return (_limit_at_infinity(self.moving_vertex[0]), _limit_at_infinity(self.moving_vertex[1]))
+        """Limit point of the moving vertex as t -> +-infinity (11_21),
+        with None for a coordinate that diverges."""
+        (w0, y0, z0), (w1, y1, z1) = self.moving_vertex
+        if w1:
+            return (y1 / w1, z1 / w1)
+        return tuple(None if c1 else c0 / w0 for c0, c1 in ((y0, y1), (z0, z1)))
 
 
-def _limit_at_infinity(rf: RationalFunction):
-    dn = rf.num.degree
-    dd = rf.den.degree
-    if dn < dd:
-        return Fraction(0)
-    if dn == dd:
-        return rf.num.leading() / rf.den.leading()
-    return None  # diverges
-
-
-def _chart_vertex(chart: ExactMatrix, column) -> tuple:
-    """The slice point (y/w, z/w) of a column of rational functions, where
-    (w, y, z) is the column in the chart."""
-    w, y, z = (sum((g * x for g, x in zip(row, column) if g), _rf(0)) for row in chart.to_lists())
-    if w.is_zero():
+def _chart_vertex(chart: ExactMatrix, b_pencil, j: int) -> tuple:
+    """The pencil (v0, v1) of column j of B in the chart: v0 + t*v1 is
+    the homogeneous triple (w, y, z) of the slice point (y/w, z/w)."""
+    v0, v1 = (tuple(_dot(g, [row[j] for row in rows]) for g in chart.to_lists()) for rows in b_pencil)
+    if not (v0[0] or v1[0]):
         raise FamilyError("normalizing column sum vanishes identically")
-    return (y / w, z / w)
+    return v0, v1
 
 
 def _require_pattern(m: PartialMatrix, holes: set):
@@ -265,45 +265,24 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     if sol.kernel_dimension != 1:
         raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
     x0_k = ExactMatrix(zip(sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]))
-    b1 = [RationalFunction(Poly(row)) for row in x0_k.to_lists()]
-
-    a_rows = [[_rf(x) for x in row] for row in a.to_lists()]
-    b_rows = [[b1[k]] + [_rf(int(k == j)) for j in range(3)] for k in range(3)]
+    x0, k = x0_k.col(1), x0_k.col(2)
+    a_pencil = (a.to_lists(), [[0] * 3 for _ in range(4)])
+    b_pencil = ([[x0[i]] + [int(i == j) for j in range(3)] for i in range(3)], [[k[i], 0, 0, 0] for i in range(3)])
 
     # the column sums of A are positive: a nonnegative column with sum 0
     # would be zero, and A has rank 3
-    chart = ExactMatrix([[sum(a.col(k)) for k in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
+    chart = ExactMatrix([[sum(a.col(j)) for j in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
     fixed = polytopes_from_factorization(a, ExactMatrix.identity(3), chart)
-    p1 = _chart_vertex(chart, b1)
-
-    line = _moving_vertex_line(SharedDenominator(p1))
-    if line is not None:
-        # the moving vertex satisfies the line identically in t
-        residual = _rf(line.c0) + _rf(line.cx) * p1[0] + _rf(line.cy) * p1[1]
-        if not residual.is_zero():
-            raise VerificationError("moving vertex leaves its line")
+    vertex = _chart_vertex(chart, b_pencil, 0)
+    line = cross(*vertex)
 
     # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
     filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
-    feasible = feasible_set([RationalFunction(Poly(row)) for row in filled.to_lists()])
+    feasible = feasible_set([(tuple(row), (1, 0)) for row in filled.to_lists()])
     return NestedFamily(
-        "11_21", m, a_rows, b_rows, feasible, chart, fixed.outer, fixed.inner_generators, p1, line
+        "11_21", m, a_pencil, (1, 0), b_pencil, feasible, chart, fixed.outer, fixed.inner_generators, vertex,
+        HalfPlane(*line) if any(line) else None,
     )
-
-
-def _moving_vertex_line(vertex: SharedDenominator) -> HalfPlane | None:
-    """The fixed line traced by p1(t) = (n1(t)/d(t), n2(t)/d(t)) over its
-    shared denominator, when all three polynomials have degree at most
-    one: coefficients (c0, cx, cy) with c0*d + cx*n1 + cy*n2 = 0, the
-    cross product of the constant and linear coefficient triples.  d is
-    the lcm of the reduced denominators, so gcd(d, n1, n2) = 1 and no
-    common factor is left to cancel.  None when the vertex does not
-    actually move."""
-    d, (n1, n2) = vertex.den, vertex.nums
-    if len(d) != 2:
-        return None
-    line = cross((d[0], n1[0], n2[0]), (d[1], n1[1], n2[1]))
-    return HalfPlane(*line) if any(line) else None
 
 
 def sufficient_11_21(fam: NestedFamily):
@@ -332,17 +311,17 @@ def sufficient_11_21(fam: NestedFamily):
 
 
 def _solve_moving_vertex(fam: NestedFamily, target):
-    """t with moving_vertex(t) == target, or None."""
-    x_rf, y_rf = fam.moving_vertex
-    eq = x_rf.num - Poly([Fraction(target[0])]) * x_rf.den
-    if eq.is_zero():
-        eq = y_rf.num - Poly([Fraction(target[1])]) * y_rf.den
-    if eq.is_zero():
+    """t with moving_vertex(t) == target, or None: the root of the first
+    coordinate equation y - x*w = 0 (or z - y*w = 0) that is not zero
+    identically in t."""
+    v0, v1 = fam.moving_vertex
+    eqs = [(v0[k] - c * v0[0], v1[k] - c * v1[0]) for k, c in ((1, target[0]), (2, target[1]))]
+    e0, e1 = next((e for e in eqs if any(e)), (0, 0))
+    if not e1:
         return None
-    for t in eq.rational_roots():
-        if x_rf.defined_at(t) and y_rf.defined_at(t):
-            if x_rf(t) == Fraction(target[0]) and y_rf(t) == Fraction(target[1]):
-                return t
+    t = -e0 / e1
+    if v0[0] + t * v1[0] and all(n0 + t * n1 == 0 for n0, n1 in eqs):
+        return t
     return None
 
 
@@ -379,8 +358,10 @@ def special_case_low_rank(m: PartialMatrix, r: int):
 
 def family_11_22(m: PartialMatrix) -> NestedFamily:
     """Family for holes (1,1) and (2,2): the second entry of the first row
-    of B is the parameter t, and the first row of A is solved from the
-    three observed entries of row 1 by Cramer's rule over polynomials."""
+    of B is the parameter t, and the first row of A solves a1.N(t) =
+    (m12, m13, m14) by Cramer's rule, where N(t) has rows (t, m23, m24),
+    (m32, m33, m34) and (m42, m43, m44).  Each determinant is affine in
+    t, so it is read off its values at t = 0 and t = 1."""
     _require_pattern(m, {(1, 1), (2, 2)})
     if rank(m.observed_submatrix([1, 3, 4], [2, 3, 4])) != 3:
         raise FamilyError("rows 1,3,4 of columns 2..4 must have rank 3")
@@ -391,45 +372,42 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     if rank(m.observed_submatrix([2, 3, 4], [3, 4])) != 2:
         raise FamilyError("rows 2..4 of columns 3,4 must have rank 2")
 
-    t = Poly.x()
-    # system a1 . N = (m12, m13, m14) with N columns b2(t), b3, b4
-    n_rows = [
-        [t, Poly([m.entry(2, 3)]), Poly([m.entry(2, 4)])],
-        [Poly([m.entry(3, 2)]), Poly([m.entry(3, 3)]), Poly([m.entry(3, 4)])],
-        [Poly([m.entry(4, 2)]), Poly([m.entry(4, 3)]), Poly([m.entry(4, 4)])],
-    ]
-    rhs = [Poly([m.entry(1, 2)]), Poly([m.entry(1, 3)]), Poly([m.entry(1, 4)])]
-    den = _det3_poly(n_rows)
-    if den.is_zero():
-        raise FamilyError("parametrizing system is singular for every t")
-    a1 = []
-    for j in range(3):
-        replaced = [rhs if i == j else n_rows[i] for i in range(3)]
-        a1.append(RationalFunction(_det3_poly(replaced), den))
+    rhs = [m.entry(1, j) for j in (2, 3, 4)]
+    fixed_rows = [[m.entry(i, j) for j in (2, 3, 4)] for i in (3, 4)]
 
-    a_rows = [
-        a1,
-        [_rf(1), _rf(0), _rf(0)],
-        [_rf(0), _rf(1), _rf(0)],
-        [_rf(0), _rf(0), _rf(1)],
-    ]
-    b_rows = [
-        [_rf(m.entry(2, 1)), RationalFunction(t), _rf(m.entry(2, 3)), _rf(m.entry(2, 4))],
-        [_rf(m.entry(3, j)) for j in (1, 2, 3, 4)],
-        [_rf(m.entry(4, j)) for j in (1, 2, 3, 4)],
-    ]
-    # sign constraints: m11(t) >= 0 and m22(t) = t >= 0
-    m11 = (
-        a1[0] * m.entry(2, 1) + a1[1] * m.entry(3, 1) + a1[2] * m.entry(4, 1)
+    def pencil(replaced=None) -> tuple:
+        """(value at 0, t-coefficient) of det N(t), with row ``replaced``
+        of N(t) swapped for the right-hand side."""
+        at0, at1 = (
+            det(ExactMatrix(rhs if i == replaced else row
+                            for i, row in enumerate([[t, m.entry(2, 3), m.entry(2, 4)], *fixed_rows])))
+            for t in (0, 1)
+        )
+        return at0, at1 - at0
+
+    den = pencil()
+    if not any(den):
+        raise FamilyError("parametrizing system is singular for every t")
+    nums = [pencil(j) for j in range(3)]
+    # A(t) over den(t): the Cramer numerators, then the identity times den
+    a_pencil = tuple(
+        [[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1)
     )
-    feasible = feasible_set([m11, RationalFunction(t)])
+    b_pencil = (
+        [[m.entry(2, 1), 0, m.entry(2, 3), m.entry(2, 4)]] + [[m.entry(i, j) for j in (1, 2, 3, 4)] for i in (3, 4)],
+        [[0, 1, 0, 0], [0] * 4, [0] * 4],
+    )
+    # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
+    col = [m.entry(i, 1) for i in (2, 3, 4)]
+    m11 = tuple(_dot(rows[0], col) for rows in a_pencil)
+    feasible = feasible_set([(m11, den), ((0, 1), (1, 0))])
     # rows 2-4 of A are the identity and columns 1, 3, 4 of B are free of t
     fixed = polytopes_from_factorization(
         ExactMatrix.identity(3), m.observed_submatrix([2, 3, 4], [1, 3, 4]), SUM_CHART
     )
-    moving = _chart_vertex(SUM_CHART, [row[1] for row in b_rows])
     return NestedFamily(
-        "11_22", m, a_rows, b_rows, feasible, SUM_CHART, fixed.outer, fixed.inner_generators, moving
+        "11_22", m, a_pencil, den, b_pencil, feasible, SUM_CHART, fixed.outer, fixed.inner_generators,
+        _chart_vertex(SUM_CHART, b_pencil, 1),
     )
 
 
@@ -443,7 +421,8 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     t = Fraction(t)
     if not fam.is_feasible(t):
         raise ValueError(f"t = {t} is not feasible")
-    a1 = [fam.a_of_t[0][k](t) for k in range(3)]
+    d0, d1 = fam.a_den
+    a1 = _at(fam.a_pencil, t, d0 + t * d1)[0]
     neg = sum(1 for x in a1 if x < 0)
     pos = sum(1 for x in a1 if x > 0)
     zero = sum(1 for x in a1 if x == 0)
@@ -514,40 +493,33 @@ def denormalize_matrix(mat: ExactMatrix, norm: Normalization) -> ExactMatrix:
 # sampling and refutation
 
 
-def _rational_roots_of(rf: RationalFunction):
-    out = []
-    if not rf.num.is_zero() and not rf.num.is_constant():
-        out.extend(rf.num.rational_roots())
-    if not rf.den.is_constant():
-        out.extend(rf.den.rational_roots())
-    return out
-
-
 def _critical_ts(fam: NestedFamily) -> list:
     """Parameter values where the moving geometry can change combinatorics:
-    sign changes and poles of the moving data, and incidences of the
+    sign changes and poles of the factor entries, and incidences of the
     moving vertex / moving facet with the fixed vertices and lines.  Each
-    incidence is a linear combination of the moving data over its shared
-    denominator, so one integer polynomial."""
+    is a ratio of two affine functions of t, so its roots are closed-form
+    (``_ratio_roots``)."""
     crit = set()
-    for rows in (fam.a_of_t, fam.b_of_t):
-        for row in rows:
-            for entry in row:
-                crit.update(_rational_roots_of(entry))
+    for (m0, m1), den in ((fam.a_pencil, fam.a_den), (fam.b_pencil, (1, 0))):
+        for r0, r1 in zip(m0, m1):
+            for x, y in zip(r0, r1):
+                crit.update(_ratio_roots((x, y), den))
+    # the incidences in integers: the roots of n/d do not change when n or
+    # d is scaled, so the vertex pencil, each fixed point (as (1, x, y)),
+    # and the moving facet's pencil are each scaled to integers once
+    v0, v1 = _integers(*fam.moving_vertex)
+    fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
+    points = [_integers((1, *p))[0] for p in fixed]
     # the moving vertex against every line through two fixed points; the
     # lines through consecutive outer vertices are the fixed facets
-    p = SharedDenominator(fam.moving_vertex)
-    fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
-    for u, w in itertools.combinations(fixed, 2):
-        c0, cx, cy = join(u, w)
-        crit.update(p.combination_roots(c0, (cx, cy)))
+    for p, q in itertools.combinations(points, 2):
+        line = cross(p, q)
+        crit.update(_ratio_roots((_dot(line, v0), _dot(line, v1)), (v0[0], v1[0])))
     if fam.tag == "11_22":
         # the moving facet at the point (1, x, y) of the chart G is
-        # a1.G^-1.(1, x, y)
-        a1 = SharedDenominator(fam.a_of_t[0])
-        g_inv = inverse(fam.chart).to_lists()
-        for x, y in fixed:
-            crit.update(a1.combination_roots(0, [c + cx * x + cy * y for c, cx, cy in g_inv]))
+        # a1.G^-1.(1, x, y), over the denominator of A
+        g_inv = _integers(*inverse(fam.chart).to_lists())
+        weights = [[_dot(row, p) for row in g_inv] for p in points]
         # the facet at the moving vertex itself is a1.col/total = m12/total
         # (col is column 2 of B, with sum total; a1 solves a1.N = (m12,
         # m13, m14) and col is N's first column): its one critical t, the
@@ -557,7 +529,11 @@ def _critical_ts(fam: NestedFamily) -> list:
         #
         # completion entry m11(t) = a1.(m21, m31, m41)
         m = fam.source
-        crit.update(a1.combination_roots(0, (m.entry(2, 1), m.entry(3, 1), m.entry(4, 1))))
+        weights += _integers([m.entry(2, 1), m.entry(3, 1), m.entry(4, 1)])
+        a0, a1 = _integers(*(rows[0] for rows in fam.a_pencil))
+        den = _integers(fam.a_den)[0]
+        for g in weights:
+            crit.update(_ratio_roots((_dot(a0, g), _dot(a1, g)), den))
     return sorted(crit)
 
 
@@ -716,20 +692,13 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     outer = fam.fixed_outer
     if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
         return False
-    x_rf, y_rf = fam.moving_vertex
     # arc endpoints
-    ends = []
-    for bound in (iv.lo, iv.hi):
-        if bound is None:
-            lim = fam.moving_vertex_limit()
-            if lim[0] is None or lim[1] is None:
-                return False
-            ends.append(lim)
-        else:
-            if not (x_rf.defined_at(bound) and y_rf.defined_at(bound)):
-                return False
-            ends.append((x_rf(bound), y_rf(bound)))
-    e0, e1 = ends
+    try:
+        e0, e1 = (fam.moving_vertex_limit() if bound is None else fam.vertex_at(bound) for bound in (iv.lo, iv.hi))
+    except ZeroDivisionError:
+        return False
+    if None in e0 + e1:
+        return False
     if e0 == e1:
         # the vertex does not move; a plain sample decides
         return False

@@ -1,8 +1,12 @@
 """Exact univariate polynomials and rational functions over the rationals.
 
-Used to track how matrix entries and polygon vertices move as a single
-parameter t varies.  Provides exact arithmetic, evaluation, rational root
-extraction, and Sturm-sequence isolation of irrational real roots.
+Nothing in the library calls this module any more: each two-hole family
+is an affine pencil in t, and ``family`` finds every root in closed
+form.  ``Poly`` and ``RationalFunction`` stay exported because the
+benchmark's tracer wraps ``Poly.rational_roots``, ``isolate_real_roots``,
+``count_roots``, ``gcd`` and ``RationalFunction.__init__``, so every one
+of those span targets must exist; the tests use them as the reference
+construction of the families.
 
 Root finding and gcds work on primitive integer coefficients, and their
 cost is polynomial in the degree and in the coefficient bit size:
@@ -14,10 +18,7 @@ cost is polynomial in the degree and in the coefficient bit size:
   and two such fractions differ by at least 1/L^2, so each root is
   narrowed to an interval shorter than 1/(2 L^2) and the midpoint's
   ``limit_denominator(L)`` is the only candidate, which is tested exactly;
-- ``Poly.gcd`` runs a primitive pseudo-remainder sequence;
-- ``SharedDenominator`` writes several rational functions over one
-  integer denominator, so that a linear combination of them is one
-  integer polynomial, reduced by a single gcd.
+- ``Poly.gcd`` runs a primitive pseudo-remainder sequence.
 
 A ``Poly`` is immutable, so its square-free part and Sturm chain are
 computed once, on first use, and kept on it.
@@ -30,7 +31,10 @@ from math import gcd, lcm
 
 
 class Poly:
-    """Univariate polynomial with Fraction coefficients, low degree first."""
+    """Univariate polynomial with Fraction coefficients, low degree first.
+
+    No module of the library calls it; it stays for the benchmark's spans
+    and as the tests' reference (see the module docstring)."""
 
     __slots__ = ("coeffs", "_sturm")
 
@@ -368,7 +372,10 @@ def _cauchy_bound(cs) -> Fraction:
 
 class RationalFunction:
     """Quotient of two polynomials, kept in lowest terms with monic
-    denominator."""
+    denominator.
+
+    No module of the library calls it; it stays for the benchmark's spans
+    and as the tests' reference (see the module docstring)."""
 
     __slots__ = ("num", "den")
 
@@ -483,57 +490,3 @@ def _as_rf(x):
     if isinstance(x, (int, Fraction)):
         return RationalFunction(Poly([x]))
     return None
-
-
-class SharedDenominator:
-    """Rational functions f_1, ..., f_k over one denominator: f_i =
-    nums[i] / den, where den is the lcm of their reduced denominators.
-
-    ``den`` and each of ``nums`` are integer coefficient tuples, low degree
-    first, padded with zeros to one length.  A linear combination of the
-    f_i is then one integer polynomial over den (Basu, Pollack & Roy),
-    with no rational-function sum and no gcd per term.
-    """
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, functions):
-        fs = [_as_rf(f) for f in functions]
-        den = Poly([1])
-        for f in fs:
-            if not f.den.is_constant() and f.den != den:
-                den = f.den if den.is_constant() else den * (f.den // den.gcd(f.den))
-        polys = [den] + [f.num if f.den == den else f.num * (den // f.den) for f in fs]
-        width = max(len(p.coeffs) for p in polys)
-        scale = lcm(*(c.denominator for p in polys for c in p.coeffs))
-        ints = [
-            [c.numerator * (scale // c.denominator) for c in p.coeffs] + [0] * (width - len(p.coeffs))
-            for p in polys
-        ]
-        g = gcd(*(c for cs in ints for c in cs))
-        self.den, *nums = (tuple(c // g for c in cs) for cs in ints)
-        self.nums = tuple(nums)
-
-    def combination_roots(self, constant, weights) -> list[Fraction]:
-        """Sorted rational roots of the numerator and of the denominator
-        of constant + sum(w_i * f_i) in lowest terms; none for zero."""
-        cs = [Fraction(constant), *map(Fraction, weights)]
-        scale = lcm(*(c.denominator for c in cs))
-        c0, *ws = (c.numerator * (scale // c.denominator) for c in cs)
-        num = [c0 * x for x in self.den]
-        for w, n in zip(ws, self.nums, strict=True):
-            if w:
-                num = [a + w * x for a, x in zip(num, n)]
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
-            return []
-        den = list(self.den)
-        while den[-1] == 0:
-            den.pop()
-        num, den = _primitive(num), _primitive(den)
-        if len(num) > 1 and len(den) > 1:
-            g = _int_gcd(num, den)
-            if len(g) > 1:
-                num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-        return sorted(r for p in (num, den) if len(p) > 1 for r in Poly(p).rational_roots())

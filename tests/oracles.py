@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -566,7 +566,60 @@ def feasible_set_by_candidates(constraints) -> list:
 
 
 # ---------------------------------------------------------------------------
-# critical parameters of a two-hole family by rational-function arithmetic
+# a two-hole family rebuilt over RationalFunction entries
+
+
+@dataclass
+class RationalFunctionFamily:
+    """A(t), B(t) and the moving vertex (x(t), y(t)) of a two-hole family
+    as RationalFunction matrices, each entry reduced by its own gcd."""
+
+    a_of_t: list
+    b_of_t: list
+    moving_vertex: tuple
+
+
+def _rf(x) -> RationalFunction:
+    return x if isinstance(x, RationalFunction) else RationalFunction.constant(Fraction(x))
+
+
+def rational_function_family(fam) -> RationalFunctionFamily:
+    """The factors and the moving vertex of a NestedFamily rebuilt from
+    ``fam.source`` as the library built them before its pencils: for
+    11_21, b1 = x0 + t*k from a Gauss-Jordan solve of rows 3-4 with the
+    columns reversed; for 11_22, the first row of A by Cramer's rule over
+    cofactor determinants of Poly entries; and the vertex as
+    RationalFunction sums and quotients over the family's chart."""
+    m = fam.source
+    if fam.tag == "11_21":
+        a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
+        sol = solve_linear_gauss_jordan(
+            m.observed_submatrix([3, 4], [4, 3, 2]), ExactMatrix.column([m.entry(3, 1), m.entry(4, 1)])
+        )
+        x0, k = sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]
+        b1 = [RationalFunction(Poly([x, y])) for x, y in zip(x0, k)]
+        a_rows = [[_rf(x) for x in row] for row in a.to_lists()]
+        b_rows = [[b1[i]] + [_rf(int(i == j)) for j in range(3)] for i in range(3)]
+        column = b1
+    else:
+        t = Poly.x()
+        n_rows = [[t, Poly([m.entry(2, 3)]), Poly([m.entry(2, 4)])]]
+        n_rows += [[Poly([m.entry(i, j)]) for j in (2, 3, 4)] for i in (3, 4)]
+        rhs = [Poly([m.entry(1, j)]) for j in (2, 3, 4)]
+        den = det_cofactor(n_rows)
+        a1 = [RationalFunction(det_cofactor([rhs if i == j else n_rows[i] for i in range(3)]), den)
+              for j in range(3)]
+        a_rows = [a1] + [[_rf(int(i == j)) for j in range(3)] for i in range(3)]
+        b_rows = [[_rf(m.entry(2, 1)), RationalFunction(t), _rf(m.entry(2, 3)), _rf(m.entry(2, 4))]]
+        b_rows += [[_rf(m.entry(i, j)) for j in (1, 2, 3, 4)] for i in (3, 4)]
+        column = [row[1] for row in b_rows]
+    w, y, z = (sum((g * x for g, x in zip(row, column) if g), _rf(0)) for row in fam.chart.to_lists())
+    return RationalFunctionFamily(a_rows, b_rows, (y / w, z / w))
+
+
+def rf_matrix_at(rows, t) -> ExactMatrix:
+    """A RationalFunction matrix at t; ZeroDivisionError at a pole."""
+    return ExactMatrix([[x(t) for x in row] for row in rows])
 
 
 def rf_roots(rf: RationalFunction) -> list:
@@ -588,26 +641,27 @@ def _rf_orient(u, w, p) -> RationalFunction:
 
 def critical_ts_by_rational_functions(fam) -> list:
     """The critical t of a NestedFamily, every incidence built as a
-    RationalFunction (each sum reduced by its own gcd) and the
-    roots of its numerator and denominator collected."""
+    RationalFunction (each sum reduced by its own gcd) on the rebuilt
+    family and the roots of its numerator and denominator collected."""
+    ref = rational_function_family(fam)
     crit = set()
-    for rows in (fam.a_of_t, fam.b_of_t):
+    for rows in (ref.a_of_t, ref.b_of_t):
         for row in rows:
             for entry in row:
                 crit.update(rf_roots(entry))
     if fam.tag == "11_21":
-        p1 = fam.moving_vertex
+        p1 = ref.moving_vertex
         fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
         for u, w in itertools.combinations(fixed, 2):
             crit.update(rf_roots(_rf_orient(u, w, p1)))
         for hp in fam.fixed_outer.facets():
             crit.update(rf_roots(hp.c0 + hp.cx * p1[0] + hp.cy * p1[1]))
         return sorted(crit)
-    b = fam.b_of_t
+    b = ref.b_of_t
     col = [b[k][1] for k in range(3)]
     total = col[0] + col[1] + col[2]
     p2 = (col[0] / total, col[1] / total)
-    a1 = fam.a_of_t[0]
+    a1 = ref.a_of_t[0]
     facet = (a1[2], a1[0] - a1[2], a1[1] - a1[2])
     fixed_pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     for j in (0, 2, 3):
@@ -624,6 +678,40 @@ def critical_ts_by_rational_functions(fam) -> list:
     m11 = a1[0] * b[0][0] + a1[1] * b[1][0] + a1[2] * b[2][0]
     crit.update(rf_roots(m11))
     return sorted(crit)
+
+
+def feasible_by_rational_functions(fam) -> list:
+    """The feasible set of the rebuilt family: both hole entries of
+    A(t).B(t), as RationalFunction sums, are >= 0."""
+    ref = rational_function_family(fam)
+    holes = sorted(fam.source.pattern.missing)
+    entries = [sum((ref.a_of_t[i - 1][k] * ref.b_of_t[k][j - 1] for k in range(3)), _rf(0)) for i, j in holes]
+    return feasible_set_by_candidates(entries)
+
+
+def line_by_rational_functions(fam):
+    """The line (c0, cx, cy) through two distinct positions of the rebuilt
+    moving vertex at t = -3..3, or None when it takes at most one there
+    (a vertex affine over affine in t then does not move)."""
+    x, y = rational_function_family(fam).moving_vertex
+    points = []
+    for t in range(-3, 4):
+        if x.defined_at(t) and y.defined_at(t) and (x(t), y(t)) not in points:
+            points.append((x(t), y(t)))
+    if len(points) < 2:
+        return None
+    (x1, y1), (x2, y2) = points[:2]
+    return (x1 * y2 - x2 * y1, y1 - y2, x2 - x1)
+
+
+def limit_at_infinity(rf: RationalFunction):
+    """The limit of rf as t -> +-infinity, or None when it diverges."""
+    dn, dd = rf.num.degree, rf.den.degree
+    if dn < dd:
+        return Fraction(0)
+    if dn == dd:
+        return rf.num.leading() / rf.den.leading()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +883,10 @@ def search_order_eager(fam, samples: list) -> list:
 
 
 def poles_of_11_22(fam) -> list:
-    """The nonnegative rational poles of the solved first row of A."""
-    return sorted({t0 for rf in fam.a_of_t[0] for t0 in rf.den.rational_roots() if t0 >= 0})
+    """The nonnegative rational poles of the solved first row of A, on the
+    rebuilt family."""
+    a1 = rational_function_family(fam).a_of_t[0]
+    return sorted({t0 for rf in a1 for t0 in rf.den.rational_roots() if t0 >= 0})
 
 
 def poles_ruled_out_by_solve(fam) -> bool:
@@ -807,8 +897,9 @@ def poles_ruled_out_by_solve(fam) -> bool:
     columns 2..4 having rank 3 already make it inconsistent."""
     m = fam.source
     rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
+    b = rational_function_family(fam).b_of_t
     for t0 in poles_of_11_22(fam):
-        n_t = ExactMatrix([[fam.b_of_t[k][j](t0) for k in range(3)] for j in (1, 2, 3)])
+        n_t = ExactMatrix([[b[k][j](t0) for k in range(3)] for j in (1, 2, 3)])
         if solve_linear_gauss_jordan(n_t, rhs).consistent:
             return False
     return True

@@ -160,9 +160,10 @@ def test_acceptance_column_holes(two_missing_column):
         (F(0), F(1, 20)),
     ]
     line = fam.line_p1
-    x_rf, y_rf = fam.moving_vertex
-    residual = line.c0 + line.cx * x_rf + line.cy * y_rf
-    assert residual.is_zero()  # p1(t) satisfies the line identically in t
+    # p1(t) = (y/w, z/w)(t) satisfies the line identically in t: the line
+    # is orthogonal to both terms of the pencil (w, y, z) = v0 + t*v1
+    for v in fam.moving_vertex:
+        assert line.c0 * v[0] + line.cx * v[1] + line.cy * v[2] == 0
     assert line.c0 / line.cx == F(-3, 40) and line.cx == line.cy
     criticals = {
         (F(11, 160), F(1, 160)),

@@ -357,17 +357,46 @@ class TestExitContract:
     @settings(max_examples=200, deadline=None)
     @given(call=cli_call())
     def test_any_input_keeps_the_exit_contract(self, call):
-        """Exit 0, 1 or 2; exit 1 with exactly one error line; nothing but
-        argparse's SystemExit escapes main."""
+        """Exit 0, 1 or 2; exit 1 with exactly one error line; nothing
+        escapes main."""
         argv, text = call
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(sys, "stdin", io.StringIO(text)), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                code = e.code
+            code = main(argv)
         assert code in (0, 1, 2)
         if code == 1:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nn3-decide", "x", "--nope"], "unrecognized arguments: --nope"),
+        (["nn3-decide"], "the following arguments are required: input"),
+        (["complete", "x", "--rank", "abc"], "argument --rank: invalid int value: 'abc'"),
+        (["bogus"], "argument subcommand: invalid choice: 'bogus'"),
+    ], ids=["bad-flag", "missing-input", "bad-rank", "unknown-subcommand"])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv, message):
+        """A usage error is an error like any other: exit 1, not argparse's
+        2, which the contract reserves for Unknown."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "nn3-decide" in capsys.readouterr().out
+
+    def test_bad_flag_in_a_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", "nn3-decide",
+             str(DATA / "two_missing_column.txt"), "--nope"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: unrecognized arguments: --nope\n"

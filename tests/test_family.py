@@ -8,6 +8,7 @@ from nncomplete import (
     ExactMatrix,
     FamilyError,
     Interval,
+    NestedFamily,
     PartialMatrix,
     Pattern,
     Polygon2,
@@ -32,6 +33,7 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.family
+from nncomplete.geometry import cross
 from nncomplete.family import (
     _critical_ts,
     _curve_misses_quadrant,
@@ -42,6 +44,11 @@ from nncomplete.family import (
 from conftest import DATA, restrict, rnd_nonneg_product
 from oracles import (
     critical_ts_by_rational_functions,
+    feasible_by_rational_functions,
+    limit_at_infinity,
+    line_by_rational_functions,
+    rational_function_family,
+    rf_matrix_at,
     curve_meets_quadrant_on_grid,
     decide_two_missing_per_orientation,
     feasible_set_by_candidates,
@@ -82,80 +89,61 @@ def count_normalizations(monkeypatch) -> list:
     return count_calls(monkeypatch, "normalize_two_missing")
 
 
-def t_rf():
-    return RationalFunction(Poly.x())
+T = ((0, 1), (1, 0))  # the constraint t >= 0, as an affine pair (n, d)
 
-
-small_root = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+coefficient = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+affine = st.tuples(coefficient, coefficient)
 
 
 @st.composite
 def constraint(draw):
-    """A rational function with rational roots of multiplicity 1-2, rational
-    poles and an optional factor t^2 - c (irrational roots when c is not a
-    square)."""
+    """An affine pair (n, d) with n/d not constant: a sign change at the
+    root of each of n and d that is not constant."""
+    n = draw(affine.filter(any))
+    d = draw(affine.filter(lambda d: any(d) and n[0] * d[1] != n[1] * d[0]))
+    return n, d
 
-    def product(factors):
-        out = Poly([draw(st.sampled_from([-3, -1, 1, 2]))])
-        for r, k in factors:
-            for _ in range(k):
-                out = out * Poly([-r, 1])
-        return out
 
-    root = st.tuples(small_root, st.integers(1, 2))
-    num = product(draw(st.lists(root, max_size=3)))
-    if draw(st.booleans()):
-        num = num * Poly([-draw(st.integers(1, 8)), 0, 1])
-    den = product(draw(st.lists(root, max_size=2)))
-    return RationalFunction(num, den)
+def as_rational_function(nd) -> RationalFunction:
+    n, d = nd
+    return RationalFunction(Poly(n), Poly(d))
 
 
 class TestFeasibleSet:
     def test_half_line(self):
-        ivs = feasible_set([t_rf()])
-        assert ivs == [Interval(F(0), None)]
+        assert feasible_set([T]) == [Interval(F(0), None)]
 
     def test_bounded_segment(self):
-        ivs = feasible_set([t_rf(), RationalFunction(Poly([1, -1]))])
+        ivs = feasible_set([T, ((1, -1), (1, 0))])
         assert ivs == [Interval(F(0), F(1))]
 
     def test_pole_punches_open_end(self):
         # 1/(1-t) >= 0 on (-inf, 1); t >= 0 cuts it to [0, 1)
-        rf = RationalFunction(Poly([1]), Poly([1, -1]))
-        ivs = feasible_set([rf, t_rf()])
+        ivs = feasible_set([((1, 0), (1, -1)), T])
         assert ivs == [Interval(F(0), F(1), hi_open=True)]
 
     def test_empty(self):
-        assert feasible_set([RationalFunction.constant(-1)]) == []
+        assert feasible_set([((-1, 0), (1, 0))]) == []
 
     def test_everything(self):
-        assert feasible_set([RationalFunction.constant(2)]) == [Interval(None, None)]
+        assert feasible_set([((2, 0), (1, 0))]) == [Interval(None, None)]
 
     def test_isolated_point(self):
-        # -(t-2)^2 >= 0 only at t = 2
-        rf = RationalFunction(Poly([-4, 4, -1]))
-        assert feasible_set([rf]) == [Interval(F(2), F(2))]
+        # t >= 0 and -t >= 0 only at t = 0
+        assert feasible_set([T, ((0, -1), (1, 0))]) == [Interval(F(0), F(0))]
 
-    def test_feasible_point_joins_two_gaps(self):
-        # (t-1)^2 t >= 0 on [0, inf): the feasible point 1 joins (0, 1) and
-        # (1, inf) into one interval
-        rf = RationalFunction(Poly([-1, 1]) * Poly([-1, 1]) * Poly.x())
-        assert feasible_set([rf]) == [Interval(F(0), None)]
+    def test_cancelled_pole_stays_excluded(self):
+        # (2t - 2)/(t - 1) is 2 wherever it is defined, which is t != 1
+        assert feasible_set([((-2, 2), (-1, 1))]) == [
+            Interval(None, F(1), hi_open=True),
+            Interval(F(1), None, lo_open=True),
+        ]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(constraint(), min_size=1, max_size=3))
     def test_walk_matches_candidate_intervals(self, constraints):
-        assert feasible_set(constraints) == feasible_set_by_candidates(constraints)
-
-    def test_irrational_boundary_over_approximates(self):
-        # t^2 - 2 >= 0: feasible outside (-sqrt2, sqrt2); the result must
-        # cover every truly feasible rational point (it may also include
-        # part of the rational bracket around the irrational boundary);
-        # the infeasible boundary point 0 is checked exactly and excluded
-        ivs = feasible_set([RationalFunction(Poly([-2, 0, 1]))])
-        for t in (F(-5), F(-2), F(2), F(5), F(3, 2), F(-3, 2)):
-            assert any(iv.contains(t) for iv in ivs)
-        assert not any(iv.contains(F(0)) for iv in ivs)
+        reference = feasible_set_by_candidates([as_rational_function(nd) for nd in constraints])
+        assert feasible_set(constraints) == reference
 
 
 class TestColumnHolesFamily:
@@ -192,8 +180,7 @@ class TestColumnHolesFamily:
 
     def test_moving_vertex_endpoints(self, two_missing_column):
         fam = family_11_21(two_missing_column)
-        x_rf, y_rf = fam.moving_vertex
-        assert (x_rf(F(-1, 20)), y_rf(F(-1, 20))) == (F(11, 160), F(1, 160))
+        assert fam.vertex_at(F(-1, 20)) == (F(11, 160), F(1, 160))
         assert fam.moving_vertex_limit() == (F(1, 160), F(11, 160))
 
     def test_symbolic_product_matches_observations(self, two_missing_column, rng):
@@ -206,13 +193,13 @@ class TestColumnHolesFamily:
 
     def test_moving_vertex_stays_on_line(self, two_missing_column, rng):
         fam = family_11_21(two_missing_column)
-        x_rf, y_rf = fam.moving_vertex
         line = fam.line_p1
         for _ in range(5):
             t = F(rng.randint(-60, 60), rng.randint(1, 7))
-            if not (x_rf.defined_at(t) and y_rf.defined_at(t)):
-                continue
-            assert line.value((x_rf(t), y_rf(t))) == 0
+            try:
+                assert line.value(fam.vertex_at(t)) == 0
+            except ZeroDivisionError:
+                pass
 
     def test_critical_positions_present_and_fail(self, two_missing_column):
         fam = family_11_21(two_missing_column)
@@ -684,12 +671,58 @@ def random_two_hole_inputs(seed: int, n: int) -> list:
     return out
 
 
-class TestCriticalParameters:
-    """The shared-denominator incidences against the same incidences built
-    from rational-function sums."""
+def random_rational_two_hole_inputs(seed: int, n: int, bits: int = 12) -> list:
+    """n 4x4 inputs with two random holes and entries p/q, 0 <= p < 2^bits
+    and 0 < q < 2^bits: bit size, not the entry count, is what the
+    family's cost grows with."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        full = ExactMatrix([[F(rng.randrange(1 << bits), rng.randrange(1, 1 << bits)) for _ in range(4)]
+                            for _ in range(4)])
+        holes = set(rng.sample(CELLS, 2))
+        out.append(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes)))
+    return out
+
+
+def assert_matches_rational_functions(fam, rng):
+    """Every datum the family reads off its pencils equals the same datum
+    of the family rebuilt over RationalFunction entries: the factors and
+    the moving vertex at the critical t and at random t (a pole raising
+    ZeroDivisionError on both sides), the critical t, the feasible set,
+    the moving vertex's line up to scale and its limit at infinity."""
+    ref = rational_function_family(fam)
+    criticals = _critical_ts(fam)
+    assert criticals == critical_ts_by_rational_functions(fam)
+    assert fam.feasible == feasible_by_rational_functions(fam)
+    x, y = ref.moving_vertex
+    line = line_by_rational_functions(fam)
+    for t in criticals + [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4)]:
+        try:
+            want = rf_matrix_at(ref.a_of_t, t), rf_matrix_at(ref.b_of_t, t)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                fam.factors_at(t)
+        else:
+            assert fam.factors_at(t) == want
+        try:
+            assert fam.vertex_at(t) == (x(t), y(t))
+        except ZeroDivisionError:
+            # w(t) = 0: a pole of the vertex, or a vertex that does not move
+            assert not (x.defined_at(t) and y.defined_at(t)) or not any(cross(*fam.moving_vertex))
+    assert fam.moving_vertex_limit() == (limit_at_infinity(x), limit_at_infinity(y))
+    if fam.tag == "11_21":
+        assert (fam.line_p1 is None) == (line is None)
+        if line is not None:
+            assert not any(cross(fam.line_p1.line, line))
+
+
+class TestPencilsMatchRationalFunctions:
+    """The affine pencils against the same family built from
+    RationalFunction arithmetic, in both orientations."""
 
     @pytest.mark.parametrize("name", FIXTURES)
-    def test_fixtures_match_rational_function_reference(self, name):
+    def test_fixtures_match_rational_function_reference(self, name, rng):
         fams = [
             fam
             for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text()))
@@ -698,28 +731,36 @@ class TestCriticalParameters:
         # two_missing_unknown is Unknown because neither orientation has a family
         assert bool(fams) == (name != "two_missing_unknown")
         for fam in fams:
-            assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+            assert_matches_rational_functions(fam, rng)
 
-    def test_random_inputs_match_rational_function_reference(self):
+    def test_random_inputs_match_rational_function_reference(self, rng):
         tags = set()
         for m in random_two_hole_inputs(2027, 80):
             for fam in families_of(m):
                 tags.add(fam.tag)
-                assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+                assert_matches_rational_functions(fam, rng)
         assert tags == {"11_21", "11_22"}
 
-    def test_fixed_point_on_an_outer_vertex(self):
+    def test_12_bit_rationals_match_rational_function_reference(self, rng):
+        tags = []
+        for m in random_rational_two_hole_inputs(2033, 40):
+            for fam in families_of(m):
+                tags.append(fam.tag)
+                assert_matches_rational_functions(fam, rng)
+        assert min(tags.count("11_21"), tags.count("11_22")) >= 10
+
+    def test_fixed_point_on_an_outer_vertex(self, rng):
         """A fixed inner point that is also an outer vertex joins it in the
         zero line, which adds no critical t and builds no half-plane."""
-        rng = random.Random(2031)
+        rng_inputs = random.Random(2031)
         tags = set()
         for _ in range(300):
-            full = ExactMatrix([[rng.randint(0, 2) for _ in range(4)] for _ in range(4)])
-            holes = set(rng.sample(CELLS, 2))
+            full = ExactMatrix([[rng_inputs.randint(0, 2) for _ in range(4)] for _ in range(4)])
+            holes = set(rng_inputs.sample(CELLS, 2))
             for fam in families_of(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes))):
                 if set(fam.fixed_inner_points) & set(fam.fixed_outer.vertices):
                     tags.add(fam.tag)
-                    assert _critical_ts(fam) == critical_ts_by_rational_functions(fam)
+                    assert_matches_rational_functions(fam, rng)
         assert tags == {"11_21", "11_22"}
 
     def test_moving_vertex_line_matches_closed_form(self):
@@ -833,24 +874,24 @@ class TestFactorsAt:
         """The search evaluates A(t) and B(t) once per feasible tried t and
         reads the completion and the pair from those two matrices."""
         evaluated = []
-        rf_matrix_eval = nncomplete.family.rf_matrix_eval
+        factors_at = NestedFamily.factors_at
         completable_at = nncomplete.family._completable_at
 
-        def counting_eval(rows, t):
+        def counting_factors_at(fam, t):
             evaluated.append(t)
-            return rf_matrix_eval(rows, t)
+            return factors_at(fam, t)
 
         def checking(fam, t):
             before = len(evaluated)
             hit = completable_at(fam, t)
-            assert len(evaluated) - before == (2 if fam.is_feasible(t) else 0)
+            assert len(evaluated) - before == (1 if fam.is_feasible(t) else 0)
             if hit is not None:
                 assert hit.completion == fam.completion_at(t)
             tried.append(t)
             return hit
 
         tried = []
-        monkeypatch.setattr(nncomplete.family, "rf_matrix_eval", counting_eval)
+        monkeypatch.setattr(NestedFamily, "factors_at", counting_factors_at)
         monkeypatch.setattr(nncomplete.family, "_completable_at", checking)
         inputs = [parse_partial((DATA / f"{name}.txt").read_text())
                   for name in ("two_missing_completable", "two_missing_diagonal")]

@@ -444,6 +444,61 @@ def kernel_outcome(kernel, *args):
     return repr(out.vertices if isinstance(out, Polygon2) else out)
 
 
+planted_coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+planted_point = st.tuples(planted_coord, planted_coord)
+
+
+@st.composite
+def planted_slack(draw, loose: bool):
+    """Slack matrix of a pair with a planted triangle T: P is drawn inside
+    T as convex combinations of its vertices, and every facet line of Q
+    passes through a vertex of T (the zero offset), or, when ``loose``,
+    is moved off T by an offset in [0, 2].  Three facet normals that
+    positively span the plane keep Q bounded."""
+    tri = draw(st.tuples(planted_point, planted_point, planted_point).filter(lambda t: orient(*t) != 0))
+    weights = st.tuples(*[st.integers(0, 6)] * 3).filter(any)
+    inner = [
+        tuple(sum(Fraction(wk, sum(w)) * v[c] for wk, v in zip(w, tri)) for c in (0, 1))
+        for w in draw(st.lists(weights, min_size=3, max_size=7))
+    ]
+    normals = [(1, 0), (0, 1), (-1, -1)] + draw(
+        st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any), max_size=5)
+    )
+    rows = []
+    for nx, ny in normals:
+        c = min(nx * x + ny * y for x, y in tri)
+        if loose:
+            c -= draw(st.builds(Fraction, st.integers(0, 4), st.just(2)))
+        rows.append([nx * x + ny * y - c for x, y in inner])
+    return ExactMatrix(rows)
+
+
+class TestPlantedTriangle:
+    """A slack matrix factors through any triangle T with P inside T
+    inside Q: A holds the slacks of T's vertices against Q's facets and B
+    the barycentric coordinates of P's points in T.  So the search must
+    find a triangle, even when T's vertices lie on Q's edges."""
+
+    @staticmethod
+    def assert_factored(m: ExactMatrix):
+        ok, witness = nn_rank_at_most_3(m)
+        assert ok
+        a, b = witness
+        assert (a.q, b.p) == (3, 3)
+        assert a.is_nonnegative() and b.is_nonnegative()
+        assert matmul(a, b) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_slack(loose=False))
+    def test_tight_triangle_is_found(self, m):
+        self.assert_factored(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_slack(loose=True))
+    def test_loose_triangle_is_found(self, m):
+        self.assert_factored(m)
+
+
 class TestIntegerKernelsAgainstFractionOracles:
     """chord_exit and polygon_from_halfplanes on integers against the same
     kernels in Fraction arithmetic: equal points print the same."""

@@ -4,9 +4,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nncomplete import Poly, RationalFunction, SharedDenominator
-
-from oracles import rf_roots
+from nncomplete import Poly, RationalFunction
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=0, max_size=5
@@ -184,74 +182,3 @@ class TestRationalFunction:
         assert not f.defined_at(3)
         with pytest.raises(ZeroDivisionError):
             f(3)
-
-
-int64 = st.integers(-(2**63), 2**63)
-int_polys = st.lists(int64, min_size=1, max_size=3).map(Poly)
-weights64 = st.one_of(st.just(Fraction(0)), st.builds(Fraction, int64, st.integers(1, 2**63)))
-
-
-class TestSharedDenominator:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.data(),
-        st.integers(1, 3),
-        st.builds(Fraction, st.integers(-(2**32), 2**32), st.integers(1, 2**32)),
-        st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1), (0, 1)]),
-        st.booleans(),
-    )
-    def test_combination_matches_rational_function_sums(self, data, k, r, mult, zero):
-        """constant + sum(w_i f_i) is built as T/D with T = (t-r)^a U and
-        D = (t-r)^b V, so the combination cancels (t-r) against the
-        shared denominator with equal or unequal multiplicity; T = 0
-        gives a zero combination."""
-        a, b = mult
-        linear = Poly([-r, 1])
-        u, v = data.draw(int_polys), data.draw(int_polys)
-        if v.is_zero():
-            v = Poly([1])
-        target = Poly([]) if zero or u.is_zero() else linear**a * u
-        den = linear**b * v
-        constant = data.draw(weights64)
-        ws = [data.draw(weights64) for _ in range(k)]
-        fs = [RationalFunction(data.draw(int_polys), den) for _ in range(k)]
-        live = [i for i, w in enumerate(ws) if w]
-        if live:
-            # solve for one function so that the combination is target/den
-            j = live[0]
-            rest = sum((ws[i] * fs[i] for i in range(k) if i != j), RationalFunction.constant(constant))
-            fs[j] = (RationalFunction(target, den) - rest) / ws[j]
-        combo = sum((w * f for w, f in zip(ws, fs)), RationalFunction.constant(constant))
-        expected = sorted(rf_roots(combo))
-        assert SharedDenominator(fs).combination_roots(constant, ws) == expected
-        if live and target.is_zero():
-            assert expected == []
-        if live and a == b and u(r) != 0 and v(r) != 0:
-            assert r not in expected
-        if live and a != b and not target.is_zero() and u(r) != 0 and v(r) != 0:
-            assert expected.count(r) == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(int_polys, int_polys), min_size=1, max_size=3), points)
-    def test_each_function_over_the_lcm(self, pairs, t):
-        fs = [RationalFunction(n, d) for n, d in pairs if not d.is_zero()]
-        if not fs:
-            return
-        shared = SharedDenominator(fs)
-        den = Poly(shared.den)
-        assert len({len(shared.den), *map(len, shared.nums)}) == 1
-        for f, n in zip(fs, shared.nums):
-            assert RationalFunction(Poly(n), den) == f
-            if f.defined_at(t) and den(t) != 0:
-                assert Poly(n)(t) / den(t) == f(t)
-        # den is the lcm of the reduced denominators: no factor of it
-        # divides every numerator
-        common = den
-        for n in shared.nums:
-            common = common.gcd(Poly(n))
-        assert common.degree == 0
-
-    def test_weights_must_match_functions(self):
-        shared = SharedDenominator([RationalFunction(Poly([1]), Poly([-1, 1]))])
-        with pytest.raises(ValueError):
-            shared.combination_roots(0, (1, 2))
