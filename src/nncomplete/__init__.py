@@ -30,7 +30,6 @@ from .partial import (
     zero_entries_line_consistent,
     zero_line_property,
 )
-from .polyfun import Poly, RationalFunction
 from .completion import (
     CompletionOutcome,
     PerturbationSpec,

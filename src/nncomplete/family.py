@@ -421,8 +421,10 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     t = Fraction(t)
     if not fam.is_feasible(t):
         raise ValueError(f"t = {t} is not feasible")
+    # a1k = n_k/d has the sign of n_k*d, and d != 0 at a feasible t
     d0, d1 = fam.a_den
-    a1 = _at(fam.a_pencil, t, d0 + t * d1)[0]
+    d = d0 + t * d1
+    a1 = [(x + t * y) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
     neg = sum(1 for x in a1 if x < 0)
     pos = sum(1 for x in a1 if x > 0)
     zero = sum(1 for x in a1 if x == 0)

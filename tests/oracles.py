@@ -2,7 +2,8 @@
 
 Everything here is deliberately written differently from the package:
 naive cofactor expansions, brute-force enumeration, string-parsed
-polynomial transcriptions, float NMF — so agreement is meaningful.
+polynomial transcriptions, float NMF, rational functions in sympy's
+QQ(t) — so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from sympy import QQ, Poly, symbols
 
 from nncomplete import (
     CompletionOutcome,
@@ -22,8 +24,6 @@ from nncomplete import (
     LinearSolution,
     Nn3Certificate,
     PartialMatrix,
-    Poly,
-    RationalFunction,
     VerificationError,
     cycle_property,
     det,
@@ -59,6 +59,45 @@ def det_cofactor(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# polynomials and rational functions of t, over sympy's QQ[t] and QQ(t)
+
+
+_t = symbols("t")
+RING = QQ[_t]
+FIELD = QQ.frac_field(_t)  # every element kept in lowest terms
+
+
+def as_fraction(q) -> Fraction:
+    """A sympy rational (a domain element or a Rational) as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def rf_at(rf, t) -> Fraction:
+    """rf(t) for an element of FIELD and a rational t; ZeroDivisionError
+    at a pole."""
+    t = QQ(t.numerator, t.denominator)
+    d = rf.denom(t)
+    if d == 0:
+        raise ZeroDivisionError(f"pole at t = {t}")
+    return as_fraction(rf.numer(t) / d)
+
+
+def defined_at(rf, t) -> bool:
+    return rf.denom(QQ(t.numerator, t.denominator)) != 0
+
+
+def as_poly(p) -> Poly:
+    """An element of a polynomial ring in t as a sympy Poly."""
+    return Poly.from_list(p.to_dense(), _t, domain=QQ)
+
+
+def rational_roots(p) -> list:
+    """The rational roots of a polynomial in t, sorted; none for a
+    constant."""
+    return [] if p.is_ground else sorted(as_fraction(r) for r in as_poly(p).ground_roots())
 
 
 def matrix_rank_float(m: ExactMatrix) -> int:
@@ -139,28 +178,28 @@ def one_missing_by_minors(m: PartialMatrix, hole, r):
     """("none" | "unique" | "infinite", value-or-None) by requiring every
     (r+1)x(r+1) minor touching the hole to vanish, with the hole as a
     polynomial variable."""
-    x = Poly.x()
+    x = RING.gens[0]
     rows = []
     for i in range(1, m.p + 1):
         row = []
         for j in range(1, m.q + 1):
-            row.append(x if (i, j) == hole else Poly([m.entry(i, j)]))
+            row.append(x if (i, j) == hole else RING.convert(m.entry(i, j)))
         rows.append(row)
     minors = []
     for rsel in itertools.combinations(range(m.p), r + 1):
         for csel in itertools.combinations(range(m.q), r + 1):
             sub = [[rows[i][j] for j in csel] for i in rsel]
             minors.append(det_cofactor(sub))
-    if all(p.is_zero() for p in minors):
+    if not any(minors):
         return "infinite", None
     # each minor is affine in the hole value; intersect the root sets
     candidates = None
     for p in minors:
-        if p.is_zero():
+        if not p:
             continue
-        if p.is_constant():
+        if p.is_ground:
             return "none", None
-        roots = set(p.rational_roots())
+        roots = set(rational_roots(p))
         candidates = roots if candidates is None else candidates & roots
         if not candidates:
             return "none", None
@@ -517,32 +556,37 @@ def line_from_observed_minors(m: PartialMatrix) -> HalfPlane:
 
 
 def feasible_set_by_candidates(constraints) -> list:
-    """The feasible set of rational-function constraints built in passes:
-    keep each candidate interval between consecutive boundary points whose
-    interior probe is feasible (or that hides an irrational root), closed
-    at its feasible ends; then admit the feasible boundary points no kept
-    interval contains; then sort and join intervals that share a closed
-    end."""
+    """The feasible set of constraints rf >= 0, each rf in QQ(t), built in
+    passes: keep each candidate interval between consecutive boundary
+    points whose interior probe is feasible (or that hides an irrational
+    root), closed at its feasible ends; then admit the feasible boundary
+    points no kept interval contains; then sort and join intervals that
+    share a closed end."""
     bounds = set()
+    irrational = []  # (p, Poly) for each p with an irrational root
     for rf in constraints:
-        for p in (rf.num, rf.den):
-            if not (p.is_zero() or p.is_constant()):
-                for a, b in p.isolate_real_roots():
-                    bounds.update((a, b))
+        for p in (rf.numer, rf.denom):
+            if p.is_ground:
+                continue
+            poly = as_poly(p)
+            roots = poly.ground_roots()
+            brackets = poly.intervals()
+            # intervals() brackets a rational root too, so each is also a point
+            bounds.update(as_fraction(r) for r in roots)
+            for (a, b), _ in brackets:
+                bounds.update((as_fraction(a), as_fraction(b)))
+            if len(brackets) > len(roots):
+                irrational.append((p, poly))
     bounds = sorted(bounds)
     edges = [None] + bounds + [None]
     candidates = list(zip(edges, edges[1:]))
 
     def ok(t):
-        return all(rf.den(t) != 0 and rf(t) >= 0 for rf in constraints)
+        return all(defined_at(rf, t) and rf_at(rf, t) >= 0 for rf in constraints)
 
     def hides_root(lo, hi):
-        return any(
-            p.count_roots(lo, hi) - (1 if p(hi) == 0 else 0) > 0
-            for rf in constraints
-            for p in (rf.num, rf.den)
-            if not (p.is_zero() or p.is_constant())
-        )
+        # every rational root is a bound; count_roots counts the closed [lo, hi]
+        return any(poly.count_roots(lo, hi) - (p(lo) == 0) - (p(hi) == 0) > 0 for p, poly in irrational)
 
     intervals = []
     for lo, hi in candidates:
@@ -566,21 +610,17 @@ def feasible_set_by_candidates(constraints) -> list:
 
 
 # ---------------------------------------------------------------------------
-# a two-hole family rebuilt over RationalFunction entries
+# a two-hole family rebuilt over QQ(t)
 
 
 @dataclass
 class RationalFunctionFamily:
     """A(t), B(t) and the moving vertex (x(t), y(t)) of a two-hole family
-    as RationalFunction matrices, each entry reduced by its own gcd."""
+    as matrices over QQ(t), each entry in lowest terms."""
 
     a_of_t: list
     b_of_t: list
     moving_vertex: tuple
-
-
-def _rf(x) -> RationalFunction:
-    return x if isinstance(x, RationalFunction) else RationalFunction.constant(Fraction(x))
 
 
 def rational_function_family(fam) -> RationalFunctionFamily:
@@ -588,62 +628,55 @@ def rational_function_family(fam) -> RationalFunctionFamily:
     ``fam.source`` as the library built them before its pencils: for
     11_21, b1 = x0 + t*k from a Gauss-Jordan solve of rows 3-4 with the
     columns reversed; for 11_22, the first row of A by Cramer's rule over
-    cofactor determinants of Poly entries; and the vertex as
-    RationalFunction sums and quotients over the family's chart."""
+    cofactor determinants in QQ[t]; and the vertex as sums and quotients
+    in QQ(t) over the family's chart."""
     m = fam.source
+    t = FIELD.gens[0]
     if fam.tag == "11_21":
         a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
         sol = solve_linear_gauss_jordan(
             m.observed_submatrix([3, 4], [4, 3, 2]), ExactMatrix.column([m.entry(3, 1), m.entry(4, 1)])
         )
         x0, k = sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]
-        b1 = [RationalFunction(Poly([x, y])) for x, y in zip(x0, k)]
-        a_rows = [[_rf(x) for x in row] for row in a.to_lists()]
-        b_rows = [[b1[i]] + [_rf(int(i == j)) for j in range(3)] for i in range(3)]
+        b1 = [x + y * t for x, y in zip(x0, k)]
+        a_rows = [[FIELD.convert(x) for x in row] for row in a.to_lists()]
+        b_rows = [[b1[i]] + [FIELD.convert(int(i == j)) for j in range(3)] for i in range(3)]
         column = b1
     else:
-        t = Poly.x()
-        n_rows = [[t, Poly([m.entry(2, 3)]), Poly([m.entry(2, 4)])]]
-        n_rows += [[Poly([m.entry(i, j)]) for j in (2, 3, 4)] for i in (3, 4)]
-        rhs = [Poly([m.entry(1, j)]) for j in (2, 3, 4)]
-        den = det_cofactor(n_rows)
-        a1 = [RationalFunction(det_cofactor([rhs if i == j else n_rows[i] for i in range(3)]), den)
+        hole = RING.gens[0]
+        n_rows = [[hole, RING.convert(m.entry(2, 3)), RING.convert(m.entry(2, 4))]]
+        n_rows += [[RING.convert(m.entry(i, j)) for j in (2, 3, 4)] for i in (3, 4)]
+        rhs = [RING.convert(m.entry(1, j)) for j in (2, 3, 4)]
+        den = FIELD.convert(det_cofactor(n_rows))
+        a1 = [FIELD.convert(det_cofactor([rhs if i == j else n_rows[i] for i in range(3)])) / den
               for j in range(3)]
-        a_rows = [a1] + [[_rf(int(i == j)) for j in range(3)] for i in range(3)]
-        b_rows = [[_rf(m.entry(2, 1)), RationalFunction(t), _rf(m.entry(2, 3)), _rf(m.entry(2, 4))]]
-        b_rows += [[_rf(m.entry(i, j)) for j in (1, 2, 3, 4)] for i in (3, 4)]
+        a_rows = [a1] + [[FIELD.convert(int(i == j)) for j in range(3)] for i in range(3)]
+        b_rows = [[FIELD.convert(m.entry(2, 1)), t, FIELD.convert(m.entry(2, 3)), FIELD.convert(m.entry(2, 4))]]
+        b_rows += [[FIELD.convert(m.entry(i, j)) for j in (1, 2, 3, 4)] for i in (3, 4)]
         column = [row[1] for row in b_rows]
-    w, y, z = (sum((g * x for g, x in zip(row, column) if g), _rf(0)) for row in fam.chart.to_lists())
+    w, y, z = (sum((g * x for g, x in zip(row, column) if g), FIELD.zero) for row in fam.chart.to_lists())
     return RationalFunctionFamily(a_rows, b_rows, (y / w, z / w))
 
 
 def rf_matrix_at(rows, t) -> ExactMatrix:
-    """A RationalFunction matrix at t; ZeroDivisionError at a pole."""
-    return ExactMatrix([[x(t) for x in row] for row in rows])
+    """A matrix over QQ(t) at t; ZeroDivisionError at a pole."""
+    return ExactMatrix([[rf_at(x, t) for x in row] for row in rows])
 
 
-def rf_roots(rf: RationalFunction) -> list:
+def rf_roots(rf) -> list:
     """Rational roots of the numerator and of the denominator of rf."""
-    out = []
-    if not rf.num.is_zero() and not rf.num.is_constant():
-        out.extend(rf.num.rational_roots())
-    if not rf.den.is_constant():
-        out.extend(rf.den.rational_roots())
-    return out
+    return rational_roots(rf.numer) + rational_roots(rf.denom)
 
 
-def _rf_orient(u, w, p) -> RationalFunction:
-    """orient(u, w, p(t)) as a chain of RationalFunction sums."""
-    dx = RationalFunction.constant(w[0] - u[0])
-    dy = RationalFunction.constant(w[1] - u[1])
-    return dx * (p[1] - u[1]) - dy * (p[0] - u[0])
+def _rf_orient(u, w, p):
+    """orient(u, w, p(t)) as a chain of sums in QQ(t)."""
+    return (w[0] - u[0]) * (p[1] - u[1]) - (w[1] - u[1]) * (p[0] - u[0])
 
 
-def critical_ts_by_rational_functions(fam) -> list:
-    """The critical t of a NestedFamily, every incidence built as a
-    RationalFunction (each sum reduced by its own gcd) on the rebuilt
-    family and the roots of its numerator and denominator collected."""
-    ref = rational_function_family(fam)
+def critical_ts_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
+    """The critical t of a NestedFamily, every incidence built in QQ(t)
+    (each sum in lowest terms) on the rebuilt family ``ref`` and the
+    roots of its numerator and denominator collected."""
     crit = set()
     for rows in (ref.a_of_t, ref.b_of_t):
         for row in rows:
@@ -666,9 +699,9 @@ def critical_ts_by_rational_functions(fam) -> list:
     fixed_pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     for j in (0, 2, 3):
         entries = [b[k][j] for k in range(3)]
-        if not all(e.is_constant() for e in entries):
+        if not all(e.numer.is_ground and e.denom.is_ground for e in entries):
             continue
-        vals = [e(0) for e in entries]
+        vals = [rf_at(e, 0) for e in entries]
         if sum(vals) > 0:
             fixed_pts.append((vals[0] / sum(vals), vals[1] / sum(vals)))
     for u, w in itertools.combinations(fixed_pts, 2):
@@ -680,37 +713,38 @@ def critical_ts_by_rational_functions(fam) -> list:
     return sorted(crit)
 
 
-def feasible_by_rational_functions(fam) -> list:
-    """The feasible set of the rebuilt family: both hole entries of
-    A(t).B(t), as RationalFunction sums, are >= 0."""
-    ref = rational_function_family(fam)
+def feasible_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
+    """The feasible set of the rebuilt family ``ref``: both hole entries
+    of A(t).B(t), as sums in QQ(t), are >= 0."""
     holes = sorted(fam.source.pattern.missing)
-    entries = [sum((ref.a_of_t[i - 1][k] * ref.b_of_t[k][j - 1] for k in range(3)), _rf(0)) for i, j in holes]
+    entries = [sum((ref.a_of_t[i - 1][k] * ref.b_of_t[k][j - 1] for k in range(3)), FIELD.zero)
+               for i, j in holes]
     return feasible_set_by_candidates(entries)
 
 
-def line_by_rational_functions(fam):
+def line_by_rational_functions(ref: RationalFunctionFamily):
     """The line (c0, cx, cy) through two distinct positions of the rebuilt
     moving vertex at t = -3..3, or None when it takes at most one there
     (a vertex affine over affine in t then does not move)."""
-    x, y = rational_function_family(fam).moving_vertex
+    x, y = ref.moving_vertex
     points = []
     for t in range(-3, 4):
-        if x.defined_at(t) and y.defined_at(t) and (x(t), y(t)) not in points:
-            points.append((x(t), y(t)))
+        if defined_at(x, t) and defined_at(y, t) and (rf_at(x, t), rf_at(y, t)) not in points:
+            points.append((rf_at(x, t), rf_at(y, t)))
     if len(points) < 2:
         return None
     (x1, y1), (x2, y2) = points[:2]
     return (x1 * y2 - x2 * y1, y1 - y2, x2 - x1)
 
 
-def limit_at_infinity(rf: RationalFunction):
-    """The limit of rf as t -> +-infinity, or None when it diverges."""
-    dn, dd = rf.num.degree, rf.den.degree
+def limit_at_infinity(rf):
+    """The limit of rf in QQ(t) as t -> +-infinity, or None when it
+    diverges."""
+    dn, dd = rf.numer.degree(), rf.denom.degree()
     if dn < dd:
         return Fraction(0)
     if dn == dd:
-        return rf.num.leading() / rf.den.leading()
+        return as_fraction(rf.numer.LC / rf.denom.LC)
     return None
 
 
@@ -882,14 +916,13 @@ def search_order_eager(fam, samples: list) -> list:
 # the poles of an 11_22 family, each ruled out by solving its linear system
 
 
-def poles_of_11_22(fam) -> list:
+def poles_of_11_22(ref: RationalFunctionFamily) -> list:
     """The nonnegative rational poles of the solved first row of A, on the
-    rebuilt family."""
-    a1 = rational_function_family(fam).a_of_t[0]
-    return sorted({t0 for rf in a1 for t0 in rf.den.rational_roots() if t0 >= 0})
+    rebuilt family ``ref``."""
+    return sorted({t0 for rf in ref.a_of_t[0] for t0 in rational_roots(rf.denom) if t0 >= 0})
 
 
-def poles_ruled_out_by_solve(fam) -> bool:
+def poles_ruled_out_by_solve(fam, ref: RationalFunctionFamily) -> bool:
     """Whether no completion lives at a nonnegative pole t0 of an 11_22
     family: at each, the system a1 . N(t0) = (m12, m13, m14) for the
     first row a1 of A, with N(t0) columns 2..4 of the family's B(t0), is
@@ -897,9 +930,9 @@ def poles_ruled_out_by_solve(fam) -> bool:
     columns 2..4 having rank 3 already make it inconsistent."""
     m = fam.source
     rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
-    b = rational_function_family(fam).b_of_t
-    for t0 in poles_of_11_22(fam):
-        n_t = ExactMatrix([[b[k][j](t0) for k in range(3)] for j in (1, 2, 3)])
+    b = ref.b_of_t
+    for t0 in poles_of_11_22(ref):
+        n_t = ExactMatrix([[rf_at(b[k][j], t0) for k in range(3)] for j in (1, 2, 3)])
         if solve_linear_gauss_jordan(n_t, rhs).consistent:
             return False
     return True
