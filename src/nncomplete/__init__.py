@@ -47,7 +47,6 @@ from .geometry import (
     HalfPlane,
     NestedPair,
     Polygon2,
-    Triangle,
     UnboundedRegionError,
     VerificationError,
     chord_exit,

@@ -29,8 +29,8 @@ from .geometry import (
     HalfPlane,
     NestedPair,
     Polygon2,
-    Triangle,
     UnboundedRegionError,
+    chord_exit,
     contains,
     cross,
     join,
@@ -38,7 +38,6 @@ from .geometry import (
     nested_triangle,
     nn_rank_at_most_3,
     polytopes_from_factorization,
-    side,
     triangle_to_factorization,
 )
 
@@ -292,36 +291,19 @@ def sufficient_11_21(fam: NestedFamily):
     None (inconclusive)."""
     if fam.tag != "11_21":
         raise ValueError("family must have the 11_21 shape")
-    if fam.line_p1 is None:
-        return None
+    v0, v1 = fam.moving_vertex
     p2, p3, p4 = fam.fixed_inner_points
-    # intersections of the moving-vertex line with the edge lines; the
+    # the moving vertex meets the edge line L where L.(v0 + t*v1) = 0; the
     # fixed triangle lies in the outer polygon (A >= 0 is the slack of its
     # vertices), so testing the outer polygon covers it
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        cand = meet(fam.line_p1.line, join(u, v))
-        if cand is None or not fam.fixed_outer.contains_point(cand):
+        line = join(u, v)
+        slope = _dot(line, v1)
+        if not slope:
             continue
-        t = _solve_moving_vertex(fam, cand)
-        if t is not None and fam.is_feasible(t):
+        t = -Fraction(_dot(line, v0)) / slope
+        if v0[0] + t * v1[0] and fam.fixed_outer.contains_point(fam.vertex_at(t)) and fam.is_feasible(t):
             return t
-    # the line may cross the triangle without crossing an edge line inside
-    # Q only through a vertex; the edge intersections above cover that
-    return None
-
-
-def _solve_moving_vertex(fam: NestedFamily, target):
-    """t with moving_vertex(t) == target, or None: the root of the first
-    coordinate equation y - x*w = 0 (or z - y*w = 0) that is not zero
-    identically in t."""
-    v0, v1 = fam.moving_vertex
-    eqs = [(v0[k] - c * v0[0], v1[k] - c * v1[0]) for k, c in ((1, target[0]), (2, target[1]))]
-    e0, e1 = next((e for e in eqs if any(e)), (0, 0))
-    if not e1:
-        return None
-    t = -e0 / e1
-    if v0[0] + t * v1[0] and all(n0 + t * n1 == 0 for n0, n1 in eqs):
-        return t
     return None
 
 
@@ -628,28 +610,6 @@ def _envelope_for_interval(fam: NestedFamily, iv: Interval, ts):
     return inner_env, outer_env
 
 
-def _boundary_intersections(poly: Polygon2, a, b) -> list:
-    """All points where the infinite line a-b meets the boundary of poly."""
-    if a == b:
-        return []
-    line = join(a, b)
-    out = []
-    for (e1, e2) in poly.edges():
-        o1 = side(a, b, e1)
-        o2 = side(a, b, e2)
-        if o1 == 0:
-            out.append(e1)
-        if o2 == 0:
-            out.append(e2)
-        if (o1 > 0 > o2) or (o1 < 0 < o2):
-            out.append(meet(line, join(e1, e2)))
-    seen = []
-    for x in out:
-        if x not in seen:
-            seen.append(x)
-    return seen
-
-
 def sweep_candidates(fam: NestedFamily) -> set:
     """Positions of the moving vertex on its line where an anchored greedy
     chain can change combinatorics: incidences of the line with lines
@@ -663,14 +623,20 @@ def sweep_candidates(fam: NestedFamily) -> set:
     candidates = set()
     for u, w in itertools.combinations(all_pts, 2):
         candidates.add(meet(line.line, join(u, w)))
-    level1 = set()
-    for qv in outer.vertices:
-        for pv in fixed_pts:
-            level1.update(_boundary_intersections(outer, qv, pv))
-    level2 = set()
-    for x in level1:
-        for pv in fixed_pts:
-            level2.update(_boundary_intersections(outer, x, pv))
+
+    def boundary_points(ends) -> set:
+        """Where the line through each end a and each fixed point p meets
+        the boundary of the outer polygon: p lies in that polygon, so
+        these are the exits of the rays from p towards a and away from a."""
+        out = set()
+        for a in ends:
+            for p in fixed_pts:
+                if a != p:
+                    out |= {chord_exit(p, a, outer), chord_exit(p, (2 * p[0] - a[0], 2 * p[1] - a[1]), outer)}
+        return out
+
+    level1 = boundary_points(outer.vertices)
+    level2 = boundary_points(level1)
     for x in level1 | level2:
         for pv in fixed_pts:
             candidates.add(meet(line.line, join(x, pv)))
@@ -755,7 +721,7 @@ class Nn3Certificate:
     t_star: Fraction | None = None
     completion: ExactMatrix | None = None
     witness: tuple | None = None
-    triangle: Triangle | None = None
+    triangle: Polygon2 | None = None
     envelope: tuple | None = None
     envelope_t: tuple | None = None
     samples: list = field(default_factory=list)

@@ -18,7 +18,8 @@ The kernels of the triangle search compute on Python integers and build
 a Fraction only for a value they return.  `side` cross-multiplies
 numerators and denominators.  Each half-plane keeps its coefficients as
 one integer triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates
-at a point.  `polygon_from_halfplanes` meets two integer lines in their
+at a point; a point lies in a polygon when no facet's sign there is
+negative.  `polygon_from_halfplanes` meets two integer lines in their
 cross product and tests it with integer dot products, and `chord_exit`
 compares exit bounds by cross-multiplication.
 """
@@ -191,6 +192,13 @@ class Polygon2:
     def from_points(cls, points) -> "Polygon2":
         return cls(convex_hull(points))
 
+    @classmethod
+    def triangle(cls, a: Point, b: Point, c: Point) -> "Polygon2":
+        """The triangle on a, b, c, counterclockwise from a; ValueError
+        when the three points are collinear."""
+        a, b, c = ((to_fraction(x), to_fraction(y)) for (x, y) in (a, b, c))
+        return cls([a, b, c] if side(a, b, c) >= 0 else [a, c, b])
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -226,10 +234,7 @@ class Polygon2:
             d = (b[0] - a[0], b[1] - a[1])
             s = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
             return 0 <= s <= d[0] * d[0] + d[1] * d[1]
-        n = self.n
-        return all(
-            side(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0 for i in range(n)
-        )
+        return all(hp.contains(p) for hp in self.facets())
 
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
@@ -282,32 +287,6 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
     return Polygon2.from_points(verts)
 
 
-class Triangle:
-    """Non-degenerate triangle, stored counterclockwise."""
-
-    def __init__(self, a: Point, b: Point, c: Point):
-        a, b, c = ((to_fraction(x), to_fraction(y)) for (x, y) in (a, b, c))
-        s = side(a, b, c)
-        if s == 0:
-            raise ValueError("degenerate triangle")
-        if s < 0:
-            b, c = c, b
-        self.vertices = [a, b, c]
-
-    def contains_point(self, p: Point) -> bool:
-        a, b, c = self.vertices
-        return side(a, b, p) >= 0 and side(b, c, p) >= 0 and side(c, a, p) >= 0
-
-    def contains_polygon(self, poly: Polygon2) -> bool:
-        return all(self.contains_point(v) for v in poly.vertices)
-
-    def as_polygon(self) -> Polygon2:
-        return Polygon2(self.vertices)
-
-    def __repr__(self):
-        return f"Triangle({self.vertices!r})"
-
-
 @dataclass
 class NestedPair:
     """Inner polygon P and outer polygon Q with factorization provenance.
@@ -322,9 +301,6 @@ class NestedPair:
     inner_generators: list = field(default_factory=list)
     outer_halfplanes: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-
-    def is_nested(self) -> bool:
-        return contains(self.outer, self.inner)
 
 
 def slack_matrix(pair: NestedPair) -> ExactMatrix:
@@ -447,10 +423,10 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
 
 def _verified(candidate, inner: Polygon2, outer: Polygon2):
     try:
-        tri = Triangle(*candidate)
+        tri = Polygon2.triangle(*candidate)
     except ValueError:
         return None
-    if tri.contains_polygon(inner) and all(outer.contains_point(v) for v in tri.vertices):
+    if contains(tri, inner) and contains(outer, tri):
         return tri
     return None
 
@@ -471,15 +447,15 @@ def nested_triangle(pair: NestedPair):
         raise ValueError("inner polygon is not contained in the outer polygon")
 
     if inner.n == 3:
-        return Triangle(*inner.vertices)
+        return inner
     if outer.n == 3:
-        return Triangle(*outer.vertices)
+        return outer
     if inner.n == 1:
         # fan triangulation of Q around its first vertex
         p = inner.vertices[0]
         q0 = outer.vertices[0]
         for i in range(1, outer.n - 1):
-            tri = Triangle(q0, outer.vertices[i], outer.vertices[i + 1])
+            tri = Polygon2.triangle(q0, outer.vertices[i], outer.vertices[i + 1])
             if tri.contains_point(p):
                 return tri
         raise VerificationError("point inside outer polygon missed by its fan")
@@ -646,7 +622,7 @@ def nn_rank_at_most_3(m: ExactMatrix):
     return True, witness
 
 
-def triangle_to_factorization(pair: NestedPair, tri: Triangle, m: ExactMatrix):
+def triangle_to_factorization(pair: NestedPair, tri: Polygon2, m: ExactMatrix):
     """Convert a nested triangle of a pair built by
     polytopes_from_factorization (or bounded_nested_pair) back into a
     size-3 nonnegative factorization of m, the product of the pair's

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import NestedPair, Triangle
+from .geometry import NestedPair, Polygon2
 
 _SIGNIFICANT = 12
 
@@ -30,7 +30,7 @@ def _points_attr(vertices) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(-y)}" for (x, y) in vertices)
 
 
-def render_nested_pair(pair: NestedPair, triangle: Triangle | None = None) -> str:
+def render_nested_pair(pair: NestedPair, triangle: Polygon2 | None = None) -> str:
     """SVG document for the pair (and optional triangle), as a string."""
     x0, y0, x1, y1 = pair.outer.bounding_box()
     w = x1 - x0

@@ -37,7 +37,7 @@ from nncomplete import (
     zero_entries_line_consistent,
 )
 from nncomplete.family import _family_stages
-from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, Triangle, UnboundedRegionError, contains
+from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, UnboundedRegionError, join, meet, side
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
 
@@ -495,13 +495,18 @@ def _close_grid_chain(start, v1, inner, outer):
         return None
     if any(orient(e1, e2, c) < 0 for e1, e2 in zip(outer, outer[1:] + outer[:1]) for c in corners):
         return None
-    return Triangle(*corners)
+    return Polygon2.triangle(*corners)
 
 
-def verify_triangle(pair: NestedPair, tri: Triangle) -> bool:
-    return tri.contains_polygon(pair.inner) and contains(
-        pair.outer, tri.as_polygon()
-    )
+def verify_triangle(pair: NestedPair, tri: Polygon2) -> bool:
+    """tri contains P and lies in Q: every vertex on the closed left of
+    every counterclockwise edge, by `orient`."""
+
+    def inside(polygon, points):
+        vs = polygon.vertices
+        return all(orient(a, b, p) >= 0 for a, b in zip(vs, vs[1:] + vs[:1]) for p in points)
+
+    return inside(tri, pair.inner.vertices) and inside(pair.outer, tri.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +904,91 @@ def polygon_from_halfplanes_by_fractions(halfplanes) -> Polygon2:
     if not verts:
         raise ValueError("intersection of half-planes is empty")
     return Polygon2.from_points(verts)
+
+
+# ---------------------------------------------------------------------------
+# point in polygon and the 11_21 helpers by edge-wise `side` tests
+
+
+def contains_point_by_edges(poly: Polygon2, p) -> bool:
+    """p on the closed left of every edge of a counterclockwise polygon
+    with at least three vertices, one `side` test per edge."""
+    vs, n = poly.vertices, poly.n
+    return all(side(vs[i], vs[(i + 1) % n], p) >= 0 for i in range(n))
+
+
+def boundary_intersections(poly: Polygon2, a, b) -> list:
+    """All points where the infinite line a-b meets the boundary of poly:
+    the edge ends on the line and the crossings of edges whose ends lie
+    on opposite sides."""
+    if a == b:
+        return []
+    line = join(a, b)
+    out = []
+    for (e1, e2) in poly.edges():
+        o1 = side(a, b, e1)
+        o2 = side(a, b, e2)
+        if o1 == 0:
+            out.append(e1)
+        if o2 == 0:
+            out.append(e2)
+        if (o1 > 0 > o2) or (o1 < 0 < o2):
+            out.append(meet(line, join(e1, e2)))
+    return list(dict.fromkeys(out))
+
+
+def sweep_candidates_by_edges(fam) -> set:
+    """`family.sweep_candidates`, with each chord's ends on the outer
+    boundary found by `boundary_intersections`."""
+    line = fam.line_p1.line
+    outer = fam.fixed_outer
+    fixed_pts = list(fam.fixed_inner_points)
+    candidates = {meet(line, join(u, w)) for u, w in itertools.combinations(fixed_pts + outer.vertices, 2)}
+    level1 = set()
+    for qv in outer.vertices:
+        for pv in fixed_pts:
+            level1.update(boundary_intersections(outer, qv, pv))
+    level2 = set()
+    for x in level1:
+        for pv in fixed_pts:
+            level2.update(boundary_intersections(outer, x, pv))
+    for x in level1 | level2:
+        for pv in fixed_pts:
+            candidates.add(meet(line, join(x, pv)))
+    candidates.discard(None)
+    return candidates
+
+
+def solve_moving_vertex(fam, target):
+    """t with moving_vertex(t) == target, or None: the root of the first
+    coordinate equation y - x*w = 0 (or z - y*w = 0) that is not zero
+    identically in t."""
+    v0, v1 = fam.moving_vertex
+    eqs = [(v0[k] - c * v0[0], v1[k] - c * v1[0]) for k, c in ((1, target[0]), (2, target[1]))]
+    e0, e1 = next((e for e in eqs if any(e)), (0, 0))
+    if not e1:
+        return None
+    t = -e0 / e1
+    if v0[0] + t * v1[0] and all(n0 + t * n1 == 0 for n0, n1 in eqs):
+        return t
+    return None
+
+
+def sufficient_11_21_by_meets(fam):
+    """`family.sufficient_11_21` by meeting the moving vertex's line with
+    each edge line of the fixed triangle, then solving for the t that puts
+    the vertex at that point."""
+    if fam.line_p1 is None:
+        return None
+    p2, p3, p4 = fam.fixed_inner_points
+    for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
+        cand = meet(fam.line_p1.line, join(u, v))
+        if cand is None or not contains_point_by_edges(fam.fixed_outer, cand):
+            continue
+        t = solve_moving_vertex(fam, cand)
+        if t is not None and fam.is_feasible(t):
+            return t
+    return None
 
 
 # ---------------------------------------------------------------------------

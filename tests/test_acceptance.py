@@ -195,7 +195,7 @@ def test_acceptance_diagonal_holes(two_missing_diagonal):
     assert contains(pair0.inner, pairc.inner)  # P_c inside P_0
     assert contains(pair0.outer, pairc.outer)  # Q_c inside Q_0
     envelope_pair = NestedPair(pairc.inner, pair0.outer)
-    assert envelope_pair.is_nested()
+    assert contains(envelope_pair.outer, envelope_pair.inner)
     assert nested_triangle(envelope_pair) is None
     cert = decide_nn3_two_missing(two_missing_diagonal)
     assert cert.verdict == "NotCompletable"

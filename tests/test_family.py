@@ -58,6 +58,8 @@ from oracles import (
     poles_ruled_out_by_solve,
     search_order_eager,
     special_case_by_block_factorization,
+    sufficient_11_21_by_meets,
+    sweep_candidates_by_edges,
 )
 
 F = Fraction
@@ -241,6 +243,28 @@ class TestColumnHolesFamily:
             checked += 1
         assert checked >= 250
 
+    def test_sweep_and_sufficient_condition_match_edge_references(self):
+        """The sweep's chord ends by `chord_exit` from a fixed point and the
+        sufficient condition's incidence roots agree with the edge-by-edge
+        boundary intersections and the meet-then-solve t of the references."""
+        pattern = Pattern(4, 4, frozenset(CELLS) - {(1, 1), (2, 1)})
+        with_t = with_line = 0
+        for seed, hi in ((7, 9), (8, 3)):
+            rng = random.Random(seed)
+            for _ in range(100):
+                full = ExactMatrix([[rng.randint(0, hi) for _ in range(4)] for _ in range(4)])
+                try:
+                    fam = family_11_21(restrict(full, pattern))
+                except FamilyError:
+                    continue
+                t = sufficient_11_21(fam)
+                assert t == sufficient_11_21_by_meets(fam)
+                with_t += t is not None
+                if fam.line_p1 is not None:
+                    assert sweep_candidates(fam) == sweep_candidates_by_edges(fam)
+                    with_line += 1
+        assert with_t >= 100 and with_line >= 100
+
     @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
     def test_decision_not_completable(self, two_missing_column, scale):
         cert = decide_nn3_two_missing(scaled(two_missing_column, scale))
@@ -309,7 +333,7 @@ class TestDiagonalHolesFamily:
         assert cert.envelope is not None
         inner_env, outer_env = cert.envelope
         pair = NestedPair(inner_env, outer_env)
-        assert pair.is_nested()
+        assert contains(pair.outer, pair.inner)
         assert nested_triangle(pair) is None
         lo, hi = cert.envelope_t
         assert (lo, hi) == (F(0), F(4284, 9959) * scale)

@@ -10,7 +10,6 @@ from nncomplete import (
     HalfPlane,
     NestedPair,
     Polygon2,
-    Triangle,
     UnboundedRegionError,
     VerificationError,
     contains,
@@ -32,6 +31,7 @@ from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import (
     _lines_meet,
     chord_exit_by_fractions,
+    contains_point_by_edges,
     matmul_by_fractions,
     nmf_residual,
     orient,
@@ -224,6 +224,39 @@ class TestHullAndPolygon:
         with pytest.raises(ValueError):
             Polygon2([(0, 0), (0, 4), (4, 0)])  # clockwise
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_point, min_size=3, max_size=8))
+    def test_contains_point_matches_edge_sides(self, pts):
+        """The facet-sign test agrees with one `side` test per edge at the
+        vertices, the edge midpoints and points just off each edge: just
+        inside and just outside the polygon."""
+        poly = Polygon2.from_points(pts)
+        assume(not poly.is_degenerate())
+        eps = Fraction(1, 10**6)
+        probes = [(v, True) for v in poly.vertices]
+        for (a, b) in poly.edges():
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            left = (a[1] - b[1], b[0] - a[0])  # the inward normal of a->b
+            probes += [(mid, True)] + [
+                ((mid[0] + s * left[0], mid[1] + s * left[1]), s > 0) for s in (eps, -eps)
+            ]
+        for p, inside in probes:
+            assert poly.contains_point(p) == contains_point_by_edges(poly, p) == inside
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_point, small_point, small_point, small_rational, st.booleans())
+    def test_triangle_is_counterclockwise_from_a(self, a, b, c, k, collinear):
+        if collinear:
+            c = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+        if orient(a, b, c) == 0:
+            with pytest.raises(ValueError):
+                Polygon2.triangle(a, b, c)
+            return
+        tri = Polygon2.triangle(a, b, c)
+        assert tri.vertices[0] == a
+        assert set(tri.vertices) == {a, b, c}
+        assert orient(*tri.vertices) > 0
+
 
 class TestHalfPlanes:
     def test_polygon_round_trip(self, rng):
@@ -413,8 +446,8 @@ class TestNnRankAtMost3:
         # contain the two-dimensional P
         (x, y) = pair.inner.vertices[0]
         eps = Fraction(1, 10**6)
-        tri = Triangle((x - eps, y - eps), (x + eps, y - eps), (x, y + eps))
-        assert not tri.contains_polygon(pair.inner)
+        tri = Polygon2.triangle((x - eps, y - eps), (x + eps, y - eps), (x, y + eps))
+        assert not contains(tri, pair.inner)
         with pytest.raises(VerificationError, match="P not inside triangle"):
             triangle_to_factorization(pair, tri, m)
         assert not issubclass(VerificationError, ValueError)
@@ -592,7 +625,7 @@ class TestRefusesBinaryFloats:
         lambda: convex_hull([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0, 0), (1, 0), (0, 1)]).contains_point((0.1, 0)),
-        lambda: Triangle((0.1, 0), (1, 0), (0, 1)),
+        lambda: Polygon2.triangle((0.1, 0), (1, 0), (0, 1)),
     ], ids=["HalfPlane", "convex_hull", "Polygon2", "contains_point", "Triangle"])
     def test_float_raises_type_error(self, build):
         with pytest.raises(TypeError, match="refusing float 0.1"):
@@ -600,4 +633,4 @@ class TestRefusesBinaryFloats:
 
     def test_strings_and_ints_still_accepted(self):
         assert HalfPlane("1/2", 1, 0) == HalfPlane(Fraction(1, 2), 1, 0)
-        assert Triangle(("1/2", 0), (1, 0), (0, 1)).vertices[0] == (Fraction(1, 2), 0)
+        assert Polygon2.triangle(("1/2", 0), (1, 0), (0, 1)).vertices[0] == (Fraction(1, 2), 0)
