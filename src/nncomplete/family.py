@@ -654,7 +654,9 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     polygons, propagated up to three chords back); between consecutive
     candidates the chain moves monotonically, so testing candidates and
     midpoints decides the whole arc.  A nested triangle at any position
-    inside the outer polygon leaves the interval unrefuted.
+    inside the outer polygon leaves the interval unrefuted.  An infinite
+    bound ends the arc at the limit of the vertex, which no t attains, so
+    that end bounds the last cell but is not itself probed.
     """
     line = fam.line_p1
     outer = fam.fixed_outer
@@ -690,7 +692,10 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     if on_arc:
         probe_points.append(on_arc[-1])
 
+    unattained = [e for e, bound in ((e0, iv.lo), (e1, iv.hi)) if bound is None]
     for c in probe_points:
+        if c in unattained:
+            continue
         inner = Polygon2.from_points([c] + fixed_pts)
         if not contains(outer, inner):
             # positions outside the outer polygon cannot occur for

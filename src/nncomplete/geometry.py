@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, pivot_columns, rank
+from .linalg import ExactMatrix, integer_scaled, inverse, matmul, pivot_columns, rank
 from .linalg import solve_linear, to_fraction
 
 Point = tuple  # (Fraction, Fraction)
@@ -291,9 +291,9 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
 class NestedPair:
     """Inner polygon P and outer polygon Q with factorization provenance.
 
-    ``inner_generators`` keeps the sliced columns of B in input order and
-    ``outer_halfplanes`` the sliced rows of A in input order, so the slack
-    matrix lines up with the original factorization.
+    ``inner_generators`` keeps the sliced nonzero columns of B in input
+    order and ``outer_halfplanes`` the sliced rows of A in input order, so
+    the slack matrix lines up with the original factorization.
     """
 
     inner: Polygon2
@@ -331,33 +331,33 @@ def _slice_halfplane(row):
     return HalfPlane(c0, cx, cy)
 
 
-def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart=None) -> NestedPair:
+def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart: ExactMatrix) -> NestedPair:
     """Nested pair (P, Q) from a factorization A.B sliced in a chart.
 
-    A chart is a nonsingular 3x3 matrix G, None standing for the identity.
-    The pair is the slice at first coordinate 1 of the factorization
-    (A.G^-1).(G.B) of the same product: P is spanned by the points
-    (y/w, z/w) of the columns (w, y, z) of G.B and Q is cut out by the rows
-    (c0, cx, cy) of A.G^-1.  SUM_CHART slices at coordinate sum 1.  Every
-    column of G.B must have strictly positive slice weight w, and Q must
-    come out bounded.  The provenance keeps the charted factors, so
+    A chart is a nonsingular 3x3 matrix G.  The pair is the slice at first
+    coordinate 1 of the factorization (A.G^-1).(G.B) of the same product:
+    P is spanned by the points (y/w, z/w) of the columns (w, y, z) of G.B
+    and Q is cut out by the rows (c0, cx, cy) of A.G^-1.  SUM_CHART slices
+    at coordinate sum 1.  A zero column of G.B gives no point; every other
+    column must have strictly positive slice weight w, and Q must come out
+    bounded.  The provenance keeps the charted factors, so
     triangle_to_factorization can lift a triangle of the pair.
     """
     if a.q != 3 or b.p != 3:
         raise ValueError("factors must have inner dimension 3")
-    if chart is not None:
-        a, b = matmul(a, inverse(chart)), matmul(chart, b)
+    a, b = matmul(a, inverse(chart)), matmul(chart, b)
     gens = []
     for j in range(1, b.q + 1):
         w, y, z = b.col(j)
+        if w == y == z == 0:
+            continue
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {w}")
         gens.append((y / w, z / w))
     hps = [hp for hp in map(_slice_halfplane, a.to_lists()) if hp]
     outer = polygon_from_halfplanes(hps)  # may raise UnboundedRegionError
     inner = Polygon2.from_points(gens)
-    provenance = {"a": a, "b": b, "nonzero_columns": list(range(1, b.q + 1))}
-    return NestedPair(inner, outer, gens, hps, provenance)
+    return NestedPair(inner, outer, gens, hps, {"a": a, "b": b})
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +450,16 @@ def nested_triangle(pair: NestedPair):
         return inner
     if outer.n == 3:
         return outer
-    if inner.n == 1:
-        # fan triangulation of Q around its first vertex
-        p = inner.vertices[0]
-        q0 = outer.vertices[0]
-        for i in range(1, outer.n - 1):
-            tri = Polygon2.triangle(q0, outer.vertices[i], outer.vertices[i + 1])
-            if tri.contains_point(p):
-                return tri
-        raise VerificationError("point inside outer polygon missed by its fan")
+    if inner.n < 3:
+        # P lies on the chord of Q through a and b, and any vertex of Q off
+        # that chord closes a triangle around it
+        a = inner.vertices[0]
+        b = inner.vertices[1] if inner.n == 2 else next(q for q in outer.vertices if q != a)
+        u, v = chord_exit(a, b, outer), chord_exit(b, a, outer)
+        return Polygon2.triangle(u, v, next(q for q in outer.vertices if side(u, v, q)))
 
     # side anchored on a line containing an edge of P
-    edge_lines = list(inner.edges())
-    if inner.n == 2:
-        (a, b) = edge_lines[0]
-        edge_lines = [(a, b), (b, a)]
-    for (a, b) in edge_lines:
+    for (a, b) in inner.edges():
         v1 = chord_exit(a, b, outer)
         v2 = _advance(v1, inner, outer)
         if v2 is None:
@@ -482,7 +476,7 @@ def nested_triangle(pair: NestedPair):
 
     # vertex anchored at a vertex of Q
     for q in outer.vertices:
-        if inner.contains_point(q) and inner.n >= 3:
+        if inner.contains_point(q):
             continue  # q inside P would mean P touches Q; tangents handle boundary
         v1 = _advance(q, inner, outer)
         v2 = v1 and _advance(v1, inner, outer)
@@ -508,70 +502,38 @@ def _advance(v: Point, inner: Polygon2, outer: Polygon2):
 # nonnegative rank at most 3
 
 
-def _nonneg_rank1_factors(m: ExactMatrix):
-    """(u, v) nonnegative with u v^T = m, for a nonnegative rank-<=1 m."""
-    j0 = next((j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))), None)
-    if j0 is None:
-        return [Fraction(0)] * m.p, [Fraction(0)] * m.q
-    u = m.col(j0)
-    i0 = next(i for i in range(1, m.p + 1) if m.entry(i, j0) != 0)
-    v = [m.entry(i0, j) / m.entry(i0, j0) for j in range(1, m.q + 1)]
-    return u, v
+def _low_rank_factorization(m: ExactMatrix):
+    """Nonnegative (A, B) with inner dimension 3 and A.B = m, for a
+    nonnegative m of rank at most 2.  The nonzero columns, each scaled to
+    sum 1, lie on a segment (a point at rank 1) whose ends, the extreme
+    scaled columns, span every column with nonnegative weights.  A holds
+    the ends padded with zero columns, and B solves A.B = m with the
+    weights of the padding 0."""
+    scaled = [[x / sum(col) for x in col] for col in map(m.col, range(1, m.q + 1)) if any(col)]
+    # the first scaled column and the first other one, if any; the ends
+    # are the extremes along the direction between them
+    ends = scaled[:1] + [s for s in scaled if s != scaled[0]][:1]
+    if len(ends) == 2:
+        d = [x - y for x, y in zip(ends[1], ends[0])]
 
+        def along(s):
+            return sum(x * dx for x, dx in zip(s, d))
 
-def _nonneg_rank2_factorization(m: ExactMatrix):
-    """Nonnegative (A, B) with A p x 2, B 2 x q and A.B = m, for a
-    nonnegative rank-2 matrix (always possible in rank <= 2)."""
-    nz = [j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))]
-    cols = {j: m.col(j) for j in nz}
-    sums = {j: sum(cols[j]) for j in nz}
-    normalized = {j: [x / sums[j] for x in cols[j]] for j in nz}
-    # normalized columns lie on an affine line; order them along it
-    j_a = nz[0]
-    j_b = next(j for j in nz if normalized[j] != normalized[j_a])
-    d = [x - y for x, y in zip(normalized[j_b], normalized[j_a])]
-
-    def param(j):
-        return sum((x - y) * dz for x, y, dz in zip(normalized[j], normalized[j_a], d))
-
-    lo = min(nz, key=param)
-    hi = max(nz, key=param)
-    a_mat = ExactMatrix([[normalized[lo][i], normalized[hi][i]] for i in range(m.p)])
-    b_rows = [[], []]
-    for j in range(1, m.q + 1):
-        if j not in nz:
-            b_rows[0].append(Fraction(0))
-            b_rows[1].append(Fraction(0))
-            continue
-        sol = solve_linear(a_mat, ExactMatrix.column(cols[j]))
-        _verify(sol.consistent, "rank-2 column outside the span of the extreme columns")
-        b_rows[0].append(sol.particular.entry(1, 1))
-        b_rows[1].append(sol.particular.entry(2, 1))
-    b_mat = ExactMatrix(b_rows)
-    _verify(a_mat.is_nonnegative() and b_mat.is_nonnegative(), "rank-2 factors not nonnegative")
-    _verify(matmul(a_mat, b_mat) == m, "rank-2 factors do not multiply to the matrix")
-    return a_mat, b_mat
-
-
-def _pad_to_width(a: ExactMatrix, width: int) -> ExactMatrix:
-    if a.q >= width:
-        return a
-    return a.hstack(ExactMatrix.zeros(a.p, width - a.q))
-
-
-def _pad_to_height(b: ExactMatrix, height: int) -> ExactMatrix:
-    if b.p >= height:
-        return b
-    return b.vstack(ExactMatrix.zeros(height - b.p, b.q))
+        ends = [min(scaled, key=along), max(scaled, key=along)]
+    a = ExactMatrix([[e[i] for e in ends] + [0] * (3 - len(ends)) for i in range(m.p)])
+    sol = solve_linear(a, m)
+    _verify(sol.consistent, "low-rank column outside the span of the extreme columns")
+    b = sol.particular
+    _verify(a.is_nonnegative() and b.is_nonnegative(), "low-rank factors not nonnegative")
+    _verify(matmul(a, b) == m, "low-rank factors do not multiply to the matrix")
+    return a, b
 
 
 def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     """The bounded nested pair of a nonnegative rank-3 matrix: m factored
     through three of its independent columns a0, in the chart of the
     column-sum functional of a0 (strictly positive on the cone of a0, so Q
-    is bounded) completed to a basis by the first independent unit
-    vectors.  Zero columns of m carry no point and are dropped before
-    slicing."""
+    is bounded) completed to a basis by the first two unit vectors."""
     cols = pivot_columns(m)[:3]
     if len(cols) < 3:
         raise ValueError("matrix has rank below 3")
@@ -580,13 +542,11 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     _verify(sol.consistent, "matrix outside the span of its independent columns")
     b0 = sol.particular
     _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
-    candidates = ExactMatrix([[sum(a0.col(k)) for k in range(1, 4)], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g = candidates.submatrix(pivot_columns(candidates.transpose()), [1, 2, 3])
-    _verify(det(g) != 0, "slice basis change is singular")
-    nz_cols = [j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))]
-    pair = polytopes_from_factorization(a0, b0.submatrix(range(1, 4), nz_cols), g)
-    pair.provenance["nonzero_columns"] = nz_cols
-    return pair
+    # the chart has rows (column sums, e1, e2) and determinant the third
+    # column sum, positive because a0 is nonnegative with no zero column
+    sums = [sum(a0.col(k)) for k in range(1, 4)]
+    _verify(sums[2] > 0, "slice basis change is singular")
+    return polytopes_from_factorization(a0, b0, ExactMatrix([sums, [1, 0, 0], [0, 1, 0]]))
 
 
 def nn_rank_at_most_3(m: ExactMatrix):
@@ -600,17 +560,8 @@ def nn_rank_at_most_3(m: ExactMatrix):
     if not m.is_nonnegative():
         raise ValueError("matrix must be nonnegative")
     r = rank(m)
-    if r == 0:
-        return True, (ExactMatrix.zeros(m.p, 3), ExactMatrix.zeros(3, m.q))
-    if r == 1:
-        u, v = _nonneg_rank1_factors(m)
-        a = _pad_to_width(ExactMatrix.column(u), 3)
-        b = _pad_to_height(ExactMatrix.row_vector(v), 3)
-        _verify(matmul(a, b) == m, "rank-1 factors do not multiply to the matrix")
-        return True, (a, b)
-    if r == 2:
-        a2, b2 = _nonneg_rank2_factorization(m)
-        return True, (_pad_to_width(a2, 3), _pad_to_height(b2, 3))
+    if r < 3:
+        return True, _low_rank_factorization(m)
     if r > 3:
         return False, None
 
@@ -627,20 +578,11 @@ def triangle_to_factorization(pair: NestedPair, tri: Polygon2, m: ExactMatrix):
     polytopes_from_factorization (or bounded_nested_pair) back into a
     size-3 nonnegative factorization of m, the product of the pair's
     factors."""
-    a_sliced = pair.provenance["a"]
-    b_geom = pair.provenance["b"]
-    nz_cols = pair.provenance["nonzero_columns"]
     c = ExactMatrix([[1, 1, 1]] + [[v[0] for v in tri.vertices], [v[1] for v in tri.vertices]])
-    # columns of c are the lifted triangle vertices (1, x, y)
-    a_w = matmul(a_sliced, c)
-    c_inv = inverse(c)
-    b_w_geom = matmul(c_inv, b_geom)
-    # reinsert zero columns dropped from the geometry
-    rows = [[Fraction(0)] * m.q for _ in range(3)]
-    for idx, j in enumerate(nz_cols, start=1):
-        for k in range(3):
-            rows[k][j - 1] = b_w_geom.entry(k + 1, idx)
-    b_w = ExactMatrix(rows)
+    # columns of c are the lifted triangle vertices (1, x, y); a zero
+    # column of the pair's B, which gave no point, lifts to zero
+    a_w = matmul(pair.provenance["a"], c)
+    b_w = matmul(inverse(c), pair.provenance["b"])
     _verify(a_w.is_nonnegative(), "triangle not inside Q")
     _verify(b_w.is_nonnegative(), "P not inside triangle")
     _verify(matmul(a_w, b_w) == m, "witness factors do not multiply to the matrix")

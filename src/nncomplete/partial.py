@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from .linalg import ExactMatrix, rank
@@ -337,27 +338,13 @@ def _zero_edge_digraph_has_cycle(m: PartialMatrix, graph: SupportGraph) -> bool:
             comp_of[v] = idx
     arcs = {}
     for (i, j) in graph.edges - graph.nonzero_edges:
-        u = comp_of[("r", i)]
-        v = comp_of[("c", j)]
-        if u == v:
-            return True
-        arcs.setdefault(u, set()).add(v)
-    # DFS cycle detection
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-
-    def visit(u) -> bool:
-        color[u] = GRAY
-        for v in arcs.get(u, ()):
-            c = color.get(v, WHITE)
-            if c == GRAY:
-                return True
-            if c == WHITE and visit(v):
-                return True
-        color[u] = BLACK
-        return False
-
-    return any(color.get(u, WHITE) == WHITE and visit(u) for u in list(arcs))
+        arcs.setdefault(comp_of[("r", i)], set()).add(comp_of[("c", j)])
+    # the sorter reads each arc backwards, which keeps every cycle a cycle
+    try:
+        TopologicalSorter(arcs).prepare()
+    except CycleError:
+        return True
+    return False
 
 
 def cycle_property(m: PartialMatrix) -> bool:

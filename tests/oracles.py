@@ -1106,3 +1106,103 @@ def _decide_one_orientation(canon: PartialMatrix, tag: str) -> Nn3Certificate:
     if fam is None or not fam.feasible:
         return Nn3Certificate("Unknown" if curve_meets_quadrant_on_grid(canon) else "NotCompletable", tag)
     return _family_stages(canon, tag)
+
+
+# ---------------------------------------------------------------------------
+# the separate rank-1 and rank-2 builders, and the triangles for a point or
+# segment P found by a fan and by the anchored chains
+
+
+def nonneg_rank1_factors(m: ExactMatrix):
+    """(u, v) nonnegative with u v^T = m, for a nonnegative rank-<=1 m: u is
+    the first nonzero column and v the first row through it, divided by
+    that column's first nonzero entry."""
+    j0 = next((j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))), None)
+    if j0 is None:
+        return [Fraction(0)] * m.p, [Fraction(0)] * m.q
+    u = m.col(j0)
+    i0 = next(i for i in range(1, m.p + 1) if m.entry(i, j0) != 0)
+    v = [m.entry(i0, j) / m.entry(i0, j0) for j in range(1, m.q + 1)]
+    return u, v
+
+
+def nonneg_rank2_factorization(m: ExactMatrix):
+    """Nonnegative (A, B) with A p x 2, B 2 x q and A.B = m, for a
+    nonnegative rank-2 m: the extreme normalized columns, then one solve
+    per nonzero column."""
+    nz = [j for j in range(1, m.q + 1) if any(x != 0 for x in m.col(j))]
+    cols = {j: m.col(j) for j in nz}
+    normalized = {j: [x / sum(cols[j]) for x in cols[j]] for j in nz}
+    j_a = nz[0]
+    j_b = next(j for j in nz if normalized[j] != normalized[j_a])
+    d = [x - y for x, y in zip(normalized[j_b], normalized[j_a])]
+
+    def param(j):
+        return sum((x - y) * dz for x, y, dz in zip(normalized[j], normalized[j_a], d))
+
+    lo, hi = min(nz, key=param), max(nz, key=param)
+    a_mat = ExactMatrix([[normalized[lo][i], normalized[hi][i]] for i in range(m.p)])
+    b_rows = [[Fraction(0)] * m.q for _ in range(2)]
+    for j in nz:
+        sol = solve_linear_gauss_jordan(a_mat, ExactMatrix.column(cols[j]))
+        b_rows[0][j - 1], b_rows[1][j - 1] = sol.particular.col(1)
+    return a_mat, ExactMatrix(b_rows)
+
+
+def low_rank_witness_by_builders(m: ExactMatrix):
+    """The witness of a nonnegative rank-<=2 m from the separate builders,
+    padded to inner dimension 3 with zero columns of A and zero rows of B."""
+    r = rank_by_minors(m)
+    if r == 0:
+        return ExactMatrix.zeros(m.p, 3), ExactMatrix.zeros(3, m.q)
+    if r == 1:
+        u, v = nonneg_rank1_factors(m)
+        a, b = ExactMatrix.column(u), ExactMatrix.row_vector(v)
+    else:
+        a, b = nonneg_rank2_factorization(m)
+    return a.hstack(ExactMatrix.zeros(m.p, 3 - a.q)), b.vstack(ExactMatrix.zeros(3 - b.p, m.q))
+
+
+def triangle_around_point_by_fan(p, outer: Polygon2):
+    """The first triangle of the fan of Q around its first vertex that
+    contains the point p, or None."""
+    q0 = outer.vertices[0]
+    for q1, q2 in zip(outer.vertices[1:], outer.vertices[2:]):
+        tri = Polygon2.triangle(q0, q1, q2)
+        if verify_triangle(NestedPair(Polygon2([p]), tri), tri):
+            return tri
+    return None
+
+
+def triangle_around_segment_by_chains(inner: Polygon2, outer: Polygon2):
+    """The anchored greedy chains for a segment P: a side on P's line in
+    each direction, then a vertex at each vertex of Q; the first nested
+    triangle, or None."""
+    a, b = inner.vertices
+
+    def nested(*corners):
+        if orient(*corners) == 0:
+            return None
+        tri = Polygon2.triangle(*corners)
+        return tri if verify_triangle(NestedPair(inner, outer), tri) else None
+
+    def advance(v):
+        t = tangent_vertex_brute(v, inner.vertices)
+        w = t and _ray_exit(v, (t[0] - v[0], t[1] - v[1]), outer.vertices)
+        return None if w is None or w == v else w
+
+    for u, w in ((a, b), (b, a)):
+        v1 = _ray_exit(u, (w[0] - u[0], w[1] - u[1]), outer.vertices)
+        v2 = advance(v1)
+        t3 = v2 and tangent_vertex_brute(v2, inner.vertices)
+        x = t3 and _lines_meet(v2, t3, u, v1)
+        tri = x and nested(v1, v2, x)
+        if tri:
+            return tri
+    for q in outer.vertices:
+        v1 = advance(q)
+        v2 = v1 and advance(v1)
+        tri = v2 and nested(q, v1, v2)
+        if tri:
+            return tri
+    return None

@@ -282,6 +282,29 @@ class TestColumnHolesFamily:
             ok, _ = nn_rank_at_most_3(full)
             assert not ok
 
+    @pytest.mark.parametrize("text", [
+        "0 0 3 3\n? 3 0 1\n3 0 2 0\n? 2 1 3\n",
+        "0 0 2 1\n2 0 ? ?\n0 1 1 2\n1 2 0 1\n",
+    ], ids=["column-1", "row-2"])
+    def test_sweep_does_not_probe_the_unattained_limit(self, text):
+        """The feasible interval is a half-line on which the moving vertex
+        tends to a point where a triangle nests.  No t reaches that point,
+        so the sweep refutes the interval, and a grid of t agrees."""
+        m = parse_partial(text)
+        assert decide_nn3_two_missing(m).verdict == "NotCompletable"
+        canon, _ = normalize_two_missing(m)
+        fam = family_11_21(canon)
+        (iv,) = fam.feasible
+        assert iv.hi is None
+        limit = fam.moving_vertex_limit()
+        pair = NestedPair(Polygon2.from_points([limit, *fam.fixed_inner_points]), fam.fixed_outer)
+        assert nested_triangle(pair) is not None
+        grid = [iv.lo + F(k, 4) for k in range(81)] + [iv.lo + F(10) ** k for k in range(2, 7)]
+        for t in grid:
+            full = fam.completion_at(t)
+            assert full.is_nonnegative()
+            assert not nn_rank_at_most_3(full)[0]
+
 
 class TestDiagonalHolesFamily:
     """Regression data for the fixture with holes at (1,1) and (2,2)."""

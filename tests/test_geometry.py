@@ -32,12 +32,15 @@ from oracles import (
     _lines_meet,
     chord_exit_by_fractions,
     contains_point_by_edges,
+    low_rank_witness_by_builders,
     matmul_by_fractions,
     nmf_residual,
     orient,
     polygon_from_halfplanes_by_fractions,
     rotation_grid_triangle,
     tangent_vertex_brute,
+    triangle_around_point_by_fan,
+    triangle_around_segment_by_chains,
     verify_triangle,
 )
 
@@ -328,9 +331,16 @@ class TestPolytopesFromFactorization:
 
     def test_rejects_zero_weight_column(self):
         a = ExactMatrix.identity(3)
-        b = ExactMatrix([[1, 0], [0, 0], [0, 0]])
+        b = ExactMatrix([[1, 1], [0, 0], [0, -1]])
         with pytest.raises(ValueError):
-            polytopes_from_factorization(a, b, SUM_CHART)  # column 2 weight 0
+            polytopes_from_factorization(a, b, SUM_CHART)  # column 2 of G.B is (0, 1, 0): weight 0
+
+    def test_zero_column_gives_no_point(self):
+        a = ExactMatrix.identity(3)
+        b = ExactMatrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+        pair = polytopes_from_factorization(a, b, SUM_CHART)
+        assert pair.inner_generators == [(1, 0), (0, 1)]
+        assert slack_matrix(pair).shape == (3, 2)
 
 
 class TestNestedTriangle:
@@ -371,6 +381,46 @@ class TestNestedTriangle:
         tri = nested_triangle(NestedPair(Polygon2([(2, 2)]), outer))
         assert tri is not None and tri.contains_point((2, 2))
 
+    def test_point_or_segment_gets_a_chord_triangle(self, rng):
+        """A point or segment P lies on a chord of Q, and the chord with a
+        vertex of Q off it is a nested triangle.  P's ends are drawn at
+        vertices of Q, on its edges and inside it, so P at a vertex, P on
+        an edge and P spanning a whole chord all occur; the fan and the
+        anchored chains of the references find a nested triangle too."""
+        kinds = set()
+        for _ in range(300):
+            outer = rnd_polygon(rng, rng.randint(4, 8))
+            if outer.is_degenerate():
+                continue
+            vs = outer.vertices
+
+            def draw():
+                kind = rng.choice(["vertex", "edge", "inside"])
+                i = rng.randrange(len(vs))
+                if kind == "vertex":
+                    return kind, vs[i]
+                if kind == "edge":
+                    s = Fraction(rng.randint(1, 9), 10)
+                    a, b = vs[i], vs[(i + 1) % len(vs)]
+                    return kind, (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+                weights = [rng.randint(1, 4) for _ in vs]
+                return kind, tuple(sum(w * v[c] for w, v in zip(weights, vs)) / sum(weights) for c in (0, 1))
+
+            (k1, p1), (k2, p2) = draw(), draw()
+            inner = Polygon2.from_points([p1] if rng.random() < 0.4 else [p1, p2])
+            pair = NestedPair(inner, outer)
+            tri = nested_triangle(pair)
+            assert tri is not None and verify_triangle(pair, tri)
+            if inner.n == 1:
+                ref = triangle_around_point_by_fan(inner.vertices[0], outer)
+                kinds.add(("point", k1))
+            else:
+                ref = triangle_around_segment_by_chains(inner, outer)
+                kinds.add(("segment", "chord" if "inside" not in (k1, k2) else "inside"))
+            assert ref is not None and verify_triangle(pair, ref)
+        assert kinds >= {("point", "vertex"), ("point", "edge"), ("point", "inside"),
+                         ("segment", "chord"), ("segment", "inside")}
+
     def test_tight_square_in_square_has_none(self):
         # inner square with vertices at the edge midpoints of the outer:
         # every triangle containing it pokes out of the outer square
@@ -406,6 +456,54 @@ class TestNnRankAtMost3:
                 ok, (a, b) = nn_rank_at_most_3(m)
                 assert ok and matmul(a, b) == m
                 assert a.is_nonnegative() and b.is_nonnegative()
+
+    def test_rank2_witness_matches_the_separate_builders(self, rng):
+        seen = 0
+        for _ in range(150):
+            m = rnd_nonneg_product(rng, rng.randint(2, 5), rng.randint(2, 6), 2)
+            if rank(m) != 2:
+                continue
+            assert repr(nn_rank_at_most_3(m)) == repr((True, low_rank_witness_by_builders(m)))
+            seen += 1
+        assert seen > 60
+
+    def test_rank0_and_rank1_witnesses_are_valid(self, rng):
+        """The rank-1 witness holds one column of m scaled to sum 1, and B
+        the column sums of m; the rank-0 witness is the reference's."""
+        seen = 0
+        for _ in range(80):
+            p, q = rng.randint(1, 5), rng.randint(1, 6)
+            m = rnd_nonneg_product(rng, p, q, 1) if rng.random() < 0.8 else ExactMatrix.zeros(p, q)
+            ok, (a, b) = nn_rank_at_most_3(m)
+            assert ok and a.shape == (p, 3) and b.shape == (3, q)
+            assert a.is_nonnegative() and b.is_nonnegative()
+            assert matmul(a, b) == m
+            if rank(m) == 0:
+                assert repr((a, b)) == repr(low_rank_witness_by_builders(m))
+            else:
+                assert sum(a.col(1)) == 1
+                assert b.row(1) == [sum(m.col(j)) for j in range(1, q + 1)]
+                seen += 1
+        assert seen > 30
+
+    def test_zero_column_of_a_rank3_matrix_stays_zero(self, rng):
+        seen = 0
+        for _ in range(40):
+            m = rnd_nonneg_product(rng, 4, 4, 3)
+            if rank(m) != 3:
+                continue
+            j = rng.randint(1, 5)
+            cols = [m.col(k) for k in range(1, 5)]
+            cols.insert(j - 1, [0] * 4)
+            m0 = ExactMatrix(zip(*cols))
+            ok, witness = nn_rank_at_most_3(m0)
+            assert ok
+            a, b = witness
+            assert a.is_nonnegative() and b.is_nonnegative()
+            assert matmul(a, b) == m0
+            assert b.col(j) == [0, 0, 0]
+            seen += 1
+        assert seen > 20
 
     def test_false_above_rank_3(self):
         ok, witness = nn_rank_at_most_3(ExactMatrix.identity(4))

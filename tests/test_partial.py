@@ -175,6 +175,20 @@ class TestCycleProperty:
         pm2 = parse_partial("1 2\n3 6\n")
         assert cycle_property(pm2)
 
+    @pytest.mark.parametrize("text, holds", [
+        ("0 1\n1 1\n", False),  # one zero edge inside one nonzero component: a self-loop
+        ("1 2 ?\n? 3 4\n0 ? 5\n", False),  # a self-loop whose cycle runs through three rows
+        ("1 0\n0 1\n", False),  # two components joined by zero edges both ways: a 2-cycle
+        ("1 0 ?\n? 2 0\n0 ? 3\n", False),  # three components on a 3-cycle of zero edges
+        ("1 0\n? 1\n", True),  # one zero edge between two components: no cycle
+        ("1 0 0\n? 2 0\n? ? 3\n", True),  # zero edges in one direction only
+    ])
+    def test_zero_edge_cycles_match_brute_force(self, text, holds):
+        from oracles import cycle_condition_brute_force
+
+        pm = parse_partial(text)
+        assert cycle_property(pm) == cycle_condition_brute_force(pm) == holds
+
 
 class TestMinorsZeroConsistent:
     def test_fully_observed_low_rank(self):
