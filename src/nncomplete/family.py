@@ -34,7 +34,6 @@ from .geometry import (
     contains,
     cross,
     join,
-    meet,
     nested_triangle,
     nn_rank_at_most_3,
     polytopes_from_factorization,
@@ -208,13 +207,16 @@ class NestedFamily:
         w, y, z = (c0 + t * c1 for c0, c1 in zip(*self.moving_vertex))
         return (y / w, z / w)
 
-    def moving_vertex_limit(self):
-        """Limit point of the moving vertex as t -> +-infinity (11_21),
-        with None for a coordinate that diverges."""
-        (w0, y0, z0), (w1, y1, z1) = self.moving_vertex
-        if w1:
-            return (y1 / w1, z1 / w1)
-        return tuple(None if c1 else c0 / w0 for c0, c1 in ((y0, y1), (z0, z1)))
+    def incidence_t(self, line):
+        """The t where the moving vertex lies on ``line`` (c0, cx, cy):
+        the root of line.(v0 + t*v1) with w(t) != 0, or None when no
+        single finite point of the vertex is on the line."""
+        v0, v1 = self.moving_vertex
+        slope = _dot(line, v1)
+        if not slope:
+            return None
+        t = -Fraction(_dot(line, v0)) / slope
+        return t if v0[0] + t * v1[0] else None
 
 
 def _chart_vertex(chart: ExactMatrix, b_pencil, j: int) -> tuple:
@@ -291,18 +293,12 @@ def sufficient_11_21(fam: NestedFamily):
     None (inconclusive)."""
     if fam.tag != "11_21":
         raise ValueError("family must have the 11_21 shape")
-    v0, v1 = fam.moving_vertex
     p2, p3, p4 = fam.fixed_inner_points
-    # the moving vertex meets the edge line L where L.(v0 + t*v1) = 0; the
-    # fixed triangle lies in the outer polygon (A >= 0 is the slack of its
-    # vertices), so testing the outer polygon covers it
+    # the fixed triangle lies in the outer polygon (A >= 0 is the slack of
+    # its vertices), so testing the outer polygon covers it
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        line = join(u, v)
-        slope = _dot(line, v1)
-        if not slope:
-            continue
-        t = -Fraction(_dot(line, v0)) / slope
-        if v0[0] + t * v1[0] and fam.fixed_outer.contains_point(fam.vertex_at(t)) and fam.is_feasible(t):
+        t = fam.incidence_t(join(u, v))
+        if t is not None and fam.fixed_outer.contains_point(fam.vertex_at(t)) and fam.is_feasible(t):
             return t
     return None
 
@@ -611,18 +607,13 @@ def _envelope_for_interval(fam: NestedFamily, iv: Interval, ts):
 
 
 def sweep_candidates(fam: NestedFamily) -> set:
-    """Positions of the moving vertex on its line where an anchored greedy
-    chain can change combinatorics: incidences of the line with lines
-    through pairs of fixed vertices, plus positions whose chain chords
-    pass through a vertex of the outer polygon, propagated up to three
-    chords back."""
-    line = fam.line_p1
+    """The t where an anchored greedy chain around the moving vertex can
+    change combinatorics: incidences of the vertex with lines through
+    pairs of fixed vertices, plus the t whose chain chords pass through a
+    vertex of the outer polygon, propagated up to three chords back."""
     outer = fam.fixed_outer
     fixed_pts = list(fam.fixed_inner_points)
-    all_pts = fixed_pts + list(outer.vertices)
-    candidates = set()
-    for u, w in itertools.combinations(all_pts, 2):
-        candidates.add(meet(line.line, join(u, w)))
+    lines = [join(u, w) for u, w in itertools.combinations(fixed_pts + list(outer.vertices), 2)]
 
     def boundary_points(ends) -> set:
         """Where the line through each end a and each fixed point p meets
@@ -637,70 +628,31 @@ def sweep_candidates(fam: NestedFamily) -> set:
 
     level1 = boundary_points(outer.vertices)
     level2 = boundary_points(level1)
-    for x in level1 | level2:
-        for pv in fixed_pts:
-            candidates.add(meet(line.line, join(x, pv)))
-    candidates.discard(None)
-    return candidates
+    lines += [join(x, pv) for x in level1 | level2 for pv in fixed_pts]
+    return {fam.incidence_t(line) for line in lines} - {None}
 
 
 def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
-    """Whether an exhaustive check along the arc of the moving vertex,
-    when it stays on the boundary of the fixed outer polygon, refutes the
-    interval.
+    """Whether an exhaustive check of the moving vertex over the interval,
+    when its line is a facet line of the fixed outer polygon, refutes it.
 
-    The arc is cut at every candidate position where the greedy chain can
+    The interval is cut at every candidate t where the greedy chain can
     change combinatorics (incidences of chain lines with vertices of the
     polygons, propagated up to three chords back); between consecutive
-    candidates the chain moves monotonically, so testing candidates and
-    midpoints decides the whole arc.  A nested triangle at any position
-    inside the outer polygon leaves the interval unrefuted.  An infinite
-    bound ends the arc at the limit of the vertex, which no t attains, so
-    that end bounds the last cell but is not itself probed.
+    candidates the chain moves monotonically, so probing the cells of
+    ``_interval_sample_ts`` decides the whole interval, and an infinite
+    end is just its last cell.  A nested triangle at any probe leaves the
+    interval unrefuted.  At a feasible t the vertex is a point of the
+    outer polygon: its weight w is the sum of the first column of the
+    completion, which is positive, and its slack is that column.
     """
     line = fam.line_p1
     outer = fam.fixed_outer
     if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
         return False
-    # arc endpoints
-    try:
-        e0, e1 = (fam.moving_vertex_limit() if bound is None else fam.vertex_at(bound) for bound in (iv.lo, iv.hi))
-    except ZeroDivisionError:
-        return False
-    if None in e0 + e1:
-        return False
-    if e0 == e1:
-        # the vertex does not move; a plain sample decides
-        return False
-    d = (e1[0] - e0[0], e1[1] - e0[1])
-
-    def along(p):
-        return (p[0] - e0[0]) * d[0] + (p[1] - e0[1]) * d[1]
-
-    span = along(e1)
-
-    fixed_pts = list(fam.fixed_inner_points)
-    candidates = sweep_candidates(fam)
-    candidates.update({e0, e1})
-    on_arc = sorted(
-        (c for c in candidates if 0 <= along(c) <= span), key=along
-    )
-    probe_points = []
-    for a, b in zip(on_arc, on_arc[1:]):
-        probe_points.append(a)
-        probe_points.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
-    if on_arc:
-        probe_points.append(on_arc[-1])
-
-    unattained = [e for e, bound in ((e0, iv.lo), (e1, iv.hi)) if bound is None]
-    for c in probe_points:
-        if c in unattained:
-            continue
-        inner = Polygon2.from_points([c] + fixed_pts)
-        if not contains(outer, inner):
-            # positions outside the outer polygon cannot occur for
-            # feasible t; skip them
-            continue
+    ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
+    for t in _interval_sample_ts(iv, ts):
+        inner = Polygon2.from_points([fam.vertex_at(t), *fam.fixed_inner_points])
         if nested_triangle(NestedPair(inner, outer)) is not None:
             return False
     return True

@@ -180,7 +180,8 @@ class Polygon2:
             raise ValueError("polygon needs at least one vertex")
         n = len(vs)
         if n >= 3:
-            for i in range(n):
+            # the three turns of a triangle are one signed area
+            for i in range(1 if n == 3 else n):
                 if side(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
                     raise ValueError("vertices must be strictly convex and counterclockwise")
         elif n == 2 and vs[0] == vs[1]:
@@ -207,11 +208,8 @@ class Polygon2:
         return self.n < 3
 
     def edges(self):
+        """The edges (a, b) in counterclockwise order, for n >= 3."""
         n = self.n
-        if n == 1:
-            return []
-        if n == 2:
-            return [(self.vertices[0], self.vertices[1])]
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
     def facets(self) -> list:

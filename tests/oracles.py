@@ -37,7 +37,9 @@ from nncomplete import (
     zero_entries_line_consistent,
 )
 from nncomplete.family import _family_stages
-from nncomplete.geometry import HalfPlane, NestedPair, Polygon2, UnboundedRegionError, join, meet, side
+from nncomplete.geometry import (
+    HalfPlane, NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, meet, nested_triangle, side,
+)
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
 
@@ -957,6 +959,53 @@ def sweep_candidates_by_edges(fam) -> set:
             candidates.add(meet(line, join(x, pv)))
     candidates.discard(None)
     return candidates
+
+
+def sweep_refutes_by_arc(fam, iv) -> bool:
+    """The `11_21` sweep over one feasible interval in point space.
+
+    The arc runs from the moving vertex at ``iv.lo`` to the vertex at
+    ``iv.hi`` along ``fam.line_p1``, and an infinite bound ends it at the
+    vertex's limit (the point of v1), which no t attains and which is not
+    probed.  The candidates of `sweep_candidates_by_edges` on the arc,
+    ordered by a dot product along it, and the midpoints between them are
+    probed; a probe outside the outer polygon is skipped.  False (not
+    refuted) when the line is no facet line of the outer polygon, when an
+    end is a pole or diverges, and when the arc is a single point."""
+    line = fam.line_p1
+    outer = fam.fixed_outer
+    if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
+        return False
+    (w0, y0, z0), (w1, y1, z1) = fam.moving_vertex
+    if w1:
+        limit = (Fraction(y1) / w1, Fraction(z1) / w1)
+    else:
+        limit = tuple(None if c1 else Fraction(c0) / w0 for c0, c1 in ((y0, y1), (z0, z1)))
+    try:
+        e0, e1 = (limit if bound is None else fam.vertex_at(bound) for bound in (iv.lo, iv.hi))
+    except ZeroDivisionError:
+        return False
+    if None in e0 + e1 or e0 == e1:
+        return False
+    d = (e1[0] - e0[0], e1[1] - e0[1])
+
+    def along(p):
+        return (p[0] - e0[0]) * d[0] + (p[1] - e0[1]) * d[1]
+
+    span = along(e1)
+    on_arc = sorted((c for c in sweep_candidates_by_edges(fam) | {e0, e1} if 0 <= along(c) <= span), key=along)
+    probes = []
+    for a, b in zip(on_arc, on_arc[1:]):
+        probes += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
+    probes.append(on_arc[-1])
+    unattained = [e for e, bound in ((e0, iv.lo), (e1, iv.hi)) if bound is None]
+    for c in probes:
+        if c in unattained:
+            continue
+        inner = Polygon2.from_points([c, *fam.fixed_inner_points])
+        if contains(outer, inner) and nested_triangle(NestedPair(inner, outer)) is not None:
+            return False
+    return True
 
 
 def solve_moving_vertex(fam, target):

@@ -172,7 +172,12 @@ def test_acceptance_column_holes(two_missing_column):
         (F(17, 1120), F(67, 1120)),
         (F(1, 160), F(11, 160)),
     }
-    assert criticals <= sweep_candidates(fam)
+    # the fifth is the limit of the vertex as t -> -infinity, the point of
+    # v1, which no t attains; the sweep probes t beyond the last candidate
+    w1, y1, z1 = fam.moving_vertex[1]
+    limit = (F(y1) / w1, F(z1) / w1)
+    assert limit == (F(1, 160), F(11, 160))
+    assert criticals - {limit} <= {fam.vertex_at(t) for t in sweep_candidates(fam)}
     for c in criticals:
         inner = Polygon2.from_points([c] + fam.fixed_inner_points)
         assert nested_triangle(NestedPair(inner, fam.fixed_outer)) is None

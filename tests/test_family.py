@@ -36,6 +36,7 @@ from nncomplete.family import (
     _critical_ts,
     _curve_misses_quadrant,
     _interval_sample_ts,
+    _sweep_moving_vertex,
     denormalize_matrix,
 )
 
@@ -60,6 +61,7 @@ from oracles import (
     special_case_by_block_factorization,
     sufficient_11_21_by_meets,
     sweep_candidates_by_edges,
+    sweep_refutes_by_arc,
 )
 
 F = Fraction
@@ -151,6 +153,13 @@ class TestFeasibleSet:
         assert feasible_set(constraints) == reference
 
 
+def point_of_v1(fam):
+    """The point of v1, the moving vertex's limit as t -> +-infinity, or
+    None when w1 = 0 and the limit is at infinity."""
+    w1, y1, z1 = fam.moving_vertex[1]
+    return (F(y1) / w1, F(z1) / w1) if w1 else None
+
+
 class TestColumnHolesFamily:
     """Regression data for the fixture with both holes in column 1."""
 
@@ -186,7 +195,8 @@ class TestColumnHolesFamily:
     def test_moving_vertex_endpoints(self, two_missing_column):
         fam = family_11_21(two_missing_column)
         assert fam.vertex_at(F(-1, 20)) == (F(11, 160), F(1, 160))
-        assert fam.moving_vertex_limit() == (F(1, 160), F(11, 160))
+        # the other end, as t -> -infinity, is the point of v1
+        assert point_of_v1(fam) == (F(1, 160), F(11, 160))
 
     def test_symbolic_product_matches_observations(self, two_missing_column, rng):
         fam = family_11_21(two_missing_column)
@@ -215,8 +225,10 @@ class TestColumnHolesFamily:
             (F(17, 1120), F(67, 1120)),
             (F(1, 160), F(11, 160)),
         }
-        cands = sweep_candidates(fam)
-        assert criticals <= cands
+        # the limit of the vertex is no candidate, since no t attains it
+        limit = point_of_v1(fam)
+        assert criticals - {limit} <= {fam.vertex_at(t) for t in sweep_candidates(fam)}
+        assert limit in criticals
         for c in criticals:
             inner = Polygon2.from_points([c] + fam.fixed_inner_points)
             pair = NestedPair(inner, fam.fixed_outer)
@@ -246,7 +258,9 @@ class TestColumnHolesFamily:
     def test_sweep_and_sufficient_condition_match_edge_references(self):
         """The sweep's chord ends by `chord_exit` from a fixed point and the
         sufficient condition's incidence roots agree with the edge-by-edge
-        boundary intersections and the meet-then-solve t of the references."""
+        boundary intersections and the meet-then-solve t of the references:
+        the vertex's positions at the sweep's candidate t are the
+        reference's points, less its limit, which no t attains."""
         pattern = Pattern(4, 4, frozenset(CELLS) - {(1, 1), (2, 1)})
         with_t = with_line = 0
         for seed, hi in ((7, 9), (8, 3)):
@@ -261,9 +275,44 @@ class TestColumnHolesFamily:
                 assert t == sufficient_11_21_by_meets(fam)
                 with_t += t is not None
                 if fam.line_p1 is not None:
-                    assert sweep_candidates(fam) == sweep_candidates_by_edges(fam)
+                    points = {fam.vertex_at(t) for t in sweep_candidates(fam)}
+                    assert points == sweep_candidates_by_edges(fam) - {point_of_v1(fam)}
                     with_line += 1
         assert with_t >= 100 and with_line >= 100
+
+    def test_sweep_over_t_matches_the_arc_sweep_reference(self):
+        """The sweep over the t cells of each feasible interval answers as
+        the point-space sweep along the vertex's arc, with its limit and its
+        unattained end, on every interval past the facet gate.  Holes in
+        one row are transposed into one column, so each draw is one
+        canonical instance whichever way its holes lie."""
+        compared = refuted = 0
+        shapes, transposed = set(), set()
+        for seed, hi in ((8, 3), (9, 2)):
+            rng = random.Random(seed)
+            for _ in range(1200):
+                full = ExactMatrix([[rng.randint(0, hi) for _ in range(4)] for _ in range(4)])
+                holes = set(rng.sample(CELLS, 2))
+                canon, norm = normalize_two_missing(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes)))
+                if norm.tag != "11_21":
+                    continue
+                try:
+                    fam = family_11_21(canon)
+                except FamilyError:
+                    continue
+                line = fam.line_p1
+                if line is None or all(any(cross(hp.line, line.line)) for hp in fam.fixed_outer.facets()):
+                    continue
+                for iv in fam.feasible:
+                    answer = _sweep_moving_vertex(fam, iv)
+                    assert answer == sweep_refutes_by_arc(fam, iv), (canon, iv)
+                    compared += 1
+                    refuted += answer
+                    shapes.add((iv.lo is None, iv.hi is None))
+                    transposed.add(norm.transposed)
+        assert compared >= 150 and refuted >= 5
+        assert shapes == {(True, False), (False, True), (False, False)}
+        assert transposed == {False, True}
 
     @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
     def test_decision_not_completable(self, two_missing_column, scale):
@@ -296,7 +345,7 @@ class TestColumnHolesFamily:
         fam = family_11_21(canon)
         (iv,) = fam.feasible
         assert iv.hi is None
-        limit = fam.moving_vertex_limit()
+        limit = point_of_v1(fam)
         pair = NestedPair(Polygon2.from_points([limit, *fam.fixed_inner_points]), fam.fixed_outer)
         assert nested_triangle(pair) is not None
         grid = [iv.lo + F(k, 4) for k in range(81)] + [iv.lo + F(10) ** k for k in range(2, 7)]
@@ -783,7 +832,11 @@ def assert_matches_rational_functions(fam, rng):
         except ZeroDivisionError:
             # w(t) = 0: a pole of the vertex, or a vertex that does not move
             assert not (defined_at(x, t) and defined_at(y, t)) or not any(cross(*fam.moving_vertex))
-    assert fam.moving_vertex_limit() == (limit_at_infinity(x), limit_at_infinity(y))
+    # the limit at infinity is the point of v1; when w1 = 0 a coordinate
+    # with a t-term diverges and one without keeps its value
+    (w0, y0, z0), (w1, y1, z1) = fam.moving_vertex
+    limit = point_of_v1(fam) or tuple(None if c1 else F(c0) / w0 for c0, c1 in ((y0, y1), (z0, z1)))
+    assert limit == (limit_at_infinity(x), limit_at_infinity(y))
     if fam.tag == "11_21":
         assert (fam.line_p1 is None) == (line is None)
         if line is not None:

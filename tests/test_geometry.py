@@ -226,6 +226,23 @@ class TestHullAndPolygon:
     def test_rejects_non_convex_order(self):
         with pytest.raises(ValueError):
             Polygon2([(0, 0), (0, 4), (4, 0)])  # clockwise
+        with pytest.raises(ValueError):
+            Polygon2([(0, 0), (4, 0), (1, 1), (0, 4)])  # a reflex turn
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_point, small_point, small_point, small_rational, st.booleans())
+    def test_triangle_needs_one_counterclockwise_turn(self, a, b, c, k, collinear):
+        """Three vertices build a polygon exactly when they turn
+        counterclockwise: a clockwise or collinear triple raises, in every
+        rotation, although a triangle tests only one of its turns."""
+        if collinear:
+            c = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+        for vs in ([a, b, c], [b, c, a], [c, a, b]):
+            if orient(*vs) > 0:
+                assert Polygon2(vs).vertices == vs
+            else:
+                with pytest.raises(ValueError):
+                    Polygon2(vs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(small_point, min_size=3, max_size=8))
