@@ -294,11 +294,11 @@ def sufficient_11_21(fam: NestedFamily):
     if fam.tag != "11_21":
         raise ValueError("family must have the 11_21 shape")
     p2, p3, p4 = fam.fixed_inner_points
-    # the fixed triangle lies in the outer polygon (A >= 0 is the slack of
-    # its vertices), so testing the outer polygon covers it
+    # a feasible t puts the vertex in the outer polygon: its slacks there
+    # are the first column of the completion, which is nonnegative
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
         t = fam.incidence_t(join(u, v))
-        if t is not None and fam.fixed_outer.contains_point(fam.vertex_at(t)) and fam.is_feasible(t):
+        if t is not None and fam.is_feasible(t):
             return t
     return None
 
@@ -648,7 +648,7 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     """
     line = fam.line_p1
     outer = fam.fixed_outer
-    if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
+    if line is None or all(any(cross(facet, line.line)) for facet in outer.lines):
         return False
     ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
     for t in _interval_sample_ts(iv, ts):

@@ -14,20 +14,20 @@ the line through two points, `cross` of two lines is their meeting point
 in homogeneous coordinates, and `meet` divides it out once, at the end.
 No other code writes out a line formula.
 
-The kernels of the triangle search compute on Python integers and build
-a Fraction only for a value they return.  `side` cross-multiplies
-numerators and denominators.  Each half-plane keeps its coefficients as
-one integer triple (`HalfPlane.line`), which `HalfPlane.sign` evaluates
-at a point; a point lies in a polygon when no facet's sign there is
-negative.  `polygon_from_halfplanes` meets two integer lines in their
-cross product and tests it with integer dot products, and `chord_exit`
-compares exit bounds by cross-multiplication.
+The kernels compute on Python integers.  A point (x, y) lifts to the
+integer triple (w, x*w, y*w) in lowest terms with w > 0; `Polygon2`
+lifts its vertices once and keeps each edge's integer line, and `side`
+is the sign of one determinant of lifted points.  Inside
+`nested_triangle` every point is such a triple, and a Fraction is built
+only for the triangle it returns.  `polygon_from_halfplanes` meets two
+integer lines (`HalfPlane.line`) in their cross product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .linalg import ExactMatrix, integer_scaled, inverse, matmul, pivot_columns, rank
 from .linalg import solve_linear, to_fraction
@@ -52,27 +52,42 @@ def _verify(ok: bool, what: str) -> None:
         raise VerificationError(what)
 
 
+def _lift(p: Point) -> tuple:
+    """The integer triple (w, x, y), in lowest terms with w > 0, of the
+    point p = (x/w, y/w) of Fractions or ints."""
+    xn, xd = p[0].as_integer_ratio()
+    yn, yd = p[1].as_integer_ratio()
+    g = gcd(xd, yd)
+    return (xd // g * yd, xn * (yd // g), yn * (xd // g))
+
+
+def _normalized(w, x, y):
+    """The point (w, x, y) in lowest terms with w > 0, or None when w = 0."""
+    if not w:
+        return None
+    g = gcd(w, x, y) if w > 0 else -gcd(w, x, y)
+    return (w // g, x // g, y // g)
+
+
+def _point(p: tuple) -> Point:
+    return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _within(lines, points) -> bool:
+    return all(_dot(line, p) >= 0 for line in lines for p in points)
+
+
 def side(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of (a, b, c): 1 left of a->b, -1 right, 0 on the line.
 
-    Coordinates may be Fractions or ints.  With b - a = (ux, uy) and
-    c - a = (vx, vy) written as integer fractions over positive
-    denominators, the sign of ux*vy - uy*vx is the sign of a
-    cross-multiplied integer difference.
-    """
-    an0, ad0 = a[0].as_integer_ratio()
-    an1, ad1 = a[1].as_integer_ratio()
-    bn0, bd0 = b[0].as_integer_ratio()
-    bn1, bd1 = b[1].as_integer_ratio()
-    cn0, cd0 = c[0].as_integer_ratio()
-    cn1, cd1 = c[1].as_integer_ratio()
-    ux, uxd = bn0 * ad0 - an0 * bd0, bd0 * ad0
-    uy, uyd = bn1 * ad1 - an1 * bd1, bd1 * ad1
-    vx, vxd = cn0 * ad0 - an0 * cd0, cd0 * ad0
-    vy, vyd = cn1 * ad1 - an1 * cd1, cd1 * ad1
-    lhs = ux * vy * uyd * vxd
-    rhs = uy * vx * uxd * vyd
-    return (lhs > rhs) - (lhs < rhs)
+    Coordinates may be Fractions or ints.  The determinant of the lifted
+    points is the signed area times w_a*w_b*w_c > 0."""
+    d = _dot(_lift(a), cross(_lift(b), _lift(c)))
+    return (d > 0) - (d < 0)
 
 
 def cross(u, v) -> tuple:
@@ -121,12 +136,8 @@ class HalfPlane:
         return self.c0 + self.cx * p[0] + self.cy * p[1]
 
     def sign(self, p: Point) -> int:
-        """Sign of value(p): the integer line at the homogeneous point
-        (xd*yd, xn*yd, yn*xd) of p = (xn/xd, yn/yd)."""
-        n0, nx, ny = self.line
-        xn, xd = p[0].as_integer_ratio()
-        yn, yd = p[1].as_integer_ratio()
-        v = n0 * xd * yd + nx * xn * yd + ny * yn * xd
+        """Sign of value(p): the integer line at the lifted point."""
+        v = _dot(self.line, _lift(p))
         return (v > 0) - (v < 0)
 
     def contains(self, p: Point) -> bool:
@@ -151,17 +162,17 @@ def convex_hull(points) -> list:
         raise ValueError("need at least one point")
     if len(pts) == 1:
         return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and side(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and side(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    lifted = [(p, _lift(p)) for p in pts]
+
+    def chain(seq):  # one half of the hull, without its last point
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _dot(out[-2][1], cross(out[-1][1], p[1])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = [p for p, _ in chain(lifted) + chain(reversed(lifted))]
     if len(hull) == 2 and hull[0] == hull[1]:
         return hull[:1]
     return hull
@@ -171,22 +182,26 @@ class Polygon2:
     """Convex polygon with counterclockwise, strictly convex vertex list.
 
     Degenerate cases are allowed: a single point or a segment (two
-    vertices).
+    vertices).  ``triples`` are the lifted vertices and ``lines`` the
+    edges' integer lines, positive inside (none below three vertices).
     """
 
     def __init__(self, vertices):
         vs = [(to_fraction(x), to_fraction(y)) for (x, y) in vertices]
         if not vs:
             raise ValueError("polygon needs at least one vertex")
+        # lists: CPython keeps a tuple built from an iterator on the free list
+        # of its final size, not its first, and peak memory crept upwards
+        ts = [_lift(p) for p in vs]
         n = len(vs)
-        if n >= 3:
-            # the three turns of a triangle are one signed area
-            for i in range(1 if n == 3 else n):
-                if side(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
-                    raise ValueError("vertices must be strictly convex and counterclockwise")
-        elif n == 2 and vs[0] == vs[1]:
+        lines = [cross(ts[i], ts[(i + 1) % n]) for i in range(n)] if n >= 3 else []
+        # each vertex is strictly left of the next edge; the three turns
+        # of a triangle are one signed area
+        if lines and any(_dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if n == 3 else n)):
+            raise ValueError("vertices must be strictly convex and counterclockwise")
+        if n == 2 and vs[0] == vs[1]:
             raise ValueError("duplicate vertices")
-        self.vertices = vs
+        self.vertices, self.triples, self.lines = vs, ts, lines
         self._facets = None
 
     @classmethod
@@ -223,16 +238,10 @@ class Polygon2:
 
     def contains_point(self, p: Point) -> bool:
         p = (to_fraction(p[0]), to_fraction(p[1]))
-        if self.n == 1:
-            return p == self.vertices[0]
-        if self.n == 2:
-            a, b = self.vertices
-            if side(a, b, p) != 0:
-                return False
-            d = (b[0] - a[0], b[1] - a[1])
-            s = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
-            return 0 <= s <= d[0] * d[0] + d[1] * d[1]
-        return all(hp.contains(p) for hp in self.facets())
+        if self.n < 3:  # on the point or segment: on its line and in its box
+            a, b = self.vertices[0], self.vertices[-1]
+            return side(a, b, p) == 0 and all(min(a[k], b[k]) <= p[k] <= max(a[k], b[k]) for k in (0, 1))
+        return _within(self.lines, (_lift(p),))
 
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
@@ -272,14 +281,10 @@ def polygon_from_halfplanes(halfplanes) -> Polygon2:
     verts = []
     for i, a in enumerate(lines):
         for b in lines[i + 1:]:
-            # the lines meet in their cross product (w, x, y), made w > 0
-            w, x, y = cross(a, b)
-            if w == 0:
-                continue
-            if w < 0:
-                w, x, y = -w, -x, -y
-            if all(n0 * w + nx * x + ny * y >= 0 for n0, nx, ny in lines):
-                verts.append((Fraction(x, w), Fraction(y, w)))
+            # the lines meet in their cross product
+            p = _normalized(*cross(a, b))
+            if p and _within(lines, (p,)):
+                verts.append(_point(p))
     if not verts:
         raise ValueError("intersection of half-planes is empty")
     return Polygon2.from_points(verts)
@@ -366,29 +371,33 @@ def tangent_vertex(v: Point, poly: Polygon2) -> Point:
     """Vertex t of poly such that the directed line v -> t keeps the whole
     polygon on its closed left side; ties along the line resolved to the
     farthest vertex.  v may lie on the polygon but not coincide with the
-    only vertex.
+    only vertex."""
+    i = _tangent(_lift(v), poly.triples)
+    if i is None:
+        raise ValueError("no tangent vertex; is the point inside the polygon?")
+    return poly.vertices[i]
 
-    The vertex list is strictly convex and counterclockwise, so the whole
+
+def _tangent(v: tuple, ts: tuple):
+    """The index in ts of the tangent vertex from v, or None.  The
     polygon lies on the closed left of v -> t exactly when both
     neighbours of t do (for one or two vertices the neighbours are the
     polygon itself): one pass over the vertices."""
-    vs = poly.vertices
-    n = len(vs)
-    candidates = []
-    for i, t in enumerate(vs):
-        if t == v:
-            continue
-        if side(v, t, vs[i - 1]) >= 0 and side(v, t, vs[(i + 1) % n]) >= 0:
-            candidates.append(t)
-    if not candidates:
-        raise ValueError("no tangent vertex; is the point inside the polygon?")
-
-    def sqdist(t):
-        return (t[0] - v[0]) ** 2 + (t[1] - v[1]) ** 2
-
+    n = len(ts)
+    found = []
+    for i, t in enumerate(ts):
+        if t != v:
+            line = cross(v, t)
+            if _dot(line, ts[i - 1]) >= 0 and _dot(line, ts[(i + 1) % n]) >= 0:
+                found.append(i)
+    if len(found) < 2:
+        return found[0] if found else None
     # candidates are collinear with v (vertices on the supporting line);
-    # take the farthest so the tangent segment covers any touching edge
-    return max(candidates, key=sqdist)
+    # take the farthest so the tangent segment covers any touching edge;
+    # the key is the squared distance times w_v^2
+    wv, xv, yv = v
+    return max(found, key=lambda i: Fraction(
+        (ts[i][1] * wv - xv * ts[i][0]) ** 2 + (ts[i][2] * wv - yv * ts[i][0]) ** 2, ts[i][0] ** 2))
 
 
 def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
@@ -396,36 +405,41 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
 
     v must lie in outer and towards differ from v.
     """
+    v, towards = _lift(v), _lift(towards)
     if v == towards:
         raise ValueError("undirected chord")
-    (vx, vy), vw = integer_scaled(v)
-    (tx, ty), tw = integer_scaled(towards)
-    # the ray leaves through a facet with values fv at v and ft at towards,
-    # fv > ft, at s = fv / (fv - ft); num and den are fv and fv - ft times
-    # one positive integer, so the least s is found by cross-multiplication
+    return _point(_exit(v, towards, outer.lines))
+
+
+def _exit(v: tuple, t: tuple, lines) -> tuple:
+    """`chord_exit` on triples, out of the polygon of the facet lines."""
+    # the ray leaves through a facet with values fv at v and ft at t,
+    # fv > ft, at s = fv / (fv - ft) = num / den with lv = line.v = w_v*fv,
+    # lt = line.t = w_t*ft, num = lv*w_t and den = num - lt*w_v: the least
+    # s by cross-multiplication.  The exit point lv*t - lt*v has weight den.
     hi = None
-    for hp in outer.facets():
-        n0, nx, ny = hp.line
-        num = (n0 * vw + nx * vx + ny * vy) * tw
-        den = num - (n0 * tw + nx * tx + ny * ty) * vw
+    for line in lines:
+        lv, lt = _dot(line, v), _dot(line, t)
+        num = lv * t[0]
+        den = num - lt * v[0]
         if den <= 0:
             continue  # never leaves through this facet in forward direction
         if hi is None or num * hi[1] < hi[0] * den:
-            hi = (num, den)
+            hi = (num, den, lv, lt)
     if hi is None:
         raise ValueError("ray never leaves the polygon; outer must be bounded")
-    s = Fraction(*hi)
-    d = (towards[0] - v[0], towards[1] - v[1])
-    return (v[0] + s * d[0], v[1] + s * d[1])
+    _, _, lv, lt = hi  # three arguments, not *generator (see Polygon2)
+    return _normalized(lv * t[0] - lt * v[0], lv * t[1] - lt * v[1], lv * t[2] - lt * v[2])
 
 
-def _verified(candidate, inner: Polygon2, outer: Polygon2):
-    try:
-        tri = Polygon2.triangle(*candidate)
-    except ValueError:
-        return None
-    if contains(tri, inner) and contains(outer, tri):
-        return tri
+def _verified(candidate, ps, lines):
+    """The triangle on three triples as a Polygon2 when it contains the
+    points ps and lies in the polygon of the facet lines, else None.  Its
+    first side is a tangent with P on the left, so it must turn left."""
+    a, b, c = candidate
+    sides = (cross(a, b), cross(b, c), cross(c, a))
+    if _dot(a, sides[1]) > 0 and _within(lines, candidate) and _within(sides, ps):
+        return Polygon2([_point(a), _point(b), _point(c)])
     return None
 
 
@@ -441,7 +455,8 @@ def nested_triangle(pair: NestedPair):
     inner, outer = pair.inner, pair.outer
     if outer.is_degenerate():
         raise ValueError("outer polygon must be two-dimensional")
-    if not contains(outer, inner):
+    ps, lines = inner.triples, outer.lines
+    if not _within(lines, ps):
         raise ValueError("inner polygon is not contained in the outer polygon")
 
     if inner.n == 3:
@@ -451,48 +466,46 @@ def nested_triangle(pair: NestedPair):
     if inner.n < 3:
         # P lies on the chord of Q through a and b, and any vertex of Q off
         # that chord closes a triangle around it
-        a = inner.vertices[0]
-        b = inner.vertices[1] if inner.n == 2 else next(q for q in outer.vertices if q != a)
-        u, v = chord_exit(a, b, outer), chord_exit(b, a, outer)
-        return Polygon2.triangle(u, v, next(q for q in outer.vertices if side(u, v, q)))
+        a = ps[0]
+        b = ps[1] if inner.n == 2 else next(q for q in outer.triples if q != a)
+        u, v = _exit(a, b, lines), _exit(b, a, lines)
+        w = next(q for q in outer.triples if _dot(u, cross(v, q)))
+        return Polygon2.triangle(_point(u), _point(v), _point(w))
 
     # side anchored on a line containing an edge of P
-    for (a, b) in inner.edges():
-        v1 = chord_exit(a, b, outer)
-        v2 = _advance(v1, inner, outer)
+    for i, a in enumerate(ps):
+        v1 = _exit(a, ps[(i + 1) % inner.n], lines)
+        v2 = _advance(v1, ps, lines)
         if v2 is None:
             continue
         # the closing side needs only the tangent's direction, not its exit
-        try:
-            t3 = tangent_vertex(v2, inner)
-        except ValueError:
+        k = _tangent(v2, ps)
+        if k is None:
             continue
-        x = meet(join(v2, t3), join(a, v1))
-        tri = x and _verified((v1, v2, x), inner, outer)
+        x = _normalized(*cross(cross(v2, ps[k]), cross(a, v1)))
+        tri = x and _verified((v1, v2, x), ps, lines)
         if tri is not None:
             return tri
 
     # vertex anchored at a vertex of Q
-    for q in outer.vertices:
-        if inner.contains_point(q):
+    for q in outer.triples:
+        if _within(inner.lines, (q,)):
             continue  # q inside P would mean P touches Q; tangents handle boundary
-        v1 = _advance(q, inner, outer)
-        v2 = v1 and _advance(v1, inner, outer)
-        tri = v2 and _verified((q, v1, v2), inner, outer)
+        v1 = _advance(q, ps, lines)
+        v2 = v1 and _advance(v1, ps, lines)
+        tri = v2 and _verified((q, v1, v2), ps, lines)
         if tri is not None:
             return tri
     return None
 
 
-def _advance(v: Point, inner: Polygon2, outer: Polygon2):
-    """One greedy step of a chain: the tangent from v to inner, extended to
-    its exit point from outer; None when there is no tangent or v does
-    not move."""
-    try:
-        t = tangent_vertex(v, inner)
-    except ValueError:
+def _advance(v: tuple, ps: tuple, lines):
+    """One greedy step of a chain: the tangent from v to ps, extended to
+    its exit from the facet lines; None if there is none or v stays."""
+    i = _tangent(v, ps)
+    if i is None:
         return None
-    w = chord_exit(v, t, outer)
+    w = _exit(v, ps[i], lines)
     return None if w == v else w
 
 

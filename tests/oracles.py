@@ -882,6 +882,65 @@ def chord_exit_by_fractions(v, towards, outer: Polygon2):
     return (v[0] + hi * d[0], v[1] + hi * d[1])
 
 
+def nested_triangle_by_fractions(pair: NestedPair):
+    """`geometry.nested_triangle` with every point a pair of Fractions.
+
+    The same anchors in the same order: sides on the lines of P's edges,
+    then chains from the vertices of Q outside P.  The tangent tests both
+    neighbours by `orient` and takes the farthest candidate, the exit is
+    `chord_exit_by_fractions`, the closing point a `meet` of two `join`s,
+    and a candidate is kept when `verify_triangle` passes."""
+    inner, outer = pair.inner, pair.outer
+    if outer.is_degenerate():
+        raise ValueError("outer polygon must be two-dimensional")
+    if not all(contains_point_by_edges(outer, p) for p in inner.vertices):
+        raise ValueError("inner polygon is not contained in the outer polygon")
+    if inner.n == 3:
+        return inner
+    if outer.n == 3:
+        return outer
+    if inner.n < 3:
+        a = inner.vertices[0]
+        b = inner.vertices[1] if inner.n == 2 else next(q for q in outer.vertices if q != a)
+        u, v = chord_exit_by_fractions(a, b, outer), chord_exit_by_fractions(b, a, outer)
+        return Polygon2.triangle(u, v, next(q for q in outer.vertices if orient(u, v, q)))
+    vs, n = inner.vertices, inner.n
+
+    def tangent(v):
+        found = [t for i, t in enumerate(vs)
+                 if t != v and orient(v, t, vs[i - 1]) >= 0 and orient(v, t, vs[(i + 1) % n]) >= 0]
+        return max(found, key=lambda t: (t[0] - v[0]) ** 2 + (t[1] - v[1]) ** 2, default=None)
+
+    def advance(v):
+        t = tangent(v)
+        w = t and chord_exit_by_fractions(v, t, outer)
+        return None if w == v else w
+
+    def verified(candidate):
+        if orient(*candidate) == 0:
+            return None
+        tri = Polygon2.triangle(*candidate)
+        return tri if verify_triangle(pair, tri) else None
+
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        v1 = chord_exit_by_fractions(a, b, outer)
+        v2 = advance(v1)
+        t3 = v2 and tangent(v2)
+        x = t3 and meet(join(v2, t3), join(a, v1))
+        tri = x and verified((v1, v2, x))
+        if tri is not None:
+            return tri
+    for q in outer.vertices:
+        if contains_point_by_edges(inner, q):
+            continue
+        v1 = advance(q)
+        v2 = v1 and advance(v1)
+        tri = v2 and verified((q, v1, v2))
+        if tri is not None:
+            return tri
+    return None
+
+
 def polygon_from_halfplanes_by_fractions(halfplanes) -> Polygon2:
     """Bounded intersection of half-planes: a rotated normal that every
     normal meets at a nonnegative angle is a recession direction; the

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.family
-from nncomplete.geometry import cross
+from nncomplete.geometry import cross, join
 from nncomplete.family import (
     _critical_ts,
     _curve_misses_quadrant,
@@ -313,6 +314,30 @@ class TestColumnHolesFamily:
         assert compared >= 150 and refuted >= 5
         assert shapes == {(True, False), (False, True), (False, False)}
         assert transposed == {False, True}
+
+    def test_feasible_incidence_puts_the_vertex_in_the_outer_polygon(self):
+        """`sufficient_11_21` tests no point in a polygon: at a feasible
+        incidence t, the t where the moving vertex meets the line of an
+        edge of the fixed triangle, the vertex lies in the outer polygon."""
+        seen = 0
+        for seed, hi in ((8, 3), (9, 2)):
+            rng = random.Random(seed)
+            for _ in range(1200):
+                full = ExactMatrix([[rng.randint(0, hi) for _ in range(4)] for _ in range(4)])
+                holes = set(rng.sample(CELLS, 2))
+                canon, norm = normalize_two_missing(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes)))
+                if norm.tag != "11_21":
+                    continue
+                try:
+                    fam = family_11_21(canon)
+                except FamilyError:
+                    continue
+                for u, v in itertools.combinations(fam.fixed_inner_points, 2):
+                    t = fam.incidence_t(join(u, v))
+                    if t is not None and fam.is_feasible(t):
+                        assert fam.fixed_outer.contains_point(fam.vertex_at(t)), (canon, t)
+                        seen += 1
+        assert seen >= 1000
 
     @pytest.mark.parametrize("scale", SCALES, ids=["unscaled", "scaled"])
     def test_decision_not_completable(self, two_missing_column, scale):

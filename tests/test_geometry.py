@@ -1,4 +1,7 @@
+import cProfile
+import pstats
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,7 @@ from oracles import (
     contains_point_by_edges,
     low_rank_witness_by_builders,
     matmul_by_fractions,
+    nested_triangle_by_fractions,
     nmf_residual,
     orient,
     polygon_from_halfplanes_by_fractions,
@@ -716,7 +720,8 @@ class TestIntegerKernelsAgainstFractionOracles:
 
     def test_nnrank3_corpus_witnesses(self, monkeypatch):
         """A sample of the benchmark's nnrank3 corpus at both corpus seeds
-        decides with the same witness under the Fraction kernels."""
+        decides with the same witness under the Fraction kernels and the
+        Fraction-point triangle search."""
         monkeypatch.syspath_prepend(str(BENCH))
         import corpus
 
@@ -725,10 +730,80 @@ class TestIntegerKernelsAgainstFractionOracles:
         matrices = [ExactMatrix(c.rows) for c in cases]
         integer = [repr(nn_rank_at_most_3(m)) for m in matrices]
         monkeypatch.setattr(nncomplete.geometry, "matmul", matmul_by_fractions)
-        monkeypatch.setattr(nncomplete.geometry, "chord_exit", chord_exit_by_fractions)
+        monkeypatch.setattr(nncomplete.geometry, "nested_triangle", nested_triangle_by_fractions)
         monkeypatch.setattr(nncomplete.geometry, "polygon_from_halfplanes", polygon_from_halfplanes_by_fractions)
         assert [repr(nn_rank_at_most_3(m)) for m in matrices] == integer
         assert {w.startswith("(True") for w in integer} == {True, False}
+
+    def test_nested_triangle_against_the_fraction_point_search(self, rng, monkeypatch):
+        """The search on integer triples returns the reference's triangle,
+        vertex for vertex, or None with it: on the planted and n-gon pairs
+        of the nnrank3 corpus at both corpus seeds and on random nested
+        pairs, whose inner polygon may be a point or a segment."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        pairs = [bounded_nested_pair(ExactMatrix(c.rows))
+                 for seed in (corpus.DEFAULT_CORPUS_SEED, corpus.HELD_OUT_CORPUS_SEED) for c in corpus.nnrank3(seed)]
+        pairs += [rnd_nested_pair(rng) for _ in range(300)]
+        outcomes = []
+        for pair in pairs:
+            got = kernel_outcome(nested_triangle, pair)
+            assert got == kernel_outcome(nested_triangle_by_fractions, pair)
+            outcomes.append((got == "None", pair.inner.n < 3))
+        assert set(outcomes) == {(True, False), (False, False), (False, True)}
+
+
+def fractions_made(fn, *args) -> int:
+    """How many Fractions one call of fn constructs, by cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
+
+
+class TestSearchOnIntegerTriples:
+    """The triangle search carries its points as integer triples and
+    builds Fractions only for the triangle it returns."""
+
+    def test_search_without_a_triangle_builds_no_fraction(self, monkeypatch):
+        """nnrank3-ngon-00 of the corpus is a pair of 12-gons with no
+        nested triangle, so every anchor is tried.  The search reads Q's
+        edge lines from the polygon, so neither a first nor a second
+        search on the pair builds a Fraction."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        case = next(c for c in corpus.nnrank3(corpus.DEFAULT_CORPUS_SEED) if c.id == "nnrank3-ngon-00")
+        pair = bounded_nested_pair(ExactMatrix(case.rows))
+        assert (pair.inner.n, pair.outer.n) == (12, 12)
+        assert fractions_made(Fraction, 1, 3) == 1  # the count sees a Fraction
+        assert fractions_made(nested_triangle, pair) == 0
+        assert nested_triangle(pair) is None
+        assert fractions_made(nested_triangle, pair) == 0
+
+    def test_polygon_lines_are_the_facet_lines(self, rng):
+        """Each edge's integer line is a positive multiple of its facet's."""
+        for trial in range(100):
+            poly = rnd_polygon(rng, rng.randint(3, 8)) if trial % 2 else Polygon2.from_points(
+                [rnd_big_point(rng) for _ in range(rng.randint(3, 8))])
+            if poly.is_degenerate():
+                assert poly.lines == []
+                continue
+            for line, hp in zip(poly.lines, poly.facets()):
+                assert not any(cross(line, hp.line))
+                assert _sign(line[1]) == _sign(hp.line[1]) and _sign(line[2]) == _sign(hp.line[2])
+
+    def test_polygon_triples_are_lowest_terms(self, rng):
+        for trial in range(200):
+            pts = [rnd_big_point(rng) if trial % 2 else rnd_point(rng) for _ in range(rng.randint(1, 7))]
+            if trial % 5 == 0:
+                pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in pts]
+            poly = Polygon2.from_points(pts)
+            assert len(poly.triples) == poly.n
+            for (w, x, y), v in zip(poly.triples, poly.vertices):
+                assert w > 0 and gcd(w, x, y) == 1
+                assert (Fraction(x, w), Fraction(y, w)) == v
 
 
 class TestRefusesBinaryFloats:
