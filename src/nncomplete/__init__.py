@@ -44,7 +44,6 @@ from .completion import (
 )
 from .geometry import (
     SUM_CHART,
-    HalfPlane,
     NestedPair,
     Polygon2,
     UnboundedRegionError,

@@ -26,7 +26,6 @@ from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, sol
 from .partial import PartialMatrix
 from .geometry import (
     SUM_CHART,
-    HalfPlane,
     NestedPair,
     Polygon2,
     UnboundedRegionError,
@@ -169,9 +168,10 @@ class NestedFamily:
     ``moving_vertex`` = (v0, v1) is the column of B that moves, in the
     chart: the homogeneous triple v0 + t*v1 = (w, y, z), whose point is
     (y/w, z/w).  For tag "11_21" the outer polygon is fixed and that point
-    stays on ``line_p1``, the cross product of v0 and v1; for tag "11_22"
-    one facet of the outer polygon (the first row of A) moves as well,
-    and ``fixed_outer`` is the simplex cut out by the other three rows.
+    stays on ``line_p1``, the integer line of the cross product of v0 and
+    v1 (None when it is zero); for tag "11_22" one facet of the outer
+    polygon (the first row of A) moves as well, and ``fixed_outer`` is the
+    simplex cut out by the other three rows.
     """
 
     tag: str
@@ -184,7 +184,7 @@ class NestedFamily:
     fixed_outer: Polygon2
     fixed_inner_points: list
     moving_vertex: tuple
-    line_p1: HalfPlane | None = None
+    line_p1: tuple | None = None
 
     def factors_at(self, t) -> tuple:
         """The factors (A(t), B(t)); ZeroDivisionError at a pole of A."""
@@ -282,7 +282,7 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     feasible = feasible_set([(tuple(row), (1, 0)) for row in filled.to_lists()])
     return NestedFamily(
         "11_21", m, a_pencil, (1, 0), b_pencil, feasible, chart, fixed.outer, fixed.inner_generators, vertex,
-        HalfPlane(*line) if any(line) else None,
+        _integers(line)[0] if any(line) else None,
     )
 
 
@@ -488,8 +488,7 @@ def _critical_ts(fam: NestedFamily) -> list:
     # d is scaled, so the vertex pencil, each fixed point (as (1, x, y)),
     # and the moving facet's pencil are each scaled to integers once
     v0, v1 = _integers(*fam.moving_vertex)
-    fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
-    points = [_integers((1, *p))[0] for p in fixed]
+    points = [_integers((1, *p))[0] for p in fam.fixed_inner_points] + fam.fixed_outer.triples
     # the moving vertex against every line through two fixed points; the
     # lines through consecutive outer vertices are the fixed facets
     for p, q in itertools.combinations(points, 2):
@@ -648,7 +647,7 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     """
     line = fam.line_p1
     outer = fam.fixed_outer
-    if line is None or all(any(cross(facet, line.line)) for facet in outer.lines):
+    if line is None or all(any(cross(facet, line)) for facet in outer.lines):
         return False
     ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
     for t in _interval_sample_ts(iv, ts):

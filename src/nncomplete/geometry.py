@@ -7,20 +7,20 @@ exactly when a triangle fits between them; the search below enumerates
 anchored candidates (a vertex of the triangle at a vertex of Q, or a side
 containing an edge of P), which is sufficient.
 
-All coordinates are Fractions and every predicate is exact.  Lines are
-homogeneous triples (c0, cx, cy), the points (x, y) with c0 + cx*x +
-cy*y = 0, and one cross product answers both line questions: `join` is
-the line through two points, `cross` of two lines is their meeting point
-in homogeneous coordinates, and `meet` divides it out once, at the end.
-No other code writes out a line formula.
+All coordinates are Fractions and every predicate is exact.  A line is
+a homogeneous triple (c0, cx, cy), the points (x, y) with c0 + cx*x +
+cy*y = 0, and its half-plane is the side c0 + cx*x + cy*y >= 0; every
+line the module keeps is an integer triple.  One cross product answers
+both line questions: `join` is the line through two points and `cross`
+of two lines is their meeting point in homogeneous coordinates.  No
+other code writes out a line formula.
 
 The kernels compute on Python integers.  A point (x, y) lifts to the
 integer triple (w, x*w, y*w) in lowest terms with w > 0; `Polygon2`
-lifts its vertices once and keeps each edge's integer line, and `side`
-is the sign of one determinant of lifted points.  Inside
-`nested_triangle` every point is such a triple, and a Fraction is built
-only for the triangle it returns.  `polygon_from_halfplanes` meets two
-integer lines (`HalfPlane.line`) in their cross product.
+lifts its vertices once and keeps each edge's integer line, positive
+inside, and `side` is the sign of one determinant of lifted points.
+Inside `nested_triangle` every point is a triple, and a Fraction is
+built only for the triangle it returns.
 """
 
 from __future__ import annotations
@@ -102,55 +102,6 @@ def join(a: Point, b: Point) -> tuple:
     return cross((1, *a), (1, *b))
 
 
-def meet(l1, l2):
-    """The point on the lines l1 and l2, or None when they are parallel
-    (or one of them is zero)."""
-    w, x, y = cross(l1, l2)
-    if w == 0:
-        return None
-    return (Fraction(x, w), Fraction(y, w))
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """The set c0 + cx*x + cy*y >= 0.
-
-    ``line`` is (c0, cx, cy) times the positive lcm of their denominators:
-    integers whose value at any point has the sign of the half-plane's."""
-
-    c0: Fraction
-    cx: Fraction
-    cy: Fraction
-    line: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = [to_fraction(x) for x in (self.c0, self.cx, self.cy)]
-        object.__setattr__(self, "c0", c[0])
-        object.__setattr__(self, "cx", c[1])
-        object.__setattr__(self, "cy", c[2])
-        if self.cx == 0 and self.cy == 0:
-            raise ValueError("half-plane normal must be nonzero")
-        object.__setattr__(self, "line", tuple(integer_scaled(c)[0]))
-
-    def value(self, p: Point) -> Fraction:
-        return self.c0 + self.cx * p[0] + self.cy * p[1]
-
-    def sign(self, p: Point) -> int:
-        """Sign of value(p): the integer line at the lifted point."""
-        v = _dot(self.line, _lift(p))
-        return (v > 0) - (v < 0)
-
-    def contains(self, p: Point) -> bool:
-        return self.sign(p) >= 0
-
-    @classmethod
-    def through(cls, a: Point, b: Point) -> "HalfPlane":
-        """Half-plane whose boundary is the line a->b, left side included."""
-        if a == b:
-            raise ValueError("points must be distinct")
-        return cls(*join(a, b))
-
-
 def convex_hull(points) -> list:
     """Counterclockwise hull with strictly convex vertices.
 
@@ -202,7 +153,6 @@ class Polygon2:
         if n == 2 and vs[0] == vs[1]:
             raise ValueError("duplicate vertices")
         self.vertices, self.triples, self.lines = vs, ts, lines
-        self._facets = None
 
     @classmethod
     def from_points(cls, points) -> "Polygon2":
@@ -221,20 +171,6 @@ class Polygon2:
 
     def is_degenerate(self) -> bool:
         return self.n < 3
-
-    def edges(self):
-        """The edges (a, b) in counterclockwise order, for n >= 3."""
-        n = self.n
-        return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
-
-    def facets(self) -> list:
-        """Inward half-planes, one per edge, in edge order (a fresh list
-        each call; the half-planes are computed once per polygon)."""
-        if self.is_degenerate():
-            raise ValueError("degenerate polygon has no facet description")
-        if self._facets is None:
-            self._facets = [HalfPlane.through(a, b) for (a, b) in self.edges()]
-        return list(self._facets)
 
     def contains_point(self, p: Point) -> bool:
         p = (to_fraction(p[0]), to_fraction(p[1]))
@@ -260,34 +196,40 @@ def contains(outer: Polygon2, inner: Polygon2) -> bool:
     return all(outer.contains_point(v) for v in inner.vertices)
 
 
-def polygon_from_halfplanes(halfplanes) -> Polygon2:
-    """Bounded intersection of half-planes as a polygon.
+def polygon_from_halfplanes(lines) -> Polygon2:
+    """Bounded intersection of the half-planes c0 + cx*x + cy*y >= 0 of
+    integer lines (c0, cx, cy) as a polygon.
 
-    Raises UnboundedRegionError when the recession cone is nontrivial and
-    ValueError when the intersection is empty.
+    Raises TypeError for a coefficient that is not an int, ValueError for
+    a zero normal or an empty intersection, and UnboundedRegionError when
+    the recession cone is nontrivial.
     """
-    hps = list(halfplanes)
-    if not hps:
+    lines = list(lines)
+    for line in lines:
+        for c in line:
+            if type(c) is not int:
+                raise TypeError(f"line coefficients must be ints, refusing {type(c).__name__} {c}")
+        if not (line[1] or line[2]):
+            raise ValueError("half-plane normal must be nonzero")
+    if not lines:
         raise UnboundedRegionError("no constraints")
-    lines = [hp.line for hp in hps]
     # nontrivial recession direction: d != 0 with all normals . d >= 0;
     # if one exists, some extreme candidate (a rotated normal) works
-    for hp in hps:
+    for _, cx, cy in lines:
         for s in (1, -1):
-            dx, dy = -s * hp.line[2], s * hp.line[1]
-            if all(nx * dx + ny * dy >= 0 for _, nx, ny in lines):
-                d = (-s * hp.cy, s * hp.cx)
+            d = (-s * cy, s * cx)
+            if all(nx * d[0] + ny * d[1] >= 0 for _, nx, ny in lines):
                 raise UnboundedRegionError(f"region is unbounded in direction {d}")
-    verts = []
+    verts = set()
     for i, a in enumerate(lines):
         for b in lines[i + 1:]:
             # the lines meet in their cross product
             p = _normalized(*cross(a, b))
             if p and _within(lines, (p,)):
-                verts.append(_point(p))
+                verts.add(p)
     if not verts:
         raise ValueError("intersection of half-planes is empty")
-    return Polygon2.from_points(verts)
+    return Polygon2.from_points([_point(p) for p in verts])
 
 
 @dataclass
@@ -295,23 +237,27 @@ class NestedPair:
     """Inner polygon P and outer polygon Q with factorization provenance.
 
     ``inner_generators`` keeps the sliced nonzero columns of B in input
-    order and ``outer_halfplanes`` the sliced rows of A in input order, so
-    the slack matrix lines up with the original factorization.
+    order and ``outer_lines`` the integer lines of the sliced rows of A in
+    input order, so the slack matrix lines up with the original
+    factorization.
     """
 
     inner: Polygon2
     outer: Polygon2
     inner_generators: list = field(default_factory=list)
-    outer_halfplanes: list = field(default_factory=list)
+    outer_lines: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
 
 def slack_matrix(pair: NestedPair) -> ExactMatrix:
-    """Half-plane i of Q evaluated at generator j of P; entry-wise
-    nonnegative exactly when P is contained in Q."""
-    hps = pair.outer_halfplanes or pair.outer.facets()
-    gens = pair.inner_generators or pair.inner.vertices
-    return ExactMatrix([[hp.value(g) for g in gens] for hp in hps])
+    """Line i of Q at the lifted generator j of P (Q's edge lines and P's
+    vertices when the pair keeps none).  Each entry is the value c0 +
+    cx*x + cy*y of the half-plane at the point times a positive factor of
+    its row and one of its column, so it has that value's sign and zeros:
+    entry-wise nonnegative exactly when P is contained in Q."""
+    lines = pair.outer_lines or pair.outer.lines
+    gens = [_lift(g) for g in pair.inner_generators or pair.inner.vertices]
+    return ExactMatrix([[_dot(line, g) for g in gens] for line in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +268,17 @@ SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def _slice_halfplane(row):
-    """Row (c0, cx, cy) of the charted A as the half-plane c0 + cx*x +
-    cy*y >= 0, or None when the constraint is trivially satisfied (zero
-    row, or a constraint whose normal vanishes and whose constant is
+    """Row (c0, cx, cy) of the charted A as the integer line of the
+    half-plane c0 + cx*x + cy*y >= 0, the row times the lcm of its
+    denominators, or None when the constraint is trivially satisfied
+    (zero row, or a constraint whose normal vanishes and whose constant is
     nonnegative)."""
     c0, cx, cy = row
     if cx == 0 and cy == 0:
         if c0 < 0:
             raise ValueError(f"row {tuple(row)} is infeasible on the slice")
         return None
-    return HalfPlane(c0, cx, cy)
+    return tuple(integer_scaled(row)[0])
 
 
 def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart: ExactMatrix) -> NestedPair:
@@ -357,10 +304,10 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart: ExactMat
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {w}")
         gens.append((y / w, z / w))
-    hps = [hp for hp in map(_slice_halfplane, a.to_lists()) if hp]
-    outer = polygon_from_halfplanes(hps)  # may raise UnboundedRegionError
+    lines = [line for line in map(_slice_halfplane, a.to_lists()) if line]
+    outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
     inner = Polygon2.from_points(gens)
-    return NestedPair(inner, outer, gens, hps, {"a": a, "b": b})
+    return NestedPair(inner, outer, gens, lines, {"a": a, "b": b})
 
 
 # ---------------------------------------------------------------------------

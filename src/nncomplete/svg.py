@@ -16,12 +16,17 @@ _SIGNIFICANT = 12
 
 
 def _fmt(x: Fraction) -> str:
-    """12-significant-digit decimal, without exponent notation."""
+    """12-significant-digit decimal, without exponent notation; ValueError
+    beyond the float range."""
     if x == 0:
         return "0"
-    s = f"{float(x):.{_SIGNIFICANT}g}"
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError("a coordinate is too large to draw") from None
+    s = f"{f:.{_SIGNIFICANT}g}"
     if "e" in s or "E" in s:
-        s = f"{float(x):.{_SIGNIFICANT + 12}f}".rstrip("0").rstrip(".")
+        s = f"{f:.{_SIGNIFICANT + 12}f}".rstrip("0").rstrip(".")
     return s
 
 

@@ -38,7 +38,7 @@ from nncomplete import (
 )
 from nncomplete.family import _family_stages
 from nncomplete.geometry import (
-    HalfPlane, NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, meet, nested_triangle, side,
+    NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, nested_triangle, side,
 )
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
@@ -694,7 +694,7 @@ def critical_ts_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
         fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
         for u, w in itertools.combinations(fixed, 2):
             crit.update(rf_roots(_rf_orient(u, w, p1)))
-        for hp in fam.fixed_outer.facets():
+        for hp in facets(fam.fixed_outer):
             crit.update(rf_roots(hp.c0 + hp.cx * p1[0] + hp.cy * p1[1]))
         return sorted(crit)
     b = ref.b_of_t
@@ -847,6 +847,68 @@ def _assemble_block_completion(m: PartialMatrix, I, a_blk, b_blk) -> ExactMatrix
 
 
 # ---------------------------------------------------------------------------
+# Fraction half-planes, edges and facets (the library keeps integer lines)
+
+
+@dataclass(frozen=True)
+class HalfPlane:
+    """The set c0 + cx*x + cy*y >= 0, with Fraction coefficients."""
+
+    c0: Fraction
+    cx: Fraction
+    cy: Fraction
+
+    def __post_init__(self):
+        for name in ("c0", "cx", "cy"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.cx == 0 and self.cy == 0:
+            raise ValueError("half-plane normal must be nonzero")
+
+    def value(self, p) -> Fraction:
+        return self.c0 + self.cx * p[0] + self.cy * p[1]
+
+    @classmethod
+    def through(cls, a, b) -> "HalfPlane":
+        """Half-plane whose boundary is the line a->b, left side included:
+        its value at p is `orient(a, b, p)`."""
+        return cls(a[0] * b[1] - a[1] * b[0], a[1] - b[1], b[0] - a[0])
+
+
+def meet(l1, l2):
+    """The point on the lines l1 and l2 (homogeneous triples), or None when
+    they are parallel (or one of them is zero)."""
+    w, x, y = cross(l1, l2)
+    if w == 0:
+        return None
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def edges(poly: Polygon2) -> list:
+    """The edges (a, b) of a polygon in counterclockwise order."""
+    vs = poly.vertices
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+def facets(poly: Polygon2) -> list:
+    """The inward half-planes of a polygon of at least three vertices,
+    one per edge, in edge order."""
+    return [HalfPlane.through(a, b) for a, b in edges(poly)]
+
+
+def slack_by_fractions(pair: NestedPair) -> list:
+    """The rows of `geometry.slack_matrix` as Fraction half-plane values:
+    Q's half-planes are the rows of the pair's charted A with a nonzero
+    normal, or Q's facets for a pair without provenance, at P's
+    generators, or its vertices."""
+    if pair.provenance:
+        hps = [HalfPlane(*row) for row in pair.provenance["a"].to_lists() if row[1] or row[2]]
+    else:
+        hps = facets(pair.outer)
+    gens = pair.inner_generators or pair.inner.vertices
+    return [[hp.value(g) for g in gens] for hp in hps]
+
+
+# ---------------------------------------------------------------------------
 # Fraction kernels of the triangle search
 
 
@@ -867,7 +929,7 @@ def chord_exit_by_fractions(v, towards, outer: Polygon2):
     if v == towards:
         raise ValueError("undirected chord")
     hi = None
-    for hp in outer.facets():
+    for hp in facets(outer):
         fv = hp.value(v)
         ft = hp.value(towards)
         slope = ft - fv
@@ -941,16 +1003,18 @@ def nested_triangle_by_fractions(pair: NestedPair):
     return None
 
 
-def polygon_from_halfplanes_by_fractions(halfplanes) -> Polygon2:
-    """Bounded intersection of half-planes: a rotated normal that every
-    normal meets at a nonnegative angle is a recession direction; the
-    vertices are the pairwise line intersections by Cramer's rule that
-    satisfy every half-plane, all in Fraction arithmetic."""
-    hps = list(halfplanes)
+def polygon_from_halfplanes_by_fractions(lines) -> Polygon2:
+    """Bounded intersection of the half-planes of integer lines: a rotated
+    normal that every normal meets at a nonnegative angle is a recession
+    direction, printed as integers; the vertices are the pairwise line
+    intersections by Cramer's rule that satisfy every half-plane, all in
+    Fraction arithmetic."""
+    lines = list(lines)
+    hps = [HalfPlane(*line) for line in lines]
     if not hps:
         raise UnboundedRegionError("no constraints")
-    for hp in hps:
-        for d in ((-hp.cy, hp.cx), (hp.cy, -hp.cx)):
+    for _, cx, cy in lines:
+        for d in ((-cy, cx), (cy, -cx)):
             if all(h.cx * d[0] + h.cy * d[1] >= 0 for h in hps):
                 raise UnboundedRegionError(f"region is unbounded in direction {d}")
     verts = []
@@ -986,7 +1050,7 @@ def boundary_intersections(poly: Polygon2, a, b) -> list:
         return []
     line = join(a, b)
     out = []
-    for (e1, e2) in poly.edges():
+    for (e1, e2) in edges(poly):
         o1 = side(a, b, e1)
         o2 = side(a, b, e2)
         if o1 == 0:
@@ -1001,7 +1065,7 @@ def boundary_intersections(poly: Polygon2, a, b) -> list:
 def sweep_candidates_by_edges(fam) -> set:
     """`family.sweep_candidates`, with each chord's ends on the outer
     boundary found by `boundary_intersections`."""
-    line = fam.line_p1.line
+    line = fam.line_p1
     outer = fam.fixed_outer
     fixed_pts = list(fam.fixed_inner_points)
     candidates = {meet(line, join(u, w)) for u, w in itertools.combinations(fixed_pts + outer.vertices, 2)}
@@ -1033,7 +1097,7 @@ def sweep_refutes_by_arc(fam, iv) -> bool:
     end is a pole or diverges, and when the arc is a single point."""
     line = fam.line_p1
     outer = fam.fixed_outer
-    if line is None or all(any(cross(hp.line, line.line)) for hp in outer.facets()):
+    if line is None or all(any(cross((hp.c0, hp.cx, hp.cy), line)) for hp in facets(outer)):
         return False
     (w0, y0, z0), (w1, y1, z1) = fam.moving_vertex
     if w1:
@@ -1090,7 +1154,7 @@ def sufficient_11_21_by_meets(fam):
         return None
     p2, p3, p4 = fam.fixed_inner_points
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        cand = meet(fam.line_p1.line, join(u, v))
+        cand = meet(fam.line_p1, join(u, v))
         if cand is None or not contains_point_by_edges(fam.fixed_outer, cand):
             continue
         t = solve_moving_vertex(fam, cand)

@@ -159,12 +159,12 @@ def test_acceptance_column_holes(two_missing_column):
         (F(1, 20), F(0)),
         (F(0), F(1, 20)),
     ]
-    line = fam.line_p1
+    c0, cx, cy = fam.line_p1
     # p1(t) = (y/w, z/w)(t) satisfies the line identically in t: the line
     # is orthogonal to both terms of the pencil (w, y, z) = v0 + t*v1
     for v in fam.moving_vertex:
-        assert line.c0 * v[0] + line.cx * v[1] + line.cy * v[2] == 0
-    assert line.c0 / line.cx == F(-3, 40) and line.cx == line.cy
+        assert c0 * v[0] + cx * v[1] + cy * v[2] == 0
+    assert F(c0, cx) == F(-3, 40) and cx == cy
     criticals = {
         (F(11, 160), F(1, 160)),
         (F(3, 160), F(9, 160)),

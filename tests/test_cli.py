@@ -273,21 +273,27 @@ class TestPlot:
         [(pair, tri)] = drawn
         assert tri is not None and verify_triangle(pair, tri)
 
-    def test_library_error_is_one_line_diagnostic(self):
-        """A ValueError from inside the library (here: the family of an
-        Unknown instance cannot be built) exits 1 with one stderr line, in
-        a real process and with the interpreter's optimize level."""
+    @pytest.mark.parametrize("text, message", [
+        # the family of an Unknown instance cannot be built
+        ("4 4 8 2\n16 8 24 6\n14 6 20 ?\n? 0 10 6\n", "rows 1,3,4 of columns 2..4 must have rank 3"),
+        # a nonnegative rank-3 matrix whose pair has a coordinate past the float range
+        (f"{10**330} 1/{10**330} 1/{10**330}\n2 0 2\n2 7/{10**320} 2\n", "a coordinate is too large to draw"),
+    ], ids=["no-family", "beyond-float-range"])
+    def test_library_error_is_one_line_diagnostic(self, text, message):
+        """A ValueError from inside the library exits 1 with one stderr
+        line, in a real process and with the interpreter's optimize
+        level."""
         env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", "plot", "-"],
-            input="4 4 8 2\n16 8 24 6\n14 6 20 ?\n? 0 10 6\n",
+            input=text,
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "error: rows 1,3,4 of columns 2..4 must have rank 3\n"
+        assert proc.stderr == f"error: {message}\n"
         assert "Traceback" not in proc.stderr
 
 
@@ -320,6 +326,8 @@ class TestClosedPipe:
 ENTRY = st.one_of(
     st.integers(0, 9).map(str),
     st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 4)),
+    # 10^330 and 10^-330: past the float range, as a figure's coordinates can be
+    st.sampled_from([str(10**330), f"1/{10**330}"]),
 )
 BAD_ENTRY = st.sampled_from(["-1", "-3/2", "1/0", "x"])
 # the number of holes each subcommand works on

@@ -44,6 +44,7 @@ from nncomplete.family import (
 from conftest import DATA, restrict, rnd_nonneg_product
 from oracles import (
     FIELD,
+    HalfPlane,
     critical_ts_by_rational_functions,
     defined_at,
     feasible_by_rational_functions,
@@ -180,14 +181,14 @@ class TestColumnHolesFamily:
 
     def test_moving_vertex_line(self, two_missing_column):
         fam = family_11_21(two_missing_column)
-        line = fam.line_p1
+        c0, cx, cy = fam.line_p1
         # proportional to x + y - 3/40 = 0
-        assert line.cx == line.cy != 0
-        assert line.c0 / line.cx == F(-3, 40)
+        assert cx == cy != 0
+        assert F(c0, cx) == F(-3, 40)
         # the closed-form transcription gives the same line
         alt = line_from_observed_minors(two_missing_column)
-        assert alt.c0 * line.cx == line.c0 * alt.cx
-        assert alt.cy * line.cx == line.cy * alt.cx
+        assert alt.c0 * cx == c0 * alt.cx
+        assert alt.cy * cx == cy * alt.cx
 
     def test_feasible_interval(self, two_missing_column):
         fam = family_11_21(two_missing_column)
@@ -209,7 +210,7 @@ class TestColumnHolesFamily:
 
     def test_moving_vertex_stays_on_line(self, two_missing_column, rng):
         fam = family_11_21(two_missing_column)
-        line = fam.line_p1
+        line = HalfPlane(*fam.line_p1)
         for _ in range(5):
             t = F(rng.randint(-60, 60), rng.randint(1, 7))
             try:
@@ -302,7 +303,7 @@ class TestColumnHolesFamily:
                 except FamilyError:
                     continue
                 line = fam.line_p1
-                if line is None or all(any(cross(hp.line, line.line)) for hp in fam.fixed_outer.facets()):
+                if line is None or all(any(cross(facet, line)) for facet in fam.fixed_outer.lines):
                     continue
                 for iv in fam.feasible:
                     answer = _sweep_moving_vertex(fam, iv)
@@ -865,7 +866,7 @@ def assert_matches_rational_functions(fam, rng):
     if fam.tag == "11_21":
         assert (fam.line_p1 is None) == (line is None)
         if line is not None:
-            assert not any(cross(fam.line_p1.line, line))
+            assert not any(cross(fam.line_p1, line))
 
 
 class TestPencilsMatchRationalFunctions:
@@ -935,9 +936,10 @@ class TestPencilsMatchRationalFunctions:
             except ValueError:
                 assert line is None
                 continue
-            assert alt.c0 * line.cx == line.c0 * alt.cx
-            assert alt.c0 * line.cy == line.c0 * alt.cy
-            assert alt.cx * line.cy == line.cx * alt.cy
+            c0, cx, cy = line
+            assert alt.c0 * cx == c0 * alt.cx
+            assert alt.c0 * cy == c0 * alt.cy
+            assert alt.cx * cy == cx * alt.cy
             lines += 1
         assert lines >= 100
 

@@ -1,7 +1,7 @@
 import cProfile
 import pstats
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from nncomplete import (
     SUM_CHART,
     ExactMatrix,
-    HalfPlane,
     NestedPair,
     Polygon2,
     UnboundedRegionError,
@@ -28,20 +27,24 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.geometry
-from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, meet, side
+from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import (
     _lines_meet,
     chord_exit_by_fractions,
     contains_point_by_edges,
+    edges,
+    facets,
     low_rank_witness_by_builders,
     matmul_by_fractions,
+    meet,
     nested_triangle_by_fractions,
     nmf_residual,
     orient,
     polygon_from_halfplanes_by_fractions,
     rotation_grid_triangle,
+    slack_by_fractions,
     tangent_vertex_brute,
     triangle_around_point_by_fan,
     triangle_around_segment_by_chains,
@@ -106,21 +109,10 @@ class TestSignPredicates:
     def test_side_accepts_int_coordinates(self, a, b, c):
         assert side(a, b, c) == _sign(orient(a, b, c))
 
-    @settings(max_examples=300, deadline=None)
-    @given(big_rational, big_rational, big_rational, big_point, st.booleans())
-    def test_halfplane_sign_is_sign_of_value(self, c0, cx, cy, p, on_line):
-        assume(cx != 0 or cy != 0)
-        hp = HalfPlane(c0, cx, cy)
-        if on_line:
-            p = (p[0], -(c0 + cx * p[0]) / cy) if cy != 0 else (-(c0 + cy * p[1]) / cx, p[1])
-            assert hp.sign(p) == 0
-        assert hp.sign(p) == _sign(hp.value(p))
-        assert hp.contains(p) == (hp.value(p) >= 0)
-
 
 class TestLineHelpers:
-    """join and meet, one cross product each, against the orientation
-    determinant and Cramer's rule."""
+    """join, one cross product, against the orientation determinant, and
+    the reference `meet` of two joins against Cramer's rule."""
 
     def test_cross_of_unit_vectors(self):
         assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
@@ -147,23 +139,6 @@ class TestLineHelpers:
         assert x == _lines_meet(a1, a2, b1, b2)
         if shape != "free":
             assert x is None
-
-    def test_meet_of_integer_lines_is_a_fraction_point(self):
-        # x = 1 and y = 2 as integer lines (c0, cx, cy)
-        assert meet((-1, 1, 0), (-2, 0, 1)) == (Fraction(1), Fraction(2))
-        assert all(isinstance(c, Fraction) for c in meet((-1, 2, 0), (-1, 0, 3)))
-        assert meet((-1, 1, 0), (-2, 1, 0)) is None
-
-    @settings(max_examples=200, deadline=None)
-    @given(small_point, small_point)
-    def test_halfplane_through_is_join(self, a, b):
-        if a == b:
-            assert join(a, b) == (0, 0, 0)
-            with pytest.raises(ValueError, match="distinct"):
-                HalfPlane.through(a, b)
-            return
-        hp = HalfPlane.through(a, b)
-        assert (hp.c0, hp.cx, hp.cy) == join(a, b)
 
 
 class TestTangentVertex:
@@ -192,23 +167,6 @@ class TestTangentVertex:
                 tangent_vertex(v, poly)
         else:
             assert tangent_vertex(v, poly) == expected
-
-
-class TestFacetCache:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(small_point, min_size=3, max_size=8))
-    def test_repeated_calls_equal_and_independent(self, pts):
-        poly = Polygon2.from_points(pts)
-        assume(not poly.is_degenerate())
-        fresh = [HalfPlane.through(a, b) for (a, b) in poly.edges()]
-        first = poly.facets()
-        assert first == fresh
-        first.append(HalfPlane(0, 1, 0))
-        first[0] = HalfPlane(0, 0, 1)
-        second = poly.facets()
-        assert second == fresh
-        second.clear()
-        assert poly.facets() == fresh
 
 
 class TestHullAndPolygon:
@@ -258,7 +216,7 @@ class TestHullAndPolygon:
         assume(not poly.is_degenerate())
         eps = Fraction(1, 10**6)
         probes = [(v, True) for v in poly.vertices]
-        for (a, b) in poly.edges():
+        for (a, b) in edges(poly):
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
             left = (a[1] - b[1], b[0] - a[0])  # the inward normal of a->b
             probes += [(mid, True)] + [
@@ -288,18 +246,35 @@ class TestHalfPlanes:
             poly = rnd_polygon(rng, rng.randint(3, 7))
             if poly.is_degenerate():
                 continue
-            back = polygon_from_halfplanes(poly.facets())
+            back = polygon_from_halfplanes(poly.lines)
             assert back == poly
 
     def test_unbounded_detected(self):
-        with pytest.raises(UnboundedRegionError):
-            polygon_from_halfplanes([HalfPlane(0, 1, 0), HalfPlane(0, 0, 1)])
+        with pytest.raises(UnboundedRegionError, match=r"in direction \(0, 1\)$"):
+            polygon_from_halfplanes([(0, 1, 0), (0, 0, 1)])
 
     def test_empty_detected(self):
         with pytest.raises(ValueError):
-            polygon_from_halfplanes(
-                [HalfPlane(-1, 1, 0), HalfPlane(-1, -1, 0), HalfPlane(1, 0, 1), HalfPlane(1, 0, -1)]
-            )
+            polygon_from_halfplanes([(-1, 1, 0), (-1, -1, 0), (1, 0, 1), (1, 0, -1)])
+
+    @pytest.mark.parametrize("lines, error, message", [
+        ([(0, 1, 0), (0, 0, 1), (1, Fraction(-1, 2), -1)], TypeError, "refusing Fraction -1/2"),
+        ([(0, 1, 0), (0, 0, 1), (1, 0, 0)], ValueError, "half-plane normal must be nonzero"),
+        ([], UnboundedRegionError, "no constraints"),
+    ], ids=["Fraction", "zero-normal", "no-lines"])
+    def test_input_checks(self, lines, error, message):
+        """A line is an integer triple with a nonzero normal: a Fraction
+        coefficient is refused like a float (`TestRefusesBinaryFloats`)."""
+        with pytest.raises(error, match=message):
+            polygon_from_halfplanes(lines)
+
+
+def assert_slack_signs(pair: NestedPair):
+    """Every entry of the slack matrix has the sign, and so the zeros, of
+    the reference Fraction half-plane value."""
+    s = slack_matrix(pair).to_lists()
+    ref = slack_by_fractions(pair)
+    assert [[_sign(x) for x in row] for row in s] == [[_sign(x) for x in row] for row in ref]
 
 
 class TestSlackMatrix:
@@ -316,6 +291,7 @@ class TestSlackMatrix:
             ok = contains(pair.outer, pair.inner)
             slack_ok = slack_matrix(pair).is_nonnegative()
             assert ok == slack_ok
+            assert_slack_signs(pair)
             nested += ok
             separated += not ok
         assert nested > 80 and separated > 80
@@ -349,6 +325,7 @@ class TestPolytopesFromFactorization:
             except (UnboundedRegionError, ValueError):
                 continue
             assert matmul(a, b).is_nonnegative() == slack_matrix(pair).is_nonnegative()
+            assert_slack_signs(pair)
 
     def test_rejects_zero_weight_column(self):
         a = ExactMatrix.identity(3)
@@ -578,12 +555,15 @@ def rnd_big_point(rng):
     return tuple(Fraction(rng.randint(-(2**60), 2**60), rng.randint(1, 2**60)) for _ in range(2))
 
 
-def rnd_halfplane(rng, big) -> HalfPlane:
+def rnd_line(rng, big) -> tuple:
+    """An integer line with a nonzero normal: three random Fractions times
+    the lcm of their denominators."""
     coef = (lambda: rnd_big_point(rng)[0]) if big else (lambda: rnd_fraction(rng, -6, 6))
     while True:
-        c0, cx, cy = coef(), coef(), coef()
-        if cx != 0 or cy != 0:
-            return HalfPlane(c0, cx, cy)
+        c = (coef(), coef(), coef())
+        if c[1] != 0 or c[2] != 0:
+            d = lcm(*(x.denominator for x in c))
+            return tuple(int(x * d) for x in c)
 
 
 def kernel_outcome(kernel, *args):
@@ -691,32 +671,34 @@ class TestIntegerKernelsAgainstFractionOracles:
         unbounded and empty regions all occur."""
         kinds = {"bounded": 0, "unbounded": 0, "empty": 0}
         for trial in range(400):
-            hps = [rnd_halfplane(rng, big=trial % 2 == 1) for _ in range(rng.randint(1, 6))]
+            lines = [rnd_line(rng, big=trial % 2 == 1) for _ in range(rng.randint(1, 6))]
             for _ in range(rng.randint(0, 3)):
-                hp = rng.choice(hps)
-                k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                hps.append(rng.choice([
-                    hp,  # a duplicate
-                    HalfPlane(k * hp.c0, k * hp.cx, k * hp.cy),  # the same line, scaled
-                    HalfPlane(hp.c0 + k, hp.cx, hp.cy),  # parallel, facing the same way
-                    HalfPlane(k - hp.c0, -hp.cx, -hp.cy),  # parallel, facing the other way
+                c0, cx, cy = rng.choice(lines)
+                k = rng.randint(1, 9)
+                lines.append(rng.choice([
+                    (c0, cx, cy),  # a duplicate
+                    (k * c0, k * cx, k * cy),  # the same line, scaled
+                    (c0 + k, cx, cy),  # parallel, facing the same way
+                    (k - c0, -cx, -cy),  # parallel, facing the other way
                 ]))
-            rng.shuffle(hps)
-            got = kernel_outcome(polygon_from_halfplanes, hps)
-            assert got == kernel_outcome(polygon_from_halfplanes_by_fractions, hps)
+            rng.shuffle(lines)
+            got = kernel_outcome(polygon_from_halfplanes, lines)
+            assert got == kernel_outcome(polygon_from_halfplanes_by_fractions, lines)
             kinds["bounded" if isinstance(got, str) else
                   "unbounded" if got[0] is UnboundedRegionError else "empty"] += 1
         assert min(kinds.values()) >= 20, kinds
 
-    @pytest.mark.parametrize("hps", [
+    @pytest.mark.parametrize("lines", [
         [],
-        [HalfPlane(0, 1, 0), HalfPlane(0, 0, 1)],
-        [HalfPlane(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2)), HalfPlane(1, Fraction(2, 7), Fraction(-5, 2))],
-        [HalfPlane(-1, 1, 0), HalfPlane(-1, -1, 0), HalfPlane(1, 0, 1), HalfPlane(1, 0, -1)],
-        [HalfPlane(0, 1, 0), HalfPlane(0, 0, 1), HalfPlane(1, -1, -1), HalfPlane(2, -2, -2)],
-    ], ids=["none", "quadrant", "strip", "empty", "triangle-duplicate-facet"])
-    def test_polygon_from_halfplanes_edge_cases(self, hps):
-        assert kernel_outcome(polygon_from_halfplanes, hps) == kernel_outcome(polygon_from_halfplanes_by_fractions, hps)
+        [(0, 1, 0), (0, 0, 1)],
+        [(14, -12, 105), (14, 4, -35)],
+        [(-1, 1, 0), (-1, -1, 0), (1, 0, 1), (1, 0, -1)],
+        [(0, 1, 0), (0, 0, 1), (1, -1, -1), (2, -2, -2)],
+        [(0, 1, 0), (1, 0, 0)],
+    ], ids=["none", "quadrant", "strip", "empty", "triangle-duplicate-facet", "zero-normal"])
+    def test_polygon_from_halfplanes_edge_cases(self, lines):
+        assert kernel_outcome(polygon_from_halfplanes, lines) == kernel_outcome(
+            polygon_from_halfplanes_by_fractions, lines)
 
     def test_nnrank3_corpus_witnesses(self, monkeypatch):
         """A sample of the benchmark's nnrank3 corpus at both corpus seeds
@@ -790,9 +772,9 @@ class TestSearchOnIntegerTriples:
             if poly.is_degenerate():
                 assert poly.lines == []
                 continue
-            for line, hp in zip(poly.lines, poly.facets()):
-                assert not any(cross(line, hp.line))
-                assert _sign(line[1]) == _sign(hp.line[1]) and _sign(line[2]) == _sign(hp.line[2])
+            for line, hp in zip(poly.lines, facets(poly)):
+                assert not any(cross(line, (hp.c0, hp.cx, hp.cy)))
+                assert _sign(line[1]) == _sign(hp.cx) and _sign(line[2]) == _sign(hp.cy)
 
     def test_polygon_triples_are_lowest_terms(self, rng):
         for trial in range(200):
@@ -811,16 +793,15 @@ class TestRefusesBinaryFloats:
     strings, and refuse a binary float instead of reading its exact value."""
 
     @pytest.mark.parametrize("build", [
-        lambda: HalfPlane(0.1, 1, 0),
+        lambda: polygon_from_halfplanes([(0.1, 1, 0), (0, 0, 1), (1, -1, -1)]),
         lambda: convex_hull([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0, 0), (1, 0), (0, 1)]).contains_point((0.1, 0)),
         lambda: Polygon2.triangle((0.1, 0), (1, 0), (0, 1)),
-    ], ids=["HalfPlane", "convex_hull", "Polygon2", "contains_point", "Triangle"])
+    ], ids=["polygon_from_halfplanes", "convex_hull", "Polygon2", "contains_point", "Triangle"])
     def test_float_raises_type_error(self, build):
         with pytest.raises(TypeError, match="refusing float 0.1"):
             build()
 
     def test_strings_and_ints_still_accepted(self):
-        assert HalfPlane("1/2", 1, 0) == HalfPlane(Fraction(1, 2), 1, 0)
         assert Polygon2.triangle(("1/2", 0), (1, 0), (0, 1)).vertices[0] == (Fraction(1, 2), 0)
