@@ -186,15 +186,16 @@ def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
                 raise CliError("no feasible parameter to plot")
             pair = fam.pair_at(fam.feasible[0].sample())
             return pair, nested_triangle(pair)
-        full = cert.completion
+        full, what = cert.completion, "the completion of the Completable answer"
     elif not m.pattern.missing:
-        full = m.to_full_matrix()
+        full, what = m.to_full_matrix(), "the matrix"
         if not full.is_nonnegative():
             raise CliError("plot requires a nonnegative matrix")
     else:
         raise CliError("plot supports full matrices and 4x4 patterns with two holes")
-    if rank(full) != 3:
-        raise CliError("plot of a full matrix requires rank exactly 3")
+    r = rank(full)
+    if r != 3:
+        raise CliError(f"plot requires rank exactly 3, and {what} has rank {r}")
     pair = bounded_nested_pair(full)
     return pair, nested_triangle(pair)
 

@@ -163,11 +163,12 @@ class NestedFamily:
     datum is an affine pencil: A(t) = (A0 + t*A1)/(d0 + t*d1) with
     ``a_pencil`` = (A0, A1) and ``a_den`` = (d0, d1), and B(t) = B0 +
     t*B1 with ``b_pencil`` = (B0, B1), each matrix a list of rows.  The
-    pair at t is A(t).B(t) sliced in ``chart``.  ``fixed_outer`` and
-    ``fixed_inner_points`` slice the t-free rows of A and columns of B.
-    ``moving_vertex`` = (v0, v1) is the column of B that moves, in the
-    chart: the homogeneous triple v0 + t*v1 = (w, y, z), whose point is
-    (y/w, z/w).  For tag "11_21" the outer polygon is fixed and that point
+    factors are in slice coordinates: the constructor applies its chart
+    once, so A(t).B(t) is the completion and its slice is the pair at t.
+    ``fixed_outer`` and ``fixed_inner_points`` slice the t-free rows of A
+    and columns of B.  ``moving_vertex`` = (v0, v1) is the column of B
+    that moves: the homogeneous triple v0 + t*v1 = (w, y, z), whose point
+    is (y/w, z/w).  For tag "11_21" the outer polygon is fixed and that point
     stays on ``line_p1``, the integer line of the cross product of v0 and
     v1 (None when it is zero); for tag "11_22" one facet of the outer
     polygon (the first row of A) moves as well, and ``fixed_outer`` is the
@@ -180,14 +181,14 @@ class NestedFamily:
     a_den: tuple
     b_pencil: tuple
     feasible: list
-    chart: ExactMatrix
     fixed_outer: Polygon2
     fixed_inner_points: list
     moving_vertex: tuple
     line_p1: tuple | None = None
 
     def factors_at(self, t) -> tuple:
-        """The factors (A(t), B(t)); ZeroDivisionError at a pole of A."""
+        """The factors (A(t), B(t)) in slice coordinates, whose product is
+        the completion; ZeroDivisionError at a pole of A."""
         t = Fraction(t)
         d0, d1 = self.a_den
         return ExactMatrix(_at(self.a_pencil, t, d0 + t * d1)), ExactMatrix(_at(self.b_pencil, t))
@@ -199,7 +200,7 @@ class NestedFamily:
         return any(iv.contains(Fraction(t)) for iv in self.feasible)
 
     def pair_at(self, t) -> NestedPair:
-        return polytopes_from_factorization(*self.factors_at(t), self.chart)
+        return polytopes_from_factorization(*self.factors_at(t))
 
     def vertex_at(self, t) -> tuple:
         """The moving vertex (y/w, z/w) at t; ZeroDivisionError where w = 0."""
@@ -219,10 +220,10 @@ class NestedFamily:
         return t if v0[0] + t * v1[0] else None
 
 
-def _chart_vertex(chart: ExactMatrix, b_pencil, j: int) -> tuple:
-    """The pencil (v0, v1) of column j of B in the chart: v0 + t*v1 is
-    the homogeneous triple (w, y, z) of the slice point (y/w, z/w)."""
-    v0, v1 = (tuple(_dot(g, [row[j] for row in rows]) for g in chart.to_lists()) for rows in b_pencil)
+def _column_pencil(b_pencil, j: int) -> tuple:
+    """The pencil (v0, v1) of column j of B: v0 + t*v1 is the homogeneous
+    triple (w, y, z) of the slice point (y/w, z/w)."""
+    v0, v1 = (tuple(row[j] for row in rows) for rows in b_pencil)
     if not (v0[0] or v1[0]):
         raise FamilyError("normalizing column sum vanishes identically")
     return v0, v1
@@ -267,22 +268,25 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
         raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
     x0_k = ExactMatrix(zip(sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]))
     x0, k = x0_k.col(1), x0_k.col(2)
-    a_pencil = (a.to_lists(), [[0] * 3 for _ in range(4)])
-    b_pencil = ([[x0[i]] + [int(i == j) for j in range(3)] for i in range(3)], [[k[i], 0, 0, 0] for i in range(3)])
 
-    # the column sums of A are positive: a nonnegative column with sum 0
-    # would be zero, and A has rank 3
+    # both factors in the chart G of the column sums of A, as A.G^-1 and
+    # G.B; the sums are positive, since a nonnegative column with sum 0
+    # would be zero and A has rank 3.  The t-free columns of B are the
+    # identity, so in the chart they are G itself
     chart = ExactMatrix([[sum(a.col(j)) for j in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
-    fixed = polytopes_from_factorization(a, ExactMatrix.identity(3), chart)
-    vertex = _chart_vertex(chart, b_pencil, 0)
+    a = matmul(a, inverse(chart))
+    b_pencil = tuple(matmul(chart, ExactMatrix(rows)).to_lists() for rows in (
+        [[x0[i]] + [int(i == j) for j in range(3)] for i in range(3)], [[k[i], 0, 0, 0] for i in range(3)]))
+    fixed = polytopes_from_factorization(a, chart)
+    vertex = _column_pencil(b_pencil, 0)
     line = cross(*vertex)
 
     # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
     filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
     feasible = feasible_set([(tuple(row), (1, 0)) for row in filled.to_lists()])
     return NestedFamily(
-        "11_21", m, a_pencil, (1, 0), b_pencil, feasible, chart, fixed.outer, fixed.inner_generators, vertex,
-        _integers(line)[0] if any(line) else None,
+        "11_21", m, (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil, feasible, fixed.outer,
+        fixed.inner_generators, vertex, _integers(line)[0] if any(line) else None,
     )
 
 
@@ -367,25 +371,23 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     if not any(den):
         raise FamilyError("parametrizing system is singular for every t")
     nums = [pencil(j) for j in range(3)]
-    # A(t) over den(t): the Cramer numerators, then the identity times den
-    a_pencil = tuple(
-        [[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1)
-    )
-    b_pencil = (
-        [[m.entry(2, 1), 0, m.entry(2, 3), m.entry(2, 4)]] + [[m.entry(i, j) for j in (1, 2, 3, 4)] for i in (3, 4)],
-        [[0, 1, 0, 0], [0] * 4, [0] * 4],
-    )
     # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
     col = [m.entry(i, 1) for i in (2, 3, 4)]
-    m11 = tuple(_dot(rows[0], col) for rows in a_pencil)
-    feasible = feasible_set([(m11, den), ((0, 1), (1, 0))])
-    # rows 2-4 of A are the identity and columns 1, 3, 4 of B are free of t
-    fixed = polytopes_from_factorization(
-        ExactMatrix.identity(3), m.observed_submatrix([2, 3, 4], [1, 3, 4]), SUM_CHART
-    )
+    feasible = feasible_set([(tuple(_dot([n[s] for n in nums], col) for s in (0, 1)), den), ((0, 1), (1, 0))])
+    # A(t) over den(t): the Cramer numerators, then the identity times
+    # den; both factors in the chart G = SUM_CHART, as A.G^-1 and G.B
+    raw = ([[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1))
+    g_inv = inverse(SUM_CHART)
+    a_pencil = tuple(matmul(ExactMatrix(rows), g_inv).to_lists() for rows in raw)
+    b_pencil = tuple(matmul(SUM_CHART, ExactMatrix(rows)).to_lists() for rows in (
+        [[m.entry(2, 1), 0, m.entry(2, 3), m.entry(2, 4)]] + [[m.entry(i, j) for j in (1, 2, 3, 4)] for i in (3, 4)],
+        [[0, 1, 0, 0], [0] * 4, [0] * 4],
+    ))
+    # the identity rows of A and the t-free columns 1, 3, 4 of B
+    fixed = polytopes_from_factorization(g_inv, matmul(SUM_CHART, m.observed_submatrix([2, 3, 4], [1, 3, 4])))
     return NestedFamily(
-        "11_22", m, a_pencil, den, b_pencil, feasible, SUM_CHART, fixed.outer, fixed.inner_generators,
-        _chart_vertex(SUM_CHART, b_pencil, 1),
+        "11_22", m, a_pencil, den, b_pencil, feasible, fixed.outer, fixed.inner_generators,
+        _column_pencil(b_pencil, 1),
     )
 
 
@@ -399,10 +401,13 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     t = Fraction(t)
     if not fam.is_feasible(t):
         raise ValueError(f"t = {t} is not feasible")
-    # a1k = n_k/d has the sign of n_k*d, and d != 0 at a feasible t
+    # the first row of A is the moving facet (the charted row times
+    # SUM_CHART) at the vertices of the fixed outer simplex; each entry
+    # n_k/d has the sign of n_k*d, and d != 0 at a feasible t
     d0, d1 = fam.a_den
     d = d0 + t * d1
-    a1 = [(x + t * y) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
+    facet = [(x + t * y) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
+    a1 = [_dot(facet, p) for p in fam.fixed_outer.triples]
     neg = sum(1 for x in a1 if x < 0)
     pos = sum(1 for x in a1 if x > 0)
     zero = sum(1 for x in a1 if x == 0)
@@ -475,15 +480,14 @@ def denormalize_matrix(mat: ExactMatrix, norm: Normalization) -> ExactMatrix:
 
 def _critical_ts(fam: NestedFamily) -> list:
     """Parameter values where the moving geometry can change combinatorics:
-    sign changes and poles of the factor entries, and incidences of the
-    moving vertex / moving facet with the fixed vertices and lines.  Each
-    is a ratio of two affine functions of t, so its roots are closed-form
-    (``_ratio_roots``)."""
+    incidences of the moving vertex with the lines through two fixed
+    points, and of the moving facet with the fixed points.  Each is a
+    ratio of two affine functions of t, so its roots are closed-form
+    (``_ratio_roots``).  Every sign change or pole of a factor entry is
+    one of them: an entry of B's moving column (11_21) is the vertex
+    against the line through two fixed inner points, and an entry of A's
+    first row (11_22) is the facet at a vertex of the fixed simplex."""
     crit = set()
-    for (m0, m1), den in ((fam.a_pencil, fam.a_den), (fam.b_pencil, (1, 0))):
-        for r0, r1 in zip(m0, m1):
-            for x, y in zip(r0, r1):
-                crit.update(_ratio_roots((x, y), den))
     # the incidences in integers: the roots of n/d do not change when n or
     # d is scaled, so the vertex pencil, each fixed point (as (1, x, y)),
     # and the moving facet's pencil are each scaled to integers once
@@ -495,24 +499,17 @@ def _critical_ts(fam: NestedFamily) -> list:
         line = cross(p, q)
         crit.update(_ratio_roots((_dot(line, v0), _dot(line, v1)), (v0[0], v1[0])))
     if fam.tag == "11_22":
-        # the moving facet at the point (1, x, y) of the chart G is
-        # a1.G^-1.(1, x, y), over the denominator of A
-        g_inv = _integers(*inverse(fam.chart).to_lists())
-        weights = [[_dot(row, p) for row in g_inv] for p in points]
-        # the facet at the moving vertex itself is a1.col/total = m12/total
-        # (col is column 2 of B, with sum total; a1 solves a1.N = (m12,
-        # m13, m14) and col is N's first column): its one critical t, the
-        # root of total, is a pole of the vertex (orient((0,0), (0,1), p) =
-        # -t/total) or, when total = t, the root of entry t, so it needs no
-        # term of its own
-        #
-        # completion entry m11(t) = a1.(m21, m31, m41)
-        m = fam.source
-        weights += _integers([m.entry(2, 1), m.entry(3, 1), m.entry(4, 1)])
+        # the moving facet, the first row of A over its denominator, at
+        # each fixed point; at the point of column 1 of B it is the
+        # completion entry m11(t).  At the moving vertex itself it is m12/w
+        # (a1 solves a1.N = (m12, m13, m14) and the vertex is N's first
+        # column), whose one critical t, the root of w, is a pole of the
+        # vertex or, where the vertex stands still (m32 = m42 = 0, w = t),
+        # the root of den, so it needs no term of its own
         a0, a1 = _integers(*(rows[0] for rows in fam.a_pencil))
         den = _integers(fam.a_den)[0]
-        for g in weights:
-            crit.update(_ratio_roots((_dot(a0, g), _dot(a1, g)), den))
+        for p in points:
+            crit.update(_ratio_roots((_dot(a0, p), _dot(a1, p)), den))
     return sorted(crit)
 
 
@@ -560,7 +557,7 @@ def _completable_at(fam: NestedFamily, t):
     if not completion.is_nonnegative():
         return None
     try:
-        pair = polytopes_from_factorization(a, b, fam.chart)
+        pair = polytopes_from_factorization(a, b)
         tri = nested_triangle(pair)
     except ValueError:
         return None

@@ -268,11 +268,10 @@ SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def _slice_halfplane(row):
-    """Row (c0, cx, cy) of the charted A as the integer line of the
-    half-plane c0 + cx*x + cy*y >= 0, the row times the lcm of its
-    denominators, or None when the constraint is trivially satisfied
-    (zero row, or a constraint whose normal vanishes and whose constant is
-    nonnegative)."""
+    """Row (c0, cx, cy) of A as the integer line of the half-plane c0 +
+    cx*x + cy*y >= 0, the row times the lcm of its denominators, or None
+    when the constraint is trivially satisfied (zero row, or a constraint
+    whose normal vanishes and whose constant is nonnegative)."""
     c0, cx, cy = row
     if cx == 0 and cy == 0:
         if c0 < 0:
@@ -281,21 +280,20 @@ def _slice_halfplane(row):
     return tuple(integer_scaled(row)[0])
 
 
-def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix, chart: ExactMatrix) -> NestedPair:
-    """Nested pair (P, Q) from a factorization A.B sliced in a chart.
+def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
+    """Nested pair (P, Q) of a factorization A.B in slice coordinates.
 
-    A chart is a nonsingular 3x3 matrix G.  The pair is the slice at first
-    coordinate 1 of the factorization (A.G^-1).(G.B) of the same product:
-    P is spanned by the points (y/w, z/w) of the columns (w, y, z) of G.B
-    and Q is cut out by the rows (c0, cx, cy) of A.G^-1.  SUM_CHART slices
-    at coordinate sum 1.  A zero column of G.B gives no point; every other
-    column must have strictly positive slice weight w, and Q must come out
-    bounded.  The provenance keeps the charted factors, so
-    triangle_to_factorization can lift a triangle of the pair.
+    The slice is at first coordinate 1: P is spanned by the points
+    (y/w, z/w) of the columns (w, y, z) of B, and Q is cut out by the
+    rows (c0, cx, cy) of A.  A caller slices in a chart, a nonsingular
+    3x3 matrix G, by passing (A.G^-1, G.B), a factorization of the same
+    product; SUM_CHART slices at coordinate sum 1.  A zero column of B
+    gives no point; every other column must have strictly positive slice
+    weight w, and Q must come out bounded.  The provenance keeps the
+    factors, so triangle_to_factorization can lift a triangle of the pair.
     """
     if a.q != 3 or b.p != 3:
         raise ValueError("factors must have inner dimension 3")
-    a, b = matmul(a, inverse(chart)), matmul(chart, b)
     gens = []
     for j in range(1, b.q + 1):
         w, y, z = b.col(j)
@@ -504,7 +502,8 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     # column sum, positive because a0 is nonnegative with no zero column
     sums = [sum(a0.col(k)) for k in range(1, 4)]
     _verify(sums[2] > 0, "slice basis change is singular")
-    return polytopes_from_factorization(a0, b0, ExactMatrix([sums, [1, 0, 0], [0, 1, 0]]))
+    chart = ExactMatrix([sums, [1, 0, 0], [0, 1, 0]])
+    return polytopes_from_factorization(matmul(a0, inverse(chart)), matmul(chart, b0))
 
 
 def nn_rank_at_most_3(m: ExactMatrix):

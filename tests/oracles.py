@@ -623,11 +623,13 @@ def feasible_set_by_candidates(constraints) -> list:
 @dataclass
 class RationalFunctionFamily:
     """A(t), B(t) and the moving vertex (x(t), y(t)) of a two-hole family
-    as matrices over QQ(t), each entry in lowest terms."""
+    as matrices over QQ(t), each entry in lowest terms, and the chart G in
+    which the family slices A(t).B(t): the library keeps (A.G^-1, G.B)."""
 
     a_of_t: list
     b_of_t: list
     moving_vertex: tuple
+    chart: ExactMatrix
 
 
 def rational_function_family(fam) -> RationalFunctionFamily:
@@ -636,7 +638,8 @@ def rational_function_family(fam) -> RationalFunctionFamily:
     11_21, b1 = x0 + t*k from a Gauss-Jordan solve of rows 3-4 with the
     columns reversed; for 11_22, the first row of A by Cramer's rule over
     cofactor determinants in QQ[t]; and the vertex as sums and quotients
-    in QQ(t) over the family's chart."""
+    in QQ(t) over the chart: the column sums of A for 11_21, and the
+    coordinate sum, (x + y + z, x, y), for 11_22."""
     m = fam.source
     t = FIELD.gens[0]
     if fam.tag == "11_21":
@@ -649,6 +652,7 @@ def rational_function_family(fam) -> RationalFunctionFamily:
         a_rows = [[FIELD.convert(x) for x in row] for row in a.to_lists()]
         b_rows = [[b1[i]] + [FIELD.convert(int(i == j)) for j in range(3)] for i in range(3)]
         column = b1
+        chart = ExactMatrix([[sum(a.col(j)) for j in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
     else:
         hole = RING.gens[0]
         n_rows = [[hole, RING.convert(m.entry(2, 3)), RING.convert(m.entry(2, 4))]]
@@ -661,8 +665,9 @@ def rational_function_family(fam) -> RationalFunctionFamily:
         b_rows = [[FIELD.convert(m.entry(2, 1)), t, FIELD.convert(m.entry(2, 3)), FIELD.convert(m.entry(2, 4))]]
         b_rows += [[FIELD.convert(m.entry(i, j)) for j in (1, 2, 3, 4)] for i in (3, 4)]
         column = [row[1] for row in b_rows]
-    w, y, z = (sum((g * x for g, x in zip(row, column) if g), FIELD.zero) for row in fam.chart.to_lists())
-    return RationalFunctionFamily(a_rows, b_rows, (y / w, z / w))
+        chart = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+    w, y, z = (sum((g * x for g, x in zip(row, column) if g), FIELD.zero) for row in chart.to_lists())
+    return RationalFunctionFamily(a_rows, b_rows, (y / w, z / w), chart)
 
 
 def rf_matrix_at(rows, t) -> ExactMatrix:

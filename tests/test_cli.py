@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nncomplete
 from nncomplete.cli import main
@@ -248,6 +248,19 @@ class TestPlot:
         code, out, err = run(capsys, "plot", "-")
         assert code == 1 and "rank exactly 3" in err
 
+    @pytest.mark.parametrize("argv", [["plot", "-"], ["nn3-decide", "-", "--svg", "fig.svg"]], ids=" ".join)
+    def test_completion_of_rank_2_is_named(self, capsys, monkeypatch, tmp_path, argv):
+        """A partial input whose Completable answer is its zero fill of rank
+        2 has no figure: one error line that names that completion, not a
+        full matrix."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("? 1 1 1\n? 1 1 1\n1 1 1 1\n1 1 1 1\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.count("\n") == 1
+        assert err == "error: plot requires rank exactly 3, and the completion of the Completable answer has rank 2\n"
+        assert out.startswith("Completable") == (argv[0] == "nn3-decide")
+        assert not (tmp_path / "fig.svg").exists()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -364,6 +377,9 @@ def cli_call(draw):
 class TestExitContract:
     @settings(max_examples=200, deadline=None)
     @given(call=cli_call())
+    # a nonnegative rank-3 matrix whose figure has a coordinate past the
+    # float range, which the random draws reach only rarely
+    @example(call=(["plot", "-"], f"{10**330} 1/{10**330} 1/{10**330}\n2 0 2\n2 7/{10**320} 2\n"))
     def test_any_input_keeps_the_exit_contract(self, call):
         """Exit 0, 1 or 2; exit 1 with exactly one error line; nothing
         escapes main."""

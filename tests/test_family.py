@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nncomplete import (
+    SUM_CHART,
     ExactMatrix,
     FamilyError,
     Interval,
@@ -19,6 +20,7 @@ from nncomplete import (
     family_11_21,
     family_11_22,
     feasible_set,
+    inverse,
     matmul,
     nested_triangle,
     nn_rank_at_most_3,
@@ -357,6 +359,20 @@ class TestColumnHolesFamily:
             ok, _ = nn_rank_at_most_3(full)
             assert not ok
 
+    def test_sweep_probes_inside_each_cell(self, two_missing_column, monkeypatch):
+        """The sweep refutes the one feasible interval, a half-line, by
+        probing every sample t of its candidate cells: the candidates, the
+        midpoints between them and the t past the last one, not the
+        candidates alone."""
+        fam = family_11_21(two_missing_column)
+        (iv,) = fam.feasible
+        probes, vertex_at = [], NestedFamily.vertex_at
+        monkeypatch.setattr(NestedFamily, "vertex_at", lambda self, t: probes.append(t) or vertex_at(self, t))
+        assert _sweep_moving_vertex(fam, iv)
+        candidates = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
+        assert probes == _interval_sample_ts(iv, candidates)
+        assert len(probes) == 15 and not set(probes) <= set(candidates)
+
     @pytest.mark.parametrize("text", [
         "0 0 3 3\n? 3 0 1\n3 0 2 0\n? 2 1 3\n",
         "0 0 2 1\n2 0 ? ?\n0 1 1 2\n1 2 0 1\n",
@@ -465,7 +481,9 @@ class TestDiagonalHolesFamily:
                 for iv in fam.feasible:
                     for t in _interval_sample_ts(iv, _critical_ts(fam)):
                         answers.append(simplicial_sign_check(fam, t))
-                        assert answers[-1] == first_row_sign_rule(fam.factors_at(t)[0].row(1))
+                        # the factors are in SUM_CHART: A is the charted A times it
+                        a = matmul(fam.factors_at(t)[0], SUM_CHART)
+                        assert answers[-1] == first_row_sign_rule(a.row(1))
         assert answers.count(True) >= 200 and answers.count(False) >= 200
 
 
@@ -812,6 +830,18 @@ def random_two_hole_inputs(seed: int, n: int) -> list:
     return out
 
 
+def still_vertex_inputs(seed: int, n: int) -> list:
+    """n 4x4 inputs with holes (1,1), (2,2), entries 0..9 and m32 = m42 = 0."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        rows = [[rng.randint(0, 9) for _ in range(4)] for _ in range(4)]
+        rows[0][0] = rows[1][1] = None
+        rows[2][1] = rows[3][1] = 0
+        out.append(PartialMatrix.from_rows(rows))
+    return out
+
+
 def random_rational_two_hole_inputs(seed: int, n: int, bits: int = 12) -> list:
     """n 4x4 inputs with two random holes and entries p/q, 0 <= p < 2^bits
     and 0 < q < 2^bits: bit size, not the entry count, is what the
@@ -847,7 +877,9 @@ def assert_matches_rational_functions(fam, rng):
     line = line_by_rational_functions(ref)
     for t in criticals + [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4)]:
         try:
-            want = rf_matrix_at(ref.a_of_t, t), rf_matrix_at(ref.b_of_t, t)
+            # the library keeps the factors in the chart: (A.G^-1, G.B)
+            want = (matmul(rf_matrix_at(ref.a_of_t, t), inverse(ref.chart)),
+                    matmul(ref.chart, rf_matrix_at(ref.b_of_t, t)))
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 fam.factors_at(t)
@@ -886,12 +918,20 @@ class TestPencilsMatchRationalFunctions:
             assert_matches_rational_functions(fam, rng)
 
     def test_random_inputs_match_rational_function_reference(self, rng):
-        tags = set()
-        for m in random_two_hole_inputs(2027, 80):
+        """Random draws, and diagonal-hole draws with m32 = m42 = 0: there
+        the moving column of B is (t, 0, 0), so the vertex stands still at
+        the slice weight w = t.  The reference takes the root t = 0 of that
+        entry, and the library finds it as the root of den = t*det(...),
+        where the moving facet meets the fixed points."""
+        tags, still = set(), 0
+        for m in random_two_hole_inputs(2027, 80) + still_vertex_inputs(2041, 60):
             for fam in families_of(m):
                 tags.add(fam.tag)
+                if not any(cross(*fam.moving_vertex)):
+                    still += 1
+                    assert F(0) in _critical_ts(fam)
                 assert_matches_rational_functions(fam, rng)
-        assert tags == {"11_21", "11_22"}
+        assert tags == {"11_21", "11_22"} and still >= 30
 
     def test_12_bit_rationals_match_rational_function_reference(self, rng):
         tags = []

@@ -16,6 +16,7 @@ from nncomplete import (
     VerificationError,
     contains,
     convex_hull,
+    inverse,
     matmul,
     nested_triangle,
     nn_rank_at_most_3,
@@ -81,6 +82,12 @@ def rnd_nested_pair(rng) -> NestedPair:
             )
         )
     return NestedPair(Polygon2.from_points(pts), outer)
+
+
+def in_sum_chart(a, b) -> tuple:
+    """(A.G^-1, G.B) for G = SUM_CHART: the same product, in the slice
+    coordinates of the coordinate-sum slice."""
+    return matmul(a, inverse(SUM_CHART)), matmul(SUM_CHART, b)
 
 
 def _sign(x) -> int:
@@ -299,7 +306,7 @@ class TestSlackMatrix:
     def test_lines_up_with_factorization(self):
         a = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
         b = ExactMatrix([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
-        pair = polytopes_from_factorization(a, b, SUM_CHART)
+        pair = polytopes_from_factorization(*in_sum_chart(a, b))
         s = slack_matrix(pair)
         # the all-ones row of A is trivially satisfied on the sum slice and
         # contributes no half-plane
@@ -321,7 +328,7 @@ class TestPolytopesFromFactorization:
                 [[x + Fraction(1, 7) for x in row] for row in b.to_lists()]
             )
             try:
-                pair = polytopes_from_factorization(a, b, SUM_CHART)
+                pair = polytopes_from_factorization(*in_sum_chart(a, b))
             except (UnboundedRegionError, ValueError):
                 continue
             assert matmul(a, b).is_nonnegative() == slack_matrix(pair).is_nonnegative()
@@ -331,12 +338,12 @@ class TestPolytopesFromFactorization:
         a = ExactMatrix.identity(3)
         b = ExactMatrix([[1, 1], [0, 0], [0, -1]])
         with pytest.raises(ValueError):
-            polytopes_from_factorization(a, b, SUM_CHART)  # column 2 of G.B is (0, 1, 0): weight 0
+            polytopes_from_factorization(*in_sum_chart(a, b))  # column 2 of G.B is (0, 1, 0): weight 0
 
     def test_zero_column_gives_no_point(self):
         a = ExactMatrix.identity(3)
         b = ExactMatrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
-        pair = polytopes_from_factorization(a, b, SUM_CHART)
+        pair = polytopes_from_factorization(*in_sum_chart(a, b))
         assert pair.inner_generators == [(1, 0), (0, 1)]
         assert slack_matrix(pair).shape == (3, 2)
 
