@@ -44,6 +44,7 @@ from .completion import (
 )
 from .geometry import (
     SUM_CHART,
+    SUM_CHART_INVERSE,
     NestedPair,
     Polygon2,
     UnboundedRegionError,

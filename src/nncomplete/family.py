@@ -26,6 +26,7 @@ from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, sol
 from .partial import PartialMatrix
 from .geometry import (
     SUM_CHART,
+    SUM_CHART_INVERSE,
     NestedPair,
     Polygon2,
     UnboundedRegionError,
@@ -176,7 +177,6 @@ class NestedFamily:
     """
 
     tag: str
-    source: PartialMatrix
     a_pencil: tuple
     a_den: tuple
     b_pencil: tuple
@@ -285,7 +285,7 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
     feasible = feasible_set([(tuple(row), (1, 0)) for row in filled.to_lists()])
     return NestedFamily(
-        "11_21", m, (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil, feasible, fixed.outer,
+        "11_21", (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil, feasible, fixed.outer,
         fixed.inner_generators, vertex, _integers(line)[0] if any(line) else None,
     )
 
@@ -377,16 +377,16 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     # A(t) over den(t): the Cramer numerators, then the identity times
     # den; both factors in the chart G = SUM_CHART, as A.G^-1 and G.B
     raw = ([[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1))
-    g_inv = inverse(SUM_CHART)
-    a_pencil = tuple(matmul(ExactMatrix(rows), g_inv).to_lists() for rows in raw)
+    a_pencil = tuple(matmul(ExactMatrix(rows), SUM_CHART_INVERSE).to_lists() for rows in raw)
     b_pencil = tuple(matmul(SUM_CHART, ExactMatrix(rows)).to_lists() for rows in (
         [[m.entry(2, 1), 0, m.entry(2, 3), m.entry(2, 4)]] + [[m.entry(i, j) for j in (1, 2, 3, 4)] for i in (3, 4)],
         [[0, 1, 0, 0], [0] * 4, [0] * 4],
     ))
     # the identity rows of A and the t-free columns 1, 3, 4 of B
-    fixed = polytopes_from_factorization(g_inv, matmul(SUM_CHART, m.observed_submatrix([2, 3, 4], [1, 3, 4])))
+    fixed = polytopes_from_factorization(
+        SUM_CHART_INVERSE, matmul(SUM_CHART, m.observed_submatrix([2, 3, 4], [1, 3, 4])))
     return NestedFamily(
-        "11_22", m, a_pencil, den, b_pencil, feasible, fixed.outer, fixed.inner_generators,
+        "11_22", a_pencil, den, b_pencil, feasible, fixed.outer, fixed.inner_generators,
         _column_pencil(b_pencil, 1),
     )
 

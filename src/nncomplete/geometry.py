@@ -20,17 +20,19 @@ integer triple (w, x*w, y*w) in lowest terms with w > 0; `Polygon2`
 lifts its vertices once and keeps each edge's integer line, positive
 inside, and `side` is the sign of one determinant of lifted points.
 Inside `nested_triangle` every point is a triple, and a Fraction is
-built only for the triangle it returns.
+built only for the triangle it returns.  The slice of a full matrix
+(`bounded_nested_pair`) and the lift of a triangle to a witness
+(`triangle_to_factorization`) compute on integers as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .linalg import ExactMatrix, integer_scaled, inverse, matmul, pivot_columns, rank
-from .linalg import solve_linear, to_fraction
+from .linalg import ExactMatrix, integer_scaled, matmul, pivot_columns, solve_linear, to_fraction
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -239,7 +241,10 @@ class NestedPair:
     ``inner_generators`` keeps the sliced nonzero columns of B in input
     order and ``outer_lines`` the integer lines of the sliced rows of A in
     input order, so the slack matrix lines up with the original
-    factorization.
+    factorization.  ``provenance``, for a pair sliced from factors A and
+    B, keeps A's rows under "a" and B's columns under "b", each a pair
+    (n, d): an integer triple n over one positive denominator d, in lowest
+    terms.
     """
 
     inner: Polygon2
@@ -265,19 +270,39 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
 
 # chart of the coordinate-sum slice: G.(x, y, z) = (x + y + z, x, y)
 SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+SUM_CHART_INVERSE = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, -1, -1]])
 
 
-def _slice_halfplane(row):
-    """Row (c0, cx, cy) of A as the integer line of the half-plane c0 +
-    cx*x + cy*y >= 0, the row times the lcm of its denominators, or None
-    when the constraint is trivially satisfied (zero row, or a constraint
-    whose normal vanishes and whose constant is nonnegative)."""
-    c0, cx, cy = row
-    if cx == 0 and cy == 0:
-        if c0 < 0:
-            raise ValueError(f"row {tuple(row)} is infeasible on the slice")
-        return None
-    return tuple(integer_scaled(row)[0])
+def _lowest(n, d) -> tuple:
+    """The vector n/d, for integers n and d > 0, as (n', d') in lowest
+    terms: gcd(*n', d') = 1.  Then n' is n/d times the lcm of its
+    denominators, as `integer_scaled` gives it."""
+    g = gcd(*n, d)
+    return tuple(x // g for x in n), d // g
+
+
+def _pair_of_factors(rows, cols) -> NestedPair:
+    """The nested pair of factors A and B given as A's rows and B's
+    columns, each a pair (n, d): an integer triple over one positive
+    denominator in lowest terms, so the row n/d of A has the integer line
+    n.  A row whose normal vanishes is trivially satisfied when its
+    constant is nonnegative and gives no line."""
+    gens = []
+    for j, ((w, y, z), d) in enumerate(cols, 1):
+        if w == y == z == 0:
+            continue
+        if w <= 0:
+            raise ValueError(f"column {j} of B has non-positive slice weight {Fraction(w, d)}")
+        gens.append((Fraction(y, w), Fraction(z, w)))
+    lines = []
+    for n, d in rows:
+        if n[1] or n[2]:
+            lines.append(n)
+        elif n[0] < 0:
+            raise ValueError(f"row {tuple(Fraction(c, d) for c in n)} is infeasible on the slice")
+    outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
+    inner = Polygon2.from_points(gens)
+    return NestedPair(inner, outer, gens, lines, {"a": rows, "b": cols})
 
 
 def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
@@ -294,18 +319,9 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
     """
     if a.q != 3 or b.p != 3:
         raise ValueError("factors must have inner dimension 3")
-    gens = []
-    for j in range(1, b.q + 1):
-        w, y, z = b.col(j)
-        if w == y == z == 0:
-            continue
-        if w <= 0:
-            raise ValueError(f"column {j} of B has non-positive slice weight {w}")
-        gens.append((y / w, z / w))
-    lines = [line for line in map(_slice_halfplane, a.to_lists()) if line]
-    outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
-    inner = Polygon2.from_points(gens)
-    return NestedPair(inner, outer, gens, lines, {"a": a, "b": b})
+    rows = [(tuple(n), d) for n, d in map(integer_scaled, a.to_lists())]
+    cols = [(tuple(n), d) for n, d in map(integer_scaled, zip(*b.to_lists()))]
+    return _pair_of_factors(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +509,46 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     cols = pivot_columns(m)[:3]
     if len(cols) < 3:
         raise ValueError("matrix has rank below 3")
-    a0 = m.submatrix(range(1, m.p + 1), cols)
-    sol = solve_linear(a0, m)
-    _verify(sol.consistent, "matrix outside the span of its independent columns")
-    b0 = sol.particular
-    _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
-    # the chart has rows (column sums, e1, e2) and determinant the third
-    # column sum, positive because a0 is nonnegative with no zero column
-    sums = [sum(a0.col(k)) for k in range(1, 4)]
-    _verify(sums[2] > 0, "slice basis change is singular")
-    chart = ExactMatrix([sums, [1, 0, 0], [0, 1, 0]])
-    return polytopes_from_factorization(matmul(a0, inverse(chart)), matmul(chart, b0))
+    return _column_basis_pair(m, cols)
+
+
+def _column_basis_pair(m: ExactMatrix, cols) -> NestedPair:
+    """`bounded_nested_pair` on the independent columns cols of m, on
+    integers.  Each row of m is n_i/d_i with n_i an integer row, so the
+    column sums of m are S/L, for L the lcm of the d_i and S the column
+    sums of the rows n_i*L/d_i.  With K = a0[R] for three independent rows
+    R of a0 = n[:, cols], the coordinates of column j in the basis a0 are
+    b_j = adj(K).n[R, j] / det K.  In the chart G = (column sums s of a0;
+    e1; e2) the column j of G.b0 is (s.b_j, b_j1, b_j2), where s.b_j is
+    the column sum S_j/L of m, and the row a of a0.G^-1 is (a3, a1*s3 -
+    a3*s1, a2*s3 - a3*s2)/s3."""
+    scaled = [integer_scaled(row) for row in m.to_lists()]
+    big = lcm(*[d for _, d in scaled])
+    n = [ns for ns, _ in scaled]
+    sums = [sum(row[j] * (big // d) for row, (_, d) in zip(n, scaled)) for j in range(m.q)]
+    a0 = [tuple(row[c - 1] for c in cols) for row in n]
+    # three independent rows R: a nonzero row, one off its line, and one
+    # off the plane of the two
+    i1 = next(i for i, row in enumerate(a0) if any(row))
+    i2 = next(i for i, row in enumerate(a0) if any(cross(a0[i1], row)))
+    normal = cross(a0[i1], a0[i2])
+    i3 = next(i for i, row in enumerate(a0) if _dot(normal, row))
+    adj = (cross(a0[i2], a0[i3]), cross(a0[i3], a0[i1]), normal)  # the columns of adj(K)
+    det_k = _dot(a0[i1], adj[0])
+    if det_k < 0:
+        adj, det_k = tuple(tuple(-x for x in c) for c in adj), -det_k
+    # det K times the coordinates of each column
+    coords = [tuple(sum(n[i][j] * c[t] for i, c in zip((i1, i2, i3), adj)) for t in range(3)) for j in range(m.q)]
+    _verify(all(_dot(a, b) == det_k * x for a, row in zip(a0, n) for b, x in zip(coords, row)),
+            "matrix outside the span of its independent columns")
+    # the chart has determinant the third column sum of a0, positive
+    # because a0 is nonnegative with no zero column
+    s1, s2, s3 = (sums[c - 1] for c in cols)
+    _verify(s3 > 0, "slice basis change is singular")
+    b_cols = [_lowest((sj * det_k, big * b[0], big * b[1]), det_k * big) for sj, b in zip(sums, coords)]
+    a_rows = [_lowest((a3 * big, a1 * s3 - a3 * s1, a2 * s3 - a3 * s2), d * s3)
+              for (a1, a2, a3), (_, d) in zip(a0, scaled)]
+    return _pair_of_factors(a_rows, b_cols)
 
 
 def nn_rank_at_most_3(m: ExactMatrix):
@@ -516,13 +561,13 @@ def nn_rank_at_most_3(m: ExactMatrix):
     """
     if not m.is_nonnegative():
         raise ValueError("matrix must be nonnegative")
-    r = rank(m)
-    if r < 3:
+    cols = pivot_columns(m)
+    if len(cols) < 3:
         return True, _low_rank_factorization(m)
-    if r > 3:
+    if len(cols) > 3:
         return False, None
 
-    pair = bounded_nested_pair(m)
+    pair = _column_basis_pair(m, cols)
     tri = nested_triangle(pair)
     if tri is None:
         return False, None
@@ -534,13 +579,31 @@ def triangle_to_factorization(pair: NestedPair, tri: Polygon2, m: ExactMatrix):
     """Convert a nested triangle of a pair built by
     polytopes_from_factorization (or bounded_nested_pair) back into a
     size-3 nonnegative factorization of m, the product of the pair's
-    factors."""
-    c = ExactMatrix([[1, 1, 1]] + [[v[0] for v in tri.vertices], [v[1] for v in tri.vertices]])
-    # columns of c are the lifted triangle vertices (1, x, y); a zero
-    # column of the pair's B, which gave no point, lifts to zero
-    a_w = matmul(pair.provenance["a"], c)
-    b_w = matmul(inverse(c), pair.provenance["b"])
-    _verify(a_w.is_nonnegative(), "triangle not inside Q")
-    _verify(b_w.is_nonnegative(), "P not inside triangle")
-    _verify(matmul(a_w, b_w) == m, "witness factors do not multiply to the matrix")
+    factors.
+
+    The witness is (A.C, C^-1.B) for the matrix C with columns t_k/w_k,
+    the lifted triangle vertices t_k = (w_k, x_k, y_k) over their weights.
+    C^-1 has rows w_k*cross(t_k+1, t_k+2)/det T, where det T > 0 is the
+    determinant of the t_k, counterclockwise.  A zero column of the pair's
+    B, which gave no point, lifts to zero.  Signs and the product are
+    checked on integers before any Fraction is built."""
+    if tri.n != 3:
+        raise ValueError("need a triangle")
+    rows, cols = pair.provenance["a"], pair.provenance["b"]
+    ts = tri.triples
+    inv = [cross(ts[k - 2], ts[k - 1]) for k in range(3)]
+    det_t = _dot(ts[0], inv[0])
+    # A.C is at[a][k] / (d_a*w_k) and C^-1.B is w_k*bt[k][j] / (det_t*d_j)
+    at = [[_dot(n, t) for t in ts] for n, _ in rows]
+    bt = [[_dot(x, n) for n, _ in cols] for x in inv]
+    _verify(all(v >= 0 for row in at for v in row), "triangle not inside Q")
+    _verify(all(v >= 0 for row in bt for v in row), "P not inside triangle")
+    _verify(m.shape == (len(rows), len(cols)) and all(
+        sum(map(mul, row_a, col_b)) * x.denominator == x.numerator * da * db * det_t
+        for row_a, (_, da), m_row in zip(at, rows, m.to_lists())
+        for col_b, (_, db), x in zip(zip(*bt), cols, m_row)
+    ), "witness factors do not multiply to the matrix")
+    ws = [t[0] for t in ts]
+    a_w = ExactMatrix([[Fraction(v, da * w) for v, w in zip(row, ws)] for row, (_, da) in zip(at, rows)])
+    b_w = ExactMatrix([[Fraction(w * v, det_t * db) for v, (_, db) in zip(row, cols)] for row, w in zip(bt, ws)])
     return a_w, b_w

@@ -29,6 +29,7 @@ from nncomplete import (
     det,
     family_11_21,
     family_11_22,
+    inverse,
     matmul,
     nn_rank_at_most_3,
     normalize_two_missing,
@@ -38,8 +39,10 @@ from nncomplete import (
 )
 from nncomplete.family import _family_stages
 from nncomplete.geometry import (
-    NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, nested_triangle, side,
+    NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, nested_triangle, polygon_from_halfplanes,
+    side,
 )
+from nncomplete.linalg import integer_scaled, pivot_columns, solve_linear
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
 
 
@@ -632,15 +635,14 @@ class RationalFunctionFamily:
     chart: ExactMatrix
 
 
-def rational_function_family(fam) -> RationalFunctionFamily:
+def rational_function_family(fam, m: PartialMatrix) -> RationalFunctionFamily:
     """The factors and the moving vertex of a NestedFamily rebuilt from
-    ``fam.source`` as the library built them before its pencils: for
-    11_21, b1 = x0 + t*k from a Gauss-Jordan solve of rows 3-4 with the
-    columns reversed; for 11_22, the first row of A by Cramer's rule over
-    cofactor determinants in QQ[t]; and the vertex as sums and quotients
-    in QQ(t) over the chart: the column sums of A for 11_21, and the
-    coordinate sum, (x + y + z, x, y), for 11_22."""
-    m = fam.source
+    m, the partial matrix it was built from, as the library built them
+    before its pencils: for 11_21, b1 = x0 + t*k from a Gauss-Jordan solve
+    of rows 3-4 with the columns reversed; for 11_22, the first row of A
+    by Cramer's rule over cofactor determinants in QQ[t]; and the vertex
+    as sums and quotients in QQ(t) over the chart: the column sums of A
+    for 11_21, and the coordinate sum, (x + y + z, x, y), for 11_22."""
     t = FIELD.gens[0]
     if fam.tag == "11_21":
         a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
@@ -725,10 +727,10 @@ def critical_ts_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
     return sorted(crit)
 
 
-def feasible_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
-    """The feasible set of the rebuilt family ``ref``: both hole entries
-    of A(t).B(t), as sums in QQ(t), are >= 0."""
-    holes = sorted(fam.source.pattern.missing)
+def feasible_by_rational_functions(m: PartialMatrix, ref: RationalFunctionFamily) -> list:
+    """The feasible set of the family ``ref`` rebuilt from m: both hole
+    entries of A(t).B(t), as sums in QQ(t), are >= 0."""
+    holes = sorted(m.pattern.missing)
     entries = [sum((ref.a_of_t[i - 1][k] * ref.b_of_t[k][j - 1] for k in range(3)), FIELD.zero)
                for i, j in holes]
     return feasible_set_by_candidates(entries)
@@ -906,11 +908,91 @@ def slack_by_fractions(pair: NestedPair) -> list:
     normal, or Q's facets for a pair without provenance, at P's
     generators, or its vertices."""
     if pair.provenance:
-        hps = [HalfPlane(*row) for row in pair.provenance["a"].to_lists() if row[1] or row[2]]
+        hps = [HalfPlane(*(Fraction(c, d) for c in n)) for n, d in pair.provenance["a"] if n[1] or n[2]]
     else:
         hps = facets(pair.outer)
     gens = pair.inner_generators or pair.inner.vertices
     return [[hp.value(g) for g in gens] for hp in hps]
+
+
+# ---------------------------------------------------------------------------
+# the slice of a full matrix and its witness on Fraction matrices: two
+# eliminations and a chart inverse for the pair, and the inverse of the
+# triangle matrix for the witness
+
+
+def _verify(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationError(what)
+
+
+def _slice_halfplane(row):
+    """Row (c0, cx, cy) of A as the integer line of the half-plane c0 +
+    cx*x + cy*y >= 0, the row times the lcm of its denominators, or None
+    when the constraint is trivially satisfied (zero row, or a constraint
+    whose normal vanishes and whose constant is nonnegative)."""
+    c0, cx, cy = row
+    if cx == 0 and cy == 0:
+        if c0 < 0:
+            raise ValueError(f"row {tuple(row)} is infeasible on the slice")
+        return None
+    return tuple(integer_scaled(row)[0])
+
+
+def polytopes_by_fractions(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
+    """`geometry.polytopes_from_factorization` with the factors kept as
+    Fraction matrices under the provenance keys "a" and "b"."""
+    if a.q != 3 or b.p != 3:
+        raise ValueError("factors must have inner dimension 3")
+    gens = []
+    for j in range(1, b.q + 1):
+        w, y, z = b.col(j)
+        if w == y == z == 0:
+            continue
+        if w <= 0:
+            raise ValueError(f"column {j} of B has non-positive slice weight {w}")
+        gens.append((y / w, z / w))
+    lines = [line for line in map(_slice_halfplane, a.to_lists()) if line]
+    outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
+    inner = Polygon2.from_points(gens)
+    return NestedPair(inner, outer, gens, lines, {"a": a, "b": b})
+
+
+def bounded_nested_pair_by_fractions(m: ExactMatrix) -> NestedPair:
+    """The bounded nested pair of a nonnegative rank-3 matrix: m factored
+    through three of its independent columns a0, in the chart of the
+    column-sum functional of a0 (strictly positive on the cone of a0, so Q
+    is bounded) completed to a basis by the first two unit vectors."""
+    cols = pivot_columns(m)[:3]
+    if len(cols) < 3:
+        raise ValueError("matrix has rank below 3")
+    a0 = m.submatrix(range(1, m.p + 1), cols)
+    sol = solve_linear(a0, m)
+    _verify(sol.consistent, "matrix outside the span of its independent columns")
+    b0 = sol.particular
+    _verify(matmul(a0, b0) == m, "column-basis factors do not multiply to the matrix")
+    # the chart has rows (column sums, e1, e2) and determinant the third
+    # column sum, positive because a0 is nonnegative with no zero column
+    sums = [sum(a0.col(k)) for k in range(1, 4)]
+    _verify(sums[2] > 0, "slice basis change is singular")
+    chart = ExactMatrix([sums, [1, 0, 0], [0, 1, 0]])
+    return polytopes_by_fractions(matmul(a0, inverse(chart)), matmul(chart, b0))
+
+
+def triangle_to_factorization_by_fractions(pair: NestedPair, tri: Polygon2, m: ExactMatrix):
+    """Convert a nested triangle of a pair built by
+    polytopes_by_fractions (or bounded_nested_pair_by_fractions) back into a
+    size-3 nonnegative factorization of m, the product of the pair's
+    factors."""
+    c = ExactMatrix([[1, 1, 1]] + [[v[0] for v in tri.vertices], [v[1] for v in tri.vertices]])
+    # columns of c are the lifted triangle vertices (1, x, y); a zero
+    # column of the pair's B, which gave no point, lifts to zero
+    a_w = matmul(pair.provenance["a"], c)
+    b_w = matmul(inverse(c), pair.provenance["b"])
+    _verify(a_w.is_nonnegative(), "triangle not inside Q")
+    _verify(b_w.is_nonnegative(), "P not inside triangle")
+    _verify(matmul(a_w, b_w) == m, "witness factors do not multiply to the matrix")
+    return a_w, b_w
 
 
 # ---------------------------------------------------------------------------
@@ -1189,13 +1271,13 @@ def poles_of_11_22(ref: RationalFunctionFamily) -> list:
     return sorted({t0 for rf in ref.a_of_t[0] for t0 in rational_roots(rf.denom) if t0 >= 0})
 
 
-def poles_ruled_out_by_solve(fam, ref: RationalFunctionFamily) -> bool:
-    """Whether no completion lives at a nonnegative pole t0 of an 11_22
-    family: at each, the system a1 . N(t0) = (m12, m13, m14) for the
-    first row a1 of A, with N(t0) columns 2..4 of the family's B(t0), is
-    inconsistent.  The library skips this solve, because rows 1, 3, 4 of
-    columns 2..4 having rank 3 already make it inconsistent."""
-    m = fam.source
+def poles_ruled_out_by_solve(m: PartialMatrix, ref: RationalFunctionFamily) -> bool:
+    """Whether no completion lives at a nonnegative pole t0 of the 11_22
+    family ``ref`` rebuilt from m: at each, the system a1 . N(t0) = (m12,
+    m13, m14) for the first row a1 of A, with N(t0) columns 2..4 of the
+    family's B(t0), is inconsistent.  The library skips this solve,
+    because rows 1, 3, 4 of columns 2..4 having rank 3 already make it
+    inconsistent."""
     rhs = ExactMatrix.column([m.entry(1, 2), m.entry(1, 3), m.entry(1, 4)])
     b = ref.b_of_t
     for t0 in poles_of_11_22(ref):

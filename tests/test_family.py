@@ -475,7 +475,7 @@ class TestDiagonalHolesFamily:
                           for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text()))]
         answers = []
         for m in fixture_inputs + random_two_hole_inputs(2035, 120):
-            for fam in families_of(m):
+            for _, fam in families_of(m):
                 if fam.tag != "11_22":
                     continue
                 for iv in fam.feasible:
@@ -509,9 +509,9 @@ class TestPoleCheck:
         assert (cert.verdict, cert.pattern) == ("NotCompletable", "11_22")
         assert cert.envelope_t == (F(0), t_hi)
         fam = family_11_22(m)
-        ref = rational_function_family(fam)
+        ref = rational_function_family(fam, m)
         assert poles_of_11_22(ref) == [pole]
-        assert poles_ruled_out_by_solve(fam, ref)
+        assert poles_ruled_out_by_solve(m, ref)
 
     def test_random_families_never_have_a_consistent_pole(self):
         rng = random.Random(2029)
@@ -519,13 +519,14 @@ class TestPoleCheck:
         with_pole = 0
         for _ in range(300):
             full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+            m = restrict(full, pattern)
             try:
-                fam = family_11_22(restrict(full, pattern))
+                fam = family_11_22(m)
             except FamilyError:
                 continue
-            ref = rational_function_family(fam)
+            ref = rational_function_family(fam, m)
             with_pole += bool(poles_of_11_22(ref))
-            assert poles_ruled_out_by_solve(fam, ref)
+            assert poles_ruled_out_by_solve(m, ref)
         assert with_pole >= 150
 
 
@@ -804,12 +805,13 @@ def two_hole_inputs(m: PartialMatrix) -> list:
 
 
 def families_of(m: PartialMatrix) -> list:
-    """The families of m and of its transpose that can be built."""
+    """The families of m and of its transpose that can be built, each as
+    (canonical matrix, family built from it)."""
     out = []
     for oriented in (m, m.transpose()):
         canon, norm = normalize_two_missing(oriented)
         try:
-            out.append(family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon))
+            out.append((canon, family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)))
         except FamilyError:
             pass
     return out
@@ -863,16 +865,16 @@ def first_row_sign_rule(row) -> bool:
     return -1 not in signs or signs in ([-1, -1, 1], [-1, 0, 1])
 
 
-def assert_matches_rational_functions(fam, rng):
+def assert_matches_rational_functions(fam, m, rng):
     """Every datum the family reads off its pencils equals the same datum
-    of the family rebuilt over QQ(t) entries: the factors and
+    of the family rebuilt from m over QQ(t) entries: the factors and
     the moving vertex at the critical t and at random t (a pole raising
     ZeroDivisionError on both sides), the critical t, the feasible set,
     the moving vertex's line up to scale and its limit at infinity."""
-    ref = rational_function_family(fam)
+    ref = rational_function_family(fam, m)
     criticals = _critical_ts(fam)
     assert criticals == critical_ts_by_rational_functions(fam, ref)
-    assert fam.feasible == feasible_by_rational_functions(fam, ref)
+    assert fam.feasible == feasible_by_rational_functions(m, ref)
     x, y = ref.moving_vertex
     line = line_by_rational_functions(ref)
     for t in criticals + [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(4)]:
@@ -908,14 +910,14 @@ class TestPencilsMatchRationalFunctions:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixtures_match_rational_function_reference(self, name, rng):
         fams = [
-            fam
+            built
             for m in two_hole_inputs(parse_partial((DATA / f"{name}.txt").read_text()))
-            for fam in families_of(m)
+            for built in families_of(m)
         ]
         # two_missing_unknown is Unknown because neither orientation has a family
         assert bool(fams) == (name != "two_missing_unknown")
-        for fam in fams:
-            assert_matches_rational_functions(fam, rng)
+        for canon, fam in fams:
+            assert_matches_rational_functions(fam, canon, rng)
 
     def test_random_inputs_match_rational_function_reference(self, rng):
         """Random draws, and diagonal-hole draws with m32 = m42 = 0: there
@@ -925,20 +927,20 @@ class TestPencilsMatchRationalFunctions:
         where the moving facet meets the fixed points."""
         tags, still = set(), 0
         for m in random_two_hole_inputs(2027, 80) + still_vertex_inputs(2041, 60):
-            for fam in families_of(m):
+            for canon, fam in families_of(m):
                 tags.add(fam.tag)
                 if not any(cross(*fam.moving_vertex)):
                     still += 1
                     assert F(0) in _critical_ts(fam)
-                assert_matches_rational_functions(fam, rng)
+                assert_matches_rational_functions(fam, canon, rng)
         assert tags == {"11_21", "11_22"} and still >= 30
 
     def test_12_bit_rationals_match_rational_function_reference(self, rng):
         tags = []
         for m in random_rational_two_hole_inputs(2033, 40):
-            for fam in families_of(m):
+            for canon, fam in families_of(m):
                 tags.append(fam.tag)
-                assert_matches_rational_functions(fam, rng)
+                assert_matches_rational_functions(fam, canon, rng)
         assert min(tags.count("11_21"), tags.count("11_22")) >= 10
 
     def test_fixed_point_on_an_outer_vertex(self, rng):
@@ -949,10 +951,10 @@ class TestPencilsMatchRationalFunctions:
         for _ in range(300):
             full = ExactMatrix([[rng_inputs.randint(0, 2) for _ in range(4)] for _ in range(4)])
             holes = set(rng_inputs.sample(CELLS, 2))
-            for fam in families_of(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes))):
+            for canon, fam in families_of(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes))):
                 if set(fam.fixed_inner_points) & set(fam.fixed_outer.vertices):
                     tags.add(fam.tag)
-                    assert_matches_rational_functions(fam, rng)
+                    assert_matches_rational_functions(fam, canon, rng)
         assert tags == {"11_21", "11_22"}
 
     def test_moving_vertex_line_matches_closed_form(self):
@@ -1018,7 +1020,7 @@ class TestSingleSearch:
         inputs += canonical_products(4, ((1, 1), (2, 1)), 6)
         inputs += canonical_products(4, ((1, 1), (2, 2)), 6)
         counts = {True: 0, False: 0}
-        for fam in (fam for m in inputs for fam in families_of(m)):
+        for fam in (fam for m in inputs for _, fam in families_of(m)):
             criticals = _critical_ts(fam)
             for t in sorted({t for iv in fam.feasible for t in _interval_sample_ts(iv, criticals)}):
                 completion = fam.completion_at(t)

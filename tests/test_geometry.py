@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nncomplete import (
     SUM_CHART,
+    SUM_CHART_INVERSE,
     ExactMatrix,
     NestedPair,
     Polygon2,
@@ -28,11 +29,13 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.geometry
+import nncomplete.linalg
 from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, side
 
 from conftest import rnd_fraction, rnd_nonneg_product
 from oracles import (
     _lines_meet,
+    bounded_nested_pair_by_fractions,
     chord_exit_by_fractions,
     contains_point_by_edges,
     edges,
@@ -49,6 +52,7 @@ from oracles import (
     tangent_vertex_brute,
     triangle_around_point_by_fan,
     triangle_around_segment_by_chains,
+    triangle_to_factorization_by_fractions,
     verify_triangle,
 )
 
@@ -555,6 +559,36 @@ class TestNnRankAtMost3:
             triangle_to_factorization(pair, tri, m)
         assert not issubclass(VerificationError, ValueError)
 
+    def test_triangle_leaving_q_fails_verification(self, unique_nmf_matrix):
+        """A triangle around the bounding box of Q contains P but leaves
+        Q, so the lifted A has a negative entry."""
+        m = unique_nmf_matrix
+        pair = bounded_nested_pair(m)
+        x0, y0, x1, y1 = pair.outer.bounding_box()
+        tri = Polygon2.triangle((x0 - 1, y0 - 1), (x1 + 2 * (x1 - x0) + 3, y0 - 1), (x0 - 1, y1 + 2 * (y1 - y0) + 3))
+        assert contains(tri, pair.outer) and not contains(pair.outer, tri)
+        with pytest.raises(VerificationError, match="triangle not inside Q"):
+            triangle_to_factorization(pair, tri, m)
+
+    def test_other_matrix_fails_verification(self, unique_nmf_matrix):
+        """The witness lifts the pair's factors, so it multiplies to their
+        product and to no other matrix."""
+        m = unique_nmf_matrix
+        pair = bounded_nested_pair(m)
+        tri = nested_triangle(pair)
+        with pytest.raises(VerificationError, match="witness factors do not multiply to the matrix"):
+            triangle_to_factorization(pair, tri, m.with_entry(1, 1, m[1, 1] + 1))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
+    ], ids=["identity", "dense"])
+    def test_rank4_matrix_is_outside_the_span(self, rows):
+        m = ExactMatrix(rows)
+        assert rank(m) == 4
+        with pytest.raises(VerificationError, match="^matrix outside the span of its independent columns$"):
+            bounded_nested_pair(m)
+
 
 def rnd_big_point(rng):
     """A point whose coordinates have numerators and denominators of up
@@ -793,6 +827,118 @@ class TestSearchOnIntegerTriples:
             for (w, x, y), v in zip(poly.triples, poly.vertices):
                 assert w > 0 and gcd(w, x, y) == 1
                 assert (Fraction(x, w), Fraction(y, w)) == v
+
+
+def slice_outcome(build, lift, m):
+    """The pair that build makes of m (its polygons, generators and
+    lines), the triangle the search finds in it and the witness that lift
+    makes of that triangle, as printed; or the type and message of the
+    error raised."""
+    try:
+        pair = build(m)
+        tri = nested_triangle(pair)
+        witness = tri and lift(pair, tri, m)
+    except (ValueError, VerificationError) as e:
+        return type(e), str(e)
+    return repr((pair.inner.vertices, pair.outer.vertices, pair.inner_generators, pair.outer_lines,
+                 tri and tri.vertices, witness))
+
+
+def scaled_rows_and_columns(rng, m: ExactMatrix) -> ExactMatrix:
+    """m with each row and each column times its own rational, so the
+    entries have independent denominators of up to 40 bits."""
+    r = [Fraction(rng.randint(1, 2**40), rng.randint(1, 2**40)) for _ in range(m.p)]
+    c = [Fraction(rng.randint(1, 2**40), rng.randint(1, 2**40)) for _ in range(m.q)]
+    return ExactMatrix([[x * ri * cj for x, cj in zip(row, c)] for row, ri in zip(m.to_lists(), r)])
+
+
+class TestSliceOnIntegers:
+    """`bounded_nested_pair` and `triangle_to_factorization` compute on
+    integers: one adjugate of a 3x3 block of m for the pair, cross
+    products of the triangle's lifted vertices for the witness.  They
+    agree, byte for byte, with the Fraction-matrix references, which
+    solve for the column basis and invert the chart and the triangle."""
+
+    def assert_same_slice(self, matrices) -> set:
+        """Each matrix's outcome against the reference's; the set of
+        (found a triangle, raised) seen."""
+        seen = set()
+        for m in matrices:
+            got = slice_outcome(bounded_nested_pair, triangle_to_factorization, m)
+            assert got == slice_outcome(bounded_nested_pair_by_fractions, triangle_to_factorization_by_fractions, m)
+            seen.add((isinstance(got, str) and not got.endswith("None, None)"), not isinstance(got, str)))
+        return seen
+
+    def test_nnrank3_corpus(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        matrices = [ExactMatrix(c.rows) for seed in (corpus.DEFAULT_CORPUS_SEED, corpus.HELD_OUT_CORPUS_SEED)
+                    for c in corpus.nnrank3(seed)]
+        assert self.assert_same_slice(matrices) == {(True, False), (False, False)}
+
+    def test_zero_fills_of_the_products_corpus(self, monkeypatch):
+        """The rank-3 zero fills of the products corpus at both corpus
+        seeds, the full matrices that the two-hole decision tests first."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        fills = [ExactMatrix([[0 if x is None else x for x in row] for row in c.rows])
+                 for seed in (corpus.DEFAULT_CORPUS_SEED, corpus.HELD_OUT_CORPUS_SEED) for c in corpus.products(seed)]
+        fills = [m for m in fills if rank(m) == 3]
+        assert len(fills) >= 40
+        assert self.assert_same_slice(fills) == {(True, False)}
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (4, 12), (12, 4)], ids=["3x3", "4x4", "4x12", "12x4"])
+    def test_independent_denominators(self, rng, shape):
+        """Rank-3 products, and some rank-4 ones that both refuse, with
+        every row and column scaled by its own rational."""
+        p, q = shape
+        matrices = [scaled_rows_and_columns(rng, rnd_nonneg_product(rng, p, q, 3 + (k % 5 == 4) * (min(p, q) > 3)))
+                    for k in range(30)]
+        seen = self.assert_same_slice([m for m in matrices if rank(m) >= 3])
+        assert (True, False) in seen and ((False, True) in seen) == (min(p, q) > 3)
+
+    def test_zero_columns(self, rng):
+        matrices = []
+        for _ in range(30):
+            m = rnd_nonneg_product(rng, 4, 5, 3)
+            cols = [m.col(k) for k in range(1, 6)]
+            cols.insert(rng.randint(0, 5), [0] * 4)
+            matrices.append(ExactMatrix(zip(*cols)))
+        assert (True, False) in self.assert_same_slice([m for m in matrices if rank(m) == 3])
+
+    def test_witness_builds_one_fraction_per_entry(self, unique_nmf_matrix):
+        """The lift checks signs and the product on integers, then builds
+        the 3(p+q) entries of the witness and no other Fraction."""
+        m = unique_nmf_matrix
+        pair = bounded_nested_pair(m)
+        tri = nested_triangle(pair)
+        assert fractions_made(triangle_to_factorization, pair, tri, m) == 3 * (m.p + m.q)
+
+    def test_rank3_decision_eliminates_once(self, monkeypatch, unique_nmf_matrix, perturbed_full):
+        """On a rank-3 input the decision runs one elimination, for the
+        pivot columns, and no solve, inverse or matrix product."""
+        eliminations = []
+        echelon = nncomplete.linalg._echelon
+        monkeypatch.setattr(nncomplete.linalg, "_echelon", lambda rows: eliminations.append(1) or echelon(rows))
+
+        def refuse(*args):
+            raise AssertionError("called on a rank-3 decision")
+
+        for name in ("solve_linear", "inverse", "matmul"):
+            monkeypatch.setattr(nncomplete.linalg, name, refuse)
+            monkeypatch.setattr(nncomplete.geometry, name, refuse, raising=False)
+        for m, found in ((unique_nmf_matrix, True), (perturbed_full, False)):
+            eliminations.clear()
+            ok, witness = nn_rank_at_most_3(m)
+            assert ok == found and len(eliminations) == 1
+        monkeypatch.undo()
+        assert matmul(*nn_rank_at_most_3(unique_nmf_matrix)[1]) == unique_nmf_matrix
+
+    def test_sum_chart_inverse(self):
+        assert matmul(SUM_CHART, SUM_CHART_INVERSE) == ExactMatrix.identity(3)
+        assert matmul(SUM_CHART_INVERSE, SUM_CHART) == ExactMatrix.identity(3)
 
 
 class TestRefusesBinaryFloats:
