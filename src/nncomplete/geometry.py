@@ -17,22 +17,28 @@ other code writes out a line formula.
 
 The kernels compute on Python integers.  A point (x, y) lifts to the
 integer triple (w, x*w, y*w) in lowest terms with w > 0; `Polygon2`
-lifts its vertices once and keeps each edge's integer line, positive
-inside, and `side` is the sign of one determinant of lifted points.
-Inside `nested_triangle` every point is a triple, and a Fraction is
-built only for the triangle it returns.  The slice of a full matrix
-(`bounded_nested_pair`) and the lift of a triangle to a witness
-(`triangle_to_factorization`) compute on integers as well.
+lifts its vertices once and keeps each edge's primitive integer line
+(its gcd is 1), positive inside, and `side` is the sign of one
+determinant of lifted points.  Hulls sort and turn triples, and
+`polygon_from_halfplanes` clips each line by the others on triples, so
+a polygon built from points or lines lifts nothing twice.  Inside
+`nested_triangle` every point is a triple: Q's lines are evaluated at
+P's vertices once, a tangent to P is read from the signs of P's edge
+lines at its point, and a Fraction is built only for the triangle it
+returns.  The slice of a full matrix (`bounded_nested_pair`) and the
+lift of a triangle to a witness (`triangle_to_factorization`) compute on
+integers as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import ExactMatrix, integer_scaled, matmul, pivot_columns, solve_linear, to_fraction
+from .linalg import ExactMatrix, integer_scaled, matmul, scaled_rows_and_pivots, solve_linear, to_fraction
 
 Point = tuple  # (Fraction, Fraction)
 
@@ -80,7 +86,33 @@ def _dot(u, v):
 
 
 def _within(lines, points) -> bool:
-    return all(_dot(line, p) >= 0 for line in lines for p in points)
+    return all(a * w + b * x + c * y >= 0 for a, b, c in lines for w, x, y in points)
+
+
+def _at(lines, p) -> list:
+    """The value of each line at the point p."""
+    w, x, y = p
+    return [a * w + b * x + c * y for a, b, c in lines]
+
+
+def _primitive(line) -> tuple:
+    """The integer triple divided by the gcd of its entries: the same line,
+    scaled by a positive factor."""
+    g = gcd(*line) or 1
+    return (line[0] // g, line[1] // g, line[2] // g)
+
+
+def _edge_lines(ts) -> list:
+    """The primitive line of each edge t_i -> t_i+1 of a polygon of lifted
+    vertices, positive inside; none below three vertices."""
+    n = len(ts)
+    return [_primitive(cross(ts[i], ts[(i + 1) % n])) for i in range(n)] if n >= 3 else []
+
+
+def _lex(a, b) -> int:
+    """The order of the points (x, y) of two triples, by x, then y: -1, 0 or 1."""
+    d = a[1] * b[0] - b[1] * a[0] or a[2] * b[0] - b[2] * a[0]
+    return (d > 0) - (d < 0)
 
 
 def side(a: Point, b: Point, c: Point) -> int:
@@ -110,25 +142,39 @@ def convex_hull(points) -> list:
     Collinear input collapses to the two extreme points; coincident input
     to a single point.
     """
-    pts = sorted(set((to_fraction(x), to_fraction(y)) for (x, y) in points))
-    if not pts:
+    return _hull(_lifted(points))[0]
+
+
+def _lifted(points) -> dict:
+    """Each distinct point as a Fraction pair, keyed by its lifted triple."""
+    out = {}
+    for x, y in points:
+        p = (to_fraction(x), to_fraction(y))
+        out[_lift(p)] = p
+    return out
+
+
+def _hull(points: dict):
+    """`convex_hull` of the points of a dict {lifted triple: point}, as
+    (points, triples), from the least point by x, then y: the monotone
+    chain of Andrew (1979), with every comparison and turn on triples."""
+    if not points:
         raise ValueError("need at least one point")
-    if len(pts) == 1:
-        return pts
-    lifted = [(p, _lift(p)) for p in pts]
+    ts = sorted(points, key=cmp_to_key(_lex))
+    if len(ts) > 1:
 
-    def chain(seq):  # one half of the hull, without its last point
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _dot(out[-2][1], cross(out[-1][1], p[1])) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
+        def chain(seq):  # one half of the hull, without its last point
+            out = []
+            for p in seq:
+                while len(out) >= 2 and _dot(out[-2], cross(out[-1], p)) <= 0:
+                    out.pop()
+                out.append(p)
+            return out[:-1]
 
-    hull = [p for p, _ in chain(lifted) + chain(reversed(lifted))]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+        ts = chain(ts) + chain(reversed(ts))
+        if len(ts) == 2 and ts[0] == ts[1]:
+            ts = ts[:1]
+    return [points[t] for t in ts], ts
 
 
 class Polygon2:
@@ -136,7 +182,8 @@ class Polygon2:
 
     Degenerate cases are allowed: a single point or a segment (two
     vertices).  ``triples`` are the lifted vertices and ``lines`` the
-    edges' integer lines, positive inside (none below three vertices).
+    edges' primitive integer lines, positive inside (none below three
+    vertices).
     """
 
     def __init__(self, vertices):
@@ -147,7 +194,7 @@ class Polygon2:
         # of its final size, not its first, and peak memory crept upwards
         ts = [_lift(p) for p in vs]
         n = len(vs)
-        lines = [cross(ts[i], ts[(i + 1) % n]) for i in range(n)] if n >= 3 else []
+        lines = _edge_lines(ts)
         # each vertex is strictly left of the next edge; the three turns
         # of a triangle are one signed area
         if lines and any(_dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if n == 3 else n)):
@@ -157,8 +204,18 @@ class Polygon2:
         self.vertices, self.triples, self.lines = vs, ts, lines
 
     @classmethod
+    def _of(cls, vs, ts, lines) -> "Polygon2":
+        """The polygon on the points vs, already strictly convex and
+        counterclockwise, with their lifted triples ts and edge lines: no
+        lift and no check."""
+        poly = cls.__new__(cls)
+        poly.vertices, poly.triples, poly.lines = vs, ts, lines
+        return poly
+
+    @classmethod
     def from_points(cls, points) -> "Polygon2":
-        return cls(convex_hull(points))
+        vs, ts = _hull(_lifted(points))
+        return cls._of(vs, ts, _edge_lines(ts))
 
     @classmethod
     def triangle(cls, a: Point, b: Point, c: Point) -> "Polygon2":
@@ -200,7 +257,8 @@ def contains(outer: Polygon2, inner: Polygon2) -> bool:
 
 def polygon_from_halfplanes(lines) -> Polygon2:
     """Bounded intersection of the half-planes c0 + cx*x + cy*y >= 0 of
-    integer lines (c0, cx, cy) as a polygon.
+    integer lines (c0, cx, cy) as a polygon, whose edge lines are the
+    facets' own lines, divided by their gcd.
 
     Raises TypeError for a coefficient that is not an int, ValueError for
     a zero normal or an empty intersection, and UnboundedRegionError when
@@ -215,23 +273,68 @@ def polygon_from_halfplanes(lines) -> Polygon2:
             raise ValueError("half-plane normal must be nonzero")
     if not lines:
         raise UnboundedRegionError("no constraints")
-    # nontrivial recession direction: d != 0 with all normals . d >= 0;
-    # if one exists, some extreme candidate (a rotated normal) works
-    for _, cx, cy in lines:
-        for s in (1, -1):
-            d = (-s * cy, s * cx)
-            if all(nx * d[0] + ny * d[1] >= 0 for _, nx, ny in lines):
-                raise UnboundedRegionError(f"region is unbounded in direction {d}")
-    verts = set()
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            # the lines meet in their cross product
-            p = _normalized(*cross(a, b))
-            if p and _within(lines, (p,)):
-                verts.add(p)
-    if not verts:
+    edges, point = _clip(list(dict.fromkeys(map(_primitive, lines))))
+    if edges is None or not (edges or point):
+        # nontrivial recession direction: d != 0 with all normals . d >= 0;
+        # if one exists, some extreme candidate (a rotated normal) works
+        for _, cx, cy in lines:
+            for s in (1, -1):
+                d = (-s * cy, s * cx)
+                if all(nx * d[0] + ny * d[1] >= 0 for _, nx, ny in lines):
+                    raise UnboundedRegionError(f"region is unbounded in direction {d}")
         raise ValueError("intersection of half-planes is empty")
-    return Polygon2.from_points([_point(p) for p in verts])
+    if not edges:
+        return Polygon2._of([_point(point)], [point], [])
+    # the edges chain counterclockwise; start at the least vertex by x, then y
+    t = first = min(edges, key=cmp_to_key(_lex))
+    ts, facets = [], []
+    while not ts or t != first:
+        line, end = edges[t]
+        ts.append(t)
+        facets.append(line)
+        t = end
+    return Polygon2._of([_point(t) for t in ts], ts, facets if len(ts) >= 3 else [])
+
+
+def _clip(lines):
+    """Each distinct primitive line clipped by all the others, on triples:
+    (edges, point).  ``edges`` maps the start of each edge of positive
+    length, a lowest-terms triple, to (its line, its end), and ``point``
+    is a point of the region when some line touches it in one point, else
+    None; ``edges`` is None when some line meets the region in an
+    unbounded set, so that the region is unbounded.
+
+    Line i runs along d = (cy, -cx) with its inside on the left.  Another
+    line j meets it in cross(line_i, line_j) = (w, x, y), a lower bound
+    on the parameter along d when w < 0 and an upper one when w > 0, and
+    of two bounds of one kind the tighter is the one the other violates.
+    A parallel line j (w = 0) holds on all of line i or on none of it, as
+    (x, y).d >= 0 or not."""
+    edges, point = {}, None
+    for li in lines:
+        lo = hi = hi_line = None
+        for lj in lines:
+            if lj is li:
+                continue
+            w, x, y = cross(li, lj)
+            if not w:
+                if x * li[2] - y * li[1] < 0:
+                    break  # line i lies outside line j
+            elif w < 0:
+                p = (-w, -x, -y)
+                if lo is None or _dot(lj, lo) < 0:
+                    lo = p
+            elif hi is None or _dot(lj, hi) < 0:
+                hi, hi_line = (w, x, y), lj
+        else:
+            if lo is None or hi is None:
+                return None, None
+            s = _dot(hi_line, lo)  # lo precedes hi, meets it, or passes it
+            if s > 0:
+                edges[_normalized(*lo)] = (li, _normalized(*hi))
+            elif s == 0:
+                point = _normalized(*lo)
+    return edges, point
 
 
 @dataclass
@@ -278,7 +381,7 @@ def _lowest(n, d) -> tuple:
     terms: gcd(*n', d') = 1.  Then n' is n/d times the lcm of its
     denominators, as `integer_scaled` gives it."""
     g = gcd(*n, d)
-    return tuple(x // g for x in n), d // g
+    return (n[0] // g, n[1] // g, n[2] // g), d // g
 
 
 def _pair_of_factors(rows, cols) -> NestedPair:
@@ -286,14 +389,17 @@ def _pair_of_factors(rows, cols) -> NestedPair:
     columns, each a pair (n, d): an integer triple over one positive
     denominator in lowest terms, so the row n/d of A has the integer line
     n.  A row whose normal vanishes is trivially satisfied when its
-    constant is nonnegative and gives no line."""
-    gens = []
+    constant is nonnegative and gives no line.  P is the hull of the
+    columns' triples."""
+    gens, points = [], {}
     for j, ((w, y, z), d) in enumerate(cols, 1):
         if w == y == z == 0:
             continue
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {Fraction(w, d)}")
-        gens.append((Fraction(y, w), Fraction(z, w)))
+        g = (Fraction(y, w), Fraction(z, w))
+        gens.append(g)
+        points[_normalized(w, y, z)] = g
     lines = []
     for n, d in rows:
         if n[1] or n[2]:
@@ -301,8 +407,8 @@ def _pair_of_factors(rows, cols) -> NestedPair:
         elif n[0] < 0:
             raise ValueError(f"row {tuple(Fraction(c, d) for c in n)} is infeasible on the slice")
     outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
-    inner = Polygon2.from_points(gens)
-    return NestedPair(inner, outer, gens, lines, {"a": rows, "b": cols})
+    vs, ts = _hull(points)
+    return NestedPair(Polygon2._of(vs, ts, _edge_lines(ts)), outer, gens, lines, {"a": rows, "b": cols})
 
 
 def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
@@ -333,24 +439,23 @@ def tangent_vertex(v: Point, poly: Polygon2) -> Point:
     polygon on its closed left side; ties along the line resolved to the
     farthest vertex.  v may lie on the polygon but not coincide with the
     only vertex."""
-    i = _tangent(_lift(v), poly.triples)
+    v, ts = _lift(v), poly.triples
+    # a point or a segment keeps no lines; t_i x t_i+1 is then zero or the
+    # segment's line in both directions
+    lines = poly.lines or [cross(t, u) for t, u in zip(ts, ts[1:] + ts[:1])]
+    i = _tangent(v, ts, _at(lines, v))
     if i is None:
         raise ValueError("no tangent vertex; is the point inside the polygon?")
     return poly.vertices[i]
 
 
-def _tangent(v: tuple, ts: tuple):
-    """The index in ts of the tangent vertex from v, or None.  The
-    polygon lies on the closed left of v -> t exactly when both
-    neighbours of t do (for one or two vertices the neighbours are the
-    polygon itself): one pass over the vertices."""
-    n = len(ts)
-    found = []
-    for i, t in enumerate(ts):
-        if t != v:
-            line = cross(v, t)
-            if _dot(line, ts[i - 1]) >= 0 and _dot(line, ts[(i + 1) % n]) >= 0:
-                found.append(i)
+def _tangent(v: tuple, ts: tuple, s: list):
+    """The index in ts of the tangent vertex from v, or None, from the
+    values s_i at v of the edge lines t_i x t_i+1.  The polygon lies on
+    the closed left of v -> t_i exactly when both neighbours of t_i do,
+    and the determinants of (v, t_i, t_i+1) and (v, t_i, t_i-1) are s_i
+    and -s_i-1: so t_i != v is a candidate when s_i >= 0 >= s_i-1."""
+    found = [i for i in range(len(ts)) if s[i] >= 0 >= s[i - 1] and ts[i] != v]
     if len(found) < 2:
         return found[0] if found else None
     # candidates are collinear with v (vertices on the supporting line);
@@ -369,18 +474,18 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
     v, towards = _lift(v), _lift(towards)
     if v == towards:
         raise ValueError("undirected chord")
-    return _point(_exit(v, towards, outer.lines))
+    return _point(_exit(v, towards, _at(outer.lines, v), _at(outer.lines, towards)))
 
 
-def _exit(v: tuple, t: tuple, lines) -> tuple:
-    """`chord_exit` on triples, out of the polygon of the facet lines."""
+def _exit(v: tuple, t: tuple, lvs: list, lts: list) -> tuple:
+    """`chord_exit` on triples, out of the polygon of the facet lines
+    whose values at v and t are lvs and lts."""
     # the ray leaves through a facet with values fv at v and ft at t,
     # fv > ft, at s = fv / (fv - ft) = num / den with lv = line.v = w_v*fv,
     # lt = line.t = w_t*ft, num = lv*w_t and den = num - lt*w_v: the least
     # s by cross-multiplication.  The exit point lv*t - lt*v has weight den.
     hi = None
-    for line in lines:
-        lv, lt = _dot(line, v), _dot(line, t)
+    for lv, lt in zip(lvs, lts):
         num = lv * t[0]
         den = num - lt * v[0]
         if den <= 0:
@@ -396,11 +501,15 @@ def _exit(v: tuple, t: tuple, lines) -> tuple:
 def _verified(candidate, ps, lines):
     """The triangle on three triples as a Polygon2 when it contains the
     points ps and lies in the polygon of the facet lines, else None.  Its
-    first side is a tangent with P on the left, so it must turn left."""
+    first side is a tangent with P on the left, so it must turn left.  The
+    last vertex and the side back to the first are tested first: a chain's
+    exits lie in Q and its tangents keep P on their left, so a candidate
+    mostly fails where it closes."""
     a, b, c = candidate
-    sides = (cross(a, b), cross(b, c), cross(c, a))
-    if _dot(a, sides[1]) > 0 and _within(lines, candidate) and _within(sides, ps):
-        return Polygon2([_point(a), _point(b), _point(c)])
+    ab, bc, ca = cross(a, b), cross(b, c), cross(c, a)
+    if _dot(a, bc) > 0 and _within(lines, (c, a, b)) and _within((ca, ab, bc), ps):
+        return Polygon2._of([_point(a), _point(b), _point(c)], [a, b, c],
+                            [_primitive(ab), _primitive(bc), _primitive(ca)])
     return None
 
 
@@ -412,12 +521,17 @@ def nested_triangle(pair: NestedPair):
     containing an edge of P.  Each anchor is closed greedily: extend the
     current supporting line to its farthest point inside Q, then continue
     with the tangent to P from there.
+
+    The values of Q's lines at P's vertices are computed once: they are
+    the containment check and every exit's values at its vertex of P.  A
+    tangent to P is read from the values of P's edge lines at its point.
     """
     inner, outer = pair.inner, pair.outer
     if outer.is_degenerate():
         raise ValueError("outer polygon must be two-dimensional")
     ps, lines = inner.triples, outer.lines
-    if not _within(lines, ps):
+    slack = [_at(lines, p) for p in ps]
+    if min(map(min, slack)) < 0:
         raise ValueError("inner polygon is not contained in the outer polygon")
 
     if inner.n == 3:
@@ -427,46 +541,50 @@ def nested_triangle(pair: NestedPair):
     if inner.n < 3:
         # P lies on the chord of Q through a and b, and any vertex of Q off
         # that chord closes a triangle around it
-        a = ps[0]
-        b = ps[1] if inner.n == 2 else next(q for q in outer.triples if q != a)
-        u, v = _exit(a, b, lines), _exit(b, a, lines)
+        a, la = ps[0], slack[0]
+        b, lb = (ps[1], slack[1]) if inner.n == 2 else next((q, _at(lines, q)) for q in outer.triples if q != a)
+        u, v = _exit(a, b, la, lb), _exit(b, a, lb, la)
         w = next(q for q in outer.triples if _dot(u, cross(v, q)))
         return Polygon2.triangle(_point(u), _point(v), _point(w))
 
     # side anchored on a line containing an edge of P
+    n, edges = inner.n, inner.lines
     for i, a in enumerate(ps):
-        v1 = _exit(a, ps[(i + 1) % inner.n], lines)
-        v2 = _advance(v1, ps, lines)
+        v1 = _exit(a, ps[(i + 1) % n], slack[i], slack[(i + 1) % n])
+        v2 = _advance(v1, _at(edges, v1), ps, lines, slack)
         if v2 is None:
             continue
         # the closing side needs only the tangent's direction, not its exit
-        k = _tangent(v2, ps)
+        k = _tangent(v2, ps, _at(edges, v2))
         if k is None:
             continue
-        x = _normalized(*cross(cross(v2, ps[k]), cross(a, v1)))
+        x = _normalized(*cross(cross(v2, ps[k]), edges[i]))
         tri = x and _verified((v1, v2, x), ps, lines)
         if tri is not None:
             return tri
 
     # vertex anchored at a vertex of Q
     for q in outer.triples:
-        if _within(inner.lines, (q,)):
+        s = _at(edges, q)
+        if min(s) >= 0:
             continue  # q inside P would mean P touches Q; tangents handle boundary
-        v1 = _advance(q, ps, lines)
-        v2 = v1 and _advance(v1, ps, lines)
+        v1 = _advance(q, s, ps, lines, slack)
+        v2 = v1 and _advance(v1, _at(edges, v1), ps, lines, slack)
         tri = v2 and _verified((q, v1, v2), ps, lines)
         if tri is not None:
             return tri
     return None
 
 
-def _advance(v: tuple, ps: tuple, lines):
-    """One greedy step of a chain: the tangent from v to ps, extended to
-    its exit from the facet lines; None if there is none or v stays."""
-    i = _tangent(v, ps)
+def _advance(v: tuple, s: list, ps: tuple, lines, slack):
+    """One greedy step of a chain: the tangent from v to ps, read from the
+    values s of P's edge lines at v, extended to its exit from the facet
+    lines, whose values at ps are slack; None if there is none or v
+    stays."""
+    i = _tangent(v, ps, s)
     if i is None:
         return None
-    w = _exit(v, ps[i], lines)
+    w = _exit(v, ps[i], _at(lines, v), slack[i])
     return None if w == v else w
 
 
@@ -506,26 +624,26 @@ def bounded_nested_pair(m: ExactMatrix) -> NestedPair:
     through three of its independent columns a0, in the chart of the
     column-sum functional of a0 (strictly positive on the cone of a0, so Q
     is bounded) completed to a basis by the first two unit vectors."""
-    cols = pivot_columns(m)[:3]
+    scaled, cols = scaled_rows_and_pivots(m)
     if len(cols) < 3:
         raise ValueError("matrix has rank below 3")
-    return _column_basis_pair(m, cols)
+    return _column_basis_pair(scaled, cols[:3])
 
 
-def _column_basis_pair(m: ExactMatrix, cols) -> NestedPair:
+def _column_basis_pair(scaled, cols) -> NestedPair:
     """`bounded_nested_pair` on the independent columns cols of m, on
-    integers.  Each row of m is n_i/d_i with n_i an integer row, so the
-    column sums of m are S/L, for L the lcm of the d_i and S the column
+    integers, from the rows of m as pairs (n_i, d_i) with the row n_i/d_i.
+    The column sums of m are S/L, for L the lcm of the d_i and S the column
     sums of the rows n_i*L/d_i.  With K = a0[R] for three independent rows
     R of a0 = n[:, cols], the coordinates of column j in the basis a0 are
     b_j = adj(K).n[R, j] / det K.  In the chart G = (column sums s of a0;
     e1; e2) the column j of G.b0 is (s.b_j, b_j1, b_j2), where s.b_j is
     the column sum S_j/L of m, and the row a of a0.G^-1 is (a3, a1*s3 -
     a3*s1, a2*s3 - a3*s2)/s3."""
-    scaled = [integer_scaled(row) for row in m.to_lists()]
     big = lcm(*[d for _, d in scaled])
     n = [ns for ns, _ in scaled]
-    sums = [sum(row[j] * (big // d) for row, (_, d) in zip(n, scaled)) for j in range(m.q)]
+    to_big = [big // d for _, d in scaled]
+    sums = [sum(map(mul, col, to_big)) for col in zip(*n)]
     a0 = [tuple(row[c - 1] for c in cols) for row in n]
     # three independent rows R: a nonzero row, one off its line, and one
     # off the plane of the two
@@ -538,7 +656,8 @@ def _column_basis_pair(m: ExactMatrix, cols) -> NestedPair:
     if det_k < 0:
         adj, det_k = tuple(tuple(-x for x in c) for c in adj), -det_k
     # det K times the coordinates of each column
-    coords = [tuple(sum(n[i][j] * c[t] for i, c in zip((i1, i2, i3), adj)) for t in range(3)) for j in range(m.q)]
+    r1, r2, r3 = zip(*adj)  # the rows of adj(K)
+    coords = [(_dot(r1, x), _dot(r2, x), _dot(r3, x)) for x in zip(n[i1], n[i2], n[i3])]
     _verify(all(_dot(a, b) == det_k * x for a, row in zip(a0, n) for b, x in zip(coords, row)),
             "matrix outside the span of its independent columns")
     # the chart has determinant the third column sum of a0, positive
@@ -559,15 +678,15 @@ def nn_rank_at_most_3(m: ExactMatrix):
     directly; for rank 3 a triangle nested between the associated polygons
     is converted back through the simplicial change of basis.
     """
-    if not m.is_nonnegative():
+    scaled, cols = scaled_rows_and_pivots(m)
+    if any(x < 0 for ns, _ in scaled for x in ns):
         raise ValueError("matrix must be nonnegative")
-    cols = pivot_columns(m)
     if len(cols) < 3:
         return True, _low_rank_factorization(m)
     if len(cols) > 3:
         return False, None
 
-    pair = _column_basis_pair(m, cols)
+    pair = _column_basis_pair(scaled, cols)
     tri = nested_triangle(pair)
     if tri is None:
         return False, None

@@ -154,22 +154,21 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([[Fraction(sum(map(mul, rn, cn)), rd * cd) for cn, cd in cols] for rn, rd in rows])
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]):
+def _echelon(scaled):
     """Fraction-free (Bareiss 1968) forward elimination.
 
-    Each row is first scaled to integers by its common denominator.
-    Returns ``(echelon, pivots, sign, scale)``: the integer echelon rows,
-    the 0-based pivot columns (the greedy left-to-right independent
-    columns), the sign of the row permutation and the product of the row
-    scales.  The pivot of step k is the k x k minor of the scaled, permuted
-    rows on the first k pivot columns, so every division below is exact and
-    the last pivot of a nonsingular square matrix is sign * scale * det.
+    Takes the rows scaled to integers, each a pair (ns, d) as
+    `integer_scaled` gives it; the pairs are not modified.  Returns
+    ``(echelon, pivots, sign, scale)``: the integer echelon rows, the
+    0-based pivot columns (the greedy left-to-right independent columns),
+    the sign of the row permutation and the product of the row scales d.
+    The pivot of step k is the k x k minor of the scaled, permuted rows on
+    the first k pivot columns, so every division below is exact and the
+    last pivot of a nonsingular square matrix is sign * scale * det.
     """
-    a = []
+    a = [ns for ns, _ in scaled]
     scale = 1
-    for row in rows:
-        ns, d = integer_scaled(row)
-        a.append(ns)
+    for _, d in scaled:
         scale *= d
     p, q = len(a), len(a[0])
     pivots: list[int] = []
@@ -198,7 +197,7 @@ def det(m: ExactMatrix) -> Fraction:
     """Determinant: the last pivot of the fraction-free elimination."""
     if m.p != m.q:
         raise ValueError("determinant of a non-square matrix")
-    a, pivots, sign, scale = _echelon(m._rows)
+    a, pivots, sign, scale = _echelon(list(map(integer_scaled, m._rows)))
     if len(pivots) < m.p:
         return Fraction(0)
     return Fraction(sign * a[-1][-1], scale)
@@ -206,12 +205,20 @@ def det(m: ExactMatrix) -> Fraction:
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank: the number of pivots of the fraction-free elimination."""
-    return len(_echelon(m._rows)[1])
+    return len(_echelon(list(map(integer_scaled, m._rows)))[1])
+
+
+def scaled_rows_and_pivots(m: ExactMatrix) -> tuple[list, list[int]]:
+    """The rows of m scaled to integers, each a pair (ns, d) as
+    `integer_scaled` gives it, and the 1-based pivot columns of m, from one
+    elimination of those rows."""
+    scaled = list(map(integer_scaled, m._rows))
+    return scaled, [c + 1 for c in _echelon(scaled)[1]]
 
 
 def pivot_columns(m: ExactMatrix) -> list[int]:
     """1-based indices of the greedy left-to-right independent columns."""
-    return [c + 1 for c in _echelon(m._rows)[1]]
+    return scaled_rows_and_pivots(m)[1]
 
 
 def minor(m: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -256,7 +263,7 @@ def solve_linear(a: ExactMatrix, rhs: ExactMatrix) -> LinearSolution:
     if a.p != rhs.p:
         raise ValueError("row counts of system and right-hand side disagree")
     q = a.q
-    u, pivots, _, _ = _echelon([ra + rb for ra, rb in zip(a._rows, rhs._rows)])
+    u, pivots, _, _ = _echelon([integer_scaled(ra + rb) for ra, rb in zip(a._rows, rhs._rows)])
     # a pivot in the right-hand side is a zero coefficient row with a
     # nonzero right-hand side
     if pivots and pivots[-1] >= q:

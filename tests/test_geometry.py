@@ -159,18 +159,22 @@ class TestTangentVertex:
         small_point,
         st.integers(0, 7),
         st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
-        st.sampled_from(["free", "vertex", "edge"]),
+        st.sampled_from(["free", "vertex", "edge", "beyond", "before"]),
     )
     def test_agrees_with_brute_force(self, pts, free, i, lam, where):
+        """At a free point, at a vertex, on an edge, and on the line of an
+        edge beyond either end, where the tangent from the edge signs has
+        two candidates."""
         poly = Polygon2.from_points(pts)
         vs = poly.vertices
         a, b = vs[i % len(vs)], vs[(i + 1) % len(vs)]
-        lam = min(lam, Fraction(1))
-        v = {
-            "free": free,
-            "vertex": a,
-            "edge": (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1])),
-        }[where]
+        if where == "free":
+            v = free
+        elif where == "vertex":
+            v = a
+        else:  # a + k*(b - a): k in [0, 1] on the edge, k > 1 past b, k < 0 before a
+            k = {"edge": min(lam, Fraction(1)), "beyond": Fraction(8, 7) + lam, "before": -Fraction(1, 7) - lam}[where]
+            v = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
         assume(not (poly.n == 1 and v == vs[0]))
         expected = tangent_vertex_brute(v, vs)
         if expected is None:
@@ -729,14 +733,55 @@ class TestIntegerKernelsAgainstFractionOracles:
                   "unbounded" if got[0] is UnboundedRegionError else "empty"] += 1
         assert min(kinds.values()) >= 20, kinds
 
+    def test_polygon_from_lines_through_vertices(self, rng):
+        """The facet lines of random polygons, scaled, with lines through a
+        vertex added: a supporting line that touches only there, a line
+        that cuts the polygon there, and the reverse of a facet or of the
+        supporting line, which leave a segment or a point."""
+        kinds = set()
+        for trial in range(300):
+            poly = rnd_polygon(rng, rng.randint(3, 7)) if trial % 2 else Polygon2.from_points(
+                [rnd_big_point(rng) for _ in range(rng.randint(3, 6))])
+            if poly.is_degenerate():
+                continue
+            lines = [tuple(k * c for c in line) for k, line in zip([rng.randint(1, 5) for _ in poly.lines], poly.lines)]
+            i = rng.randrange(poly.n)
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            touching = tuple(a * x + b * y for x, y in zip(poly.lines[i - 1], poly.lines[i]))
+            lines.append(touching)
+            lines.append(rng.choice([
+                tuple(a * x - b * y for x, y in zip(poly.lines[i - 1], poly.lines[i])),  # cuts at vertex i
+                tuple(-c for c in poly.lines[i]),  # leaves edge i
+                tuple(-c for c in touching),  # leaves vertex i
+                touching,
+            ]))
+            rng.shuffle(lines)
+            got = kernel_outcome(polygon_from_halfplanes, lines)
+            assert got == kernel_outcome(polygon_from_halfplanes_by_fractions, lines)
+            kinds.add(got if isinstance(got, tuple) else min(polygon_from_halfplanes(lines).n, 3))
+        assert kinds == {1, 2, 3}, kinds
+
     @pytest.mark.parametrize("lines", [
         [],
         [(0, 1, 0), (0, 0, 1)],
         [(14, -12, 105), (14, 4, -35)],
         [(-1, 1, 0), (-1, -1, 0), (1, 0, 1), (1, 0, -1)],
+        [(-1, 1, 0), (0, -1, 0)],
         [(0, 1, 0), (0, 0, 1), (1, -1, -1), (2, -2, -2)],
+        [(0, 3, 0), (0, 0, 5), (7, -7, -7)],
+        [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (3, 1, 0), (2, -1, 0)],
+        [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, 1)],
+        [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)],
+        [(0, 1, 0), (0, 0, 1), (0, 1, -1), (0, 2, -1), (2, -1, -1)],
+        [(0, 1, 0), (0, 0, 1), (0, -1, -1)],
+        [(0, 2, 0), (0, 0, 1), (0, -1, -1), (0, -1, 1), (0, 1, 1)],
+        [(0, 1, 0), (0, -1, 0), (0, 0, 1), (1, 0, -1)],
+        [(0, 2, 0), (0, -3, 0), (0, 0, 1), (1, 0, -1), (0, 1, 1), (1, 1, -1)],
         [(0, 1, 0), (1, 0, 0)],
-    ], ids=["none", "quadrant", "strip", "empty", "triangle-duplicate-facet", "zero-normal"])
+    ], ids=["none", "quadrant", "strip", "empty", "empty-unbounded", "triangle-duplicate-facet",
+            "triangle-scaled", "square-parallel-facets", "square-touching-line", "square-cut-through-a-vertex",
+            "three-lines-through-a-vertex", "point", "point-five-lines", "segment", "segment-touching-lines",
+            "zero-normal"])
     def test_polygon_from_halfplanes_edge_cases(self, lines):
         assert kernel_outcome(polygon_from_halfplanes, lines) == kernel_outcome(
             polygon_from_halfplanes_by_fractions, lines)
@@ -806,7 +851,9 @@ class TestSearchOnIntegerTriples:
         assert fractions_made(nested_triangle, pair) == 0
 
     def test_polygon_lines_are_the_facet_lines(self, rng):
-        """Each edge's integer line is a positive multiple of its facet's."""
+        """Each edge's integer line is a positive multiple of its facet's,
+        and primitive: the polygon of the facet lines, each scaled, keeps
+        the same lines."""
         for trial in range(100):
             poly = rnd_polygon(rng, rng.randint(3, 8)) if trial % 2 else Polygon2.from_points(
                 [rnd_big_point(rng) for _ in range(rng.randint(3, 8))])
@@ -816,6 +863,9 @@ class TestSearchOnIntegerTriples:
             for line, hp in zip(poly.lines, facets(poly)):
                 assert not any(cross(line, (hp.c0, hp.cx, hp.cy)))
                 assert _sign(line[1]) == _sign(hp.cx) and _sign(line[2]) == _sign(hp.cy)
+                assert gcd(*line) == 1
+            scaled = [tuple(k * c for c in line) for k, line in zip(range(2, 2 + poly.n), poly.lines)]
+            assert polygon_from_halfplanes(scaled).lines == poly.lines
 
     def test_polygon_triples_are_lowest_terms(self, rng):
         for trial in range(200):
@@ -935,6 +985,23 @@ class TestSliceOnIntegers:
             assert ok == found and len(eliminations) == 1
         monkeypatch.undo()
         assert matmul(*nn_rank_at_most_3(unique_nmf_matrix)[1]) == unique_nmf_matrix
+
+    def test_rank3_decision_scales_each_row_once(self, monkeypatch, unique_nmf_matrix, perturbed_full):
+        """The slice reads the rows that the pivot elimination scaled to
+        integers, so a rank-3 decision scales each row of m once."""
+        scaled = []
+        integer_scaled = nncomplete.linalg.integer_scaled
+
+        def spy(xs):
+            scaled.append(1)
+            return integer_scaled(xs)
+
+        monkeypatch.setattr(nncomplete.linalg, "integer_scaled", spy)
+        monkeypatch.setattr(nncomplete.geometry, "integer_scaled", spy)
+        for m, found in ((unique_nmf_matrix, True), (perturbed_full, False)):
+            scaled.clear()
+            assert nn_rank_at_most_3(m)[0] == found
+            assert len(scaled) == m.p
 
     def test_sum_chart_inverse(self):
         assert matmul(SUM_CHART, SUM_CHART_INVERSE) == ExactMatrix.identity(3)
