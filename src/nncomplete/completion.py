@@ -75,7 +75,7 @@ def rank1_complete(m: PartialMatrix, require_nonnegative: bool = False) -> Compl
     if not m.agrees_with(completion):
         raise VerificationError("rank-1 completion disagrees with an observed entry")
 
-    free = len(graph.components(nonzero_only=True)) - 1
+    free = len(graph.components()) - 1
     if free == 0:
         return CompletionOutcome("unique", completion)
     return CompletionOutcome(

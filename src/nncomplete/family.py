@@ -343,16 +343,13 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     of B is the parameter t, and the first row of A solves a1.N(t) =
     (m12, m13, m14) by Cramer's rule, where N(t) has rows (t, m23, m24),
     (m32, m33, m34) and (m42, m43, m44).  Each determinant is affine in
-    t, so it is read off its values at t = 0 and t = 1."""
+    t, so it is read off its values at t = 0 and t = 1; with the first
+    row, the only one holding t, replaced, it is constant."""
     _require_pattern(m, {(1, 1), (2, 2)})
     if rank(m.observed_submatrix([1, 3, 4], [2, 3, 4])) != 3:
         raise FamilyError("rows 1,3,4 of columns 2..4 must have rank 3")
     if rank(m.observed_submatrix([2, 3, 4], [1, 3, 4])) != 3:
         raise FamilyError("rows 2..4 of columns 1,3,4 must have rank 3")
-    if rank(m.observed_submatrix([3, 4], [2, 3, 4])) != 2:
-        raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
-    if rank(m.observed_submatrix([2, 3, 4], [3, 4])) != 2:
-        raise FamilyError("rows 2..4 of columns 3,4 must have rank 2")
 
     rhs = [m.entry(1, j) for j in (2, 3, 4)]
     fixed_rows = [[m.entry(i, j) for j in (2, 3, 4)] for i in (3, 4)]
@@ -360,12 +357,12 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     def pencil(replaced=None) -> tuple:
         """(value at 0, t-coefficient) of det N(t), with row ``replaced``
         of N(t) swapped for the right-hand side."""
-        at0, at1 = (
-            det(ExactMatrix(rhs if i == replaced else row
-                            for i, row in enumerate([[t, m.entry(2, 3), m.entry(2, 4)], *fixed_rows])))
-            for t in (0, 1)
-        )
-        return at0, at1 - at0
+        def at(t):
+            return det(ExactMatrix(rhs if i == replaced else row
+                                   for i, row in enumerate([[t, m.entry(2, 3), m.entry(2, 4)], *fixed_rows])))
+
+        at0 = at(0)
+        return (at0, 0) if replaced == 0 else (at0, at(1) - at0)
 
     den = pencil()
     if not any(den):

@@ -16,25 +16,26 @@ of two lines is their meeting point in homogeneous coordinates.  No
 other code writes out a line formula.
 
 The kernels compute on Python integers.  A point (x, y) lifts to the
-integer triple (w, x*w, y*w) in lowest terms with w > 0; `Polygon2`
-lifts its vertices once and keeps each edge's primitive integer line
-(its gcd is 1), positive inside, and `side` is the sign of one
+integer triple (w, x*w, y*w) in lowest terms with w > 0.  A `Polygon2`
+is two-dimensional and keeps only its lifted vertices and each edge's
+primitive integer line (its gcd is 1), positive inside; its Fraction
+vertices are built on first read.  `side` is the sign of one
 determinant of lifted points.  Hulls sort and turn triples, and
 `polygon_from_halfplanes` clips each line by the others on triples, so
 a polygon built from points or lines lifts nothing twice.  Inside
 `nested_triangle` every point is a triple: Q's lines are evaluated at
 P's vertices once, a tangent to P is read from the signs of P's edge
-lines at its point, and a Fraction is built only for the triangle it
-returns.  The slice of a full matrix (`bounded_nested_pair`) and the
-lift of a triangle to a witness (`triangle_to_factorization`) compute on
-integers as well.
+lines at its point, and no Fraction is built, not even for the
+triangle it returns.  The slice of a full matrix (`bounded_nested_pair`)
+and the lift of a triangle to a witness (`triangle_to_factorization`)
+compute on integers as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
@@ -104,9 +105,8 @@ def _primitive(line) -> tuple:
 
 def _edge_lines(ts) -> list:
     """The primitive line of each edge t_i -> t_i+1 of a polygon of lifted
-    vertices, positive inside; none below three vertices."""
-    n = len(ts)
-    return [_primitive(cross(ts[i], ts[(i + 1) % n])) for i in range(n)] if n >= 3 else []
+    vertices, positive inside."""
+    return [_primitive(cross(t, u)) for t, u in zip(ts, ts[1:] + ts[:1])]
 
 
 def _lex(a, b) -> int:
@@ -142,80 +142,77 @@ def convex_hull(points) -> list:
     Collinear input collapses to the two extreme points; coincident input
     to a single point.
     """
-    return _hull(_lifted(points))[0]
+    return [_point(t) for t in _hull(_lifted(points))]
 
 
-def _lifted(points) -> dict:
-    """Each distinct point as a Fraction pair, keyed by its lifted triple."""
-    out = {}
-    for x, y in points:
-        p = (to_fraction(x), to_fraction(y))
-        out[_lift(p)] = p
-    return out
+def _lifted(points) -> set:
+    """The lifted triple of each distinct point."""
+    return {_lift((to_fraction(x), to_fraction(y))) for x, y in points}
 
 
-def _hull(points: dict):
-    """`convex_hull` of the points of a dict {lifted triple: point}, as
-    (points, triples), from the least point by x, then y: the monotone
-    chain of Andrew (1979), with every comparison and turn on triples."""
-    if not points:
+def _hull(ts) -> list:
+    """`convex_hull` of distinct lifted triples, as triples, from the least
+    point by x, then y: the monotone chain of Andrew (1979), with every
+    comparison and turn on triples."""
+    if not ts:
         raise ValueError("need at least one point")
-    ts = sorted(points, key=cmp_to_key(_lex))
-    if len(ts) > 1:
+    ts = sorted(ts, key=cmp_to_key(_lex))
+    if len(ts) == 1:
+        return ts
 
-        def chain(seq):  # one half of the hull, without its last point
-            out = []
-            for p in seq:
-                while len(out) >= 2 and _dot(out[-2], cross(out[-1], p)) <= 0:
-                    out.pop()
-                out.append(p)
-            return out[:-1]
+    def chain(seq):  # one half of the hull, without its last point
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _dot(out[-2], cross(out[-1], p)) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
 
-        ts = chain(ts) + chain(reversed(ts))
-        if len(ts) == 2 and ts[0] == ts[1]:
-            ts = ts[:1]
-    return [points[t] for t in ts], ts
+    return chain(ts) + chain(reversed(ts))
 
 
 class Polygon2:
-    """Convex polygon with counterclockwise, strictly convex vertex list.
-
-    Degenerate cases are allowed: a single point or a segment (two
-    vertices).  ``triples`` are the lifted vertices and ``lines`` the
-    edges' primitive integer lines, positive inside (none below three
-    vertices).
+    """Convex polygon, two-dimensional, with a counterclockwise, strictly
+    convex vertex list.  ``triples`` are the lifted vertices and ``lines``
+    the edges' primitive integer lines, positive inside; ``vertices``, the
+    points as Fraction pairs, are built from the triples on first read.
     """
 
     def __init__(self, vertices):
-        vs = [(to_fraction(x), to_fraction(y)) for (x, y) in vertices]
-        if not vs:
-            raise ValueError("polygon needs at least one vertex")
         # lists: CPython keeps a tuple built from an iterator on the free list
         # of its final size, not its first, and peak memory crept upwards
-        ts = [_lift(p) for p in vs]
-        n = len(vs)
+        ts = [_lift((to_fraction(x), to_fraction(y))) for (x, y) in vertices]
+        if len(ts) < 3:
+            raise ValueError("polygon needs at least three vertices")
         lines = _edge_lines(ts)
         # each vertex is strictly left of the next edge; the three turns
         # of a triangle are one signed area
-        if lines and any(_dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if n == 3 else n)):
+        if any(_dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if len(ts) == 3 else len(ts))):
             raise ValueError("vertices must be strictly convex and counterclockwise")
-        if n == 2 and vs[0] == vs[1]:
-            raise ValueError("duplicate vertices")
-        self.vertices, self.triples, self.lines = vs, ts, lines
+        self.triples, self.lines = ts, lines
 
     @classmethod
-    def _of(cls, vs, ts, lines) -> "Polygon2":
-        """The polygon on the points vs, already strictly convex and
-        counterclockwise, with their lifted triples ts and edge lines: no
-        lift and no check."""
+    def _of(cls, ts, lines) -> "Polygon2":
+        """The polygon on the lifted triples ts, already strictly convex
+        and counterclockwise, with their edge lines: no lift and no
+        check."""
         poly = cls.__new__(cls)
-        poly.vertices, poly.triples, poly.lines = vs, ts, lines
+        poly.triples, poly.lines = ts, lines
         return poly
 
     @classmethod
     def from_points(cls, points) -> "Polygon2":
-        vs, ts = _hull(_lifted(points))
-        return cls._of(vs, ts, _edge_lines(ts))
+        """The convex hull of the points; ValueError when they lie on one
+        line."""
+        return cls._hull_of(_lifted(points))
+
+    @classmethod
+    def _hull_of(cls, ts) -> "Polygon2":
+        """The polygon of the hull of distinct lifted triples."""
+        ts = _hull(ts)
+        if len(ts) < 3:
+            raise ValueError("points lie on one line; a polygon needs three not on a line")
+        return cls._of(ts, _edge_lines(ts))
 
     @classmethod
     def triangle(cls, a: Point, b: Point, c: Point) -> "Polygon2":
@@ -224,19 +221,16 @@ class Polygon2:
         a, b, c = ((to_fraction(x), to_fraction(y)) for (x, y) in (a, b, c))
         return cls([a, b, c] if side(a, b, c) >= 0 else [a, c, b])
 
+    @cached_property
+    def vertices(self) -> list:
+        return [_point(t) for t in self.triples]
+
     @property
     def n(self) -> int:
-        return len(self.vertices)
-
-    def is_degenerate(self) -> bool:
-        return self.n < 3
+        return len(self.triples)
 
     def contains_point(self, p: Point) -> bool:
-        p = (to_fraction(p[0]), to_fraction(p[1]))
-        if self.n < 3:  # on the point or segment: on its line and in its box
-            a, b = self.vertices[0], self.vertices[-1]
-            return side(a, b, p) == 0 and all(min(a[k], b[k]) <= p[k] <= max(a[k], b[k]) for k in (0, 1))
-        return _within(self.lines, (_lift(p),))
+        return _within(self.lines, (_lift((to_fraction(p[0]), to_fraction(p[1]))),))
 
     def bounding_box(self):
         xs = [v[0] for v in self.vertices]
@@ -244,7 +238,7 @@ class Polygon2:
         return (min(xs), min(ys), max(xs), max(ys))
 
     def __eq__(self, other):
-        return isinstance(other, Polygon2) and set(self.vertices) == set(other.vertices)
+        return isinstance(other, Polygon2) and set(self.triples) == set(other.triples)
 
     def __repr__(self):
         return f"Polygon2({self.vertices!r})"
@@ -252,7 +246,7 @@ class Polygon2:
 
 def contains(outer: Polygon2, inner: Polygon2) -> bool:
     """Exact test that every vertex of inner lies in outer."""
-    return all(outer.contains_point(v) for v in inner.vertices)
+    return _within(outer.lines, inner.triples)
 
 
 def polygon_from_halfplanes(lines) -> Polygon2:
@@ -261,8 +255,8 @@ def polygon_from_halfplanes(lines) -> Polygon2:
     facets' own lines, divided by their gcd.
 
     Raises TypeError for a coefficient that is not an int, ValueError for
-    a zero normal or an empty intersection, and UnboundedRegionError when
-    the recession cone is nontrivial.
+    a zero normal or an intersection that is empty, a point or a segment,
+    and UnboundedRegionError when the recession cone is nontrivial.
     """
     lines = list(lines)
     for line in lines:
@@ -273,8 +267,8 @@ def polygon_from_halfplanes(lines) -> Polygon2:
             raise ValueError("half-plane normal must be nonzero")
     if not lines:
         raise UnboundedRegionError("no constraints")
-    edges, point = _clip(list(dict.fromkeys(map(_primitive, lines))))
-    if edges is None or not (edges or point):
+    edges = _clip(list(dict.fromkeys(map(_primitive, lines))))
+    if edges is None or len(edges) < 3:
         # nontrivial recession direction: d != 0 with all normals . d >= 0;
         # if one exists, some extreme candidate (a rotated normal) works
         for _, cx, cy in lines:
@@ -282,9 +276,7 @@ def polygon_from_halfplanes(lines) -> Polygon2:
                 d = (-s * cy, s * cx)
                 if all(nx * d[0] + ny * d[1] >= 0 for _, nx, ny in lines):
                     raise UnboundedRegionError(f"region is unbounded in direction {d}")
-        raise ValueError("intersection of half-planes is empty")
-    if not edges:
-        return Polygon2._of([_point(point)], [point], [])
+        raise ValueError("intersection of half-planes is empty, a point or a segment")
     # the edges chain counterclockwise; start at the least vertex by x, then y
     t = first = min(edges, key=cmp_to_key(_lex))
     ts, facets = [], []
@@ -293,16 +285,15 @@ def polygon_from_halfplanes(lines) -> Polygon2:
         ts.append(t)
         facets.append(line)
         t = end
-    return Polygon2._of([_point(t) for t in ts], ts, facets if len(ts) >= 3 else [])
+    return Polygon2._of(ts, facets)
 
 
 def _clip(lines):
     """Each distinct primitive line clipped by all the others, on triples:
-    (edges, point).  ``edges`` maps the start of each edge of positive
-    length, a lowest-terms triple, to (its line, its end), and ``point``
-    is a point of the region when some line touches it in one point, else
-    None; ``edges`` is None when some line meets the region in an
-    unbounded set, so that the region is unbounded.
+    a dict that maps the start of each edge of positive length, a
+    lowest-terms triple, to (its line, its end); None when some line meets
+    the region in an unbounded set, so that the region is unbounded.  A
+    two-dimensional region has three edges or more.
 
     Line i runs along d = (cy, -cx) with its inside on the left.  Another
     line j meets it in cross(line_i, line_j) = (w, x, y), a lower bound
@@ -310,7 +301,7 @@ def _clip(lines):
     of two bounds of one kind the tighter is the one the other violates.
     A parallel line j (w = 0) holds on all of line i or on none of it, as
     (x, y).d >= 0 or not."""
-    edges, point = {}, None
+    edges = {}
     for li in lines:
         lo = hi = hi_line = None
         for lj in lines:
@@ -328,13 +319,10 @@ def _clip(lines):
                 hi, hi_line = (w, x, y), lj
         else:
             if lo is None or hi is None:
-                return None, None
-            s = _dot(hi_line, lo)  # lo precedes hi, meets it, or passes it
-            if s > 0:
+                return None
+            if _dot(hi_line, lo) > 0:  # lo precedes hi, rather than meets or passes it
                 edges[_normalized(*lo)] = (li, _normalized(*hi))
-            elif s == 0:
-                point = _normalized(*lo)
-    return edges, point
+    return edges
 
 
 @dataclass
@@ -364,7 +352,7 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
     its row and one of its column, so it has that value's sign and zeros:
     entry-wise nonnegative exactly when P is contained in Q."""
     lines = pair.outer_lines or pair.outer.lines
-    gens = [_lift(g) for g in pair.inner_generators or pair.inner.vertices]
+    gens = [_lift(g) for g in pair.inner_generators] or pair.inner.triples
     return ExactMatrix([[_dot(line, g) for g in gens] for line in lines])
 
 
@@ -390,16 +378,15 @@ def _pair_of_factors(rows, cols) -> NestedPair:
     denominator in lowest terms, so the row n/d of A has the integer line
     n.  A row whose normal vanishes is trivially satisfied when its
     constant is nonnegative and gives no line.  P is the hull of the
-    columns' triples."""
-    gens, points = [], {}
+    columns' triples; ValueError when they lie on one line."""
+    gens, points = [], set()
     for j, ((w, y, z), d) in enumerate(cols, 1):
         if w == y == z == 0:
             continue
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {Fraction(w, d)}")
-        g = (Fraction(y, w), Fraction(z, w))
-        gens.append(g)
-        points[_normalized(w, y, z)] = g
+        gens.append((Fraction(y, w), Fraction(z, w)))
+        points.add(_normalized(w, y, z))
     lines = []
     for n, d in rows:
         if n[1] or n[2]:
@@ -407,8 +394,7 @@ def _pair_of_factors(rows, cols) -> NestedPair:
         elif n[0] < 0:
             raise ValueError(f"row {tuple(Fraction(c, d) for c in n)} is infeasible on the slice")
     outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
-    vs, ts = _hull(points)
-    return NestedPair(Polygon2._of(vs, ts, _edge_lines(ts)), outer, gens, lines, {"a": rows, "b": cols})
+    return NestedPair(Polygon2._hull_of(points), outer, gens, lines, {"a": rows, "b": cols})
 
 
 def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
@@ -437,13 +423,9 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
 def tangent_vertex(v: Point, poly: Polygon2) -> Point:
     """Vertex t of poly such that the directed line v -> t keeps the whole
     polygon on its closed left side; ties along the line resolved to the
-    farthest vertex.  v may lie on the polygon but not coincide with the
-    only vertex."""
-    v, ts = _lift(v), poly.triples
-    # a point or a segment keeps no lines; t_i x t_i+1 is then zero or the
-    # segment's line in both directions
-    lines = poly.lines or [cross(t, u) for t, u in zip(ts, ts[1:] + ts[:1])]
-    i = _tangent(v, ts, _at(lines, v))
+    farthest vertex.  v may lie on the polygon."""
+    v = _lift(v)
+    i = _tangent(v, poly.triples, _at(poly.lines, v))
     if i is None:
         raise ValueError("no tangent vertex; is the point inside the polygon?")
     return poly.vertices[i]
@@ -508,8 +490,7 @@ def _verified(candidate, ps, lines):
     a, b, c = candidate
     ab, bc, ca = cross(a, b), cross(b, c), cross(c, a)
     if _dot(a, bc) > 0 and _within(lines, (c, a, b)) and _within((ca, ab, bc), ps):
-        return Polygon2._of([_point(a), _point(b), _point(c)], [a, b, c],
-                            [_primitive(ab), _primitive(bc), _primitive(ca)])
+        return Polygon2._of([a, b, c], [_primitive(ab), _primitive(bc), _primitive(ca)])
     return None
 
 
@@ -527,8 +508,6 @@ def nested_triangle(pair: NestedPair):
     tangent to P is read from the values of P's edge lines at its point.
     """
     inner, outer = pair.inner, pair.outer
-    if outer.is_degenerate():
-        raise ValueError("outer polygon must be two-dimensional")
     ps, lines = inner.triples, outer.lines
     slack = [_at(lines, p) for p in ps]
     if min(map(min, slack)) < 0:
@@ -538,14 +517,6 @@ def nested_triangle(pair: NestedPair):
         return inner
     if outer.n == 3:
         return outer
-    if inner.n < 3:
-        # P lies on the chord of Q through a and b, and any vertex of Q off
-        # that chord closes a triangle around it
-        a, la = ps[0], slack[0]
-        b, lb = (ps[1], slack[1]) if inner.n == 2 else next((q, _at(lines, q)) for q in outer.triples if q != a)
-        u, v = _exit(a, b, la, lb), _exit(b, a, lb, la)
-        w = next(q for q in outer.triples if _dot(u, cross(v, q)))
-        return Polygon2.triangle(_point(u), _point(v), _point(w))
 
     # side anchored on a line containing an edge of P
     n, edges = inner.n, inner.lines

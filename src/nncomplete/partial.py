@@ -213,10 +213,10 @@ class SupportGraph:
     edges: frozenset
     nonzero_edges: frozenset
 
-    def components(self, nonzero_only: bool = False):
-        """Connected components as sets of vertices ('r', i) / ('c', j).
-        All p + q vertices are included, isolated ones as singletons."""
-        edges = self.nonzero_edges if nonzero_only else self.edges
+    def components(self):
+        """Connected components of the nonzero edges as sets of vertices
+        ('r', i) / ('c', j).  All p + q vertices are included, isolated
+        ones as singletons."""
         parent = {}
 
         def find(v):
@@ -234,7 +234,7 @@ class SupportGraph:
             parent[("r", i)] = ("r", i)
         for j in range(1, self.q + 1):
             parent[("c", j)] = ("c", j)
-        for (i, j) in edges:
+        for (i, j) in self.nonzero_edges:
             union(("r", i), ("c", j))
         comps = {}
         for v in parent:
@@ -242,7 +242,7 @@ class SupportGraph:
         return list(comps.values())
 
     def nonzero_is_connected(self) -> bool:
-        return len(self.components(nonzero_only=True)) == 1
+        return len(self.components()) == 1
 
 
 def support_graph(m: PartialMatrix) -> SupportGraph:
@@ -303,7 +303,7 @@ def multiplicative_potentials(m: PartialMatrix, graph: SupportGraph):
         adj.setdefault(("c", j), []).append((("r", i), m.entry(i, j)))
     row_pot, col_pot = {}, {}
     consistent = True
-    for comp in graph.components(nonzero_only=True):
+    for comp in graph.components():
         root = min(comp)
         pot = {root: Fraction(1)}
         stack = [root]
@@ -333,7 +333,7 @@ def _zero_edge_digraph_has_cycle(m: PartialMatrix, graph: SupportGraph) -> bool:
     self-loop corresponds to a cycle with a single zero edge).
     """
     comp_of = {}
-    for idx, comp in enumerate(graph.components(nonzero_only=True)):
+    for idx, comp in enumerate(graph.components()):
         for v in comp:
             comp_of[v] = idx
     arcs = {}

@@ -40,8 +40,8 @@ def render_nested_pair(pair: NestedPair, triangle: Polygon2 | None = None) -> st
     x0, y0, x1, y1 = pair.outer.bounding_box()
     w = x1 - x0
     h = y1 - y0
-    pad_x = w / 10 if w else Fraction(1, 10)
-    pad_y = h / 10 if h else Fraction(1, 10)
+    pad_x = w / 10
+    pad_y = h / 10
     vb_x = x0 - pad_x
     vb_y = -(y1 + pad_y)  # flipped axis
     vb_w = w + 2 * pad_x

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nncomplete import ExactMatrix, PartialMatrix, Pattern, matmul, parse_partial
+from nncomplete import ExactMatrix, PartialMatrix, Pattern, Polygon2, convex_hull, matmul, parse_partial
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,6 +59,14 @@ def two_missing_diagonal():
 
 def rnd_fraction(rng, lo=0, hi=12, den=6) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def drawn_polygon(draw) -> Polygon2:
+    """The hull of the points that draw() returns, drawn again until they
+    span a polygon: a polygon is two-dimensional."""
+    while len(convex_hull(pts := draw())) < 3:
+        pass
+    return Polygon2.from_points(pts)
 
 
 def rnd_pattern(rng, p, q, keep=None) -> Pattern:

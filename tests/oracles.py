@@ -39,8 +39,8 @@ from nncomplete import (
 )
 from nncomplete.family import _family_stages
 from nncomplete.geometry import (
-    NestedPair, Polygon2, UnboundedRegionError, contains, cross, join, nested_triangle, polygon_from_halfplanes,
-    side,
+    NestedPair, Polygon2, UnboundedRegionError, contains, convex_hull, cross, join, nested_triangle,
+    polygon_from_halfplanes, side,
 )
 from nncomplete.linalg import integer_scaled, pivot_columns, solve_linear
 from nncomplete.partial import ZeroLineFlags, multiplicative_potentials
@@ -315,7 +315,7 @@ def rank1_complete_by_cycle_property(m: PartialMatrix, require_nonnegative: bool
     graph = support_graph(m)
     if graph.nonzero_is_connected():
         return CompletionOutcome("unique", completion)
-    free = len(graph.components(nonzero_only=True)) - 1
+    free = len(graph.components()) - 1
     return CompletionOutcome(
         "infinite",
         completion,
@@ -1040,19 +1040,12 @@ def nested_triangle_by_fractions(pair: NestedPair):
     `chord_exit_by_fractions`, the closing point a `meet` of two `join`s,
     and a candidate is kept when `verify_triangle` passes."""
     inner, outer = pair.inner, pair.outer
-    if outer.is_degenerate():
-        raise ValueError("outer polygon must be two-dimensional")
     if not all(contains_point_by_edges(outer, p) for p in inner.vertices):
         raise ValueError("inner polygon is not contained in the outer polygon")
     if inner.n == 3:
         return inner
     if outer.n == 3:
         return outer
-    if inner.n < 3:
-        a = inner.vertices[0]
-        b = inner.vertices[1] if inner.n == 2 else next(q for q in outer.vertices if q != a)
-        u, v = chord_exit_by_fractions(a, b, outer), chord_exit_by_fractions(b, a, outer)
-        return Polygon2.triangle(u, v, next(q for q in outer.vertices if orient(u, v, q)))
     vs, n = inner.vertices, inner.n
 
     def tangent(v):
@@ -1095,7 +1088,8 @@ def polygon_from_halfplanes_by_fractions(lines) -> Polygon2:
     normal that every normal meets at a nonnegative angle is a recession
     direction, printed as integers; the vertices are the pairwise line
     intersections by Cramer's rule that satisfy every half-plane, all in
-    Fraction arithmetic."""
+    Fraction arithmetic, and a region whose hull has fewer than three of
+    them is refused."""
     lines = list(lines)
     hps = [HalfPlane(*line) for line in lines]
     if not hps:
@@ -1113,8 +1107,8 @@ def polygon_from_halfplanes_by_fractions(lines) -> Polygon2:
             p = ((-a.c0 * b.cy + b.c0 * a.cy) / denom, (-a.cx * b.c0 + b.cx * a.c0) / denom)
             if all(h.value(p) >= 0 for h in hps):
                 verts.append(p)
-    if not verts:
-        raise ValueError("intersection of half-planes is empty")
+    if not verts or len(convex_hull(verts)) < 3:
+        raise ValueError("intersection of half-planes is empty, a point or a segment")
     return Polygon2.from_points(verts)
 
 
@@ -1368,8 +1362,7 @@ def _decide_one_orientation(canon: PartialMatrix, tag: str) -> Nn3Certificate:
 
 
 # ---------------------------------------------------------------------------
-# the separate rank-1 and rank-2 builders, and the triangles for a point or
-# segment P found by a fan and by the anchored chains
+# the separate rank-1 and rank-2 builders
 
 
 def nonneg_rank1_factors(m: ExactMatrix):
@@ -1420,48 +1413,3 @@ def low_rank_witness_by_builders(m: ExactMatrix):
     else:
         a, b = nonneg_rank2_factorization(m)
     return a.hstack(ExactMatrix.zeros(m.p, 3 - a.q)), b.vstack(ExactMatrix.zeros(3 - b.p, m.q))
-
-
-def triangle_around_point_by_fan(p, outer: Polygon2):
-    """The first triangle of the fan of Q around its first vertex that
-    contains the point p, or None."""
-    q0 = outer.vertices[0]
-    for q1, q2 in zip(outer.vertices[1:], outer.vertices[2:]):
-        tri = Polygon2.triangle(q0, q1, q2)
-        if verify_triangle(NestedPair(Polygon2([p]), tri), tri):
-            return tri
-    return None
-
-
-def triangle_around_segment_by_chains(inner: Polygon2, outer: Polygon2):
-    """The anchored greedy chains for a segment P: a side on P's line in
-    each direction, then a vertex at each vertex of Q; the first nested
-    triangle, or None."""
-    a, b = inner.vertices
-
-    def nested(*corners):
-        if orient(*corners) == 0:
-            return None
-        tri = Polygon2.triangle(*corners)
-        return tri if verify_triangle(NestedPair(inner, outer), tri) else None
-
-    def advance(v):
-        t = tangent_vertex_brute(v, inner.vertices)
-        w = t and _ray_exit(v, (t[0] - v[0], t[1] - v[1]), outer.vertices)
-        return None if w is None or w == v else w
-
-    for u, w in ((a, b), (b, a)):
-        v1 = _ray_exit(u, (w[0] - u[0], w[1] - u[1]), outer.vertices)
-        v2 = advance(v1)
-        t3 = v2 and tangent_vertex_brute(v2, inner.vertices)
-        x = t3 and _lines_meet(v2, t3, u, v1)
-        tri = x and nested(v1, v2, x)
-        if tri:
-            return tri
-    for q in outer.vertices:
-        v1 = advance(q)
-        v2 = v1 and advance(v1)
-        tri = v2 and nested(q, v1, v2)
-        if tri:
-            return tri
-    return None

@@ -33,7 +33,7 @@ from nncomplete import (
 )
 from nncomplete.cli import main as cli_main
 
-from conftest import DATA, GOLDEN, restrict, rnd_pattern, rnd_rank1_nonneg
+from conftest import DATA, GOLDEN, drawn_polygon, restrict, rnd_pattern, rnd_rank1_nonneg
 from oracles import (
     nmf_residual,
     one_missing_by_minors,
@@ -271,28 +271,24 @@ def test_acceptance_property_suites():
         return F(rng.randint(lo, hi), rng.randint(1, 6))
 
     def rnd_poly(k):
-        return Polygon2.from_points([(rnd_f(), rnd_f()) for _ in range(k)])
+        return drawn_polygon(lambda: [(rnd_f(), rnd_f()) for _ in range(k)])
+
+    def combination(outer):
+        ws = [F(rng.randint(0, 5)) for _ in outer.vertices]
+        s = sum(ws) or F(1)
+        ws = [w / s for w in ws] if sum(ws) else [F(1)] + [F(0)] * (len(ws) - 1)
+        return (
+            sum(w * v[0] for w, v in zip(ws, outer.vertices)),
+            sum(w * v[1] for w, v in zip(ws, outer.vertices)),
+        )
 
     grid_checked = 0
     for i in range(500):
         outer = rnd_poly(rng.randint(3, 7))
-        while outer.is_degenerate():
-            outer = rnd_poly(rng.randint(3, 7))
         if rng.random() < 0.6:
-            pts = []
-            for _ in range(rng.randint(1, 6)):
-                ws = [F(rng.randint(0, 5)) for _ in outer.vertices]
-                s = sum(ws) or F(1)
-                ws = [w / s for w in ws] if sum(ws) else [F(1)] + [F(0)] * (len(ws) - 1)
-                pts.append(
-                    (
-                        sum(w * v[0] for w, v in zip(ws, outer.vertices)),
-                        sum(w * v[1] for w, v in zip(ws, outer.vertices)),
-                    )
-                )
-            inner = Polygon2.from_points(pts)
+            inner = drawn_polygon(lambda: [combination(outer) for _ in range(rng.randint(3, 6))])
         else:
-            inner = rnd_poly(rng.randint(1, 6))
+            inner = rnd_poly(rng.randint(3, 6))
         pair = NestedPair(inner, outer)
         nested = contains(outer, inner)
         assert slack_matrix(pair).is_nonnegative() == nested

@@ -32,7 +32,7 @@ import nncomplete.geometry
 import nncomplete.linalg
 from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, side
 
-from conftest import rnd_fraction, rnd_nonneg_product
+from conftest import drawn_polygon, rnd_fraction, rnd_nonneg_product
 from oracles import (
     _lines_meet,
     bounded_nested_pair_by_fractions,
@@ -50,8 +50,6 @@ from oracles import (
     rotation_grid_triangle,
     slack_by_fractions,
     tangent_vertex_brute,
-    triangle_around_point_by_fan,
-    triangle_around_segment_by_chains,
     triangle_to_factorization_by_fractions,
     verify_triangle,
 )
@@ -64,28 +62,26 @@ def rnd_point(rng, lo=-8, hi=8):
 
 
 def rnd_polygon(rng, k, lo=-8, hi=8) -> Polygon2:
-    return Polygon2.from_points([rnd_point(rng, lo, hi) for _ in range(k)])
+    """The hull of k >= 3 random points, drawn until they span a polygon."""
+    return drawn_polygon(lambda: [rnd_point(rng, lo, hi) for _ in range(k)])
 
 
 def rnd_nested_pair(rng) -> NestedPair:
     """Inner polygon from random convex combinations of the outer's
     vertices; nesting holds by construction."""
     outer = rnd_polygon(rng, rng.randint(3, 8))
-    while outer.is_degenerate():
-        outer = rnd_polygon(rng, rng.randint(3, 8))
-    pts = []
-    for _ in range(rng.randint(1, 6)):
+
+    def combination():
         weights = [Fraction(rng.randint(0, 5)) for _ in outer.vertices]
         if sum(weights) == 0:
             weights[0] = Fraction(1)
         s = sum(weights)
-        pts.append(
-            (
-                sum(w * v[0] for w, v in zip(weights, outer.vertices)) / s,
-                sum(w * v[1] for w, v in zip(weights, outer.vertices)) / s,
-            )
+        return (
+            sum(w * v[0] for w, v in zip(weights, outer.vertices)) / s,
+            sum(w * v[1] for w, v in zip(weights, outer.vertices)) / s,
         )
-    return NestedPair(Polygon2.from_points(pts), outer)
+
+    return NestedPair(drawn_polygon(lambda: [combination() for _ in range(rng.randint(3, 6))]), outer)
 
 
 def in_sum_chart(a, b) -> tuple:
@@ -155,7 +151,7 @@ class TestLineHelpers:
 class TestTangentVertex:
     @settings(max_examples=400, deadline=None)
     @given(
-        st.lists(small_point, min_size=1, max_size=8),
+        st.lists(small_point, min_size=3, max_size=8).filter(lambda pts: len(convex_hull(pts)) >= 3),
         small_point,
         st.integers(0, 7),
         st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
@@ -175,7 +171,6 @@ class TestTangentVertex:
         else:  # a + k*(b - a): k in [0, 1] on the edge, k > 1 past b, k < 0 before a
             k = {"edge": min(lam, Fraction(1)), "beyond": Fraction(8, 7) + lam, "before": -Fraction(1, 7) - lam}[where]
             v = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
-        assume(not (poly.n == 1 and v == vs[0]))
         expected = tangent_vertex_brute(v, vs)
         if expected is None:
             with pytest.raises(ValueError):
@@ -193,12 +188,26 @@ class TestHullAndPolygon:
         assert convex_hull([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
         assert convex_hull([(1, 1), (1, 1)]) == [(1, 1)]
 
-    def test_containment_degenerate_cases(self):
-        seg = Polygon2([(0, 0), (2, 2)])
-        assert seg.contains_point((1, 1))
-        assert not seg.contains_point((1, 0))
-        point = Polygon2([(3, 3)])
-        assert point.contains_point((3, 3))
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Polygon2([(3, 3)]), "polygon needs at least three vertices"),
+        (lambda: Polygon2([(0, 0), (2, 2)]), "polygon needs at least three vertices"),
+        (lambda: Polygon2([(0, 0), (1, 1), (2, 2)]), "vertices must be strictly convex and counterclockwise"),
+        (lambda: Polygon2.from_points([(0, 0), (2, 2), (1, 1), (2, 2)]), "points lie on one line"),
+        (lambda: Polygon2.from_points([(1, 1), (1, 1)]), "points lie on one line"),
+        (lambda: polygon_from_halfplanes([(0, 1, 0), (0, 0, 1), (0, -1, -1)]),
+         "intersection of half-planes is empty, a point or a segment"),
+        (lambda: polygon_from_halfplanes([(0, 1, 0), (0, -1, 0), (0, 0, 1), (1, 0, -1)]),
+         "intersection of half-planes is empty, a point or a segment"),
+    ], ids=["one-vertex", "two-vertices", "collinear-vertices", "collinear-points", "coincident-points",
+            "point-region", "segment-region"])
+    def test_polygon_is_two_dimensional(self, build, message):
+        """A polygon has three vertices not on one line: fewer vertices,
+        points on one line and a region that is a point or a segment are
+        refused with a one-line ValueError, while `convex_hull` still
+        collapses such points."""
+        with pytest.raises(ValueError, match=f"^{message}") as info:
+            build()
+        assert "\n" not in str(info.value)
 
     def test_rejects_non_convex_order(self):
         with pytest.raises(ValueError):
@@ -227,8 +236,8 @@ class TestHullAndPolygon:
         """The facet-sign test agrees with one `side` test per edge at the
         vertices, the edge midpoints and points just off each edge: just
         inside and just outside the polygon."""
+        assume(len(convex_hull(pts)) >= 3)
         poly = Polygon2.from_points(pts)
-        assume(not poly.is_degenerate())
         eps = Fraction(1, 10**6)
         probes = [(v, True) for v in poly.vertices]
         for (a, b) in edges(poly):
@@ -259,8 +268,6 @@ class TestHalfPlanes:
     def test_polygon_round_trip(self, rng):
         for _ in range(60):
             poly = rnd_polygon(rng, rng.randint(3, 7))
-            if poly.is_degenerate():
-                continue
             back = polygon_from_halfplanes(poly.lines)
             assert back == poly
 
@@ -297,12 +304,10 @@ class TestSlackMatrix:
         nested = separated = 0
         for _ in range(500):
             outer = rnd_polygon(rng, rng.randint(3, 7))
-            if outer.is_degenerate():
-                continue
             if rng.random() < 0.5:
                 pair = rnd_nested_pair(rng)
             else:
-                pair = NestedPair(rnd_polygon(rng, rng.randint(1, 6)), outer)
+                pair = NestedPair(rnd_polygon(rng, rng.randint(3, 6)), outer)
             ok = contains(pair.outer, pair.inner)
             slack_ok = slack_matrix(pair).is_nonnegative()
             assert ok == slack_ok
@@ -313,7 +318,7 @@ class TestSlackMatrix:
 
     def test_lines_up_with_factorization(self):
         a = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-        b = ExactMatrix([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
+        b = ExactMatrix([[2, 0, 1], [0, 2, 1], [2, 2, 1]])  # independent columns: P is a triangle
         pair = polytopes_from_factorization(*in_sum_chart(a, b))
         s = slack_matrix(pair)
         # the all-ones row of A is trivially satisfied on the sum slice and
@@ -350,10 +355,10 @@ class TestPolytopesFromFactorization:
 
     def test_zero_column_gives_no_point(self):
         a = ExactMatrix.identity(3)
-        b = ExactMatrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+        b = ExactMatrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         pair = polytopes_from_factorization(*in_sum_chart(a, b))
-        assert pair.inner_generators == [(1, 0), (0, 1)]
-        assert slack_matrix(pair).shape == (3, 2)
+        assert pair.inner_generators == [(1, 0), (0, 1), (0, 0)]
+        assert slack_matrix(pair).shape == (3, 3)
 
 
 class TestNestedTriangle:
@@ -388,51 +393,6 @@ class TestNestedTriangle:
         inner = Polygon2([(1, 1), (3, 1), (2, 3)])
         tri = nested_triangle(NestedPair(inner, outer))
         assert set(tri.vertices) == set(inner.vertices)
-
-    def test_point_inner(self):
-        outer = Polygon2([(0, 0), (4, 0), (4, 4), (0, 4)])
-        tri = nested_triangle(NestedPair(Polygon2([(2, 2)]), outer))
-        assert tri is not None and tri.contains_point((2, 2))
-
-    def test_point_or_segment_gets_a_chord_triangle(self, rng):
-        """A point or segment P lies on a chord of Q, and the chord with a
-        vertex of Q off it is a nested triangle.  P's ends are drawn at
-        vertices of Q, on its edges and inside it, so P at a vertex, P on
-        an edge and P spanning a whole chord all occur; the fan and the
-        anchored chains of the references find a nested triangle too."""
-        kinds = set()
-        for _ in range(300):
-            outer = rnd_polygon(rng, rng.randint(4, 8))
-            if outer.is_degenerate():
-                continue
-            vs = outer.vertices
-
-            def draw():
-                kind = rng.choice(["vertex", "edge", "inside"])
-                i = rng.randrange(len(vs))
-                if kind == "vertex":
-                    return kind, vs[i]
-                if kind == "edge":
-                    s = Fraction(rng.randint(1, 9), 10)
-                    a, b = vs[i], vs[(i + 1) % len(vs)]
-                    return kind, (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
-                weights = [rng.randint(1, 4) for _ in vs]
-                return kind, tuple(sum(w * v[c] for w, v in zip(weights, vs)) / sum(weights) for c in (0, 1))
-
-            (k1, p1), (k2, p2) = draw(), draw()
-            inner = Polygon2.from_points([p1] if rng.random() < 0.4 else [p1, p2])
-            pair = NestedPair(inner, outer)
-            tri = nested_triangle(pair)
-            assert tri is not None and verify_triangle(pair, tri)
-            if inner.n == 1:
-                ref = triangle_around_point_by_fan(inner.vertices[0], outer)
-                kinds.add(("point", k1))
-            else:
-                ref = triangle_around_segment_by_chains(inner, outer)
-                kinds.add(("segment", "chord" if "inside" not in (k1, k2) else "inside"))
-            assert ref is not None and verify_triangle(pair, ref)
-        assert kinds >= {("point", "vertex"), ("point", "edge"), ("point", "inside"),
-                         ("segment", "chord"), ("segment", "inside")}
 
     def test_tight_square_in_square_has_none(self):
         # inner square with vertices at the edge midpoints of the outer:
@@ -682,10 +642,8 @@ class TestIntegerKernelsAgainstFractionOracles:
 
     def test_chord_exit_on_random_polygons(self, rng):
         for trial in range(300):
-            outer = Polygon2.from_points([rnd_big_point(rng) if trial % 2 else rnd_point(rng)
-                                          for _ in range(rng.randint(3, 8))])
-            if outer.is_degenerate():
-                continue
+            outer = drawn_polygon(lambda: [rnd_big_point(rng) if trial % 2 else rnd_point(rng)
+                                           for _ in range(rng.randint(3, 8))])
             vs = outer.vertices
             weights = [rng.randint(0, 3) for _ in vs]
             weights[rng.randrange(len(vs))] += 1
@@ -698,9 +656,7 @@ class TestIntegerKernelsAgainstFractionOracles:
 
     def test_chord_exit_on_int_points(self, rng):
         for _ in range(200):
-            outer = Polygon2.from_points([(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)])
-            if outer.is_degenerate():
-                continue
+            outer = drawn_polygon(lambda: [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)])
             v = next((x, y) for x in range(-9, 10) for y in range(-9, 10) if outer.contains_point((x, y)))
             towards = (rng.randint(-9, 9), rng.randint(-9, 9))
             assert kernel_outcome(chord_exit, v, towards, outer) == kernel_outcome(
@@ -737,29 +693,30 @@ class TestIntegerKernelsAgainstFractionOracles:
         """The facet lines of random polygons, scaled, with lines through a
         vertex added: a supporting line that touches only there, a line
         that cuts the polygon there, and the reverse of a facet or of the
-        supporting line, which leave a segment or a point."""
+        supporting line, which leave a segment or a point and are
+        refused."""
         kinds = set()
         for trial in range(300):
-            poly = rnd_polygon(rng, rng.randint(3, 7)) if trial % 2 else Polygon2.from_points(
-                [rnd_big_point(rng) for _ in range(rng.randint(3, 6))])
-            if poly.is_degenerate():
-                continue
+            poly = rnd_polygon(rng, rng.randint(3, 7)) if trial % 2 else drawn_polygon(
+                lambda: [rnd_big_point(rng) for _ in range(rng.randint(3, 6))])
             lines = [tuple(k * c for c in line) for k, line in zip([rng.randint(1, 5) for _ in poly.lines], poly.lines)]
             i = rng.randrange(poly.n)
             a, b = rng.randint(1, 4), rng.randint(1, 4)
             touching = tuple(a * x + b * y for x, y in zip(poly.lines[i - 1], poly.lines[i]))
             lines.append(touching)
-            lines.append(rng.choice([
-                tuple(a * x - b * y for x, y in zip(poly.lines[i - 1], poly.lines[i])),  # cuts at vertex i
-                tuple(-c for c in poly.lines[i]),  # leaves edge i
-                tuple(-c for c in touching),  # leaves vertex i
-                touching,
-            ]))
+            kind, extra = rng.choice([
+                ("cut", tuple(a * x - b * y for x, y in zip(poly.lines[i - 1], poly.lines[i]))),  # at vertex i
+                ("segment", tuple(-c for c in poly.lines[i])),  # leaves edge i
+                ("point", tuple(-c for c in touching)),  # leaves vertex i
+                ("touching", touching),
+            ])
+            lines.append(extra)
             rng.shuffle(lines)
             got = kernel_outcome(polygon_from_halfplanes, lines)
             assert got == kernel_outcome(polygon_from_halfplanes_by_fractions, lines)
-            kinds.add(got if isinstance(got, tuple) else min(polygon_from_halfplanes(lines).n, 3))
-        assert kinds == {1, 2, 3}, kinds
+            kinds.add((kind, "polygon" if isinstance(got, str) else got))
+        refused = (ValueError, "intersection of half-planes is empty, a point or a segment")
+        assert kinds == {("cut", "polygon"), ("touching", "polygon"), ("segment", refused), ("point", refused)}, kinds
 
     @pytest.mark.parametrize("lines", [
         [],
@@ -807,7 +764,7 @@ class TestIntegerKernelsAgainstFractionOracles:
         """The search on integer triples returns the reference's triangle,
         vertex for vertex, or None with it: on the planted and n-gon pairs
         of the nnrank3 corpus at both corpus seeds and on random nested
-        pairs, whose inner polygon may be a point or a segment."""
+        pairs, whose inner polygon may be a triangle."""
         monkeypatch.syspath_prepend(str(BENCH))
         import corpus
 
@@ -818,7 +775,7 @@ class TestIntegerKernelsAgainstFractionOracles:
         for pair in pairs:
             got = kernel_outcome(nested_triangle, pair)
             assert got == kernel_outcome(nested_triangle_by_fractions, pair)
-            outcomes.append((got == "None", pair.inner.n < 3))
+            outcomes.append((got == "None", pair.inner.n == 3))
         assert set(outcomes) == {(True, False), (False, False), (False, True)}
 
 
@@ -850,16 +807,22 @@ class TestSearchOnIntegerTriples:
         assert nested_triangle(pair) is None
         assert fractions_made(nested_triangle, pair) == 0
 
+    def test_found_triangle_builds_no_fraction(self, unique_nmf_matrix):
+        """A polygon keeps its triples: the triangle the search returns
+        builds its Fraction vertices on first read, and only once."""
+        pair = bounded_nested_pair(unique_nmf_matrix)
+        assert fractions_made(nested_triangle, pair) == 0
+        tri = nested_triangle(pair)
+        assert fractions_made(lambda: tri.vertices) == 6
+        assert fractions_made(lambda: tri.vertices) == 0
+
     def test_polygon_lines_are_the_facet_lines(self, rng):
         """Each edge's integer line is a positive multiple of its facet's,
         and primitive: the polygon of the facet lines, each scaled, keeps
         the same lines."""
         for trial in range(100):
-            poly = rnd_polygon(rng, rng.randint(3, 8)) if trial % 2 else Polygon2.from_points(
-                [rnd_big_point(rng) for _ in range(rng.randint(3, 8))])
-            if poly.is_degenerate():
-                assert poly.lines == []
-                continue
+            poly = rnd_polygon(rng, rng.randint(3, 8)) if trial % 2 else drawn_polygon(
+                lambda: [rnd_big_point(rng) for _ in range(rng.randint(3, 8))])
             for line, hp in zip(poly.lines, facets(poly)):
                 assert not any(cross(line, (hp.c0, hp.cx, hp.cy)))
                 assert _sign(line[1]) == _sign(hp.cx) and _sign(line[2]) == _sign(hp.cy)
@@ -869,10 +832,11 @@ class TestSearchOnIntegerTriples:
 
     def test_polygon_triples_are_lowest_terms(self, rng):
         for trial in range(200):
-            pts = [rnd_big_point(rng) if trial % 2 else rnd_point(rng) for _ in range(rng.randint(1, 7))]
             if trial % 5 == 0:
-                pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in pts]
-            poly = Polygon2.from_points(pts)
+                poly = drawn_polygon(lambda: [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(3, 7))])
+            else:
+                poly = drawn_polygon(lambda: [rnd_big_point(rng) if trial % 2 else rnd_point(rng)
+                                              for _ in range(rng.randint(3, 7))])
             assert len(poly.triples) == poly.n
             for (w, x, y), v in zip(poly.triples, poly.vertices):
                 assert w > 0 and gcd(w, x, y) == 1
