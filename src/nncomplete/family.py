@@ -9,11 +9,12 @@ and holes (1,1),(2,2) in different rows and columns, where one facet of
 the outer polygon and one vertex of the inner polygon move together.
 
 The parameter t enters exactly one entry, so every datum of a family is
-an affine pencil in t: the factor entries, over one denominator for A;
-the moving vertex, as a homogeneous triple; and each incidence of the
-moving vertex or facet with a fixed point or line.  Every critical t and
-every feasibility boundary is the root of an affine function, taken in
-closed form, so no polynomial arithmetic or root isolation is needed.
+an affine pencil in t: the factor entries, integers over one denominator
+for A and one scale for B; the moving vertex, as a homogeneous integer
+triple; and each incidence of the moving vertex or facet with a fixed
+point or line.  Every critical t and every feasibility boundary is the
+root of an affine function of integers, taken in closed form, so no
+polynomial arithmetic or root isolation is needed.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
-from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, solve_linear
+from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, solve_linear, to_fraction
 from .partial import PartialMatrix
 from .geometry import (
     SUM_CHART,
@@ -60,7 +62,7 @@ class Interval:
     hi_open: bool = False
 
     def contains(self, t: Fraction) -> bool:
-        t = Fraction(t)
+        t = to_fraction(t)
         if self.lo is not None and (t < self.lo or (self.lo_open and t == self.lo)):
             return False
         if self.hi is not None and (t > self.hi or (self.hi_open and t == self.hi)):
@@ -90,7 +92,20 @@ def _ratio_roots(n, d) -> list:
     (n0, n1), (d0, d1) = n, d
     if n0 * d1 == n1 * d0:
         return []
-    return [-Fraction(c0) / c1 for c0, c1 in (n, d) if c1]
+    return [Fraction(-c0, c1) for c0, c1 in (n, d) if c1]
+
+
+def _probe(lo, hi, gap) -> tuple:
+    """A point of a cell of the t-line as an integer pair (p, q), q > 0,
+    for t = p/q: the bound of a point cell, and for a gap its midpoint,
+    one past its finite end, or 0."""
+    if not gap:
+        return lo.numerator, lo.denominator
+    if lo is None:
+        return (0, 1) if hi is None else (hi.numerator - hi.denominator, hi.denominator)
+    if hi is None:
+        return lo.numerator + lo.denominator, lo.denominator
+    return lo.numerator * hi.denominator + hi.numerator * lo.denominator, 2 * lo.denominator * hi.denominator
 
 
 def feasible_set(constraints) -> list:
@@ -102,14 +117,17 @@ def feasible_set(constraints) -> list:
     sign or vanishes between consecutive ones, and one probe decides each
     cell: the result is a list of Interval objects covering the feasible
     set exactly.  A root of d stays a boundary point even where n/d
-    cancels to a constant, since n/d is undefined there.
+    cancels to a constant, since n/d is undefined there.  A probe t =
+    p/q is read as the integers (p, q), q > 0: n and d times q have the
+    signs of n and d there.
     """
-    bounds = sorted({-Fraction(c0) / c1 for nd in constraints for c0, c1 in nd if c1})
+    bounds = sorted({Fraction(-c0, c1) for nd in constraints for c0, c1 in nd if c1})
 
-    def ok(t):
+    def feasible(lo, hi, gap):
+        p, q = _probe(lo, hi, gap)
         for (n0, n1), (d0, d1) in constraints:
-            d = d0 + t * d1
-            if d == 0 or (n0 + t * n1) * d < 0:
+            d = d0 * q + d1 * p
+            if d == 0 or (n0 * q + n1 * p) * d < 0:
                 return False
         return True
 
@@ -120,9 +138,6 @@ def feasible_set(constraints) -> list:
         cells += [(lo, b, True), (b, b, False)]
         lo = b
     cells.append((lo, None, True))
-
-    def feasible(lo, hi, gap):
-        return ok(Interval(lo, hi, True, True).sample() if gap else lo)
 
     intervals = []
     for keep, run in itertools.groupby(cells, key=lambda cell: feasible(*cell)):
@@ -139,21 +154,36 @@ def feasible_set(constraints) -> list:
 # the two families
 
 
-def _at(pencil, t, den=1) -> list:
-    """The rows of (M0 + t*M1)/den for a matrix pencil (M0, M1)."""
-    m0, m1 = pencil
-    return [[(x + t * y) / den for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
+def _at(u, v, p: int, q: int) -> tuple:
+    """The triple pencil u + t*v at t = p/q, times q."""
+    return (u[0] * q + v[0] * p, u[1] * q + v[1] * p, u[2] * q + v[2] * p)
+
+
+def _lowest(n, d) -> tuple:
+    """The vector n/d, for an integer triple n and an integer d != 0, as
+    (n', d') in lowest terms with d' > 0."""
+    g = gcd(n[0], n[1], n[2], d)
+    if d < 0:
+        g = -g
+    return (n[0] // g, n[1] // g, n[2] // g), d // g
 
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _integers(*vectors) -> list:
-    """The vectors times the lcm of all their denominators: integer
-    tuples, with every ratio between two entries kept."""
-    ns = iter(integer_scaled([x for v in vectors for x in v])[0])
-    return [tuple(itertools.islice(ns, len(v))) for v in vectors]
+def _integers(*matrices) -> tuple:
+    """Matrices of Fractions, each a list of rows, times one positive
+    scale, the lcm of all their denominators: lists of integer rows, with
+    every ratio between two entries kept, then the scale."""
+    ns, scale = integer_scaled([x for rows in matrices for row in rows for x in row])
+    ns = iter(ns)
+    return (*([[next(ns) for _ in row] for row in rows] for rows in matrices), scale)
+
+
+def _point(p) -> tuple:
+    """The point (x/w, y/w) of the triple (w, x, y) with w != 0."""
+    return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
 
 
 @dataclass
@@ -161,17 +191,20 @@ class NestedFamily:
     """A factor pair affine in t, with geometry and feasibility data.
 
     The parameter t enters one entry of the partial matrix, so every
-    datum is an affine pencil: A(t) = (A0 + t*A1)/(d0 + t*d1) with
-    ``a_pencil`` = (A0, A1) and ``a_den`` = (d0, d1), and B(t) = B0 +
-    t*B1 with ``b_pencil`` = (B0, B1), each matrix a list of rows.  The
-    factors are in slice coordinates: the constructor applies its chart
-    once, so A(t).B(t) is the completion and its slice is the pair at t.
-    ``fixed_outer`` and ``fixed_inner_points`` slice the t-free rows of A
-    and columns of B.  ``moving_vertex`` = (v0, v1) is the column of B
-    that moves: the homogeneous triple v0 + t*v1 = (w, y, z), whose point
-    is (y/w, z/w).  For tag "11_21" the outer polygon is fixed and that point
-    stays on ``line_p1``, the integer line of the cross product of v0 and
-    v1 (None when it is zero); for tag "11_22" one facet of the outer
+    datum is an affine pencil of integers: A(t) = (A0 + t*A1)/(d0 + t*d1)
+    with ``a_pencil`` = (A0, A1), lists of A's rows, and ``a_den`` = (d0,
+    d1); B(t) = (B0 + t*B1)/``b_scale`` with ``b_pencil`` = (B0, B1),
+    lists of B's columns, and a positive scale.  The factors are in slice
+    coordinates:
+    the constructor applies its chart once, so A(t).B(t) is the
+    completion and its slice is the pair at t.  ``fixed_outer`` and
+    ``fixed_inner`` slice the t-free rows of A and columns of B, the
+    latter as lowest-terms triples (w, x, y) of the points (x/w, y/w).
+    ``moving_vertex`` = (v0, v1) is the column of B that moves: the
+    homogeneous triple v0 + t*v1 = (w, y, z), whose point is (y/w, z/w).
+    For tag "11_21" the outer polygon is fixed and that point stays on
+    ``line_p1``, the integer line of the cross product of v0 and v1
+    (None when it is zero); for tag "11_22" one facet of the outer
     polygon (the first row of A) moves as well, and ``fixed_outer`` is the
     simplex cut out by the other three rows.
     """
@@ -180,31 +213,52 @@ class NestedFamily:
     a_pencil: tuple
     a_den: tuple
     b_pencil: tuple
+    b_scale: int
     feasible: list
     fixed_outer: Polygon2
-    fixed_inner_points: list
+    fixed_inner: list
     moving_vertex: tuple
     line_p1: tuple | None = None
 
+    @property
+    def fixed_inner_points(self) -> list:
+        return [_point(p) for p in self.fixed_inner]
+
+    def integer_factors(self, p: int, q: int) -> tuple:
+        """A(t) and B(t) at t = p/q, for integers p and q > 0: A's rows
+        and B's columns, each a pair (n, d) of an integer triple over a
+        positive denominator in lowest terms; ZeroDivisionError at a pole
+        of A."""
+        d0, d1 = self.a_den
+        den = d0 * q + d1 * p
+        if not den:
+            raise ZeroDivisionError(f"t = {p}/{q} is a pole of A")
+        rows = [_lowest(_at(u, v, p, q), den) for u, v in zip(*self.a_pencil)]
+        cols = [_lowest(_at(u, v, p, q), self.b_scale * q) for u, v in zip(*self.b_pencil)]
+        return rows, cols
+
     def factors_at(self, t) -> tuple:
         """The factors (A(t), B(t)) in slice coordinates, whose product is
-        the completion; ZeroDivisionError at a pole of A."""
-        t = Fraction(t)
-        d0, d1 = self.a_den
-        return ExactMatrix(_at(self.a_pencil, t, d0 + t * d1)), ExactMatrix(_at(self.b_pencil, t))
+        the completion; ZeroDivisionError at a pole of A.  Their entries
+        are the `Fraction`s of `integer_factors` at (p, q) for t = p/q."""
+        t = to_fraction(t)
+        rows, cols = self.integer_factors(t.numerator, t.denominator)
+        return (ExactMatrix([Fraction(x, d) for x in n] for n, d in rows),
+                ExactMatrix(zip(*([Fraction(x, d) for x in n] for n, d in cols))))
 
     def completion_at(self, t) -> ExactMatrix:
         return matmul(*self.factors_at(t))
 
     def is_feasible(self, t) -> bool:
-        return any(iv.contains(Fraction(t)) for iv in self.feasible)
+        t = to_fraction(t)
+        return any(iv.contains(t) for iv in self.feasible)
 
     def pair_at(self, t) -> NestedPair:
         return polytopes_from_factorization(*self.factors_at(t))
 
     def vertex_at(self, t) -> tuple:
         """The moving vertex (y/w, z/w) at t; ZeroDivisionError where w = 0."""
-        t = Fraction(t)
+        t = to_fraction(t)
         w, y, z = (c0 + t * c1 for c0, c1 in zip(*self.moving_vertex))
         return (y / w, z / w)
 
@@ -220,13 +274,25 @@ class NestedFamily:
         return t if v0[0] + t * v1[0] else None
 
 
-def _column_pencil(b_pencil, j: int) -> tuple:
-    """The pencil (v0, v1) of column j of B: v0 + t*v1 is the homogeneous
-    triple (w, y, z) of the slice point (y/w, z/w)."""
-    v0, v1 = (tuple(row[j] for row in rows) for rows in b_pencil)
-    if not (v0[0] or v1[0]):
+def _family(tag, a_pencil, a_den, b_pencil, constraints, fixed: NestedPair, moving: int) -> NestedFamily:
+    """The family of the pencils A(t) = (A0 + t*A1)/(d0 + t*d1) and B(t)
+    = B0 + t*B1 of Fractions in slice coordinates, each matrix a list of
+    rows, with every datum scaled to integers once: A with its
+    denominator over one scale, B over another, the moving vertex and its
+    line, and each side of each sign constraint (n, d) of the feasible
+    set on its own.  ``fixed`` is the pair of the t-free rows of A and
+    columns of B."""
+    a0, a1, (den,), _ = _integers(*a_pencil, [a_den])
+    b0, b1, b_scale = _integers(*(list(zip(*rows)) for rows in b_pencil))
+    # the moving column v0 + t*v1 = (w, y, z) is the slice point (y/w, z/w)
+    vertex = (tuple(b0[moving]), tuple(b1[moving]))
+    if not (vertex[0][0] or vertex[1][0]):
         raise FamilyError("normalizing column sum vanishes identically")
-    return v0, v1
+    line = cross(*vertex)
+    g = gcd(*line)
+    feasible = feasible_set([(tuple(integer_scaled(n)[0]), tuple(integer_scaled(d)[0])) for n, d in constraints])
+    return NestedFamily(tag, (a0, a1), tuple(den), (b0, b1), b_scale, feasible, fixed.outer, fixed.generators,
+                        vertex, (line[0] // g, line[1] // g, line[2] // g) if g and tag == "11_21" else None)
 
 
 def _require_pattern(m: PartialMatrix, holes: set):
@@ -278,16 +344,10 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     b_pencil = tuple(matmul(chart, ExactMatrix(rows)).to_lists() for rows in (
         [[x0[i]] + [int(i == j) for j in range(3)] for i in range(3)], [[k[i], 0, 0, 0] for i in range(3)]))
     fixed = polytopes_from_factorization(a, chart)
-    vertex = _column_pencil(b_pencil, 0)
-    line = cross(*vertex)
-
     # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
     filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
-    feasible = feasible_set([(tuple(row), (1, 0)) for row in filled.to_lists()])
-    return NestedFamily(
-        "11_21", (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil, feasible, fixed.outer,
-        fixed.inner_generators, vertex, _integers(line)[0] if any(line) else None,
-    )
+    return _family("11_21", (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil,
+                   [(row, (1, 0)) for row in filled.to_lists()], fixed, 0)
 
 
 def sufficient_11_21(fam: NestedFamily):
@@ -297,11 +357,12 @@ def sufficient_11_21(fam: NestedFamily):
     None (inconclusive)."""
     if fam.tag != "11_21":
         raise ValueError("family must have the 11_21 shape")
-    p2, p3, p4 = fam.fixed_inner_points
+    p2, p3, p4 = fam.fixed_inner
     # a feasible t puts the vertex in the outer polygon: its slacks there
-    # are the first column of the completion, which is nonnegative
+    # are the first column of the completion, which is nonnegative.  The
+    # cross product of two lifted points is their line
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        t = fam.incidence_t(join(u, v))
+        t = fam.incidence_t(cross(u, v))
         if t is not None and fam.is_feasible(t):
             return t
     return None
@@ -370,7 +431,7 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     nums = [pencil(j) for j in range(3)]
     # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
     col = [m.entry(i, 1) for i in (2, 3, 4)]
-    feasible = feasible_set([(tuple(_dot([n[s] for n in nums], col) for s in (0, 1)), den), ((0, 1), (1, 0))])
+    constraints = [([_dot([n[s] for n in nums], col) for s in (0, 1)], den), ((0, 1), (1, 0))]
     # A(t) over den(t): the Cramer numerators, then the identity times
     # den; both factors in the chart G = SUM_CHART, as A.G^-1 and G.B
     raw = ([[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1))
@@ -382,10 +443,7 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     # the identity rows of A and the t-free columns 1, 3, 4 of B
     fixed = polytopes_from_factorization(
         SUM_CHART_INVERSE, matmul(SUM_CHART, m.observed_submatrix([2, 3, 4], [1, 3, 4])))
-    return NestedFamily(
-        "11_22", a_pencil, den, b_pencil, feasible, fixed.outer, fixed.inner_generators,
-        _column_pencil(b_pencil, 1),
-    )
+    return _family("11_22", a_pencil, den, b_pencil, constraints, fixed, 1)
 
 
 def simplicial_sign_check(fam: NestedFamily, t) -> bool:
@@ -395,7 +453,7 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     zero and one positive."""
     if fam.tag != "11_22":
         raise ValueError("family must have the 11_22 shape")
-    t = Fraction(t)
+    t = to_fraction(t)
     if not fam.is_feasible(t):
         raise ValueError(f"t = {t} is not feasible")
     # the first row of A is the moving facet (the charted row times
@@ -485,11 +543,11 @@ def _critical_ts(fam: NestedFamily) -> list:
     against the line through two fixed inner points, and an entry of A's
     first row (11_22) is the facet at a vertex of the fixed simplex."""
     crit = set()
-    # the incidences in integers: the roots of n/d do not change when n or
-    # d is scaled, so the vertex pencil, each fixed point (as (1, x, y)),
-    # and the moving facet's pencil are each scaled to integers once
-    v0, v1 = _integers(*fam.moving_vertex)
-    points = [_integers((1, *p))[0] for p in fam.fixed_inner_points] + fam.fixed_outer.triples
+    # the incidences in integers: the pencils are integers, and the roots
+    # of n/d do not change when a fixed point (x, y) is read as its
+    # lifted triple (w, x*w, y*w)
+    v0, v1 = fam.moving_vertex
+    points = fam.fixed_inner + fam.fixed_outer.triples
     # the moving vertex against every line through two fixed points; the
     # lines through consecutive outer vertices are the fixed facets
     for p, q in itertools.combinations(points, 2):
@@ -503,10 +561,9 @@ def _critical_ts(fam: NestedFamily) -> list:
         # column), whose one critical t, the root of w, is a pole of the
         # vertex or, where the vertex stands still (m32 = m42 = 0, w = t),
         # the root of den, so it needs no term of its own
-        a0, a1 = _integers(*(rows[0] for rows in fam.a_pencil))
-        den = _integers(fam.a_den)[0]
+        a0, a1 = (rows[0] for rows in fam.a_pencil)
         for p in points:
-            crit.update(_ratio_roots((_dot(a0, p), _dot(a1, p)), den))
+            crit.update(_ratio_roots((_dot(a0, p), _dot(a1, p)), fam.a_den))
     return sorted(crit)
 
 
@@ -546,7 +603,7 @@ def _completable_at(fam: NestedFamily, t):
     """A Completable certificate at t if a triangle nests in the pair there,
     else None.  The completion there then has nonnegative rank at most 3,
     and the witness is that triangle lifted to a factorization of it."""
-    t = Fraction(t)
+    t = to_fraction(t)
     if not fam.is_feasible(t):
         return None
     a, b = fam.factors_at(t)
@@ -644,8 +701,9 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     if line is None or all(any(cross(facet, line)) for facet in outer.lines):
         return False
     ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
+    fixed = fam.fixed_inner_points
     for t in _interval_sample_ts(iv, ts):
-        inner = Polygon2.from_points([fam.vertex_at(t), *fam.fixed_inner_points])
+        inner = Polygon2.from_points([fam.vertex_at(t), *fixed])
         if nested_triangle(NestedPair(inner, outer)) is not None:
             return False
     return True

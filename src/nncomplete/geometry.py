@@ -329,20 +329,25 @@ def _clip(lines):
 class NestedPair:
     """Inner polygon P and outer polygon Q with factorization provenance.
 
-    ``inner_generators`` keeps the sliced nonzero columns of B in input
-    order and ``outer_lines`` the integer lines of the sliced rows of A in
-    input order, so the slack matrix lines up with the original
-    factorization.  ``provenance``, for a pair sliced from factors A and
-    B, keeps A's rows under "a" and B's columns under "b", each a pair
-    (n, d): an integer triple n over one positive denominator d, in lowest
-    terms.
+    ``generators`` keeps the lifted nonzero columns of B in input order,
+    as lowest-terms triples (w, x, y) with w > 0, and ``outer_lines`` the
+    integer lines of the sliced rows of A in input order, so the slack
+    matrix lines up with the original factorization; the generators as
+    points are built on first read.  ``provenance``, for a pair sliced
+    from factors A and B, keeps A's rows under "a" and B's columns under
+    "b", each a pair (n, d): an integer triple n over one positive
+    denominator d, in lowest terms.
     """
 
     inner: Polygon2
     outer: Polygon2
-    inner_generators: list = field(default_factory=list)
+    generators: list = field(default_factory=list)
     outer_lines: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
+
+    @cached_property
+    def inner_generators(self) -> list:
+        return [_point(g) for g in self.generators]
 
 
 def slack_matrix(pair: NestedPair) -> ExactMatrix:
@@ -352,7 +357,7 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
     its row and one of its column, so it has that value's sign and zeros:
     entry-wise nonnegative exactly when P is contained in Q."""
     lines = pair.outer_lines or pair.outer.lines
-    gens = [_lift(g) for g in pair.inner_generators] or pair.inner.triples
+    gens = pair.generators or pair.inner.triples
     return ExactMatrix([[_dot(line, g) for g in gens] for line in lines])
 
 
@@ -379,14 +384,13 @@ def _pair_of_factors(rows, cols) -> NestedPair:
     n.  A row whose normal vanishes is trivially satisfied when its
     constant is nonnegative and gives no line.  P is the hull of the
     columns' triples; ValueError when they lie on one line."""
-    gens, points = [], set()
+    gens = []
     for j, ((w, y, z), d) in enumerate(cols, 1):
         if w == y == z == 0:
             continue
         if w <= 0:
             raise ValueError(f"column {j} of B has non-positive slice weight {Fraction(w, d)}")
-        gens.append((Fraction(y, w), Fraction(z, w)))
-        points.add(_normalized(w, y, z))
+        gens.append(_normalized(w, y, z))
     lines = []
     for n, d in rows:
         if n[1] or n[2]:
@@ -394,7 +398,7 @@ def _pair_of_factors(rows, cols) -> NestedPair:
         elif n[0] < 0:
             raise ValueError(f"row {tuple(Fraction(c, d) for c in n)} is infeasible on the slice")
     outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
-    return NestedPair(Polygon2._hull_of(points), outer, gens, lines, {"a": rows, "b": cols})
+    return NestedPair(Polygon2._hull_of(set(gens)), outer, gens, lines, {"a": rows, "b": cols})
 
 
 def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
@@ -441,11 +445,17 @@ def _tangent(v: tuple, ts: tuple, s: list):
     if len(found) < 2:
         return found[0] if found else None
     # candidates are collinear with v (vertices on the supporting line);
-    # take the farthest so the tangent segment covers any touching edge;
-    # the key is the squared distance times w_v^2
+    # take the first farthest so the tangent segment covers any touching
+    # edge: the squared distance times w_v^2 is n/w_i^2, compared by
+    # cross-multiplication
     wv, xv, yv = v
-    return max(found, key=lambda i: Fraction(
-        (ts[i][1] * wv - xv * ts[i][0]) ** 2 + (ts[i][2] * wv - yv * ts[i][0]) ** 2, ts[i][0] ** 2))
+    best = None
+    for i in found:
+        w = ts[i][0]
+        n = (ts[i][1] * wv - xv * w) ** 2 + (ts[i][2] * wv - yv * w) ** 2
+        if best is None or n * best_w2 > best_n * w * w:
+            best, best_n, best_w2 = i, n, w * w
+    return best
 
 
 def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:

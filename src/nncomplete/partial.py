@@ -10,7 +10,7 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
-from .linalg import ExactMatrix, rank
+from .linalg import ExactMatrix, rank, to_fraction
 
 
 class ParseError(ValueError):
@@ -44,13 +44,16 @@ class Pattern:
 
 
 class PartialMatrix:
-    """A pattern together with an exact rational value per observed entry."""
+    """A pattern together with an exact rational value per observed entry.
+
+    Values are ints, Fractions or strings; like ExactMatrix it refuses a
+    binary float instead of reading its exact value."""
 
     def __init__(self, pattern: Pattern, values: dict):
         if set(values) != set(pattern.observed):
             raise ValueError("values must be defined exactly on the observed set")
         self.pattern = pattern
-        self.values = {k: Fraction(v) for k, v in values.items()}
+        self.values = {k: to_fraction(v) for k, v in values.items()}
 
     @property
     def p(self) -> int:
@@ -86,7 +89,7 @@ class PartialMatrix:
                 if x is None:
                     continue
                 observed.add((i, j))
-                values[(i, j)] = Fraction(x)
+                values[(i, j)] = to_fraction(x)
         return cls(Pattern(p, q, frozenset(observed)), values)
 
     @classmethod
@@ -118,7 +121,7 @@ class PartialMatrix:
                 if self.is_observed(i, j):
                     row.append(self.values[(i, j)])
                 else:
-                    row.append(Fraction(fills[(i, j)]))
+                    row.append(to_fraction(fills[(i, j)]))
             rows.append(row)
         return ExactMatrix(rows)
 

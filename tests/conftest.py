@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 import sys
 from fractions import Fraction
@@ -55,6 +57,14 @@ def two_missing_diagonal():
     """4x4 with holes at (1,1) and (2,2); refuted by the monotone
     envelope."""
     return parse_partial((DATA / "two_missing_diagonal.txt").read_text())
+
+
+def fractions_made(fn, *args) -> int:
+    """How many Fractions one call of fn constructs, by cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
 
 
 def rnd_fraction(rng, lo=0, hi=12, den=6) -> Fraction:

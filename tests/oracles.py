@@ -12,6 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 from sympy import QQ, Poly, symbols
@@ -955,7 +956,10 @@ def polytopes_by_fractions(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
     lines = [line for line in map(_slice_halfplane, a.to_lists()) if line]
     outer = polygon_from_halfplanes(lines)  # may raise UnboundedRegionError
     inner = Polygon2.from_points(gens)
-    return NestedPair(inner, outer, gens, lines, {"a": a, "b": b})
+    # each generator as the pair keeps it: (d, x*d, y*d) for d the lcm of
+    # the denominators of x and y, the triple in lowest terms
+    triples = [(d, int(x * d), int(y * d)) for x, y in gens for d in [lcm(x.denominator, y.denominator)]]
+    return NestedPair(inner, outer, triples, lines, {"a": a, "b": b})
 
 
 def bounded_nested_pair_by_fractions(m: ExactMatrix) -> NestedPair:

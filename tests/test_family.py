@@ -36,6 +36,7 @@ from nncomplete import (
 import nncomplete.family
 from nncomplete.geometry import cross, join
 from nncomplete.family import (
+    _completable_at,
     _critical_ts,
     _curve_misses_quadrant,
     _interval_sample_ts,
@@ -43,7 +44,7 @@ from nncomplete.family import (
     denormalize_matrix,
 )
 
-from conftest import DATA, restrict, rnd_nonneg_product
+from conftest import DATA, fractions_made, restrict, rnd_nonneg_product
 from oracles import (
     FIELD,
     HalfPlane,
@@ -1093,6 +1094,76 @@ class TestFactorsAt:
         inputs += canonical_products(5, ((1, 1), (2, 2)), 4)
         verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
         assert tried and verdicts >= {"Completable", "NotCompletable"}
+
+
+class TestIntegerPencils:
+    """A family keeps its pencils as integers, scaled once when it is
+    built, and its feasible set probes each cell at an integer pair."""
+
+    @staticmethod
+    def families(monkeypatch):
+        """(family, the sign constraints its feasible set was cut from) for
+        every family of the products corpus."""
+        monkeypatch.syspath_prepend(str(DATA.parents[1] / "bench"))
+        import corpus
+
+        recorded = []
+        real = nncomplete.family.feasible_set
+        monkeypatch.setattr(nncomplete.family, "feasible_set", lambda cs: recorded.append(cs) or real(cs))
+        out = []
+        for case in corpus.products(corpus.DEFAULT_CORPUS_SEED):
+            canon, norm = normalize_two_missing(PartialMatrix.from_rows([list(row) for row in case.rows]))
+            try:
+                fam = family_11_21(canon) if norm.tag == "11_21" else family_11_22(canon)
+            except FamilyError:
+                continue
+            out.append((fam, recorded[-1]))
+        monkeypatch.setattr(nncomplete.family, "feasible_set", real)
+        assert {fam.tag for fam, _ in out} == {"11_21", "11_22"}
+        return out
+
+    def test_family_data_are_integers(self, monkeypatch):
+        for fam, constraints in self.families(monkeypatch):
+            triples = [*fam.a_pencil[0], *fam.a_pencil[1], fam.a_den, *fam.b_pencil[0], *fam.b_pencil[1],
+                       *fam.moving_vertex, *fam.fixed_inner, [fam.b_scale], fam.line_p1 or [],
+                       *(side for nd in constraints for side in nd)]
+            assert all(type(x) is int for v in triples for x in v)
+
+    def test_feasible_set_builds_only_its_boundary_points(self, monkeypatch):
+        """One Fraction per root of the constraints, and none for a probe."""
+        for fam, constraints in self.families(monkeypatch):
+            roots = [F(-c0, c1) for nd in constraints for c0, c1 in nd if c1]
+            assert fractions_made(feasible_set, constraints) == len(roots)
+            assert {b for iv in fam.feasible for b in (iv.lo, iv.hi) if b is not None} <= set(roots)
+
+
+class TestRefusesBinaryFloats:
+    """Like ExactMatrix and the geometry constructors, every function that
+    takes t takes ints, Fractions and strings, and refuses a binary float
+    instead of reading its exact value."""
+
+    @pytest.mark.parametrize("call", [
+        lambda fam: Interval(F(-1), F(1)).contains(0.5),
+        lambda fam: fam.is_feasible(0.5),
+        lambda fam: fam.factors_at(0.5),
+        lambda fam: fam.completion_at(0.5),
+        lambda fam: fam.pair_at(0.5),
+        lambda fam: fam.vertex_at(0.5),
+        lambda fam: simplicial_sign_check(fam, 0.5),
+        lambda fam: _completable_at(fam, 0.5),
+    ], ids=["Interval.contains", "is_feasible", "factors_at", "completion_at", "pair_at", "vertex_at",
+            "simplicial_sign_check", "completable_at"])
+    def test_float_raises_type_error(self, call, two_missing_diagonal):
+        with pytest.raises(TypeError, match="refusing float 0.5"):
+            call(family_11_22(two_missing_diagonal))
+
+    def test_ints_strings_and_fractions_still_accepted(self, two_missing_diagonal):
+        fam = family_11_22(two_missing_diagonal)
+        for t in (0, "1/3", F(1, 3)):
+            assert Interval(F(0), F(1)).contains(t) and fam.is_feasible(t)
+            assert fam.factors_at(t) == fam.factors_at(F(t))
+            assert fam.vertex_at(t) == fam.vertex_at(F(t))
+            assert simplicial_sign_check(fam, t) == simplicial_sign_check(fam, F(t))
 
 
 class TestOnePipeline:

@@ -1,5 +1,3 @@
-import cProfile
-import pstats
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -32,7 +30,7 @@ import nncomplete.geometry
 import nncomplete.linalg
 from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, side
 
-from conftest import drawn_polygon, rnd_fraction, rnd_nonneg_product
+from conftest import drawn_polygon, fractions_made, rnd_fraction, rnd_nonneg_product
 from oracles import (
     _lines_meet,
     bounded_nested_pair_by_fractions,
@@ -779,14 +777,6 @@ class TestIntegerKernelsAgainstFractionOracles:
         assert set(outcomes) == {(True, False), (False, False), (False, True)}
 
 
-def fractions_made(fn, *args) -> int:
-    """How many Fractions one call of fn constructs, by cProfile."""
-    profile = cProfile.Profile()
-    profile.runcall(fn, *args)
-    return sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
-               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
-
-
 class TestSearchOnIntegerTriples:
     """The triangle search carries its points as integer triples and
     builds Fractions only for the triangle it returns."""
@@ -815,6 +805,22 @@ class TestSearchOnIntegerTriples:
         tri = nested_triangle(pair)
         assert fractions_made(lambda: tri.vertices) == 6
         assert fractions_made(lambda: tri.vertices) == 0
+
+    def test_decision_builds_fractions_only_for_its_witness(self, monkeypatch):
+        """A pair keeps its generators as triples, so a rank-3 decision on
+        the nnrank3 corpus builds no Fraction but the entries of a True
+        answer's witness (3*(p + q)), and reads no generator as a point."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        import corpus
+
+        for case_id in ("nnrank3-planted-00", "nnrank3-ngon-00"):
+            m = ExactMatrix(next(c for c in corpus.nnrank3(corpus.DEFAULT_CORPUS_SEED) if c.id == case_id).rows)
+            found = nn_rank_at_most_3(m)[0]
+            assert found == (case_id == "nnrank3-planted-00")
+            assert fractions_made(nn_rank_at_most_3, m) == (3 * (m.p + m.q) if found else 0)
+        pair = bounded_nested_pair(m)
+        assert "inner_generators" not in vars(pair)
+        assert pair.inner_generators == [(Fraction(x, w), Fraction(y, w)) for w, x, y in pair.generators]
 
     def test_polygon_lines_are_the_facet_lines(self, rng):
         """Each edge's integer line is a positive multiple of its facet's,

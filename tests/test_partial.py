@@ -7,6 +7,7 @@ from nncomplete import (
     ExactMatrix,
     ParseError,
     PartialMatrix,
+    Pattern,
     cycle_property,
     minors_zero_consistent,
     parse_partial,
@@ -205,3 +206,23 @@ class TestMinorsZeroConsistent:
         # rest = identity pattern plus an extra row observing one entry
         m = parse_partial("1 0\n0 1\n3 ?\n")
         assert minors_zero_consistent(m, 2)
+
+
+class TestRefusesBinaryFloats:
+    """Like ExactMatrix, a partial matrix takes ints, Fractions and strings
+    and refuses a binary float instead of reading its exact value."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: PartialMatrix.from_rows([[0.1, 1], [1, None]]),
+        lambda: PartialMatrix(Pattern(1, 1, frozenset({(1, 1)})), {(1, 1): 0.1}),
+        lambda: PartialMatrix.from_rows([[1, 1], [1, None]]).complete_with({(2, 2): 0.1}),
+    ], ids=["from_rows", "PartialMatrix", "complete_with"])
+    def test_float_raises_type_error(self, build):
+        with pytest.raises(TypeError, match="refusing float 0.1"):
+            build()
+
+    def test_ints_strings_and_fractions_still_accepted(self):
+        m = PartialMatrix.from_rows([["1/2", 1], [Fraction(2, 3), None]])
+        assert [m.entry(1, 1), m.entry(1, 2), m.entry(2, 1)] == [Fraction(1, 2), 1, Fraction(2, 3)]
+        assert m.complete_with({(2, 2): "1/3"}).entry(2, 2) == Fraction(1, 3)
+        assert m.complete_with({(2, 2): 4}).entry(2, 2) == 4
