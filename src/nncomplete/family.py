@@ -195,9 +195,8 @@ class NestedFamily:
     with ``a_pencil`` = (A0, A1), lists of A's rows, and ``a_den`` = (d0,
     d1); B(t) = (B0 + t*B1)/``b_scale`` with ``b_pencil`` = (B0, B1),
     lists of B's columns, and a positive scale.  The factors are in slice
-    coordinates:
-    the constructor applies its chart once, so A(t).B(t) is the
-    completion and its slice is the pair at t.  ``fixed_outer`` and
+    coordinates: the constructor applies its chart once, so A(t).B(t) is
+    the completion and its slice is the pair at t.  ``fixed_outer`` and
     ``fixed_inner`` slice the t-free rows of A and columns of B, the
     latter as lowest-terms triples (w, x, y) of the points (x/w, y/w).
     ``moving_vertex`` = (v0, v1) is the column of B that moves: the

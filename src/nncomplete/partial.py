@@ -89,7 +89,7 @@ class PartialMatrix:
                 if x is None:
                     continue
                 observed.add((i, j))
-                values[(i, j)] = to_fraction(x)
+                values[(i, j)] = x
         return cls(Pattern(p, q, frozenset(observed)), values)
 
     @classmethod
@@ -121,7 +121,7 @@ class PartialMatrix:
                 if self.is_observed(i, j):
                     row.append(self.values[(i, j)])
                 else:
-                    row.append(to_fraction(fills[(i, j)]))
+                    row.append(fills[(i, j)])
             rows.append(row)
         return ExactMatrix(rows)
 

@@ -1124,10 +1124,10 @@ class TestIntegerPencils:
 
     def test_family_data_are_integers(self, monkeypatch):
         for fam, constraints in self.families(monkeypatch):
-            triples = [*fam.a_pencil[0], *fam.a_pencil[1], fam.a_den, *fam.b_pencil[0], *fam.b_pencil[1],
-                       *fam.moving_vertex, *fam.fixed_inner, [fam.b_scale], fam.line_p1 or [],
-                       *(side for nd in constraints for side in nd)]
-            assert all(type(x) is int for v in triples for x in v)
+            data = [*fam.a_pencil[0], *fam.a_pencil[1], fam.a_den, *fam.b_pencil[0], *fam.b_pencil[1],
+                    *fam.moving_vertex, *fam.fixed_inner, [fam.b_scale], fam.line_p1 or [],
+                    *(side for nd in constraints for side in nd)]
+            assert all(type(x) is int for v in data for x in v)
 
     def test_feasible_set_builds_only_its_boundary_points(self, monkeypatch):
         """One Fraction per root of the constraints, and none for a probe."""
