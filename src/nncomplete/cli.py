@@ -5,31 +5,20 @@ Exit status contract: 0 for a decided verdict, 2 when the decision
 procedure honestly answers Unknown, 1 for any error (a usage error, parse
 failure, unsupported pattern, shape mismatch, or any ValueError or
 ZeroDivisionError raised by the library), with a one-line diagnostic.
+
+Each subcommand imports the modules it runs when it runs, so that a
+process loads only those: `rank` loads no geometry, and `nn3-decide`
+without --svg loads no completion or svg.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .linalg import ExactMatrix, rank
 from .partial import ParseError, PartialMatrix, parse_partial, serialize_matrix
-from .completion import (
-    classify_one_missing,
-    nn_rank2_complete_3x3,
-    rank1_complete,
-)
-from .geometry import bounded_nested_pair, nested_triangle, nn_rank_at_most_3
-from .family import (
-    Nn3Certificate,
-    decide_nn3_two_missing,
-    family_11_21,
-    family_11_22,
-    normalize_two_missing,
-)
-from .svg import render_nested_pair
 
 
 class CliError(Exception):
@@ -87,6 +76,8 @@ def _cmd_rank(args, out) -> int:
 
 
 def _cmd_complete(args, out) -> int:
+    from .completion import nn_rank2_complete_3x3, rank1_complete
+
     m = _read_input(args.input)
     if args.rank == 1:
         outcome = rank1_complete(m, require_nonnegative=args.nonnegative)
@@ -103,6 +94,8 @@ def _cmd_complete(args, out) -> int:
 
 
 def _cmd_one_missing(args, out) -> int:
+    from .completion import classify_one_missing
+
     m = _read_input(args.input)
     if args.hole is None:
         missing = sorted(m.pattern.missing)
@@ -121,6 +114,8 @@ def _cmd_one_missing(args, out) -> int:
 
 
 def _cmd_check_nnrank3(args, out) -> int:
+    from .geometry import nn_rank_at_most_3
+
     m = _full(_read_input(args.input), "check-nnrank3")
     if not m.is_nonnegative():
         raise CliError("check-nnrank3 requires a nonnegative matrix")
@@ -138,9 +133,13 @@ def _cmd_check_nnrank3(args, out) -> int:
 
 
 def _cmd_nn3_decide(args, out) -> int:
+    from .family import decide_nn3_two_missing
+
     m = _read_input(args.input)
     cert = decide_nn3_two_missing(m)
     if args.json:
+        import json
+
         _emit(out, json.dumps(cert.to_json_dict(), indent=2))
     else:
         _emit(out, _describe_certificate(cert))
@@ -149,7 +148,7 @@ def _cmd_nn3_decide(args, out) -> int:
     return 2 if cert.verdict == "Unknown" else 0
 
 
-def _describe_certificate(cert: Nn3Certificate) -> str:
+def _describe_certificate(cert) -> str:
     d = cert.to_json_dict()
 
     def points(vertices):
@@ -172,11 +171,16 @@ def _describe_certificate(cert: Nn3Certificate) -> str:
     return "\n".join(lines)
 
 
-def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
+def _pair_for_plot(m: PartialMatrix, cert):
     """The nested pair a figure should show, and its triangle if any: the
-    pair of the full matrix or of a Completable certificate's completion,
-    else the family's pair at a feasible parameter."""
+    pair of the full matrix or of a Completable certificate's completion
+    (an Nn3Certificate, decided here when None), else the family's pair
+    at a feasible parameter."""
+    from .geometry import bounded_nested_pair, nested_triangle
+
     if len(m.pattern.missing) == 2 and (m.p, m.q) == (4, 4):
+        from .family import decide_nn3_two_missing, family_11_21, family_11_22, normalize_two_missing
+
         if cert is None:
             cert = decide_nn3_two_missing(m)
         if cert.verdict != "Completable":
@@ -200,13 +204,18 @@ def _pair_for_plot(m: PartialMatrix, cert: Nn3Certificate | None):
     return pair, nested_triangle(pair)
 
 
-def _write_svg(m: PartialMatrix, cert: Nn3Certificate | None, path: str | None, out):
+def _write_svg(m: PartialMatrix, cert, path: str | None, out):
     """Render the figure of m into the file at path, or to out without one."""
+    from .svg import render_nested_pair
+
     pair, tri = _pair_for_plot(m, cert)
     svg = render_nested_pair(pair, tri)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as e:
+            raise CliError(f"cannot write {path}: {e.strerror}")
     else:
         out.write(svg)
 

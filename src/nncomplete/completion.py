@@ -8,7 +8,6 @@ instances that lose their size-3 nonnegative factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import VerificationError
@@ -17,7 +16,6 @@ from .partial import PartialMatrix, Pattern, multiplicative_potentials, nonzero_
     zero_entries_line_consistent
 
 
-@dataclass
 class CompletionOutcome:
     """Result of a completion query.
 
@@ -30,9 +28,16 @@ class CompletionOutcome:
                     (used by constructive routines).
     """
 
-    kind: str
-    matrix: ExactMatrix | None = None
-    description: str | None = None
+    __slots__ = ("kind", "matrix", "description")
+
+    def __init__(self, kind: str, matrix: ExactMatrix | None = None, description: str | None = None):
+        self.kind = kind
+        self.matrix = matrix
+        self.description = description
+
+    def __repr__(self):
+        return (f"CompletionOutcome(kind={self.kind!r}, matrix={self.matrix!r}, "
+                f"description={self.description!r})")
 
     def has_completion(self) -> bool:
         return self.kind != "none"
@@ -359,19 +364,19 @@ def eval_boundary_sextic(m) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
 class PerturbationSpec:
     """Replace an exact zero of one factor with a negative epsilon."""
 
-    side: str  # "left" or "right"
-    position: tuple
-    epsilon: Fraction
+    __slots__ = ("side", "position", "epsilon")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
+    def __init__(self, side: str, position: tuple, epsilon: Fraction):
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        if Fraction(self.epsilon) >= 0:
+        if Fraction(epsilon) >= 0:
             raise ValueError("epsilon must be negative")
+        self.side = side
+        self.position = position
+        self.epsilon = epsilon
 
 
 def perturb_unique_nmf(a: ExactMatrix, b: ExactMatrix, spec: PerturbationSpec) -> ExactMatrix:

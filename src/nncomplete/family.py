@@ -20,7 +20,6 @@ polynomial arithmetic or root isolation is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -51,15 +50,31 @@ class FamilyError(ValueError):
 # feasible sets of affine sign constraints
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed-by-default t-interval; None bounds mean +-infinity and an
     open flag marks an excluded finite endpoint (e.g. a pole)."""
 
-    lo: Fraction | None
-    hi: Fraction | None
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
+
+    def __init__(self, lo: Fraction | None, hi: Fraction | None, lo_open: bool = False, hi_open: bool = False):
+        self.lo = lo
+        self.hi = hi
+        self.lo_open = lo_open
+        self.hi_open = hi_open
+
+    def _key(self) -> tuple:
+        return self.lo, self.hi, self.lo_open, self.hi_open
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Interval(lo={!r}, hi={!r}, lo_open={!r}, hi_open={!r})".format(*self._key())
 
     def contains(self, t: Fraction) -> bool:
         t = to_fraction(t)
@@ -186,7 +201,6 @@ def _point(p) -> tuple:
     return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
 
 
-@dataclass
 class NestedFamily:
     """A factor pair affine in t, with geometry and feasibility data.
 
@@ -208,16 +222,21 @@ class NestedFamily:
     simplex cut out by the other three rows.
     """
 
-    tag: str
-    a_pencil: tuple
-    a_den: tuple
-    b_pencil: tuple
-    b_scale: int
-    feasible: list
-    fixed_outer: Polygon2
-    fixed_inner: list
-    moving_vertex: tuple
-    line_p1: tuple | None = None
+    __slots__ = ("tag", "a_pencil", "a_den", "b_pencil", "b_scale", "feasible", "fixed_outer", "fixed_inner",
+                 "moving_vertex", "line_p1")
+
+    def __init__(self, tag: str, a_pencil: tuple, a_den: tuple, b_pencil: tuple, b_scale: int, feasible: list,
+                 fixed_outer: Polygon2, fixed_inner: list, moving_vertex: tuple, line_p1: tuple | None = None):
+        self.tag = tag
+        self.a_pencil = a_pencil
+        self.a_den = a_den
+        self.b_pencil = b_pencil
+        self.b_scale = b_scale
+        self.feasible = feasible
+        self.fixed_outer = fixed_outer
+        self.fixed_inner = fixed_inner
+        self.moving_vertex = moving_vertex
+        self.line_p1 = line_p1
 
     @property
     def fixed_inner_points(self) -> list:
@@ -478,16 +497,18 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
 # normalization of arbitrary two-missing 4x4 patterns
 
 
-@dataclass(frozen=True)
 class Normalization:
     """How the canonical instance was obtained: transpose first (optional),
     then canonical row i / column j read original row ``row_perm[i-1]`` /
     column ``col_perm[j-1]``."""
 
-    transposed: bool
-    row_perm: tuple
-    col_perm: tuple
-    tag: str
+    __slots__ = ("transposed", "row_perm", "col_perm", "tag")
+
+    def __init__(self, transposed: bool, row_perm: tuple, col_perm: tuple, tag: str):
+        self.transposed = transposed
+        self.row_perm = row_perm
+        self.col_perm = col_perm
+        self.tag = tag
 
 
 def normalize_two_missing(m: PartialMatrix):
@@ -712,7 +733,6 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
 # certificates and the decision procedure
 
 
-@dataclass
 class Nn3Certificate:
     """Outcome of the two-missing-entry decision for nonnegative rank 3.
 
@@ -723,15 +743,22 @@ class Nn3Certificate:
     ``samples`` lists every parameter value that was tested.
     """
 
-    verdict: str
-    pattern: str
-    t_star: Fraction | None = None
-    completion: ExactMatrix | None = None
-    witness: tuple | None = None
-    triangle: Polygon2 | None = None
-    envelope: tuple | None = None
-    envelope_t: tuple | None = None
-    samples: list = field(default_factory=list)
+    __slots__ = ("verdict", "pattern", "t_star", "completion", "witness", "triangle", "envelope", "envelope_t",
+                 "samples")
+
+    def __init__(self, verdict: str, pattern: str, t_star: Fraction | None = None,
+                 completion: ExactMatrix | None = None, witness: tuple | None = None,
+                 triangle: Polygon2 | None = None, envelope: tuple | None = None,
+                 envelope_t: tuple | None = None, samples: list | None = None):
+        self.verdict = verdict
+        self.pattern = pattern
+        self.t_star = t_star
+        self.completion = completion
+        self.witness = witness
+        self.triangle = triangle
+        self.envelope = envelope
+        self.envelope_t = envelope_t
+        self.samples = [] if samples is None else samples
 
     def to_json_dict(self) -> dict:
         def text(x):
@@ -787,7 +814,8 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
         flipped = _family_stages(canon_t, norm_t.tag)
         if flipped.verdict != "Unknown":
             # undoing the transpose of m is one more transposition
-            cert, norm = flipped, replace(norm_t, transposed=not norm_t.transposed)
+            cert = flipped
+            norm = Normalization(not norm_t.transposed, norm_t.row_perm, norm_t.col_perm, norm_t.tag)
     return _in_callers_orientation(cert, norm)
 
 
@@ -801,7 +829,8 @@ def _in_callers_orientation(cert: Nn3Certificate, norm: Normalization) -> Nn3Cer
         witness = (b.transpose(), a.transpose()) if norm.transposed else (a, b)
     if completion is not None:
         completion = denormalize_matrix(completion, norm)
-    return replace(cert, completion=completion, witness=witness)
+    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, completion, witness, cert.triangle,
+                          cert.envelope, cert.envelope_t, cert.samples)
 
 
 def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
@@ -821,10 +850,13 @@ def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
     sampled = [(iv, _interval_sample_ts(iv, criticals)) for iv in fam.feasible]
     samples = sorted({t for _, ts in sampled for t in ts})
     for t in _search_order(fam, samples):
-        hit = _completable_at(fam, t)
-        if hit is not None:
-            return replace(hit, samples=samples)
-    return replace(_refute(fam, sampled), samples=samples)
+        cert = _completable_at(fam, t)
+        if cert is not None:
+            break
+    else:
+        cert = _refute(fam, sampled)
+    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, cert.completion, cert.witness, cert.triangle,
+                          cert.envelope, cert.envelope_t, samples)
 
 
 def _curve_misses_quadrant(m: PartialMatrix) -> bool:

@@ -33,7 +33,6 @@ compute on integers as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, lcm
@@ -325,7 +324,6 @@ def _clip(lines):
     return edges
 
 
-@dataclass
 class NestedPair:
     """Inner polygon P and outer polygon Q with factorization provenance.
 
@@ -339,11 +337,13 @@ class NestedPair:
     denominator d, in lowest terms.
     """
 
-    inner: Polygon2
-    outer: Polygon2
-    generators: list = field(default_factory=list)
-    outer_lines: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, inner: Polygon2, outer: Polygon2, generators: list | None = None,
+                 outer_lines: list | None = None, provenance: dict | None = None):
+        self.inner = inner
+        self.outer = outer
+        self.generators = [] if generators is None else generators
+        self.outer_lines = [] if outer_lines is None else outer_lines
+        self.provenance = {} if provenance is None else provenance
 
     @cached_property
     def inner_generators(self) -> list:

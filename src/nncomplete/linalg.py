@@ -7,11 +7,10 @@ column indices on the public surface are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 
 def to_fraction(x) -> Fraction:
@@ -240,7 +239,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return sol.particular
 
 
-@dataclass
 class LinearSolution:
     """Outcome of solving a x = rhs exactly.
 
@@ -249,9 +247,12 @@ class LinearSolution:
     homogeneous system as q x 1 column matrices.
     """
 
-    consistent: bool
-    particular: ExactMatrix | None
-    kernel_basis: list[ExactMatrix]
+    __slots__ = ("consistent", "particular", "kernel_basis")
+
+    def __init__(self, consistent: bool, particular: ExactMatrix | None, kernel_basis: list[ExactMatrix]):
+        self.consistent = consistent
+        self.particular = particular
+        self.kernel_basis = kernel_basis
 
     @property
     def kernel_dimension(self) -> int:

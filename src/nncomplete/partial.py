@@ -5,7 +5,6 @@ r x r minors zero-consistency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
@@ -17,18 +16,26 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Pattern:
     """Observation pattern E, a subset of [p] x [q] (1-based)."""
 
-    p: int
-    q: int
-    observed: frozenset
+    __slots__ = ("p", "q", "observed")
 
-    def __post_init__(self):
-        for (i, j) in self.observed:
-            if not (1 <= i <= self.p and 1 <= j <= self.q):
+    def __init__(self, p: int, q: int, observed: frozenset):
+        for (i, j) in observed:
+            if not (1 <= i <= p and 1 <= j <= q):
                 raise ValueError(f"observed position ({i},{j}) out of range")
+        self.p = p
+        self.q = q
+        self.observed = observed
+
+    def __eq__(self, other):
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return (self.p, self.q, self.observed) == (other.p, other.q, other.observed)
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.observed))
 
     @property
     def missing(self) -> frozenset:
@@ -205,16 +212,18 @@ def serialize_matrix(m: ExactMatrix) -> str:
 # support graph
 
 
-@dataclass
 class SupportGraph:
     """Bipartite graph of a pattern: left = rows, right = columns, one edge
     per observed position.  ``nonzero_edges`` keeps only edges whose value
     is nonzero (the graph used for uniqueness of rank-1 completions)."""
 
-    p: int
-    q: int
-    edges: frozenset
-    nonzero_edges: frozenset
+    __slots__ = ("p", "q", "edges", "nonzero_edges")
+
+    def __init__(self, p: int, q: int, edges: frozenset, nonzero_edges: frozenset):
+        self.p = p
+        self.q = q
+        self.edges = edges
+        self.nonzero_edges = nonzero_edges
 
     def components(self):
         """Connected components of the nonzero edges as sets of vertices
@@ -258,10 +267,23 @@ def support_graph(m: PartialMatrix) -> SupportGraph:
 # combinatorial conditions
 
 
-@dataclass(frozen=True)
 class ZeroLineFlags:
-    row: bool
-    column: bool
+    __slots__ = ("row", "column")
+
+    def __init__(self, row: bool, column: bool):
+        self.row = row
+        self.column = column
+
+    def __eq__(self, other):
+        if not isinstance(other, ZeroLineFlags):
+            return NotImplemented
+        return (self.row, self.column) == (other.row, other.column)
+
+    def __hash__(self):
+        return hash((self.row, self.column))
+
+    def __repr__(self):
+        return f"ZeroLineFlags(row={self.row!r}, column={self.column!r})"
 
     def either(self) -> bool:
         return self.row or self.column

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -1347,7 +1347,8 @@ def decide_two_missing_per_orientation(m: PartialMatrix) -> Nn3Certificate:
     if transposed:
         completion = None if completion is None else completion.transpose()
         witness = None if witness is None else (witness[1].transpose(), witness[0].transpose())
-    return replace(cert, completion=completion, witness=witness)
+    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, completion, witness, cert.triangle,
+                          cert.envelope, cert.envelope_t, cert.samples)
 
 
 def _decide_one_orientation(canon: PartialMatrix, tag: str) -> Nn3Certificate:

@@ -198,7 +198,7 @@ class TestNn3Decide:
 
     def test_unknown_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "nncomplete.cli.decide_nn3_two_missing",
+            "nncomplete.family.decide_nn3_two_missing",
             lambda m: Nn3Certificate("Unknown", "11_22"),
         )
         monkeypatch.setattr(
@@ -277,7 +277,7 @@ class TestPlot:
     def test_completable_draws_its_completion(self, capsys, monkeypatch, text):
         drawn = []
         monkeypatch.setattr(
-            "nncomplete.cli.render_nested_pair",
+            "nncomplete.svg.render_nested_pair",
             lambda pair, tri: drawn.append((pair, tri)) or "<svg/>",
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -308,6 +308,79 @@ class TestPlot:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
         assert "Traceback" not in proc.stderr
+
+
+class TestUnwritableFigure:
+    @pytest.mark.parametrize("argv", [
+        ["plot", str(DATA / "rank3_product.txt"), "--out"],
+        ["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--svg"],
+    ], ids=lambda argv: argv[0])
+    def test_one_line_diagnostic(self, tmp_path, argv):
+        """A figure path that cannot be written exits 1 with one stderr
+        line, as an unreadable input does, in a real process."""
+        target = tmp_path / "no-such-directory" / "fig.svg"
+        env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * sys.flags.optimize, "-m", "nncomplete.cli", *argv, str(target)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: cannot write {target}: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+# runs the CLI as ``python -m`` does and writes the modules the run added
+# to sys.modules, one line after its own output on stderr
+FOOTPRINT = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["nncomplete", *sys.argv[1:]]
+try:
+    runpy.run_module("nncomplete.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)) + "\\n")
+sys.exit(code)
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("argv, text", [
+        (["rank", str(DATA / "rank3_product.txt")], None),
+        (["complete", "-", "--rank", "1"], "? 2\n3 6\n"),
+        (["complete", "-", "--rank", "2", "--nonnegative"], "3 ? ?\n0 1 2\n0 2 4\n"),
+        (["one-missing", str(DATA / "one_missing_perturbed.txt"), "--rank", "3"], None),
+        (["check-nnrank3", str(DATA / "rank3_product.txt")], None),
+        (["nn3-decide", str(DATA / "two_missing_column.txt")], None),
+        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--json"], None),
+        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--svg", "fig.svg"], None),
+        (["plot", str(DATA / "rank3_product.txt")], None),
+        (["plot", str(DATA / "two_missing_column.txt")], None),
+    ], ids=["rank", "complete-rank-1", "complete-rank-2", "one-missing", "check-nnrank3", "nn3-decide",
+            "nn3-decide-json", "nn3-decide-svg", "plot-full", "plot-two-holes"])
+    def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, text):
+        env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * sys.flags.optimize, "-c", FOOTPRINT, *argv],
+            input=text or "",
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        command = argv[0]
+        assert {"nncomplete.linalg", "nncomplete.partial"} <= loaded
+        assert not loaded & {"dataclasses", "inspect"}
+        if "--json" not in argv:
+            assert "json" not in loaded
+        if command in ("rank", "complete", "one-missing", "check-nnrank3"):
+            assert not loaded & {"nncomplete.family", "nncomplete.svg"}
+        if command == "nn3-decide" and "--svg" not in argv:
+            assert not loaded & {"nncomplete.completion", "nncomplete.svg"}
 
 
 class TestClosedPipe:
