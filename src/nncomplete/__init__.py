@@ -13,6 +13,7 @@ a process loads only the modules it runs.
 _EXPORTS = {
     "ExactMatrix": "linalg",
     "LinearSolution": "linalg",
+    "VerificationError": "linalg",
     "det": "linalg",
     "inverse": "linalg",
     "matmul": "linalg",
@@ -46,7 +47,6 @@ _EXPORTS = {
     "NestedPair": "geometry",
     "Polygon2": "geometry",
     "UnboundedRegionError": "geometry",
-    "VerificationError": "geometry",
     "chord_exit": "geometry",
     "contains": "geometry",
     "convex_hull": "geometry",

@@ -7,8 +7,8 @@ failure, unsupported pattern, shape mismatch, or any ValueError or
 ZeroDivisionError raised by the library), with a one-line diagnostic.
 
 Each subcommand imports the modules it runs when it runs, so that a
-process loads only those: `rank` loads no geometry, and `nn3-decide`
-without --svg loads no completion or svg.
+process loads only those: `rank`, `complete` and `one-missing` load no
+geometry, and `nn3-decide` without --svg loads no completion or svg.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import VerificationError
-from .linalg import ExactMatrix, det, matmul, pivot_columns, rank
+from .linalg import ExactMatrix, VerificationError, det, matmul, pivot_columns, rank
 from .partial import PartialMatrix, Pattern, multiplicative_potentials, nonzero_lines, support_graph, \
     zero_entries_line_consistent
 

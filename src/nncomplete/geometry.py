@@ -38,21 +38,21 @@ from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import ExactMatrix, integer_scaled, matmul, scaled_rows_and_pivots, solve_linear, to_fraction
+from .linalg import (
+    ExactMatrix,
+    VerificationError,
+    integer_scaled,
+    matmul,
+    scaled_rows_and_pivots,
+    solve_linear,
+    to_fraction,
+)
 
 Point = tuple  # (Fraction, Fraction)
 
 
 class UnboundedRegionError(ValueError):
     """The intersection of half-planes has a nontrivial recession cone."""
-
-
-class VerificationError(AssertionError):
-    """An exact re-verification of a constructed answer failed.
-
-    Deliberately not a ValueError: callers that treat ValueError as "this
-    input is out of reach" must never swallow a wrong answer.
-    """
 
 
 def _verify(ok: bool, what: str) -> None:

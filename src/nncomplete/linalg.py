@@ -13,6 +13,15 @@ from math import lcm
 from operator import mul
 
 
+class VerificationError(AssertionError):
+    """An exact re-verification of a constructed answer failed.
+
+    Deliberately not a ValueError: callers that treat ValueError as "this
+    input is out of reach" must never swallow a wrong answer.  It lives in
+    the module every other one imports, so raising it loads nothing more.
+    """
+
+
 def to_fraction(x) -> Fraction:
     """x as a Fraction, refusing a binary float (0.1 would silently become
     3602879701896397/36028797018963968)."""

@@ -379,6 +379,8 @@ class TestImportFootprint:
             assert "json" not in loaded
         if command in ("rank", "complete", "one-missing", "check-nnrank3"):
             assert not loaded & {"nncomplete.family", "nncomplete.svg"}
+        if command in ("rank", "complete", "one-missing"):
+            assert "nncomplete.geometry" not in loaded
         if command == "nn3-decide" and "--svg" not in argv:
             assert not loaded & {"nncomplete.completion", "nncomplete.svg"}
 
