@@ -348,23 +348,23 @@ sys.exit(code)
 
 class TestImportFootprint:
     @pytest.mark.parametrize("argv, text", [
-        (["rank", str(DATA / "rank3_product.txt")], None),
+        (["rank", str(DATA / "rank3_product.txt")], ""),
         (["complete", "-", "--rank", "1"], "? 2\n3 6\n"),
         (["complete", "-", "--rank", "2", "--nonnegative"], "3 ? ?\n0 1 2\n0 2 4\n"),
-        (["one-missing", str(DATA / "one_missing_perturbed.txt"), "--rank", "3"], None),
-        (["check-nnrank3", str(DATA / "rank3_product.txt")], None),
-        (["nn3-decide", str(DATA / "two_missing_column.txt")], None),
-        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--json"], None),
-        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--svg", "fig.svg"], None),
-        (["plot", str(DATA / "rank3_product.txt")], None),
-        (["plot", str(DATA / "two_missing_column.txt")], None),
+        (["one-missing", str(DATA / "one_missing_perturbed.txt"), "--rank", "3"], ""),
+        (["check-nnrank3", str(DATA / "rank3_product.txt")], ""),
+        (["nn3-decide", str(DATA / "two_missing_column.txt")], ""),
+        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--json"], ""),
+        (["nn3-decide", str(DATA / "two_missing_diagonal.txt"), "--svg", "fig.svg"], ""),
+        (["plot", str(DATA / "rank3_product.txt")], ""),
+        (["plot", str(DATA / "two_missing_column.txt")], ""),
     ], ids=["rank", "complete-rank-1", "complete-rank-2", "one-missing", "check-nnrank3", "nn3-decide",
             "nn3-decide-json", "nn3-decide-svg", "plot-full", "plot-two-holes"])
     def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, text):
         env = dict(os.environ, PYTHONPATH=str(Path(nncomplete.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, *["-O"] * sys.flags.optimize, "-c", FOOTPRINT, *argv],
-            input=text or "",
+            input=text,
             capture_output=True,
             text=True,
             env=env,
