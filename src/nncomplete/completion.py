@@ -8,6 +8,7 @@ instances that lose their size-3 nonnegative factorization.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import ExactMatrix, VerificationError, det, matmul, pivot_columns, rank
@@ -15,7 +16,7 @@ from .partial import PartialMatrix, Pattern, multiplicative_potentials, nonzero_
     zero_entries_line_consistent
 
 
-class CompletionOutcome:
+class CompletionOutcome(namedtuple("CompletionOutcome", "kind matrix description", defaults=(None, None))):
     """Result of a completion query.
 
     kind is one of:
@@ -27,16 +28,7 @@ class CompletionOutcome:
                     (used by constructive routines).
     """
 
-    __slots__ = ("kind", "matrix", "description")
-
-    def __init__(self, kind: str, matrix: ExactMatrix | None = None, description: str | None = None):
-        self.kind = kind
-        self.matrix = matrix
-        self.description = description
-
-    def __repr__(self):
-        return (f"CompletionOutcome(kind={self.kind!r}, matrix={self.matrix!r}, "
-                f"description={self.description!r})")
+    __slots__ = ()
 
     def has_completion(self) -> bool:
         return self.kind != "none"
@@ -182,10 +174,15 @@ def nn_rank2_complete_3x3(m: PartialMatrix) -> CompletionOutcome:
         for transpose in (False, True):
             work = m.transpose() if transpose else m
             out = _complete_via_sparse_line(work, fill_hole)
-            if out is not None:
-                if out.kind != "none" and transpose:
-                    out = CompletionOutcome(out.kind, out.matrix.transpose(), out.description)
-                return out
+            if out is None:
+                continue
+            if out.kind != "none":
+                c = out.matrix
+                if not (work.agrees_with(c) and c.is_nonnegative() and rank(c) <= 2):
+                    raise VerificationError("rank-2 completion is not a nonnegative rank-<=2 completion")
+                if transpose:
+                    out = out._replace(matrix=c.transpose())
+            return out
     raise ValueError("unsupported pattern: no row or column with at most one observed entry")
 
 
@@ -363,19 +360,17 @@ def eval_boundary_sextic(m) -> Fraction:
     return total
 
 
-class PerturbationSpec:
+class PerturbationSpec(namedtuple("PerturbationSpec", "side position epsilon")):
     """Replace an exact zero of one factor with a negative epsilon."""
 
-    __slots__ = ("side", "position", "epsilon")
+    __slots__ = ()
 
-    def __init__(self, side: str, position: tuple, epsilon: Fraction):
+    def __new__(cls, side: str, position: tuple, epsilon: Fraction):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if Fraction(epsilon) >= 0:
             raise ValueError("epsilon must be negative")
-        self.side = side
-        self.position = position
-        self.epsilon = epsilon
+        return super().__new__(cls, side, position, epsilon)
 
 
 def perturb_unique_nmf(a: ExactMatrix, b: ExactMatrix, spec: PerturbationSpec) -> ExactMatrix:

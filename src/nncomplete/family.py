@@ -20,6 +20,7 @@ polynomial arithmetic or root isolation is needed.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -34,9 +35,12 @@ from .geometry import (
     chord_exit,
     contains,
     cross,
+    dot,
     join,
+    lowest,
     nested_triangle,
     nn_rank_at_most_3,
+    point,
     polytopes_from_factorization,
     triangle_to_factorization,
 )
@@ -50,31 +54,11 @@ class FamilyError(ValueError):
 # feasible sets of affine sign constraints
 
 
-class Interval:
+class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, False))):
     """Closed-by-default t-interval; None bounds mean +-infinity and an
     open flag marks an excluded finite endpoint (e.g. a pole)."""
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open")
-
-    def __init__(self, lo: Fraction | None, hi: Fraction | None, lo_open: bool = False, hi_open: bool = False):
-        self.lo = lo
-        self.hi = hi
-        self.lo_open = lo_open
-        self.hi_open = hi_open
-
-    def _key(self) -> tuple:
-        return self.lo, self.hi, self.lo_open, self.hi_open
-
-    def __eq__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Interval(lo={!r}, hi={!r}, lo_open={!r}, hi_open={!r})".format(*self._key())
+    __slots__ = ()
 
     def contains(self, t: Fraction) -> bool:
         t = to_fraction(t)
@@ -174,19 +158,6 @@ def _at(u, v, p: int, q: int) -> tuple:
     return (u[0] * q + v[0] * p, u[1] * q + v[1] * p, u[2] * q + v[2] * p)
 
 
-def _lowest(n, d) -> tuple:
-    """The vector n/d, for an integer triple n and an integer d != 0, as
-    (n', d') in lowest terms with d' > 0."""
-    g = gcd(n[0], n[1], n[2], d)
-    if d < 0:
-        g = -g
-    return (n[0] // g, n[1] // g, n[2] // g), d // g
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def _integers(*matrices) -> tuple:
     """Matrices of Fractions, each a list of rows, times one positive
     scale, the lcm of all their denominators: lists of integer rows, with
@@ -196,12 +167,8 @@ def _integers(*matrices) -> tuple:
     return (*([[next(ns) for _ in row] for row in rows] for rows in matrices), scale)
 
 
-def _point(p) -> tuple:
-    """The point (x/w, y/w) of the triple (w, x, y) with w != 0."""
-    return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
-
-
-class NestedFamily:
+class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_scale feasible fixed_outer fixed_inner "
+                                              "moving_vertex line_p1", defaults=(None,))):
     """A factor pair affine in t, with geometry and feasibility data.
 
     The parameter t enters one entry of the partial matrix, so every
@@ -222,25 +189,11 @@ class NestedFamily:
     simplex cut out by the other three rows.
     """
 
-    __slots__ = ("tag", "a_pencil", "a_den", "b_pencil", "b_scale", "feasible", "fixed_outer", "fixed_inner",
-                 "moving_vertex", "line_p1")
-
-    def __init__(self, tag: str, a_pencil: tuple, a_den: tuple, b_pencil: tuple, b_scale: int, feasible: list,
-                 fixed_outer: Polygon2, fixed_inner: list, moving_vertex: tuple, line_p1: tuple | None = None):
-        self.tag = tag
-        self.a_pencil = a_pencil
-        self.a_den = a_den
-        self.b_pencil = b_pencil
-        self.b_scale = b_scale
-        self.feasible = feasible
-        self.fixed_outer = fixed_outer
-        self.fixed_inner = fixed_inner
-        self.moving_vertex = moving_vertex
-        self.line_p1 = line_p1
+    __slots__ = ()
 
     @property
     def fixed_inner_points(self) -> list:
-        return [_point(p) for p in self.fixed_inner]
+        return [point(p) for p in self.fixed_inner]
 
     def integer_factors(self, p: int, q: int) -> tuple:
         """A(t) and B(t) at t = p/q, for integers p and q > 0: A's rows
@@ -251,8 +204,8 @@ class NestedFamily:
         den = d0 * q + d1 * p
         if not den:
             raise ZeroDivisionError(f"t = {p}/{q} is a pole of A")
-        rows = [_lowest(_at(u, v, p, q), den) for u, v in zip(*self.a_pencil)]
-        cols = [_lowest(_at(u, v, p, q), self.b_scale * q) for u, v in zip(*self.b_pencil)]
+        rows = [lowest(_at(u, v, p, q), den) for u, v in zip(*self.a_pencil)]
+        cols = [lowest(_at(u, v, p, q), self.b_scale * q) for u, v in zip(*self.b_pencil)]
         return rows, cols
 
     def factors_at(self, t) -> tuple:
@@ -285,10 +238,10 @@ class NestedFamily:
         the root of line.(v0 + t*v1) with w(t) != 0, or None when no
         single finite point of the vertex is on the line."""
         v0, v1 = self.moving_vertex
-        slope = _dot(line, v1)
+        slope = dot(line, v1)
         if not slope:
             return None
-        t = -Fraction(_dot(line, v0)) / slope
+        t = -Fraction(dot(line, v0)) / slope
         return t if v0[0] + t * v1[0] else None
 
 
@@ -449,7 +402,7 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     nums = [pencil(j) for j in range(3)]
     # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
     col = [m.entry(i, 1) for i in (2, 3, 4)]
-    constraints = [([_dot([n[s] for n in nums], col) for s in (0, 1)], den), ((0, 1), (1, 0))]
+    constraints = [([dot([n[s] for n in nums], col) for s in (0, 1)], den), ((0, 1), (1, 0))]
     # A(t) over den(t): the Cramer numerators, then the identity times
     # den; both factors in the chart G = SUM_CHART, as A.G^-1 and G.B
     raw = ([[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1))
@@ -480,7 +433,7 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     d0, d1 = fam.a_den
     d = d0 + t * d1
     facet = [(x + t * y) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
-    a1 = [_dot(facet, p) for p in fam.fixed_outer.triples]
+    a1 = [dot(facet, p) for p in fam.fixed_outer.triples]
     neg = sum(1 for x in a1 if x < 0)
     pos = sum(1 for x in a1 if x > 0)
     zero = sum(1 for x in a1 if x == 0)
@@ -497,18 +450,12 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
 # normalization of arbitrary two-missing 4x4 patterns
 
 
-class Normalization:
+class Normalization(namedtuple("Normalization", "transposed row_perm col_perm tag")):
     """How the canonical instance was obtained: transpose first (optional),
     then canonical row i / column j read original row ``row_perm[i-1]`` /
     column ``col_perm[j-1]``."""
 
-    __slots__ = ("transposed", "row_perm", "col_perm", "tag")
-
-    def __init__(self, transposed: bool, row_perm: tuple, col_perm: tuple, tag: str):
-        self.transposed = transposed
-        self.row_perm = row_perm
-        self.col_perm = col_perm
-        self.tag = tag
+    __slots__ = ()
 
 
 def normalize_two_missing(m: PartialMatrix):
@@ -572,7 +519,7 @@ def _critical_ts(fam: NestedFamily) -> list:
     # lines through consecutive outer vertices are the fixed facets
     for p, q in itertools.combinations(points, 2):
         line = cross(p, q)
-        crit.update(_ratio_roots((_dot(line, v0), _dot(line, v1)), (v0[0], v1[0])))
+        crit.update(_ratio_roots((dot(line, v0), dot(line, v1)), (v0[0], v1[0])))
     if fam.tag == "11_22":
         # the moving facet, the first row of A over its denominator, at
         # each fixed point; at the point of column 1 of B it is the
@@ -583,7 +530,7 @@ def _critical_ts(fam: NestedFamily) -> list:
         # the root of den, so it needs no term of its own
         a0, a1 = (rows[0] for rows in fam.a_pencil)
         for p in points:
-            crit.update(_ratio_roots((_dot(a0, p), _dot(a1, p)), fam.a_den))
+            crit.update(_ratio_roots((dot(a0, p), dot(a1, p)), fam.a_den))
     return sorted(crit)
 
 
@@ -733,32 +680,23 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
 # certificates and the decision procedure
 
 
-class Nn3Certificate:
+class Nn3Certificate(namedtuple("Nn3Certificate", "verdict pattern t_star completion witness triangle envelope "
+                                                "envelope_t samples", defaults=(None,) * 7)):
     """Outcome of the two-missing-entry decision for nonnegative rank 3.
 
     ``verdict`` is "Completable", "NotCompletable" or "Unknown".  For
     completable instances ``completion`` (in the original orientation of
     the input), the witness factorization and, when available, the nested
     triangle are filled in; refutations carry the envelope pair;
-    ``samples`` lists every parameter value that was tested.
+    ``samples`` lists every parameter value that was tested, in a list of
+    its own: an omitted one is a new empty list.
     """
 
-    __slots__ = ("verdict", "pattern", "t_star", "completion", "witness", "triangle", "envelope", "envelope_t",
-                 "samples")
+    __slots__ = ()
 
-    def __init__(self, verdict: str, pattern: str, t_star: Fraction | None = None,
-                 completion: ExactMatrix | None = None, witness: tuple | None = None,
-                 triangle: Polygon2 | None = None, envelope: tuple | None = None,
-                 envelope_t: tuple | None = None, samples: list | None = None):
-        self.verdict = verdict
-        self.pattern = pattern
-        self.t_star = t_star
-        self.completion = completion
-        self.witness = witness
-        self.triangle = triangle
-        self.envelope = envelope
-        self.envelope_t = envelope_t
-        self.samples = [] if samples is None else samples
+    def __new__(cls, *args, **kwargs):
+        cert = super().__new__(cls, *args, **kwargs)
+        return cert if cert.samples is not None else cert._replace(samples=[])
 
     def to_json_dict(self) -> dict:
         def text(x):
@@ -815,7 +753,7 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
         if flipped.verdict != "Unknown":
             # undoing the transpose of m is one more transposition
             cert = flipped
-            norm = Normalization(not norm_t.transposed, norm_t.row_perm, norm_t.col_perm, norm_t.tag)
+            norm = norm_t._replace(transposed=not norm_t.transposed)
     return _in_callers_orientation(cert, norm)
 
 
@@ -829,8 +767,7 @@ def _in_callers_orientation(cert: Nn3Certificate, norm: Normalization) -> Nn3Cer
         witness = (b.transpose(), a.transpose()) if norm.transposed else (a, b)
     if completion is not None:
         completion = denormalize_matrix(completion, norm)
-    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, completion, witness, cert.triangle,
-                          cert.envelope, cert.envelope_t, cert.samples)
+    return cert._replace(completion=completion, witness=witness)
 
 
 def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
@@ -855,8 +792,7 @@ def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
             break
     else:
         cert = _refute(fam, sampled)
-    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, cert.completion, cert.witness, cert.triangle,
-                          cert.envelope, cert.envelope_t, samples)
+    return cert._replace(samples=samples)
 
 
 def _curve_misses_quadrant(m: PartialMatrix) -> bool:

@@ -77,14 +77,6 @@ def _normalized(w, x, y):
     return (w // g, x // g, y // g)
 
 
-def _point(p: tuple) -> Point:
-    return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _within(lines, points) -> bool:
     return all(a * w + b * x + c * y >= 0 for a, b, c in lines for w, x, y in points)
 
@@ -119,13 +111,31 @@ def side(a: Point, b: Point, c: Point) -> int:
 
     Coordinates may be Fractions or ints.  The determinant of the lifted
     points is the signed area times w_a*w_b*w_c > 0."""
-    d = _dot(_lift(a), cross(_lift(b), _lift(c)))
+    d = dot(_lift(a), cross(_lift(b), _lift(c)))
     return (d > 0) - (d < 0)
 
 
 def cross(u, v) -> tuple:
     """The cross product of two 3-vectors of ints or Fractions."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def dot(u, v):
+    """The dot product of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def point(p: tuple) -> Point:
+    """The point (x/w, y/w) of the integer triple (w, x, y) with w != 0."""
+    return (Fraction(p[1], p[0]), Fraction(p[2], p[0]))
+
+
+def lowest(n, d) -> tuple:
+    """The vector n/d, for an integer triple n and an integer d != 0, as
+    (n', d') in lowest terms with d' > 0: gcd(*n', d') = 1.  Then n' is
+    n/d times the lcm of its denominators, as `integer_scaled` gives it."""
+    g = gcd(*n, d) if d > 0 else -gcd(*n, d)
+    return (n[0] // g, n[1] // g, n[2] // g), d // g
 
 
 def join(a: Point, b: Point) -> tuple:
@@ -141,7 +151,7 @@ def convex_hull(points) -> list:
     Collinear input collapses to the two extreme points; coincident input
     to a single point.
     """
-    return [_point(t) for t in _hull(_lifted(points))]
+    return [point(t) for t in _hull(_lifted(points))]
 
 
 def _lifted(points) -> set:
@@ -162,7 +172,7 @@ def _hull(ts) -> list:
     def chain(seq):  # one half of the hull, without its last point
         out = []
         for p in seq:
-            while len(out) >= 2 and _dot(out[-2], cross(out[-1], p)) <= 0:
+            while len(out) >= 2 and dot(out[-2], cross(out[-1], p)) <= 0:
                 out.pop()
             out.append(p)
         return out[:-1]
@@ -186,7 +196,7 @@ class Polygon2:
         lines = _edge_lines(ts)
         # each vertex is strictly left of the next edge; the three turns
         # of a triangle are one signed area
-        if any(_dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if len(ts) == 3 else len(ts))):
+        if any(dot(lines[i], ts[i - 1]) <= 0 for i in range(1 if len(ts) == 3 else len(ts))):
             raise ValueError("vertices must be strictly convex and counterclockwise")
         self.triples, self.lines = ts, lines
 
@@ -222,7 +232,7 @@ class Polygon2:
 
     @cached_property
     def vertices(self) -> list:
-        return [_point(t) for t in self.triples]
+        return [point(t) for t in self.triples]
 
     @property
     def n(self) -> int:
@@ -312,14 +322,14 @@ def _clip(lines):
                     break  # line i lies outside line j
             elif w < 0:
                 p = (-w, -x, -y)
-                if lo is None or _dot(lj, lo) < 0:
+                if lo is None or dot(lj, lo) < 0:
                     lo = p
-            elif hi is None or _dot(lj, hi) < 0:
+            elif hi is None or dot(lj, hi) < 0:
                 hi, hi_line = (w, x, y), lj
         else:
             if lo is None or hi is None:
                 return None
-            if _dot(hi_line, lo) > 0:  # lo precedes hi, rather than meets or passes it
+            if dot(hi_line, lo) > 0:  # lo precedes hi, rather than meets or passes it
                 edges[_normalized(*lo)] = (li, _normalized(*hi))
     return edges
 
@@ -347,7 +357,7 @@ class NestedPair:
 
     @cached_property
     def inner_generators(self) -> list:
-        return [_point(g) for g in self.generators]
+        return [point(g) for g in self.generators]
 
 
 def slack_matrix(pair: NestedPair) -> ExactMatrix:
@@ -358,7 +368,7 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
     entry-wise nonnegative exactly when P is contained in Q."""
     lines = pair.outer_lines or pair.outer.lines
     gens = pair.generators or pair.inner.triples
-    return ExactMatrix([[_dot(line, g) for g in gens] for line in lines])
+    return ExactMatrix([[dot(line, g) for g in gens] for line in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +377,6 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
 # chart of the coordinate-sum slice: G.(x, y, z) = (x + y + z, x, y)
 SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
 SUM_CHART_INVERSE = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, -1, -1]])
-
-
-def _lowest(n, d) -> tuple:
-    """The vector n/d, for integers n and d > 0, as (n', d') in lowest
-    terms: gcd(*n', d') = 1.  Then n' is n/d times the lcm of its
-    denominators, as `integer_scaled` gives it."""
-    g = gcd(*n, d)
-    return (n[0] // g, n[1] // g, n[2] // g), d // g
 
 
 def _pair_of_factors(rows, cols) -> NestedPair:
@@ -466,7 +468,7 @@ def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
     v, towards = _lift(v), _lift(towards)
     if v == towards:
         raise ValueError("undirected chord")
-    return _point(_exit(v, towards, _at(outer.lines, v), _at(outer.lines, towards)))
+    return point(_exit(v, towards, _at(outer.lines, v), _at(outer.lines, towards)))
 
 
 def _exit(v: tuple, t: tuple, lvs: list, lts: list) -> tuple:
@@ -499,7 +501,7 @@ def _verified(candidate, ps, lines):
     mostly fails where it closes."""
     a, b, c = candidate
     ab, bc, ca = cross(a, b), cross(b, c), cross(c, a)
-    if _dot(a, bc) > 0 and _within(lines, (c, a, b)) and _within((ca, ab, bc), ps):
+    if dot(a, bc) > 0 and _within(lines, (c, a, b)) and _within((ca, ab, bc), ps):
         return Polygon2._of([a, b, c], [_primitive(ab), _primitive(bc), _primitive(ca)])
     return None
 
@@ -631,22 +633,22 @@ def _column_basis_pair(scaled, cols) -> NestedPair:
     i1 = next(i for i, row in enumerate(a0) if any(row))
     i2 = next(i for i, row in enumerate(a0) if any(cross(a0[i1], row)))
     normal = cross(a0[i1], a0[i2])
-    i3 = next(i for i, row in enumerate(a0) if _dot(normal, row))
+    i3 = next(i for i, row in enumerate(a0) if dot(normal, row))
     adj = (cross(a0[i2], a0[i3]), cross(a0[i3], a0[i1]), normal)  # the columns of adj(K)
-    det_k = _dot(a0[i1], adj[0])
+    det_k = dot(a0[i1], adj[0])
     if det_k < 0:
         adj, det_k = tuple(tuple(-x for x in c) for c in adj), -det_k
     # det K times the coordinates of each column
     r1, r2, r3 = zip(*adj)  # the rows of adj(K)
-    coords = [(_dot(r1, x), _dot(r2, x), _dot(r3, x)) for x in zip(n[i1], n[i2], n[i3])]
-    _verify(all(_dot(a, b) == det_k * x for a, row in zip(a0, n) for b, x in zip(coords, row)),
+    coords = [(dot(r1, x), dot(r2, x), dot(r3, x)) for x in zip(n[i1], n[i2], n[i3])]
+    _verify(all(dot(a, b) == det_k * x for a, row in zip(a0, n) for b, x in zip(coords, row)),
             "matrix outside the span of its independent columns")
     # the chart has determinant the third column sum of a0, positive
     # because a0 is nonnegative with no zero column
     s1, s2, s3 = (sums[c - 1] for c in cols)
     _verify(s3 > 0, "slice basis change is singular")
-    b_cols = [_lowest((sj * det_k, big * b[0], big * b[1]), det_k * big) for sj, b in zip(sums, coords)]
-    a_rows = [_lowest((a3 * big, a1 * s3 - a3 * s1, a2 * s3 - a3 * s2), d * s3)
+    b_cols = [lowest((sj * det_k, big * b[0], big * b[1]), det_k * big) for sj, b in zip(sums, coords)]
+    a_rows = [lowest((a3 * big, a1 * s3 - a3 * s1, a2 * s3 - a3 * s2), d * s3)
               for (a1, a2, a3), (_, d) in zip(a0, scaled)]
     return _pair_of_factors(a_rows, b_cols)
 
@@ -692,10 +694,10 @@ def triangle_to_factorization(pair: NestedPair, tri: Polygon2, m: ExactMatrix):
     rows, cols = pair.provenance["a"], pair.provenance["b"]
     ts = tri.triples
     inv = [cross(ts[k - 2], ts[k - 1]) for k in range(3)]
-    det_t = _dot(ts[0], inv[0])
+    det_t = dot(ts[0], inv[0])
     # A.C is at[a][k] / (d_a*w_k) and C^-1.B is w_k*bt[k][j] / (det_t*d_j)
-    at = [[_dot(n, t) for t in ts] for n, _ in rows]
-    bt = [[_dot(x, n) for n, _ in cols] for x in inv]
+    at = [[dot(n, t) for t in ts] for n, _ in rows]
+    bt = [[dot(x, n) for n, _ in cols] for x in inv]
     _verify(all(v >= 0 for row in at for v in row), "triangle not inside Q")
     _verify(all(v >= 0 for row in bt for v in row), "P not inside triangle")
     _verify(m.shape == (len(rows), len(cols)) and all(

@@ -7,6 +7,7 @@ column indices on the public surface are 1-based.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
@@ -248,7 +249,7 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return sol.particular
 
 
-class LinearSolution:
+class LinearSolution(namedtuple("LinearSolution", "consistent particular kernel_basis")):
     """Outcome of solving a x = rhs exactly.
 
     ``particular`` is one solution (columns matching rhs columns) when the
@@ -256,12 +257,7 @@ class LinearSolution:
     homogeneous system as q x 1 column matrices.
     """
 
-    __slots__ = ("consistent", "particular", "kernel_basis")
-
-    def __init__(self, consistent: bool, particular: ExactMatrix | None, kernel_basis: list[ExactMatrix]):
-        self.consistent = consistent
-        self.particular = particular
-        self.kernel_basis = kernel_basis
+    __slots__ = ()
 
     @property
     def kernel_dimension(self) -> int:

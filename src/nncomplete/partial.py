@@ -5,6 +5,7 @@ r x r minors zero-consistency).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
@@ -16,26 +17,18 @@ class ParseError(ValueError):
     pass
 
 
-class Pattern:
+class Pattern(namedtuple("Pattern", "p q observed")):
     """Observation pattern E, a subset of [p] x [q] (1-based)."""
 
-    __slots__ = ("p", "q", "observed")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int, observed: frozenset):
+    def __new__(cls, p: int, q: int, observed: frozenset):
+        if p < 1 or q < 1:
+            raise ValueError("matrix must have at least one row and one column")
         for (i, j) in observed:
             if not (1 <= i <= p and 1 <= j <= q):
                 raise ValueError(f"observed position ({i},{j}) out of range")
-        self.p = p
-        self.q = q
-        self.observed = observed
-
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return (self.p, self.q, self.observed) == (other.p, other.q, other.observed)
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.observed))
+        return super().__new__(cls, p, q, observed)
 
     @property
     def missing(self) -> frozenset:
@@ -86,7 +79,7 @@ class PartialMatrix:
     def from_rows(cls, rows) -> "PartialMatrix":
         """Build from nested lists where ``None`` marks a missing entry."""
         p = len(rows)
-        q = len(rows[0])
+        q = len(rows[0]) if rows else 0  # Pattern refuses an empty shape
         observed = set()
         values = {}
         for i, row in enumerate(rows, start=1):
@@ -212,18 +205,12 @@ def serialize_matrix(m: ExactMatrix) -> str:
 # support graph
 
 
-class SupportGraph:
+class SupportGraph(namedtuple("SupportGraph", "p q edges nonzero_edges")):
     """Bipartite graph of a pattern: left = rows, right = columns, one edge
     per observed position.  ``nonzero_edges`` keeps only edges whose value
     is nonzero (the graph used for uniqueness of rank-1 completions)."""
 
-    __slots__ = ("p", "q", "edges", "nonzero_edges")
-
-    def __init__(self, p: int, q: int, edges: frozenset, nonzero_edges: frozenset):
-        self.p = p
-        self.q = q
-        self.edges = edges
-        self.nonzero_edges = nonzero_edges
+    __slots__ = ()
 
     def components(self):
         """Connected components of the nonzero edges as sets of vertices
@@ -267,23 +254,8 @@ def support_graph(m: PartialMatrix) -> SupportGraph:
 # combinatorial conditions
 
 
-class ZeroLineFlags:
-    __slots__ = ("row", "column")
-
-    def __init__(self, row: bool, column: bool):
-        self.row = row
-        self.column = column
-
-    def __eq__(self, other):
-        if not isinstance(other, ZeroLineFlags):
-            return NotImplemented
-        return (self.row, self.column) == (other.row, other.column)
-
-    def __hash__(self):
-        return hash((self.row, self.column))
-
-    def __repr__(self):
-        return f"ZeroLineFlags(row={self.row!r}, column={self.column!r})"
+class ZeroLineFlags(namedtuple("ZeroLineFlags", "row column")):
+    __slots__ = ()
 
     def either(self) -> bool:
         return self.row or self.column

@@ -1347,8 +1347,7 @@ def decide_two_missing_per_orientation(m: PartialMatrix) -> Nn3Certificate:
     if transposed:
         completion = None if completion is None else completion.transpose()
         witness = None if witness is None else (witness[1].transpose(), witness[0].transpose())
-    return Nn3Certificate(cert.verdict, cert.pattern, cert.t_star, completion, witness, cert.triangle,
-                          cert.envelope, cert.envelope_t, cert.samples)
+    return cert._replace(completion=completion, witness=witness)
 
 
 def _decide_one_orientation(canon: PartialMatrix, tag: str) -> Nn3Certificate:

@@ -9,6 +9,7 @@ from nncomplete import (
     PartialMatrix,
     Pattern,
     PerturbationSpec,
+    VerificationError,
     classify_one_missing,
     cycle_property,
     eval_boundary_sextic,
@@ -216,6 +217,23 @@ class TestNnRank2Complete3x3:
         assert out.kind == "some"
         assert out.matrix == ExactMatrix(want)
         assert pm.agrees_with(out.matrix) and rank(out.matrix) <= 2
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            [[0, 0, 0], [1, 2, 3], [4, 5, 6]],  # disagrees with the observed 6
+            [[-3, 6, 15], [1, 2, 3], [4, 5, 6]],  # negative, of rank 2
+            [[0, 6, 0], [1, 2, 3], [4, 5, 6]],  # of rank 3
+        ],
+    )
+    def test_wrong_completion_is_refused(self, monkeypatch, wrong):
+        """Row 1 has one observed entry, so the completion re-attaches it
+        by scaling another row; a wrong one raises rather than returns."""
+        pm = parse_partial("? 6 ?\n1 2 3\n4 5 6\n")
+        assert nn_rank2_complete_3x3(pm).matrix == ExactMatrix([[3, 6, 9], [1, 2, 3], [4, 5, 6]])
+        monkeypatch.setattr(nncomplete.completion, "extend_by_sparse_row", lambda m, rest, i: ExactMatrix(wrong))
+        with pytest.raises(VerificationError):
+            nn_rank2_complete_3x3(pm)
 
 
 def _random_one_missing(rng, case):

@@ -28,7 +28,7 @@ from nncomplete import (
 )
 import nncomplete.geometry
 import nncomplete.linalg
-from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, side
+from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, lowest, point, side
 
 from conftest import drawn_polygon, fractions_made, rnd_fraction, rnd_nonneg_product
 from oracles import (
@@ -123,6 +123,16 @@ class TestLineHelpers:
         assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
         assert cross((0, 1, 0), (1, 0, 0)) == (0, 0, -1)
         assert cross((2, 3, 5), (4, 6, 10)) == (0, 0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(-10**12, 10**12)] * 3), st.integers(-10**12, 10**12).filter(bool))
+    def test_lowest_terms_of_either_sign(self, n, d):
+        """The family's A(t) divides by a denominator that is negative on
+        one side of its pole, so both signs of d are read."""
+        m, e = lowest(n, d)
+        assert e > 0 and gcd(*m, e) == 1
+        assert [Fraction(x, e) for x in m] == [Fraction(x, d) for x in n]
+        assert point((e, m[0], m[1])) == (Fraction(n[0], d), Fraction(n[1], d))
 
     @settings(max_examples=300, deadline=None)
     @given(big_point, big_point, big_point, big_rational, st.booleans())

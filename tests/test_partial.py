@@ -61,6 +61,18 @@ class TestParsing:
 
 
 class TestPartialMatrix:
+    @pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+    def test_shape_without_row_or_column_rejected(self, rows):
+        """The refusal ExactMatrix gives, rather than an IndexError or a
+        matrix that fails later."""
+        with pytest.raises(ValueError, match="^matrix must have at least one row and one column$"):
+            PartialMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("p,q", [(0, 0), (0, 2), (2, 0)])
+    def test_empty_pattern_rejected(self, p, q):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            Pattern(p, q, frozenset())
+
     def test_transpose_round_trip(self):
         m = parse_partial("? 1 2\n3 ? 4\n")
         assert m.transpose().transpose() == m
