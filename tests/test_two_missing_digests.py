@@ -3,8 +3,9 @@
 ``golden/two_missing_digests.txt`` has one line per input: its id, the
 verdict and the sha256 of the certificate's ``to_json_dict()`` together
 with the witness entries as ``str``.  The inputs are the ``products`` and
-``bitsize`` corpora of ``bench/corpus.py`` at corpus seeds 2601 and 7658
-and the two-hole fixtures of ``tests/data``, so any change to a printed
+``bitsize`` corpora of ``bench/corpus.py`` at corpus seeds 2601 and 7658,
+the two-hole fixtures of ``tests/data`` and the 3,900 seeded draws of
+``WIDE`` (ids ``wide-<seed>-<index>``), so any change to a printed
 answer, the sampled t, an interval or a witness shows as a changed line.
 
 The module needs only the standard library and the package, so it runs
@@ -15,7 +16,8 @@ without pytest as well, from the root of a checkout:
 which prints the lines that differ and exits with code 1 when any does.
 The golden lines were written by ``digest_lines()`` before the family
 stage moved to integers; a changed line of an old input is a changed
-answer.
+answer.  The wide lines were written before the families were built from
+cross products.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import importlib
 import json
 import sys
 from pathlib import Path
+from random import Random
 
 from nncomplete import PartialMatrix, decide_nn3_two_missing, parse_partial
 
@@ -33,6 +36,10 @@ BENCH = HERE.parent / "bench"
 GOLDEN = HERE / "golden" / "two_missing_digests.txt"
 FIXTURES = ("two_missing_column", "two_missing_completable", "two_missing_diagonal", "two_missing_unknown")
 CORPUS_SEEDS = (2601, 7658)
+# (seed, count, top entry) of the wide draws: a 4x4 of randint(0, top), row
+# by row, then two distinct holes among CELLS
+WIDE = ((5, 300, 9), (7, 1500, 9), (8, 1500, 3), (9, 600, 2))
+CELLS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
 
 
 def load_corpus():
@@ -53,6 +60,13 @@ def inputs():
                 yield f"{case.id}@{seed}", PartialMatrix.from_rows([list(row) for row in case.rows])
     for name in FIXTURES:
         yield name, parse_partial((HERE / "data" / f"{name}.txt").read_text())
+    for seed, count, top in WIDE:
+        rng = Random(seed)
+        for index in range(count):
+            rows = [[rng.randint(0, top) for _ in range(4)] for _ in range(4)]
+            holes = set(rng.sample(CELLS, 2))
+            yield f"wide-{seed}-{index}", PartialMatrix.from_rows(
+                [[None if (i, j) in holes else x for j, x in enumerate(row, 1)] for i, row in enumerate(rows, 1)])
 
 
 def digest_line(case_id: str, m: PartialMatrix) -> str:
@@ -78,7 +92,7 @@ def test_digests_match_the_golden():
     golden = GOLDEN.read_text().splitlines()
     lines = digest_lines()
     assert lines == golden, "\n".join(differences(lines, golden))
-    assert len(lines) == 2 * (120 + 16) + len(FIXTURES)
+    assert len(lines) == 2 * (120 + 16) + len(FIXTURES) + sum(count for _, count, _ in WIDE)
 
 
 def main() -> int:
