@@ -3,8 +3,9 @@ low-rank and low-nonnegative-rank completions, and render figures.
 
 Exit status contract: 0 for a decided verdict, 2 when the decision
 procedure honestly answers Unknown, 1 for any error (a usage error, parse
-failure, unsupported pattern, shape mismatch, or any ValueError or
-ZeroDivisionError raised by the library), with a one-line diagnostic.
+failure, unsupported pattern, shape mismatch, any ValueError or
+ZeroDivisionError raised by the library, or an answer that fails its own
+verification), with a one-line diagnostic.
 
 Each subcommand imports the modules it runs when it runs, so that a
 process loads only those: `rank`, `complete` and `one-missing` load no
@@ -17,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .linalg import ExactMatrix, rank
+from .linalg import ExactMatrix, VerificationError, rank
 from .partial import ParseError, PartialMatrix, parse_partial, serialize_matrix
 
 
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
         # ValueError covers the library's FamilyError, ParseError and
         # UnboundedRegionError
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except VerificationError as e:  # an AssertionError: a fault of the library, never a verdict
+        print(f"error: verification failed: {e}", file=sys.stderr)
         return 1
 
 

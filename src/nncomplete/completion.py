@@ -364,6 +364,8 @@ class PerturbationSpec(namedtuple("PerturbationSpec", "side position epsilon")):
     """Replace an exact zero of one factor with a negative epsilon."""
 
     __slots__ = ()
+    # _replace copies through _make, and namedtuple's own _make skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, side: str, position: tuple, epsilon: Fraction):
         if side not in ("left", "right"):

@@ -24,14 +24,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .linalg import ExactMatrix, det, integer_scaled, inverse, matmul, rank, solve_linear, to_fraction
+from .linalg import ExactMatrix, VerificationError, det, integer_scaled, rank, to_fraction
 from .partial import PartialMatrix
 from .geometry import (
-    SUM_CHART,
     SUM_CHART_INVERSE,
     NestedPair,
-    Polygon2,
-    UnboundedRegionError,
     chord_exit,
     contains,
     cross,
@@ -40,6 +37,7 @@ from .geometry import (
     lowest,
     nested_triangle,
     nn_rank_at_most_3,
+    pair_of_factors,
     point,
     polytopes_from_factorization,
     triangle_to_factorization,
@@ -218,14 +216,16 @@ class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_sca
                 ExactMatrix(zip(*([Fraction(x, d) for x in n] for n, d in cols))))
 
     def completion_at(self, t) -> ExactMatrix:
-        return matmul(*self.factors_at(t))
+        t = to_fraction(t)
+        return _product(*self.integer_factors(t.numerator, t.denominator))
 
     def is_feasible(self, t) -> bool:
         t = to_fraction(t)
         return any(iv.contains(t) for iv in self.feasible)
 
     def pair_at(self, t) -> NestedPair:
-        return polytopes_from_factorization(*self.factors_at(t))
+        t = to_fraction(t)
+        return pair_of_factors(*self.integer_factors(t.numerator, t.denominator))
 
     def vertex_at(self, t) -> tuple:
         """The moving vertex (y/w, z/w) at t; ZeroDivisionError where w = 0."""
@@ -245,16 +245,24 @@ class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_sca
         return t if v0[0] + t * v1[0] else None
 
 
-def _family(tag, a_pencil, a_den, b_pencil, constraints, fixed: NestedPair, moving: int) -> NestedFamily:
+def _product(rows, cols) -> ExactMatrix:
+    """A.B from A's rows and B's columns as `integer_factors` gives them."""
+    return ExactMatrix([[Fraction(dot(n, c), d * e) for c, e in cols] for n, d in rows])
+
+
+def _family(tag, a_pencil, a_den, b_pencil, constraints, fixed_rows, moving: int) -> NestedFamily:
     """The family of the pencils A(t) = (A0 + t*A1)/(d0 + t*d1) and B(t)
-    = B0 + t*B1 of Fractions in slice coordinates, each matrix a list of
-    rows, with every datum scaled to integers once: A with its
-    denominator over one scale, B over another, the moving vertex and its
-    line, and each side of each sign constraint (n, d) of the feasible
-    set on its own.  ``fixed`` is the pair of the t-free rows of A and
-    columns of B."""
+    = B0 + t*B1 of Fractions in slice coordinates, A's as lists of rows
+    and B's as lists of columns, with every datum scaled to integers
+    once: A with its denominator over one scale, B over another, the
+    moving vertex and its line, and each side of each sign constraint (n,
+    d) of the feasible set on its own.  The fixed pair slices
+    ``fixed_rows``, the t-free rows of A, and the t-free columns of B,
+    every column but column ``moving``."""
     a0, a1, (den,), _ = _integers(*a_pencil, [a_den])
-    b0, b1, b_scale = _integers(*(list(zip(*rows)) for rows in b_pencil))
+    b0, b1, b_scale = _integers(*b_pencil)
+    fixed_cols = [b for j, b in enumerate(b_pencil[0]) if j != moving]
+    fixed = polytopes_from_factorization(ExactMatrix(fixed_rows), ExactMatrix(zip(*fixed_cols)))
     # the moving column v0 + t*v1 = (w, y, z) is the slice point (y/w, z/w)
     vertex = (tuple(b0[moving]), tuple(b1[moving]))
     if not (vertex[0][0] or vertex[1][0]):
@@ -292,33 +300,29 @@ def family_11_21(m: PartialMatrix) -> NestedFamily:
     a = m.observed_submatrix([1, 2, 3, 4], [2, 3, 4])
     if rank(a) != 3:
         raise FamilyError("columns 2..4 must have rank 3")
-    # b1 solves rows 3-4 with the columns reversed, so the free component
-    # is the one column left out of the first independent pair found from
-    # the right: the complementary 2x2 block is invertible and component 1
-    # (the printed convention) is preferred.  Then b1 = x0 + t*k with the
-    # free component of k equal to 1, so t is that component.
-    sol = solve_linear(
-        m.observed_submatrix([3, 4], [4, 3, 2]),
-        ExactMatrix.column([m.entry(3, 1), m.entry(4, 1)]),
-    )
-    if sol.kernel_dimension != 1:
+    # b1 solves rows r3, r4 of A: b1 = x0 + t*k/k_f for k = r3 x r4, f its
+    # first nonzero component (1, the printed convention, when it can) and
+    # x0 the solution with component f zero, so t is component f of b1
+    r3, r4 = a.row(3), a.row(4)
+    k = cross(r3, r4)
+    f = next((i for i in range(3) if k[i]), None)
+    if f is None:
         raise FamilyError("rows 3,4 of columns 2..4 must have rank 2")
-    x0_k = ExactMatrix(zip(sol.particular.col(1)[::-1], sol.kernel_basis[0].col(1)[::-1]))
-    x0, k = x0_k.col(1), x0_k.col(2)
-
-    # both factors in the chart G of the column sums of A, as A.G^-1 and
-    # G.B; the sums are positive, since a nonnegative column with sum 0
-    # would be zero and A has rank 3.  The t-free columns of B are the
-    # identity, so in the chart they are G itself
-    chart = ExactMatrix([[sum(a.col(j)) for j in (1, 2, 3)], [0, 1, 0], [0, 0, 1]])
-    a = matmul(a, inverse(chart))
-    b_pencil = tuple(matmul(chart, ExactMatrix(rows)).to_lists() for rows in (
-        [[x0[i]] + [int(i == j) for j in range(3)] for i in range(3)], [[k[i], 0, 0, 0] for i in range(3)]))
-    fixed = polytopes_from_factorization(a, chart)
-    # the filled entries m11(t), m21(t): rows 1-2 of A times x0 + t*k
-    filled = matmul(m.observed_submatrix([1, 2], [2, 3, 4]), x0_k)
-    return _family("11_21", (a.to_lists(), [[0] * 3 for _ in range(4)]), (1, 0), b_pencil,
-                   [(row, (1, 0)) for row in filled.to_lists()], fixed, 0)
+    e_f = [int(i == f) for i in range(3)]
+    x0 = [(m.entry(3, 1) * u - m.entry(4, 1) * v) / k[f] for u, v in zip(cross(r4, e_f), cross(r3, e_f))]
+    k = [x / k[f] for x in k]
+    # both factors in the chart G = (the column sums s of A; e2; e3), as
+    # A.G^-1, whose row a is (a1, a2*s1 - a1*s2, a3*s1 - a1*s3)/s1, and
+    # G.B, whose column b is (s.b, b2, b3); s1 > 0, since a nonnegative
+    # column with sum 0 would be zero and A has rank 3.  The t-free
+    # columns of B are the identity, so in the chart they are G itself
+    s = [sum(a.col(j)) for j in (1, 2, 3)]
+    a = [[a1 / s[0], a2 - a1 * s[1] / s[0], a3 - a1 * s[2] / s[0]] for a1, a2, a3 in a.to_lists()]
+    chart = [(s[0], 0, 0), (s[1], 1, 0), (s[2], 0, 1)]
+    b_pencil = ([(dot(s, x0), x0[1], x0[2]), *chart], [(dot(s, k), k[1], k[2])] + [(0, 0, 0)] * 3)
+    # the filled entries m11(t), m21(t): rows 1-2 of M's columns 2..4 times x0 + t*k
+    filled = [([dot(row, x0), dot(row, k)], (1, 0)) for row in m.observed_submatrix([1, 2], [2, 3, 4]).to_lists()]
+    return _family("11_21", (a, [[0] * 3 for _ in range(4)]), (1, 0), b_pencil, filled, a, 0)
 
 
 def sufficient_11_21(fam: NestedFamily):
@@ -373,48 +377,37 @@ def special_case_low_rank(m: PartialMatrix, r: int):
 def family_11_22(m: PartialMatrix) -> NestedFamily:
     """Family for holes (1,1) and (2,2): the second entry of the first row
     of B is the parameter t, and the first row of A solves a1.N(t) =
-    (m12, m13, m14) by Cramer's rule, where N(t) has rows (t, m23, m24),
-    (m32, m33, m34) and (m42, m43, m44).  Each determinant is affine in
-    t, so it is read off its values at t = 0 and t = 1; with the first
-    row, the only one holding t, replaced, it is constant."""
+    (m12, m13, m14) = rhs by Cramer's rule, where N(t) has rows R2(t) =
+    (t, m23, m24), x = (m32, m33, m34) and y = (m42, m43, m44).  Each
+    determinant is a triple product, affine in t: det N(t) = R2(t).(x*y)
+    over the numerators rhs.(x*y), R2(t).(rhs*y) and R2(t).(x*rhs), for *
+    the cross product and R2(t) = (0, m23, m24) + t*(1, 0, 0)."""
     _require_pattern(m, {(1, 1), (2, 2)})
-    if rank(m.observed_submatrix([1, 3, 4], [2, 3, 4])) != 3:
+    rhs, x, y = ([m.entry(i, j) for j in (2, 3, 4)] for i in (1, 3, 4))
+    xy = cross(x, y)
+    if not dot(rhs, xy):
         raise FamilyError("rows 1,3,4 of columns 2..4 must have rank 3")
-    if rank(m.observed_submatrix([2, 3, 4], [1, 3, 4])) != 3:
+    u, v, w = ([m.entry(i, j) for j in (1, 3, 4)] for i in (2, 3, 4))
+    if not dot(u, cross(v, w)):
         raise FamilyError("rows 2..4 of columns 1,3,4 must have rank 3")
 
-    rhs = [m.entry(1, j) for j in (2, 3, 4)]
-    fixed_rows = [[m.entry(i, j) for j in (2, 3, 4)] for i in (3, 4)]
-
-    def pencil(replaced=None) -> tuple:
-        """(value at 0, t-coefficient) of det N(t), with row ``replaced``
-        of N(t) swapped for the right-hand side."""
-        def at(t):
-            return det(ExactMatrix(rhs if i == replaced else row
-                                   for i, row in enumerate([[t, m.entry(2, 3), m.entry(2, 4)], *fixed_rows])))
-
-        at0 = at(0)
-        return (at0, 0) if replaced == 0 else (at0, at(1) - at0)
-
-    den = pencil()
+    r2 = (0, m.entry(2, 3), m.entry(2, 4))
+    den = (dot(r2, xy), xy[0])
     if not any(den):
         raise FamilyError("parametrizing system is singular for every t")
-    nums = [pencil(j) for j in range(3)]
+    nums = [(dot(rhs, xy), 0)] + [(dot(r2, c), c[0]) for c in (cross(rhs, y), cross(x, rhs))]
     # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
     col = [m.entry(i, 1) for i in (2, 3, 4)]
-    constraints = [([dot([n[s] for n in nums], col) for s in (0, 1)], den), ((0, 1), (1, 0))]
-    # A(t) over den(t): the Cramer numerators, then the identity times
-    # den; both factors in the chart G = SUM_CHART, as A.G^-1 and G.B
-    raw = ([[n[s] for n in nums]] + [[den[s] if i == j else 0 for j in range(3)] for i in range(3)] for s in (0, 1))
-    a_pencil = tuple(matmul(ExactMatrix(rows), SUM_CHART_INVERSE).to_lists() for rows in raw)
-    b_pencil = tuple(matmul(SUM_CHART, ExactMatrix(rows)).to_lists() for rows in (
-        [[m.entry(2, 1), 0, m.entry(2, 3), m.entry(2, 4)]] + [[m.entry(i, j) for j in (1, 2, 3, 4)] for i in (3, 4)],
-        [[0, 1, 0, 0], [0] * 4, [0] * 4],
-    ))
-    # the identity rows of A and the t-free columns 1, 3, 4 of B
-    fixed = polytopes_from_factorization(
-        SUM_CHART_INVERSE, matmul(SUM_CHART, m.observed_submatrix([2, 3, 4], [1, 3, 4])))
-    return _family("11_22", a_pencil, den, b_pencil, constraints, fixed, 1)
+    constraints = [([dot(n, col) for n in zip(*nums)], den), ((0, 1), (1, 0))]
+    # both factors in the chart G = SUM_CHART: A(t), the Cramer numerators
+    # n and the identity times den, over den, as A.G^-1 with n.G^-1 = (n3,
+    # n1 - n3, n2 - n3), and B(t) (m22 = t) as G.B with G.b = (b1 + b2 + b3, b1, b2)
+    a_pencil = tuple([(n3, n1 - n3, n2 - n3), (0, d, 0), (0, 0, d), (d, -d, -d)]
+                     for (n1, n2, n3), d in zip(zip(*nums), den))
+    cols = [[m.get(i, j, 0) for i in (2, 3, 4)] for j in (1, 2, 3, 4)]
+    b_pencil = ([(sum(b), b[0], b[1]) for b in cols], [(0, 0, 0), (1, 1, 0), (0, 0, 0), (0, 0, 0)])
+    # the t-free rows of A are the identity rows, G^-1 in the chart
+    return _family("11_22", a_pencil, den, b_pencil, constraints, SUM_CHART_INVERSE.to_lists(), 1)
 
 
 def simplicial_sign_check(fam: NestedFamily, t) -> bool:
@@ -573,16 +566,16 @@ def _completable_at(fam: NestedFamily, t):
     t = to_fraction(t)
     if not fam.is_feasible(t):
         return None
-    a, b = fam.factors_at(t)
-    completion = matmul(a, b)
-    if not completion.is_nonnegative():
-        return None
+    rows, cols = fam.integer_factors(t.numerator, t.denominator)
     try:
-        pair = polytopes_from_factorization(a, b)
+        pair = pair_of_factors(rows, cols)
         tri = nested_triangle(pair)
     except ValueError:
         return None
     if tri is None:
+        return None
+    completion = _product(rows, cols)
+    if not completion.is_nonnegative():
         return None
     witness = triangle_to_factorization(pair, tri, completion)
     return Nn3Certificate("Completable", fam.tag, t_star=t, completion=completion, witness=witness,
@@ -610,7 +603,7 @@ def _envelope_for_interval(fam: NestedFamily, iv: Interval, ts):
         return None
     try:
         pairs = [fam.pair_at(t) for t in ts]
-    except (ValueError, UnboundedRegionError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # UnboundedRegionError is a ValueError
         return None
     inner_ends = _chain_ends([p.inner for p in pairs])
     outer_ends = _chain_ends([p.outer for p in pairs])
@@ -664,16 +657,10 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     completion, which is positive, and its slack is that column.
     """
     line = fam.line_p1
-    outer = fam.fixed_outer
-    if line is None or all(any(cross(facet, line)) for facet in outer.lines):
+    if line is None or all(any(cross(facet, line)) for facet in fam.fixed_outer.lines):
         return False
     ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
-    fixed = fam.fixed_inner_points
-    for t in _interval_sample_ts(iv, ts):
-        inner = Polygon2.from_points([fam.vertex_at(t), *fixed])
-        if nested_triangle(NestedPair(inner, outer)) is not None:
-            return False
-    return True
+    return all(nested_triangle(fam.pair_at(t)) is None for t in _interval_sample_ts(iv, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +722,8 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
     different rows and columns, the family stages alone on the transpose,
     which keeps the nonnegative rank and gives an independent
     parametrization.  "Completable" is always backed by an exact witness
-    (A, B) with A.B equal to the returned completion.
+    (A, B) with A.B equal to the returned completion, and the completion
+    is checked against every observed entry of m (VerificationError).
     """
     canon, norm = normalize_two_missing(m)
     filled = canon.complete_with({hole: 0 for hole in canon.pattern.missing})
@@ -754,7 +742,10 @@ def decide_nn3_two_missing(m: PartialMatrix) -> Nn3Certificate:
             # undoing the transpose of m is one more transposition
             cert = flipped
             norm = norm_t._replace(transposed=not norm_t.transposed)
-    return _in_callers_orientation(cert, norm)
+    cert = _in_callers_orientation(cert, norm)
+    if cert.verdict == "Completable" and not m.agrees_with(cert.completion):
+        raise VerificationError("the completion does not match the observed entries")
+    return cert
 
 
 def _in_callers_orientation(cert: Nn3Certificate, norm: Normalization) -> Nn3Certificate:

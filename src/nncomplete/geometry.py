@@ -379,7 +379,7 @@ SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
 SUM_CHART_INVERSE = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, -1, -1]])
 
 
-def _pair_of_factors(rows, cols) -> NestedPair:
+def pair_of_factors(rows, cols) -> NestedPair:
     """The nested pair of factors A and B given as A's rows and B's
     columns, each a pair (n, d): an integer triple over one positive
     denominator in lowest terms, so the row n/d of A has the integer line
@@ -419,7 +419,7 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
         raise ValueError("factors must have inner dimension 3")
     rows = [(tuple(n), d) for n, d in map(integer_scaled, a.to_lists())]
     cols = [(tuple(n), d) for n, d in map(integer_scaled, zip(*b.to_lists()))]
-    return _pair_of_factors(rows, cols)
+    return pair_of_factors(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +650,7 @@ def _column_basis_pair(scaled, cols) -> NestedPair:
     b_cols = [lowest((sj * det_k, big * b[0], big * b[1]), det_k * big) for sj, b in zip(sums, coords)]
     a_rows = [lowest((a3 * big, a1 * s3 - a3 * s1, a2 * s3 - a3 * s2), d * s3)
               for (a1, a2, a3), (_, d) in zip(a0, scaled)]
-    return _pair_of_factors(a_rows, b_cols)
+    return pair_of_factors(a_rows, b_cols)
 
 
 def nn_rank_at_most_3(m: ExactMatrix):

@@ -21,6 +21,8 @@ class Pattern(namedtuple("Pattern", "p q observed")):
     """Observation pattern E, a subset of [p] x [q] (1-based)."""
 
     __slots__ = ()
+    # _replace copies through _make, and namedtuple's own _make skips __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, p: int, q: int, observed: frozenset):
         if p < 1 or q < 1:

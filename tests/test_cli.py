@@ -208,6 +208,17 @@ class TestNn3Decide:
         assert code == 2
         assert out.splitlines()[0] == "Unknown (pattern 11_22)"
 
+    def test_failed_verification_is_one_error_line(self, capsys, monkeypatch):
+        """A VerificationError is an AssertionError, a fault of the library:
+        exit 1 with one diagnostic line and no verdict, not a traceback."""
+        def fail(m):
+            raise nncomplete.VerificationError("the completion does not match the observed entries")
+
+        monkeypatch.setattr("nncomplete.family.decide_nn3_two_missing", fail)
+        code, out, err = run(capsys, "nn3-decide", str(DATA / "two_missing_completable.txt"))
+        assert code == 1 and out == ""
+        assert err == "error: verification failed: the completion does not match the observed entries\n"
+
     def test_wrong_hole_count_is_error(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO("? 5 1 9\n1 1 7 7\n1 5 9 1\n2 9 3 3\n")

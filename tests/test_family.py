@@ -14,6 +14,7 @@ from nncomplete import (
     PartialMatrix,
     Pattern,
     Polygon2,
+    VerificationError,
     contains,
     NestedPair,
     decide_nn3_two_missing,
@@ -367,8 +368,8 @@ class TestColumnHolesFamily:
         candidates alone."""
         fam = family_11_21(two_missing_column)
         (iv,) = fam.feasible
-        probes, vertex_at = [], NestedFamily.vertex_at
-        monkeypatch.setattr(NestedFamily, "vertex_at", lambda self, t: probes.append(t) or vertex_at(self, t))
+        probes, pair_at = [], NestedFamily.pair_at
+        monkeypatch.setattr(NestedFamily, "pair_at", lambda self, t: probes.append(t) or pair_at(self, t))
         assert _sweep_moving_vertex(fam, iv)
         candidates = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
         assert probes == _interval_sample_ts(iv, candidates)
@@ -1067,15 +1068,16 @@ class TestLazySearchOrder:
 
 class TestFactorsAt:
     def test_each_tried_t_evaluates_the_factors_once(self, monkeypatch):
-        """The search evaluates A(t) and B(t) once per feasible tried t and
-        reads the completion and the pair from those two matrices."""
+        """The search evaluates A(t) and B(t) once per feasible tried t, as
+        integer rows and columns, and reads the pair and the completion
+        from those."""
         evaluated = []
-        factors_at = NestedFamily.factors_at
+        integer_factors = NestedFamily.integer_factors
         completable_at = nncomplete.family._completable_at
 
-        def counting_factors_at(fam, t):
-            evaluated.append(t)
-            return factors_at(fam, t)
+        def counting_integer_factors(fam, p, q):
+            evaluated.append((p, q))
+            return integer_factors(fam, p, q)
 
         def checking(fam, t):
             before = len(evaluated)
@@ -1087,13 +1089,30 @@ class TestFactorsAt:
             return hit
 
         tried = []
-        monkeypatch.setattr(NestedFamily, "factors_at", counting_factors_at)
+        monkeypatch.setattr(NestedFamily, "integer_factors", counting_integer_factors)
         monkeypatch.setattr(nncomplete.family, "_completable_at", checking)
         inputs = [parse_partial((DATA / f"{name}.txt").read_text())
                   for name in ("two_missing_completable", "two_missing_diagonal")]
         inputs += canonical_products(5, ((1, 1), (2, 2)), 4)
         verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
         assert tried and verdicts >= {"Completable", "NotCompletable"}
+
+    def test_the_decision_builds_no_fraction_factors(self, monkeypatch):
+        """Every probe of a decision, the search, the envelope and the
+        sweep, slices the integer factors: `factors_at` is for callers."""
+        monkeypatch.syspath_prepend(str(DATA.parents[1] / "bench"))
+        import corpus
+
+        def refuse(fam, t):
+            raise AssertionError("factors_at called")
+
+        monkeypatch.setattr(NestedFamily, "factors_at", refuse)
+        inputs = [parse_partial((DATA / f"{name}.txt").read_text()) for name in (
+            "two_missing_column", "two_missing_completable", "two_missing_diagonal", "two_missing_unknown")]
+        inputs += [PartialMatrix.from_rows([list(row) for row in case.rows])
+                   for case in corpus.products(corpus.DEFAULT_CORPUS_SEED)]
+        verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
+        assert verdicts == {"Completable", "NotCompletable", "Unknown"}
 
 
 class TestIntegerPencils:
@@ -1205,3 +1224,21 @@ class TestOnePipeline:
             verdicts.append(self.same_decision(restrict(full, Pattern(4, 4, frozenset(CELLS) - set(holes)))))
         assert min(verdicts.count(v) for v in ("Completable", "NotCompletable", "Unknown")) >= 10
         assert len(curves) >= 30 and len(normalizations) - 300 >= 20
+
+
+class TestCompletionMatchesTheInput:
+    def test_changed_observed_entry_raises(self, monkeypatch):
+        """A Completable answer whose completion differs from the input at
+        an observed entry is refused by a check that is no assert, so it
+        holds under python -O as well."""
+        stages, decided = nncomplete.family._family_stages, []
+
+        def tampered(canon, tag):
+            cert = stages(canon, tag)
+            decided.append(cert.verdict)
+            return cert._replace(completion=cert.completion.with_entry(3, 3, cert.completion.entry(3, 3) + 1))
+
+        monkeypatch.setattr(nncomplete.family, "_family_stages", tampered)
+        with pytest.raises(VerificationError, match="does not match the observed entries"):
+            decide_nn3_two_missing(parse_partial((DATA / "two_missing_completable.txt").read_text()))
+        assert decided == ["Completable"]

@@ -9,6 +9,7 @@ import pytest
 from nncomplete import (
     ExactMatrix,
     Nn3Certificate,
+    Pattern,
     PerturbationSpec,
     decide_nn3_two_missing,
     family_11_21,
@@ -56,7 +57,8 @@ def test_record_is_immutable(name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.note = "no attribute can be added"
-    marker = object()
+    # a record that validates its fields takes only a valid new value
+    marker = {"Pattern": 7, "PerturbationSpec": "right"}.get(name, object())
     copy = record._replace(**{record._fields[0]: marker})
     assert type(copy) is type(record) and copy[0] is marker
     assert all(a is b for a, b in zip(copy[1:], before[1:]))
@@ -67,3 +69,13 @@ def test_certificates_never_share_a_samples_list():
     first, second = Nn3Certificate("Unknown", "11_21"), Nn3Certificate("Unknown", "11_21")
     assert first.samples == second.samples == []
     assert first.samples is not second.samples
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Pattern(2, 2, frozenset())._replace(p=0),
+    lambda: Pattern._make([0, 2, frozenset()]),
+    lambda: PerturbationSpec("left", (1, 1), Fraction(-1))._replace(epsilon=Fraction(1)),
+], ids=["Pattern._replace", "Pattern._make", "PerturbationSpec._replace"])
+def test_copies_are_validated_like_new_records(make):
+    with pytest.raises(ValueError):
+        make()
