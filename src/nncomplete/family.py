@@ -20,6 +20,7 @@ polynomial arithmetic or root isolation is needed.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -60,11 +61,12 @@ class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, 
 
     def contains(self, t: Fraction) -> bool:
         t = to_fraction(t)
-        if self.lo is not None and (t < self.lo or (self.lo_open and t == self.lo)):
-            return False
-        if self.hi is not None and (t > self.hi or (self.hi_open and t == self.hi)):
-            return False
-        return True
+        p, q = t.numerator, t.denominator
+        # t - lo and hi - t have the signs of these cross products, since
+        # every denominator is positive
+        above = 1 if self.lo is None else p * self.lo.denominator - self.lo.numerator * q
+        below = 1 if self.hi is None else self.hi.numerator * q - p * self.hi.denominator
+        return (above > 0 or above == 0 and not self.lo_open) and (below > 0 or below == 0 and not self.hi_open)
 
     def sample(self) -> Fraction:
         """Some rational point of a nonempty interval."""
@@ -83,13 +85,19 @@ class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, 
 
 def _ratio_roots(n, d) -> list:
     """The roots of the numerator and of the denominator of n/d in lowest
-    terms, for affine n = n0 + t*n1 and d = d0 + t*d1 given as pairs:
-    none when n/d is constant (n0*d1 == n1*d0), otherwise the root of
-    each of n, d whose t-coefficient is nonzero."""
+    terms, for affine n = n0 + t*n1 and d = d0 + t*d1 given as pairs of
+    integers: none when n/d is constant (n0*d1 == n1*d0), otherwise the
+    root -c0/c1 of each of n, d whose t-coefficient c1 is nonzero, as a
+    lowest-terms pair (p, q) with q > 0."""
     (n0, n1), (d0, d1) = n, d
     if n0 * d1 == n1 * d0:
         return []
-    return [Fraction(-c0, c1) for c0, c1 in (n, d) if c1]
+    roots = []
+    for c0, c1 in (n, d):
+        if c1:
+            g = gcd(c0, c1) if c1 > 0 else -gcd(c0, c1)
+            roots.append((-c0 // g, c1 // g))
+    return roots
 
 
 def _probe(lo, hi, gap) -> tuple:
@@ -422,11 +430,13 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
         raise ValueError(f"t = {t} is not feasible")
     # the first row of A is the moving facet (the charted row times
     # SUM_CHART) at the vertices of the fixed outer simplex; each entry
-    # n_k/d has the sign of n_k*d, and d != 0 at a feasible t
+    # n_k/d has the sign of n_k*d, and d != 0 at a feasible t.  At t = p/q
+    # the integers n_k*q and d*q have the signs of n_k and d, since q > 0
+    p, q = t.numerator, t.denominator
     d0, d1 = fam.a_den
-    d = d0 + t * d1
-    facet = [(x + t * y) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
-    a1 = [dot(facet, p) for p in fam.fixed_outer.triples]
+    d = d0 * q + d1 * p
+    facet = [(x * q + y * p) * d for x, y in zip(fam.a_pencil[0][0], fam.a_pencil[1][0])]
+    a1 = [dot(facet, v) for v in fam.fixed_outer.triples]
     neg = sum(1 for x in a1 if x < 0)
     pos = sum(1 for x in a1 if x > 0)
     zero = sum(1 for x in a1 if x == 0)
@@ -501,7 +511,9 @@ def _critical_ts(fam: NestedFamily) -> list:
     (``_ratio_roots``).  Every sign change or pole of a factor entry is
     one of them: an entry of B's moving column (11_21) is the vertex
     against the line through two fixed inner points, and an entry of A's
-    first row (11_22) is the facet at a vertex of the fixed simplex."""
+    first row (11_22) is the facet at a vertex of the fixed simplex.  The
+    roots are deduplicated as integer pairs, so each distinct critical t
+    is one `Fraction`, and the list is sorted."""
     crit = set()
     # the incidences in integers: the pencils are integers, and the roots
     # of n/d do not change when a fixed point (x, y) is read as its
@@ -524,25 +536,30 @@ def _critical_ts(fam: NestedFamily) -> list:
         a0, a1 = (rows[0] for rows in fam.a_pencil)
         for p in points:
             crit.update(_ratio_roots((dot(a0, p), dot(a1, p)), fam.a_den))
-    return sorted(crit)
+    return sorted(Fraction(p, q) for p, q in crit)
 
 
 def _interval_sample_ts(iv: Interval, criticals) -> list:
     """Endpoints, interior criticals and midpoints of one feasible interval.
 
-    Every anchor lies in the interval, so every midpoint does too."""
-    inner_crit = [c for c in criticals if iv.contains(c)]
+    ``criticals`` must be sorted: the interior ones are the slice between
+    two bisections, each end kept or skipped as the interval is closed or
+    open there.  Every anchor lies in the interval, so every midpoint does
+    too."""
+    start = 0 if iv.lo is None else (bisect_right if iv.lo_open else bisect_left)(criticals, iv.lo)
+    stop = len(criticals) if iv.hi is None else (bisect_left if iv.hi_open else bisect_right)(criticals, iv.hi)
+    inner_crit = criticals[start:stop]
     anchors = []
     if iv.lo is not None and not iv.lo_open:
         anchors.append(iv.lo)
     elif iv.lo is not None:
         # just inside an open end, halfway to the next point beyond it
-        nxt = min(inner_crit + ([iv.hi] if iv.hi is not None else []), default=iv.lo + 2)
+        nxt = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else iv.lo + 2)
         anchors.append((iv.lo + nxt) / 2)
     if iv.hi is not None and not iv.hi_open:
         anchors.append(iv.hi)
     elif iv.hi is not None:
-        prv = max(inner_crit + ([iv.lo] if iv.lo is not None else []), default=iv.hi - 2)
+        prv = inner_crit[-1] if inner_crit else (iv.lo if iv.lo is not None else iv.hi - 2)
         anchors.append((prv + iv.hi) / 2)
     if iv.lo is None:
         ref = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else Fraction(0))
@@ -659,8 +676,8 @@ def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:
     line = fam.line_p1
     if line is None or all(any(cross(facet, line)) for facet in fam.fixed_outer.lines):
         return False
-    ts = sorted(t for t in sweep_candidates(fam) if iv.contains(t))
-    return all(nested_triangle(fam.pair_at(t)) is None for t in _interval_sample_ts(iv, ts))
+    ts = _interval_sample_ts(iv, sorted(sweep_candidates(fam)))
+    return all(nested_triangle(fam.pair_at(t)) is None for t in ts)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +793,8 @@ def _family_stages(canon: PartialMatrix, tag: str) -> Nn3Certificate:
         return Nn3Certificate("Unknown", tag)
     criticals = _critical_ts(fam)
     sampled = [(iv, _interval_sample_ts(iv, criticals)) for iv in fam.feasible]
-    samples = sorted({t for _, ts in sampled for t in ts})
+    # deduplicated on integer pairs, which hash faster than Fractions
+    samples = sorted({(t.numerator, t.denominator): t for _, ts in sampled for t in ts}.values())
     for t in _search_order(fam, samples):
         cert = _completable_at(fam, t)
         if cert is not None:

@@ -1260,6 +1260,47 @@ def search_order_eager(fam, samples: list) -> list:
 
 
 # ---------------------------------------------------------------------------
+# interval membership and the sample t by Fraction comparisons
+
+
+def interval_contains_by_fractions(iv: Interval, t: Fraction) -> bool:
+    """Whether t is in ``iv``, by comparing Fractions."""
+    if iv.lo is not None and (t < iv.lo or (iv.lo_open and t == iv.lo)):
+        return False
+    if iv.hi is not None and (t > iv.hi or (iv.hi_open and t == iv.hi)):
+        return False
+    return True
+
+
+def interval_sample_ts_by_contains(iv: Interval, criticals) -> list:
+    """The sample t of one interval: its closed ends, a point inside each
+    open end, one past each infinite end, the criticals it contains (each
+    tested on its own, in any order) and the midpoint of every two
+    consecutive points of these."""
+    inner_crit = sorted(c for c in criticals if interval_contains_by_fractions(iv, c))
+    anchors = []
+    if iv.lo is not None and not iv.lo_open:
+        anchors.append(iv.lo)
+    elif iv.lo is not None:
+        nxt = min(inner_crit + ([iv.hi] if iv.hi is not None else []), default=iv.lo + 2)
+        anchors.append((iv.lo + nxt) / 2)
+    if iv.hi is not None and not iv.hi_open:
+        anchors.append(iv.hi)
+    elif iv.hi is not None:
+        prv = max(inner_crit + ([iv.lo] if iv.lo is not None else []), default=iv.hi - 2)
+        anchors.append((prv + iv.hi) / 2)
+    if iv.lo is None:
+        ref = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else Fraction(0))
+        anchors.append(ref - 1)
+    if iv.hi is None:
+        ref = inner_crit[-1] if inner_crit else (iv.lo if iv.lo is not None else Fraction(0))
+        anchors.append(ref + 1)
+    pts = sorted(set(anchors + inner_crit))
+    midpoints = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    return [t for pair in zip(pts, midpoints) for t in pair] + [pts[-1]]
+
+
+# ---------------------------------------------------------------------------
 # the poles of an 11_22 family, each ruled out by solving its linear system
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -89,6 +90,26 @@ class TestRank1Complete:
             else:
                 seen_none += 1
         assert seen_none > 20 and seen_some > 20
+
+    def test_nonnegative_completion_exists_iff_a_completion_does(self):
+        """The paper's rank-1 theorem: a nonnegative partial matrix has a
+        nonnegative rank-1 completion exactly when it has a rank-1
+        completion.  The draws are arbitrary, not restrictions of rank-1
+        matrices, so many of them have no completion at all."""
+        rng = random.Random(2031)
+        outcomes = Counter()
+        for _ in range(300):
+            p, q = rng.choice([(2, 3), (3, 3), (3, 4), (4, 4)])
+            full = ExactMatrix([[rng.randint(0, 3) for _ in range(q)] for _ in range(p)])
+            pm = restrict(full, rnd_pattern(rng, p, q))
+            nonneg = rank1_complete(pm, require_nonnegative=True)
+            assert rank1_complete(pm).has_completion() == nonneg.has_completion()
+            if nonneg.has_completion():
+                assert nonneg.matrix.is_nonnegative()
+                assert rank(nonneg.matrix) <= 1
+                assert pm.agrees_with(nonneg.matrix)
+            outcomes[nonneg.has_completion()] += 1
+        assert min(outcomes[True], outcomes[False]) >= 20
 
     def test_zero_entry_with_mixed_lines(self):
         # rank-1 despite failing both global zero-line flags

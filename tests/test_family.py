@@ -41,6 +41,7 @@ from nncomplete.family import (
     _critical_ts,
     _curve_misses_quadrant,
     _interval_sample_ts,
+    _ratio_roots,
     _sweep_moving_vertex,
     denormalize_matrix,
 )
@@ -60,6 +61,8 @@ from oracles import (
     curve_meets_quadrant_on_grid,
     decide_two_missing_per_orientation,
     feasible_set_by_candidates,
+    interval_contains_by_fractions,
+    interval_sample_ts_by_contains,
     line_from_observed_minors,
     poles_of_11_22,
     poles_ruled_out_by_solve,
@@ -1154,6 +1157,111 @@ class TestIntegerPencils:
             roots = [F(-c0, c1) for nd in constraints for c0, c1 in nd if c1]
             assert fractions_made(feasible_set, constraints) == len(roots)
             assert {b for iv in fam.feasible for b in (iv.lo, iv.hi) if b is not None} <= set(roots)
+
+
+# Fractions that one pass of the decision over the 120 products cases at
+# corpus seed 2601 builds, as CPython 3.10 and 3.11 count them: 16,084 when
+# the sampling stage moved to integer pairs, 23,012 before.  From 3.12 on,
+# Fraction arithmetic builds its results through a constructor that
+# `fractions_made` also counts, and the same pass counts 17,974
+PRODUCTS_FRACTIONS = 16_100
+
+fraction = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def interval_and_t(draw):
+    """Any interval, with open, closed and infinite ends, and a t that is
+    often one of its ends."""
+    lo, hi = draw(st.none() | fraction), draw(st.none() | fraction)
+    iv = Interval(lo, hi, lo is not None and draw(st.booleans()), hi is not None and draw(st.booleans()))
+    return iv, draw(st.sampled_from([b for b in (lo, hi) if b is not None] or [F(0)]) | fraction)
+
+
+@st.composite
+def interval_and_criticals(draw):
+    """A nonempty interval, with open, closed and infinite ends, and sorted
+    distinct criticals, some of them placed exactly on its finite ends."""
+    lo, hi = draw(st.none() | fraction), draw(st.none() | fraction)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    # a point interval is closed at both ends, or it would be empty
+    point = lo is not None and lo == hi
+    lo_open = lo is not None and not point and draw(st.booleans())
+    hi_open = hi is not None and not point and draw(st.booleans())
+    criticals = set(draw(st.lists(fraction, max_size=6)))
+    criticals |= {b for b in (lo, hi) if b is not None and draw(st.booleans())}
+    return Interval(lo, hi, lo_open, hi_open), sorted(criticals)
+
+
+class TestIntegerSampling:
+    """The sampling stage reads every t as an integer pair (p, q), q > 0:
+    the criticals are deduplicated as pairs, the interior ones of an
+    interval are found by bisection, and interval membership and the
+    simplicial check are signs of integer products."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(interval_and_t())
+    def test_contains_matches_fraction_comparisons(self, case):
+        iv, t = case
+        assert iv.contains(t) == interval_contains_by_fractions(iv, t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(interval_and_criticals())
+    def test_bisection_matches_the_contains_filter(self, case):
+        iv, criticals = case
+        ts = _interval_sample_ts(iv, criticals)
+        assert ts == interval_sample_ts_by_contains(iv, criticals)
+        assert all(interval_contains_by_fractions(iv, t) for t in ts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+           st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+    def test_ratio_roots_are_lowest_terms_pairs(self, n, d):
+        if n[0] * d[1] == n[1] * d[0]:
+            assert _ratio_roots(n, d) == []
+        else:
+            roots = [F(-c0, c1) for c0, c1 in (n, d) if c1]
+            assert _ratio_roots(n, d) == [(r.numerator, r.denominator) for r in roots]
+
+    @staticmethod
+    def sampled(monkeypatch) -> list:
+        """(family, its criticals, its sample t) for every family of the
+        products corpus, the samples as the decision lists them."""
+        out = []
+        for fam, _ in TestIntegerPencils.families(monkeypatch):
+            criticals = _critical_ts(fam)
+            samples = sorted({t for iv in fam.feasible for t in _interval_sample_ts(iv, criticals)})
+            out.append((fam, criticals, samples))
+        return out
+
+    def test_critical_ts_build_one_fraction_each(self, monkeypatch):
+        for fam, criticals, _ in self.sampled(monkeypatch):
+            assert fractions_made(_critical_ts, fam) == len(criticals) == len(set(criticals))
+
+    def test_simplicial_sign_check_builds_no_fraction(self, monkeypatch):
+        checked = []
+        for fam, _, samples in self.sampled(monkeypatch):
+            if fam.tag == "11_22":
+                assert fractions_made(lambda: [simplicial_sign_check(fam, t) for t in samples]) == 0
+                checked += samples
+        assert len(checked) >= 100
+
+    def test_interval_sample_ts_calls_no_contains(self, monkeypatch):
+        families = [(fam, _critical_ts(fam)) for fam, _ in TestIntegerPencils.families(monkeypatch)]
+        calls = []
+        contains = Interval.contains
+        monkeypatch.setattr(Interval, "contains", lambda iv, t: calls.append(t) or contains(iv, t))
+        sampled = [_interval_sample_ts(iv, criticals) for fam, criticals in families for iv in fam.feasible]
+        assert len(sampled) >= 50 and not calls
+        assert Interval(None, None).contains(0) and calls  # the spy is live
+
+    def test_products_pass_stays_under_the_fraction_ceiling(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(DATA.parents[1] / "bench"))
+        import corpus
+
+        inputs = [PartialMatrix.from_rows([list(row) for row in case.rows]) for case in corpus.products(2601)]
+        assert fractions_made(lambda: [decide_nn3_two_missing(m) for m in inputs]) <= PRODUCTS_FRACTIONS
 
 
 class TestRefusesBinaryFloats:
