@@ -42,20 +42,16 @@ _EXPORTS = {
     "nn_rank2_pattern_equivalence": "completion",
     "perturb_unique_nmf": "completion",
     "rank1_complete": "completion",
-    "SUM_CHART": "geometry",
     "SUM_CHART_INVERSE": "geometry",
     "NestedPair": "geometry",
     "Polygon2": "geometry",
     "UnboundedRegionError": "geometry",
-    "chord_exit": "geometry",
     "contains": "geometry",
-    "convex_hull": "geometry",
     "nested_triangle": "geometry",
     "nn_rank_at_most_3": "geometry",
     "polygon_from_halfplanes": "geometry",
     "polytopes_from_factorization": "geometry",
     "slack_matrix": "geometry",
-    "tangent_vertex": "geometry",
     "triangle_to_factorization": "geometry",
     "FamilyError": "family",
     "Interval": "family",

@@ -30,16 +30,14 @@ from .partial import PartialMatrix
 from .geometry import (
     SUM_CHART_INVERSE,
     NestedPair,
-    chord_exit,
     contains,
     cross,
     dot,
-    join,
+    exit_point,
     lowest,
     nested_triangle,
     nn_rank_at_most_3,
     pair_of_factors,
-    point,
     polytopes_from_factorization,
     triangle_to_factorization,
 )
@@ -80,24 +78,32 @@ class Interval(namedtuple("Interval", "lo hi lo_open hi_open", defaults=(False, 
             return self.hi - 1
         if self.hi is None:
             return self.lo + 1
-        return (self.lo + self.hi) / 2
+        return Fraction(*_half_sum(self.lo, self.hi))
+
+
+def _half_sum(a, b) -> tuple:
+    """The midpoint (a + b)/2 of two Fractions as an integer pair (p, q),
+    q > 0, not in lowest terms: one `Fraction(p, q)` where a sum and a
+    halving would build two."""
+    return a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
+
+
+def _root(c0, c1) -> tuple:
+    """The root -c0/c1 of c0 + t*c1, for integers c0 and c1 != 0, as a
+    lowest-terms pair (p, q) with q > 0."""
+    g = gcd(c0, c1) if c1 > 0 else -gcd(c0, c1)
+    return -c0 // g, c1 // g
 
 
 def _ratio_roots(n, d) -> list:
     """The roots of the numerator and of the denominator of n/d in lowest
     terms, for affine n = n0 + t*n1 and d = d0 + t*d1 given as pairs of
     integers: none when n/d is constant (n0*d1 == n1*d0), otherwise the
-    root -c0/c1 of each of n, d whose t-coefficient c1 is nonzero, as a
-    lowest-terms pair (p, q) with q > 0."""
+    root of each of n, d whose t-coefficient c1 is nonzero (`_root`)."""
     (n0, n1), (d0, d1) = n, d
     if n0 * d1 == n1 * d0:
         return []
-    roots = []
-    for c0, c1 in (n, d):
-        if c1:
-            g = gcd(c0, c1) if c1 > 0 else -gcd(c0, c1)
-            roots.append((-c0 // g, c1 // g))
-    return roots
+    return [_root(c0, c1) for c0, c1 in (n, d) if c1]
 
 
 def _probe(lo, hi, gap) -> tuple:
@@ -110,7 +116,7 @@ def _probe(lo, hi, gap) -> tuple:
         return (0, 1) if hi is None else (hi.numerator - hi.denominator, hi.denominator)
     if hi is None:
         return lo.numerator + lo.denominator, lo.denominator
-    return lo.numerator * hi.denominator + hi.numerator * lo.denominator, 2 * lo.denominator * hi.denominator
+    return _half_sum(lo, hi)
 
 
 def feasible_set(constraints) -> list:
@@ -197,10 +203,6 @@ class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_sca
 
     __slots__ = ()
 
-    @property
-    def fixed_inner_points(self) -> list:
-        return [point(p) for p in self.fixed_inner]
-
     def integer_factors(self, p: int, q: int) -> tuple:
         """A(t) and B(t) at t = p/q, for integers p and q > 0: A's rows
         and B's columns, each a pair (n, d) of an integer triple over a
@@ -214,15 +216,6 @@ class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_sca
         cols = [lowest(_at(u, v, p, q), self.b_scale * q) for u, v in zip(*self.b_pencil)]
         return rows, cols
 
-    def factors_at(self, t) -> tuple:
-        """The factors (A(t), B(t)) in slice coordinates, whose product is
-        the completion; ZeroDivisionError at a pole of A.  Their entries
-        are the `Fraction`s of `integer_factors` at (p, q) for t = p/q."""
-        t = to_fraction(t)
-        rows, cols = self.integer_factors(t.numerator, t.denominator)
-        return (ExactMatrix([Fraction(x, d) for x in n] for n, d in rows),
-                ExactMatrix(zip(*([Fraction(x, d) for x in n] for n, d in cols))))
-
     def completion_at(self, t) -> ExactMatrix:
         t = to_fraction(t)
         return _product(*self.integer_factors(t.numerator, t.denominator))
@@ -235,22 +228,17 @@ class NestedFamily(namedtuple("NestedFamily", "tag a_pencil a_den b_pencil b_sca
         t = to_fraction(t)
         return pair_of_factors(*self.integer_factors(t.numerator, t.denominator))
 
-    def vertex_at(self, t) -> tuple:
-        """The moving vertex (y/w, z/w) at t; ZeroDivisionError where w = 0."""
-        t = to_fraction(t)
-        w, y, z = (c0 + t * c1 for c0, c1 in zip(*self.moving_vertex))
-        return (y / w, z / w)
-
     def incidence_t(self, line):
-        """The t where the moving vertex lies on ``line`` (c0, cx, cy):
-        the root of line.(v0 + t*v1) with w(t) != 0, or None when no
-        single finite point of the vertex is on the line."""
+        """The t where the moving vertex lies on the integer ``line`` (c0,
+        cx, cy): the root of line.(v0 + t*v1) as a lowest-terms pair (p, q)
+        with q > 0, for t = p/q, where w(t) != 0; None when no single
+        finite point of the vertex is on the line."""
         v0, v1 = self.moving_vertex
         slope = dot(line, v1)
         if not slope:
             return None
-        t = -Fraction(dot(line, v0)) / slope
-        return t if v0[0] + t * v1[0] else None
+        p, q = _root(dot(line, v0), slope)
+        return (p, q) if v0[0] * q + v1[0] * p else None
 
 
 def _product(rows, cols) -> ExactMatrix:
@@ -345,8 +333,8 @@ def sufficient_11_21(fam: NestedFamily):
     # are the first column of the completion, which is nonnegative.  The
     # cross product of two lifted points is their line
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
-        t = fam.incidence_t(cross(u, v))
-        if t is not None and fam.is_feasible(t):
+        root = fam.incidence_t(cross(u, v))
+        if root is not None and fam.is_feasible(t := Fraction(*root)):
             return t
     return None
 
@@ -407,9 +395,10 @@ def family_11_22(m: PartialMatrix) -> NestedFamily:
     # sign constraints: m11(t) = a1(t).(m21, m31, m41) >= 0 and m22(t) = t >= 0
     col = [m.entry(i, 1) for i in (2, 3, 4)]
     constraints = [([dot(n, col) for n in zip(*nums)], den), ((0, 1), (1, 0))]
-    # both factors in the chart G = SUM_CHART: A(t), the Cramer numerators
-    # n and the identity times den, over den, as A.G^-1 with n.G^-1 = (n3,
-    # n1 - n3, n2 - n3), and B(t) (m22 = t) as G.B with G.b = (b1 + b2 + b3, b1, b2)
+    # both factors in the chart G.b = (b1 + b2 + b3, b1, b2) of the
+    # coordinate sums, whose inverse is SUM_CHART_INVERSE: A(t), the Cramer
+    # numerators n and the identity times den, over den, as A.G^-1 with
+    # n.G^-1 = (n3, n1 - n3, n2 - n3), and B(t) (m22 = t) as G.B
     a_pencil = tuple([(n3, n1 - n3, n2 - n3), (0, d, 0), (0, 0, d), (d, -d, -d)]
                      for (n1, n2, n3), d in zip(zip(*nums), den))
     cols = [[m.get(i, j, 0) for i in (2, 3, 4)] for j in (1, 2, 3, 4)]
@@ -429,7 +418,7 @@ def simplicial_sign_check(fam: NestedFamily, t) -> bool:
     if not fam.is_feasible(t):
         raise ValueError(f"t = {t} is not feasible")
     # the first row of A is the moving facet (the charted row times
-    # SUM_CHART) at the vertices of the fixed outer simplex; each entry
+    # the chart G) at the vertices of the fixed outer simplex; each entry
     # n_k/d has the sign of n_k*d, and d != 0 at a feasible t.  At t = p/q
     # the integers n_k*q and d*q have the signs of n_k and d, since q > 0
     p, q = t.numerator, t.denominator
@@ -549,29 +538,30 @@ def _interval_sample_ts(iv: Interval, criticals) -> list:
     start = 0 if iv.lo is None else (bisect_right if iv.lo_open else bisect_left)(criticals, iv.lo)
     stop = len(criticals) if iv.hi is None else (bisect_left if iv.hi_open else bisect_right)(criticals, iv.hi)
     inner_crit = criticals[start:stop]
+    # an open end's anchor lies halfway to the next point inwards.  With no
+    # such point, or when that point is the other end and it is open too,
+    # the other end's anchor stands for it, so no anchor is built twice
+    lo_closed = iv.lo is not None and not iv.lo_open
     anchors = []
-    if iv.lo is not None and not iv.lo_open:
+    if lo_closed:
         anchors.append(iv.lo)
-    elif iv.lo is not None:
-        # just inside an open end, halfway to the next point beyond it
-        nxt = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else iv.lo + 2)
-        anchors.append((iv.lo + nxt) / 2)
+    elif iv.lo is not None and (inner_crit or iv.hi is not None):
+        anchors.append(Fraction(*_half_sum(iv.lo, inner_crit[0] if inner_crit else iv.hi)))
     if iv.hi is not None and not iv.hi_open:
         anchors.append(iv.hi)
-    elif iv.hi is not None:
-        prv = inner_crit[-1] if inner_crit else (iv.lo if iv.lo is not None else iv.hi - 2)
-        anchors.append((prv + iv.hi) / 2)
+    elif iv.hi is not None and (inner_crit or lo_closed):
+        anchors.append(Fraction(*_half_sum(inner_crit[-1] if inner_crit else iv.lo, iv.hi)))
     if iv.lo is None:
-        ref = inner_crit[0] if inner_crit else (iv.hi if iv.hi is not None else Fraction(0))
-        anchors.append(ref - 1)
+        ref = inner_crit[0] if inner_crit else iv.hi
+        anchors.append(Fraction(-1) if ref is None else ref - 1)
     if iv.hi is None:
-        ref = inner_crit[-1] if inner_crit else (iv.lo if iv.lo is not None else Fraction(0))
-        anchors.append(ref + 1)
+        ref = inner_crit[-1] if inner_crit else iv.lo
+        anchors.append(Fraction(1) if ref is None else ref + 1)
     pts = sorted(set(anchors + inner_crit))
     out = []
     for a, b in zip(pts, pts[1:]):
         out.append(a)
-        out.append((a + b) / 2)
+        out.append(Fraction(*_half_sum(a, b)))
     out.append(pts[-1])
     return out
 
@@ -637,26 +627,41 @@ def sweep_candidates(fam: NestedFamily) -> set:
     """The t where an anchored greedy chain around the moving vertex can
     change combinatorics: incidences of the vertex with lines through
     pairs of fixed vertices, plus the t whose chain chords pass through a
-    vertex of the outer polygon, propagated up to three chords back."""
+    vertex of the outer polygon, propagated up to three chords back.
+    Every point is a lifted triple and every line the cross product of
+    two; the roots are deduplicated as integer pairs, so each distinct
+    candidate is one `Fraction`."""
     outer = fam.fixed_outer
-    fixed_pts = list(fam.fixed_inner_points)
-    lines = [join(u, w) for u, w in itertools.combinations(fixed_pts + list(outer.vertices), 2)]
+    fixed = fam.fixed_inner
+    lines = [cross(u, w) for u, w in itertools.combinations(fixed + outer.triples, 2)]
+
+    def values(p) -> list:
+        return [dot(line, p) for line in outer.lines]
+
+    at_fixed = [values(p) for p in fixed]
 
     def boundary_points(ends) -> set:
         """Where the line through each end a and each fixed point p meets
         the boundary of the outer polygon: p lies in that polygon, so
-        these are the exits of the rays from p towards a and away from a."""
+        these are the exits of the rays from p towards a and away from a,
+        towards the reflected point 2p - a."""
         out = set()
         for a in ends:
-            for p in fixed_pts:
+            at_a = values(a)
+            wa, xa, ya = a
+            for p, at_p in zip(fixed, at_fixed):
                 if a != p:
-                    out |= {chord_exit(p, a, outer), chord_exit(p, (2 * p[0] - a[0], 2 * p[1] - a[1]), outer)}
+                    wp, xp, yp = p
+                    w, x, y = wa * wp, 2 * xp * wa - xa * wp, 2 * yp * wa - ya * wp
+                    g = gcd(w, x, y)
+                    r = (w // g, x // g, y // g)
+                    out |= {exit_point(p, a, at_p, at_a), exit_point(p, r, at_p, values(r))}
         return out
 
-    level1 = boundary_points(outer.vertices)
+    level1 = boundary_points(outer.triples)
     level2 = boundary_points(level1)
-    lines += [join(x, pv) for x in level1 | level2 for pv in fixed_pts]
-    return {fam.incidence_t(line) for line in lines} - {None}
+    lines += [cross(x, p) for x in level1 | level2 for p in fixed]
+    return {Fraction(p, q) for p, q in {fam.incidence_t(line) for line in lines} - {None}}
 
 
 def _sweep_moving_vertex(fam: NestedFamily, iv: Interval) -> bool:

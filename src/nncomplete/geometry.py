@@ -11,9 +11,9 @@ All coordinates are Fractions and every predicate is exact.  A line is
 a homogeneous triple (c0, cx, cy), the points (x, y) with c0 + cx*x +
 cy*y = 0, and its half-plane is the side c0 + cx*x + cy*y >= 0; every
 line the module keeps is an integer triple.  One cross product answers
-both line questions: `join` is the line through two points and `cross`
-of two lines is their meeting point in homogeneous coordinates.  No
-other code writes out a line formula.
+both line questions: `cross` of two lifted points is the line through
+them, and `cross` of two lines is their meeting point in homogeneous
+coordinates.  No other code writes out a line formula.
 
 The kernels compute on Python integers.  A point (x, y) lifts to the
 integer triple (w, x*w, y*w) in lowest terms with w > 0.  A `Polygon2`
@@ -138,31 +138,17 @@ def lowest(n, d) -> tuple:
     return (n[0] // g, n[1] // g, n[2] // g), d // g
 
 
-def join(a: Point, b: Point) -> tuple:
-    """The line (c0, cx, cy) through a and b, with the side left of a->b
-    positive: c0 + cx*x + cy*y is twice the signed area of (a, b, (x, y)).
-    Zero when a == b."""
-    return cross((1, *a), (1, *b))
-
-
-def convex_hull(points) -> list:
-    """Counterclockwise hull with strictly convex vertices.
-
-    Collinear input collapses to the two extreme points; coincident input
-    to a single point.
-    """
-    return [point(t) for t in _hull(_lifted(points))]
-
-
 def _lifted(points) -> set:
     """The lifted triple of each distinct point."""
     return {_lift((to_fraction(x), to_fraction(y))) for x, y in points}
 
 
 def _hull(ts) -> list:
-    """`convex_hull` of distinct lifted triples, as triples, from the least
-    point by x, then y: the monotone chain of Andrew (1979), with every
-    comparison and turn on triples."""
+    """The counterclockwise hull of distinct lifted triples, with strictly
+    convex vertices, from the least point by x, then y: the monotone chain
+    of Andrew (1979), with every comparison and turn on triples.
+    Collinear input collapses to the two extreme points; one point to
+    itself."""
     if not ts:
         raise ValueError("need at least one point")
     ts = sorted(ts, key=cmp_to_key(_lex))
@@ -374,8 +360,7 @@ def slack_matrix(pair: NestedPair) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 # slices of a rank-3 factorization
 
-# chart of the coordinate-sum slice: G.(x, y, z) = (x + y + z, x, y)
-SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+# the inverse of the chart of the coordinate-sum slice, G.(x, y, z) = (x + y + z, x, y)
 SUM_CHART_INVERSE = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, -1, -1]])
 
 
@@ -410,10 +395,11 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
     (y/w, z/w) of the columns (w, y, z) of B, and Q is cut out by the
     rows (c0, cx, cy) of A.  A caller slices in a chart, a nonsingular
     3x3 matrix G, by passing (A.G^-1, G.B), a factorization of the same
-    product; SUM_CHART slices at coordinate sum 1.  A zero column of B
-    gives no point; every other column must have strictly positive slice
-    weight w, and Q must come out bounded.  The provenance keeps the
-    factors, so triangle_to_factorization can lift a triangle of the pair.
+    product; the chart inverted by SUM_CHART_INVERSE slices at
+    coordinate sum 1.  A zero column of B gives no point; every other
+    column must have strictly positive slice weight w, and Q must come out
+    bounded.  The provenance keeps the factors, so
+    triangle_to_factorization can lift a triangle of the pair.
     """
     if a.q != 3 or b.p != 3:
         raise ValueError("factors must have inner dimension 3")
@@ -424,17 +410,6 @@ def polytopes_from_factorization(a: ExactMatrix, b: ExactMatrix) -> NestedPair:
 
 # ---------------------------------------------------------------------------
 # nested-triangle search
-
-
-def tangent_vertex(v: Point, poly: Polygon2) -> Point:
-    """Vertex t of poly such that the directed line v -> t keeps the whole
-    polygon on its closed left side; ties along the line resolved to the
-    farthest vertex.  v may lie on the polygon."""
-    v = _lift(v)
-    i = _tangent(v, poly.triples, _at(poly.lines, v))
-    if i is None:
-        raise ValueError("no tangent vertex; is the point inside the polygon?")
-    return poly.vertices[i]
 
 
 def _tangent(v: tuple, ts: tuple, s: list):
@@ -460,20 +435,11 @@ def _tangent(v: tuple, ts: tuple, s: list):
     return best
 
 
-def chord_exit(v: Point, towards: Point, outer: Polygon2) -> Point:
-    """Farthest point of outer on the ray v + s*(towards - v), s >= 0.
-
-    v must lie in outer and towards differ from v.
-    """
-    v, towards = _lift(v), _lift(towards)
-    if v == towards:
-        raise ValueError("undirected chord")
-    return point(_exit(v, towards, _at(outer.lines, v), _at(outer.lines, towards)))
-
-
-def _exit(v: tuple, t: tuple, lvs: list, lts: list) -> tuple:
-    """`chord_exit` on triples, out of the polygon of the facet lines
-    whose values at v and t are lvs and lts."""
+def exit_point(v: tuple, t: tuple, lvs: list, lts: list) -> tuple:
+    """The farthest point of a polygon on the ray from v through t, for
+    lifted triples v != t with v in the polygon, as a lifted triple: lvs
+    and lts are the values at v and t of the polygon's facet lines.
+    ValueError when the ray never leaves it."""
     # the ray leaves through a facet with values fv at v and ft at t,
     # fv > ft, at s = fv / (fv - ft) = num / den with lv = line.v = w_v*fv,
     # lt = line.t = w_t*ft, num = lv*w_t and den = num - lt*w_v: the least
@@ -533,7 +499,7 @@ def nested_triangle(pair: NestedPair):
     # side anchored on a line containing an edge of P
     n, edges = inner.n, inner.lines
     for i, a in enumerate(ps):
-        v1 = _exit(a, ps[(i + 1) % n], slack[i], slack[(i + 1) % n])
+        v1 = exit_point(a, ps[(i + 1) % n], slack[i], slack[(i + 1) % n])
         v2 = _advance(v1, _at(edges, v1), ps, lines, slack)
         if v2 is None:
             continue
@@ -567,7 +533,7 @@ def _advance(v: tuple, s: list, ps: tuple, lines, slack):
     i = _tangent(v, ps, s)
     if i is None:
         return None
-    w = _exit(v, ps[i], _at(lines, v), slack[i])
+    w = exit_point(v, ps[i], _at(lines, v), slack[i])
     return None if w == v else w
 
 

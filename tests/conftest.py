@@ -1,4 +1,5 @@
 import cProfile
+import itertools
 import pstats
 import random
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nncomplete import ExactMatrix, PartialMatrix, Pattern, Polygon2, convex_hull, matmul, parse_partial
+from nncomplete import ExactMatrix, PartialMatrix, Pattern, Polygon2, matmul, parse_partial
+from nncomplete.geometry import side
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,10 +73,16 @@ def rnd_fraction(rng, lo=0, hi=12, den=6) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
+def spans_plane(points) -> bool:
+    """Whether three of the points are not on one line, so that their hull
+    is a polygon."""
+    return any(side(a, b, c) for a, b, c in itertools.combinations(points, 3))
+
+
 def drawn_polygon(draw) -> Polygon2:
     """The hull of the points that draw() returns, drawn again until they
     span a polygon: a polygon is two-dimensional."""
-    while len(convex_hull(pts := draw())) < 3:
+    while not spans_plane(pts := draw()):
         pass
     return Polygon2.from_points(pts)
 

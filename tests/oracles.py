@@ -40,7 +40,7 @@ from nncomplete import (
 )
 from nncomplete.family import _family_stages
 from nncomplete.geometry import (
-    NestedPair, Polygon2, UnboundedRegionError, contains, convex_hull, cross, join, nested_triangle,
+    NestedPair, Polygon2, UnboundedRegionError, contains, cross, nested_triangle, point,
     polygon_from_halfplanes, side,
 )
 from nncomplete.linalg import integer_scaled, pivot_columns, solve_linear
@@ -668,7 +668,7 @@ def rational_function_family(fam, m: PartialMatrix) -> RationalFunctionFamily:
         b_rows = [[FIELD.convert(m.entry(2, 1)), t, FIELD.convert(m.entry(2, 3)), FIELD.convert(m.entry(2, 4))]]
         b_rows += [[FIELD.convert(m.entry(i, j)) for j in (1, 2, 3, 4)] for i in (3, 4)]
         column = [row[1] for row in b_rows]
-        chart = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+        chart = SUM_CHART
     w, y, z = (sum((g * x for g, x in zip(row, column) if g), FIELD.zero) for row in chart.to_lists())
     return RationalFunctionFamily(a_rows, b_rows, (y / w, z / w), chart)
 
@@ -699,7 +699,7 @@ def critical_ts_by_rational_functions(fam, ref: RationalFunctionFamily) -> list:
                 crit.update(rf_roots(entry))
     if fam.tag == "11_21":
         p1 = ref.moving_vertex
-        fixed = list(fam.fixed_inner_points) + list(fam.fixed_outer.vertices)
+        fixed = inner_points(fam) + list(fam.fixed_outer.vertices)
         for u, w in itertools.combinations(fixed, 2):
             crit.update(rf_roots(_rf_orient(u, w, p1)))
         for hp in facets(fam.fixed_outer):
@@ -880,6 +880,12 @@ class HalfPlane:
         """Half-plane whose boundary is the line a->b, left side included:
         its value at p is `orient(a, b, p)`."""
         return cls(a[0] * b[1] - a[1] * b[0], a[1] - b[1], b[0] - a[0])
+
+
+def join(a, b) -> tuple:
+    """The line (c0, cx, cy) through the points a and b, whose value at p
+    is `orient(a, b, p)`; zero when a == b."""
+    return (a[0] * b[1] - a[1] * b[0], a[1] - b[1], b[0] - a[0])
 
 
 def meet(l1, l2):
@@ -1111,9 +1117,55 @@ def polygon_from_halfplanes_by_fractions(lines) -> Polygon2:
             p = ((-a.c0 * b.cy + b.c0 * a.cy) / denom, (-a.cx * b.c0 + b.cx * a.c0) / denom)
             if all(h.value(p) >= 0 for h in hps):
                 verts.append(p)
-    if not verts or len(convex_hull(verts)) < 3:
+    if not any(orient(a, b, c) for a, b, c in itertools.combinations(verts, 3)):
         raise ValueError("intersection of half-planes is empty, a point or a segment")
     return Polygon2.from_points(verts)
+
+
+# ---------------------------------------------------------------------------
+# a family's data in Fraction arithmetic, off its integer pencils
+
+# the chart of the coordinate-sum slice, G.(x, y, z) = (x + y + z, x, y)
+SUM_CHART = ExactMatrix([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+
+
+def inner_points(fam) -> list:
+    """The family's fixed inner points (x/w, y/w) of its triples (w, x, y)."""
+    return [point(p) for p in fam.fixed_inner]
+
+
+def vertex_at(fam, t) -> tuple:
+    """The moving vertex (y/w, z/w) at t, summed in Fractions;
+    ZeroDivisionError where w = 0."""
+    t = Fraction(t)
+    w, y, z = (c0 + t * c1 for c0, c1 in zip(*fam.moving_vertex))
+    return (y / w, z / w)
+
+
+def factors_at(fam, t) -> tuple:
+    """(A(t), B(t)) in slice coordinates as Fraction matrices: A =
+    (A0 + t*A1)/(d0 + t*d1) and B = (B0 + t*B1)/b_scale, each entry
+    summed in Fractions; ZeroDivisionError at a pole of A."""
+    (a0, a1), (d0, d1), (b0, b1) = fam.a_pencil, fam.a_den, fam.b_pencil
+    t = Fraction(t)
+    den = d0 + t * d1
+    if den == 0:
+        raise ZeroDivisionError(f"t = {t} is a pole of A")
+    a = ExactMatrix([[(x + t * y) / den for x, y in zip(u, v)] for u, v in zip(a0, a1)])
+    b = ExactMatrix([[(x + t * y) / fam.b_scale for x, y in zip(u, v)] for u, v in zip(b0, b1)])
+    return a, b.transpose()
+
+
+def incidence_t_by_fractions(fam, line):
+    """The t where the moving vertex v0 + t*v1 lies on ``line``: the root
+    -line.v0 / line.v1 as a Fraction, where w(t) != 0; None when line.v1
+    is 0 or w vanishes there."""
+    v0, v1 = fam.moving_vertex
+    slope = sum(c * x for c, x in zip(line, v1))
+    if not slope:
+        return None
+    t = -Fraction(sum(c * x for c, x in zip(line, v0))) / slope
+    return t if v0[0] + t * v1[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -1152,7 +1204,7 @@ def sweep_candidates_by_edges(fam) -> set:
     boundary found by `boundary_intersections`."""
     line = fam.line_p1
     outer = fam.fixed_outer
-    fixed_pts = list(fam.fixed_inner_points)
+    fixed_pts = inner_points(fam)
     candidates = {meet(line, join(u, w)) for u, w in itertools.combinations(fixed_pts + outer.vertices, 2)}
     level1 = set()
     for qv in outer.vertices:
@@ -1190,7 +1242,7 @@ def sweep_refutes_by_arc(fam, iv) -> bool:
     else:
         limit = tuple(None if c1 else Fraction(c0) / w0 for c0, c1 in ((y0, y1), (z0, z1)))
     try:
-        e0, e1 = (limit if bound is None else fam.vertex_at(bound) for bound in (iv.lo, iv.hi))
+        e0, e1 = (limit if bound is None else vertex_at(fam, bound) for bound in (iv.lo, iv.hi))
     except ZeroDivisionError:
         return False
     if None in e0 + e1 or e0 == e1:
@@ -1210,7 +1262,7 @@ def sweep_refutes_by_arc(fam, iv) -> bool:
     for c in probes:
         if c in unattained:
             continue
-        inner = Polygon2.from_points([c, *fam.fixed_inner_points])
+        inner = Polygon2.from_points([c, *inner_points(fam)])
         if contains(outer, inner) and nested_triangle(NestedPair(inner, outer)) is not None:
             return False
     return True
@@ -1237,7 +1289,7 @@ def sufficient_11_21_by_meets(fam):
     the vertex at that point."""
     if fam.line_p1 is None:
         return None
-    p2, p3, p4 = fam.fixed_inner_points
+    p2, p3, p4 = inner_points(fam)
     for (u, v) in ((p2, p3), (p3, p4), (p4, p2)):
         cand = meet(fam.line_p1, join(u, v))
         if cand is None or not contains_point_by_edges(fam.fixed_outer, cand):

@@ -35,11 +35,13 @@ from nncomplete.cli import main as cli_main
 
 from conftest import DATA, GOLDEN, drawn_polygon, restrict, rnd_pattern, rnd_rank1_nonneg
 from oracles import (
+    inner_points,
     nmf_residual,
     one_missing_by_minors,
     random_boundary_product,
     rotation_grid_triangle,
     verify_triangle,
+    vertex_at,
 )
 
 F = Fraction
@@ -154,7 +156,7 @@ def test_acceptance_column_holes(two_missing_column):
         (F(11, 160), F(1, 160)),
         (F(1, 160), F(11, 160)),
     }
-    assert fam.fixed_inner_points == [
+    assert inner_points(fam) == [
         (F(0), F(0)),
         (F(1, 20), F(0)),
         (F(0), F(1, 20)),
@@ -177,9 +179,9 @@ def test_acceptance_column_holes(two_missing_column):
     w1, y1, z1 = fam.moving_vertex[1]
     limit = (F(y1) / w1, F(z1) / w1)
     assert limit == (F(1, 160), F(11, 160))
-    assert criticals - {limit} <= {fam.vertex_at(t) for t in sweep_candidates(fam)}
+    assert criticals - {limit} <= {vertex_at(fam, t) for t in sweep_candidates(fam)}
     for c in criticals:
-        inner = Polygon2.from_points([c] + fam.fixed_inner_points)
+        inner = Polygon2.from_points([c] + inner_points(fam))
         assert nested_triangle(NestedPair(inner, fam.fixed_outer)) is None
     cert = decide_nn3_two_missing(two_missing_column)
     assert cert.verdict == "NotCompletable"

@@ -1,12 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nncomplete import (
-    SUM_CHART,
     ExactMatrix,
     FamilyError,
     Interval,
@@ -35,7 +35,7 @@ from nncomplete import (
     triangle_to_factorization,
 )
 import nncomplete.family
-from nncomplete.geometry import cross, join
+from nncomplete.geometry import cross
 from nncomplete.family import (
     _completable_at,
     _critical_ts,
@@ -47,8 +47,10 @@ from nncomplete.family import (
 )
 
 from conftest import DATA, fractions_made, restrict, rnd_nonneg_product
+from test_two_missing_digests import inputs as digest_inputs
 from oracles import (
     FIELD,
+    SUM_CHART,
     HalfPlane,
     critical_ts_by_rational_functions,
     defined_at,
@@ -60,7 +62,10 @@ from oracles import (
     rf_matrix_at,
     curve_meets_quadrant_on_grid,
     decide_two_missing_per_orientation,
+    factors_at,
     feasible_set_by_candidates,
+    incidence_t_by_fractions,
+    inner_points,
     interval_contains_by_fractions,
     interval_sample_ts_by_contains,
     line_from_observed_minors,
@@ -71,6 +76,7 @@ from oracles import (
     sufficient_11_21_by_meets,
     sweep_candidates_by_edges,
     sweep_refutes_by_arc,
+    vertex_at,
 )
 
 F = Fraction
@@ -174,7 +180,7 @@ class TestColumnHolesFamily:
 
     def test_fixed_geometry(self, two_missing_column):
         fam = family_11_21(two_missing_column)
-        assert fam.fixed_inner_points == [
+        assert inner_points(fam) == [
             (F(0), F(0)),
             (F(1, 20), F(0)),
             (F(0), F(1, 20)),
@@ -203,7 +209,7 @@ class TestColumnHolesFamily:
 
     def test_moving_vertex_endpoints(self, two_missing_column):
         fam = family_11_21(two_missing_column)
-        assert fam.vertex_at(F(-1, 20)) == (F(11, 160), F(1, 160))
+        assert vertex_at(fam, F(-1, 20)) == (F(11, 160), F(1, 160))
         # the other end, as t -> -infinity, is the point of v1
         assert point_of_v1(fam) == (F(1, 160), F(11, 160))
 
@@ -221,7 +227,7 @@ class TestColumnHolesFamily:
         for _ in range(5):
             t = F(rng.randint(-60, 60), rng.randint(1, 7))
             try:
-                assert line.value(fam.vertex_at(t)) == 0
+                assert line.value(vertex_at(fam, t)) == 0
             except ZeroDivisionError:
                 pass
 
@@ -236,10 +242,10 @@ class TestColumnHolesFamily:
         }
         # the limit of the vertex is no candidate, since no t attains it
         limit = point_of_v1(fam)
-        assert criticals - {limit} <= {fam.vertex_at(t) for t in sweep_candidates(fam)}
+        assert criticals - {limit} <= {vertex_at(fam, t) for t in sweep_candidates(fam)}
         assert limit in criticals
         for c in criticals:
-            inner = Polygon2.from_points([c] + fam.fixed_inner_points)
+            inner = Polygon2.from_points([c] + inner_points(fam))
             pair = NestedPair(inner, fam.fixed_outer)
             assert nested_triangle(pair) is None
 
@@ -260,12 +266,12 @@ class TestColumnHolesFamily:
                 fam = family_11_21(restrict(full, pattern))
             except FamilyError:
                 continue
-            assert contains(fam.fixed_outer, Polygon2.from_points(fam.fixed_inner_points))
+            assert contains(fam.fixed_outer, Polygon2.from_points(inner_points(fam)))
             checked += 1
         assert checked >= 250
 
     def test_sweep_and_sufficient_condition_match_edge_references(self):
-        """The sweep's chord ends by `chord_exit` from a fixed point and the
+        """The sweep's chord ends by `exit_point` from a fixed point and the
         sufficient condition's incidence roots agree with the edge-by-edge
         boundary intersections and the meet-then-solve t of the references:
         the vertex's positions at the sweep's candidate t are the
@@ -284,7 +290,7 @@ class TestColumnHolesFamily:
                 assert t == sufficient_11_21_by_meets(fam)
                 with_t += t is not None
                 if fam.line_p1 is not None:
-                    points = {fam.vertex_at(t) for t in sweep_candidates(fam)}
+                    points = {vertex_at(fam, t) for t in sweep_candidates(fam)}
                     assert points == sweep_candidates_by_edges(fam) - {point_of_v1(fam)}
                     with_line += 1
         assert with_t >= 100 and with_line >= 100
@@ -340,10 +346,10 @@ class TestColumnHolesFamily:
                     fam = family_11_21(canon)
                 except FamilyError:
                     continue
-                for u, v in itertools.combinations(fam.fixed_inner_points, 2):
-                    t = fam.incidence_t(join(u, v))
-                    if t is not None and fam.is_feasible(t):
-                        assert fam.fixed_outer.contains_point(fam.vertex_at(t)), (canon, t)
+                for u, v in itertools.combinations(fam.fixed_inner, 2):
+                    root = fam.incidence_t(cross(u, v))
+                    if root is not None and fam.is_feasible(t := F(*root)):
+                        assert fam.fixed_outer.contains_point(vertex_at(fam, t)), (canon, t)
                         seen += 1
         assert seen >= 1000
 
@@ -393,7 +399,7 @@ class TestColumnHolesFamily:
         (iv,) = fam.feasible
         assert iv.hi is None
         limit = point_of_v1(fam)
-        pair = NestedPair(Polygon2.from_points([limit, *fam.fixed_inner_points]), fam.fixed_outer)
+        pair = NestedPair(Polygon2.from_points([limit, *inner_points(fam)]), fam.fixed_outer)
         assert nested_triangle(pair) is not None
         grid = [iv.lo + F(k, 4) for k in range(81)] + [iv.lo + F(10) ** k for k in range(2, 7)]
         for t in grid:
@@ -487,7 +493,7 @@ class TestDiagonalHolesFamily:
                     for t in _interval_sample_ts(iv, _critical_ts(fam)):
                         answers.append(simplicial_sign_check(fam, t))
                         # the factors are in SUM_CHART: A is the charted A times it
-                        a = matmul(fam.factors_at(t)[0], SUM_CHART)
+                        a = matmul(factors_at(fam, t)[0], SUM_CHART)
                         assert answers[-1] == first_row_sign_rule(a.row(1))
         assert answers.count(True) >= 200 and answers.count(False) >= 200
 
@@ -889,11 +895,15 @@ def assert_matches_rational_functions(fam, m, rng):
                     matmul(ref.chart, rf_matrix_at(ref.b_of_t, t)))
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                fam.factors_at(t)
+                fam.integer_factors(t.numerator, t.denominator)
         else:
-            assert fam.factors_at(t) == want
+            assert factors_at(fam, t) == want
+            # the integer rows of A and columns of B, each over its denominator
+            rows, cols = fam.integer_factors(t.numerator, t.denominator)
+            assert [[F(x, d) for x in n] for n, d in rows] == want[0].to_lists()
+            assert [[F(x, d) for x in n] for n, d in cols] == want[1].transpose().to_lists()
         try:
-            assert fam.vertex_at(t) == (rf_at(x, t), rf_at(y, t))
+            assert vertex_at(fam, t) == (rf_at(x, t), rf_at(y, t))
         except ZeroDivisionError:
             # w(t) = 0: a pole of the vertex, or a vertex that does not move
             assert not (defined_at(x, t) and defined_at(y, t)) or not any(cross(*fam.moving_vertex))
@@ -957,7 +967,7 @@ class TestPencilsMatchRationalFunctions:
             full = ExactMatrix([[rng_inputs.randint(0, 2) for _ in range(4)] for _ in range(4)])
             holes = set(rng_inputs.sample(CELLS, 2))
             for canon, fam in families_of(restrict(full, Pattern(4, 4, frozenset(CELLS) - holes))):
-                if set(fam.fixed_inner_points) & set(fam.fixed_outer.vertices):
+                if set(inner_points(fam)) & set(fam.fixed_outer.vertices):
                     tags.add(fam.tag)
                     assert_matches_rational_functions(fam, canon, rng)
         assert tags == {"11_21", "11_22"}
@@ -1100,23 +1110,6 @@ class TestFactorsAt:
         verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
         assert tried and verdicts >= {"Completable", "NotCompletable"}
 
-    def test_the_decision_builds_no_fraction_factors(self, monkeypatch):
-        """Every probe of a decision, the search, the envelope and the
-        sweep, slices the integer factors: `factors_at` is for callers."""
-        monkeypatch.syspath_prepend(str(DATA.parents[1] / "bench"))
-        import corpus
-
-        def refuse(fam, t):
-            raise AssertionError("factors_at called")
-
-        monkeypatch.setattr(NestedFamily, "factors_at", refuse)
-        inputs = [parse_partial((DATA / f"{name}.txt").read_text()) for name in (
-            "two_missing_column", "two_missing_completable", "two_missing_diagonal", "two_missing_unknown")]
-        inputs += [PartialMatrix.from_rows([list(row) for row in case.rows])
-                   for case in corpus.products(corpus.DEFAULT_CORPUS_SEED)]
-        verdicts = {decide_nn3_two_missing(m).verdict for m in inputs}
-        assert verdicts == {"Completable", "NotCompletable", "Unknown"}
-
 
 class TestIntegerPencils:
     """A family keeps its pencils as integers, scaled once when it is
@@ -1160,11 +1153,12 @@ class TestIntegerPencils:
 
 
 # Fractions that one pass of the decision over the 120 products cases at
-# corpus seed 2601 builds, as CPython 3.10 and 3.11 count them: 16,084 when
-# the sampling stage moved to integer pairs, 23,012 before.  From 3.12 on,
-# Fraction arithmetic builds its results through a constructor that
-# `fractions_made` also counts, and the same pass counts 17,974
-PRODUCTS_FRACTIONS = 16_100
+# corpus seed 2601 builds, as CPython 3.10 and 3.11 count them: 15,126 since
+# each midpoint is one Fraction, 16,084 when the sampling stage moved to
+# integer pairs, 23,012 before.  From 3.12 on, Fraction arithmetic builds
+# its results through a constructor that `fractions_made` also counts, and
+# the same pass counts 16,094
+PRODUCTS_FRACTIONS = 15_150
 
 fraction = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
@@ -1213,6 +1207,15 @@ class TestIntegerSampling:
         ts = _interval_sample_ts(iv, criticals)
         assert ts == interval_sample_ts_by_contains(iv, criticals)
         assert all(interval_contains_by_fractions(iv, t) for t in ts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_and_criticals())
+    def test_sampling_builds_a_fraction_per_sample_at_most(self, case):
+        """Each midpoint is one Fraction of the integer pair of its ends,
+        and each anchor is built once, also where an open end and an
+        infinite or another open end would share one."""
+        iv, criticals = case
+        assert fractions_made(_interval_sample_ts, iv, criticals) <= len(_interval_sample_ts(iv, criticals))
 
     @settings(max_examples=400, deadline=None)
     @given(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
@@ -1264,6 +1267,84 @@ class TestIntegerSampling:
         assert fractions_made(lambda: [decide_nn3_two_missing(m) for m in inputs]) <= PRODUCTS_FRACTIONS
 
 
+# the wide draws of test_two_missing_digests whose 11_21 family reaches
+# `_sweep_moving_vertex`, found once with a spy on the decision; 11 of them
+# pass its facet gate and call `sweep_candidates`.  The 57 other wide draws
+# that reach it have an 11_22 family, which has no line to sweep along
+SWEPT_WIDE = (
+    "wide-5-168", "wide-5-263", "wide-5-289", "wide-7-113", "wide-7-187", "wide-7-410", "wide-7-592",
+    "wide-7-600", "wide-7-906", "wide-8-78", "wide-8-226", "wide-8-242", "wide-8-388", "wide-8-441",
+    "wide-8-464", "wide-8-468", "wide-8-590", "wide-8-642", "wide-8-772", "wide-8-911", "wide-8-926",
+    "wide-8-1017", "wide-8-1092", "wide-8-1138", "wide-8-1180", "wide-8-1243", "wide-8-1391", "wide-9-168",
+)
+
+
+def swept_families() -> list:
+    """(id, canonical 11_21 family) of the column fixture and of every
+    SWEPT_WIDE draw."""
+    wanted = {"two_missing_column", *SWEPT_WIDE}
+    return [(case_id, family_11_21(normalize_two_missing(m)[0]))
+            for case_id, m in digest_inputs() if case_id in wanted]
+
+
+class TestIntegerSweep:
+    """The sweep reads every point as a lifted triple, every line as the
+    cross product of two and every incidence root as an integer pair."""
+
+    def test_candidates_match_the_edge_reference(self):
+        """The vertex's positions at the candidate t are the points of the
+        point-space reference, less the vertex's limit, which no t
+        attains."""
+        families = swept_families()
+        assert len(families) == 1 + len(SWEPT_WIDE)
+        for case_id, fam in families:
+            points = {vertex_at(fam, t) for t in sweep_candidates(fam)}
+            assert points == sweep_candidates_by_edges(fam) - {point_of_v1(fam)}, case_id
+
+    def test_one_fraction_per_distinct_candidate(self, two_missing_column):
+        fam = family_11_21(two_missing_column)
+        assert fractions_made(sweep_candidates, fam) == len(sweep_candidates(fam)) == 73
+        for case_id, fam in swept_families():
+            assert fractions_made(sweep_candidates, fam) == len(sweep_candidates(fam)), case_id
+
+    def test_incidence_t_matches_the_fraction_formula(self):
+        """Against every line through two fixed points, the vertex's own
+        line (slope 0) and the lines through the vertex's point at
+        infinity (w = 0 at the root), on seeded 11_21 draws: the same root
+        as a lowest-terms pair (p, q) with q > 0, or None in the same
+        cases."""
+        rng = random.Random(2032)
+        pattern = Pattern(4, 4, frozenset(CELLS) - {(1, 1), (2, 1)})
+        roots = flat = at_infinity = 0
+        for _ in range(300):
+            full = ExactMatrix([[rng.randint(0, 9) for _ in range(4)] for _ in range(4)])
+            try:
+                fam = family_11_21(restrict(full, pattern))
+            except FamilyError:
+                continue
+            v0, v1 = fam.moving_vertex
+            points = fam.fixed_inner + fam.fixed_outer.triples
+            lines = [cross(u, w) for u, w in itertools.combinations(points, 2)]
+            if fam.line_p1 is not None:
+                lines.append(fam.line_p1)
+            if v1[0]:
+                # the vertex times w1 at t = -w0/w1, where its weight w is 0
+                infinite = tuple(a * v1[0] - b * v0[0] for a, b in zip(v0, v1))
+                lines += [cross(infinite, p) for p in points]
+            for line in lines:
+                want, got = incidence_t_by_fractions(fam, line), fam.incidence_t(line)
+                if want is None:
+                    assert got is None, (fam, line)
+                    slope = sum(c * x for c, x in zip(line, v1))
+                    flat += not slope
+                    at_infinity += bool(slope)
+                else:
+                    p, q = got
+                    assert q > 0 and gcd(p, q) == 1 and F(p, q) == want, (fam, line)
+                    roots += 1
+        assert roots >= 1000 and flat >= 100 and at_infinity >= 100
+
+
 class TestRefusesBinaryFloats:
     """Like ExactMatrix and the geometry constructors, every function that
     takes t takes ints, Fractions and strings, and refuses a binary float
@@ -1272,14 +1353,12 @@ class TestRefusesBinaryFloats:
     @pytest.mark.parametrize("call", [
         lambda fam: Interval(F(-1), F(1)).contains(0.5),
         lambda fam: fam.is_feasible(0.5),
-        lambda fam: fam.factors_at(0.5),
         lambda fam: fam.completion_at(0.5),
         lambda fam: fam.pair_at(0.5),
-        lambda fam: fam.vertex_at(0.5),
         lambda fam: simplicial_sign_check(fam, 0.5),
         lambda fam: _completable_at(fam, 0.5),
-    ], ids=["Interval.contains", "is_feasible", "factors_at", "completion_at", "pair_at", "vertex_at",
-            "simplicial_sign_check", "completable_at"])
+    ], ids=["Interval.contains", "is_feasible", "completion_at", "pair_at", "simplicial_sign_check",
+            "completable_at"])
     def test_float_raises_type_error(self, call, two_missing_diagonal):
         with pytest.raises(TypeError, match="refusing float 0.5"):
             call(family_11_22(two_missing_diagonal))
@@ -1288,8 +1367,7 @@ class TestRefusesBinaryFloats:
         fam = family_11_22(two_missing_diagonal)
         for t in (0, "1/3", F(1, 3)):
             assert Interval(F(0), F(1)).contains(t) and fam.is_feasible(t)
-            assert fam.factors_at(t) == fam.factors_at(F(t))
-            assert fam.vertex_at(t) == fam.vertex_at(F(t))
+            assert fam.completion_at(t) == fam.completion_at(F(t))
             assert simplicial_sign_check(fam, t) == simplicial_sign_check(fam, F(t))
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nncomplete import (
-    SUM_CHART,
     SUM_CHART_INVERSE,
     ExactMatrix,
     NestedPair,
@@ -14,7 +13,6 @@ from nncomplete import (
     UnboundedRegionError,
     VerificationError,
     contains,
-    convex_hull,
     inverse,
     matmul,
     nested_triangle,
@@ -23,21 +21,24 @@ from nncomplete import (
     polytopes_from_factorization,
     rank,
     slack_matrix,
-    tangent_vertex,
     triangle_to_factorization,
 )
 import nncomplete.geometry
 import nncomplete.linalg
-from nncomplete.geometry import bounded_nested_pair, chord_exit, cross, join, lowest, point, side
+from nncomplete.geometry import (
+    _hull, _lift, _tangent, bounded_nested_pair, cross, dot, exit_point, lowest, point, side,
+)
 
-from conftest import drawn_polygon, fractions_made, rnd_fraction, rnd_nonneg_product
+from conftest import drawn_polygon, fractions_made, rnd_fraction, rnd_nonneg_product, spans_plane
 from oracles import (
+    SUM_CHART,
     _lines_meet,
     bounded_nested_pair_by_fractions,
     chord_exit_by_fractions,
     contains_point_by_edges,
     edges,
     facets,
+    join,
     low_rank_witness_by_builders,
     matmul_by_fractions,
     meet,
@@ -92,6 +93,20 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def tangent_of(v, poly: Polygon2):
+    """`geometry._tangent` from the point v, lifted, to the polygon: its
+    vertex as a point, or None."""
+    v = _lift(v)
+    i = _tangent(v, poly.triples, [dot(line, v) for line in poly.lines])
+    return None if i is None else poly.vertices[i]
+
+
+def exit_of(v, towards, outer: Polygon2):
+    """`geometry.exit_point` on the lifted points, as a point."""
+    v, t = _lift(v), _lift(towards)
+    return point(exit_point(v, t, [dot(line, v) for line in outer.lines], [dot(line, t) for line in outer.lines]))
+
+
 BIG = 2**256
 big_rational = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
 big_point = st.tuples(big_rational, big_rational)
@@ -116,8 +131,9 @@ class TestSignPredicates:
 
 
 class TestLineHelpers:
-    """join, one cross product, against the orientation determinant, and
-    the reference `meet` of two joins against Cramer's rule."""
+    """The cross product of two lifted points, the line through them,
+    against the orientation determinant, and the reference `meet` of two
+    joins against Cramer's rule."""
 
     def test_cross_of_unit_vectors(self):
         assert cross((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
@@ -136,11 +152,12 @@ class TestLineHelpers:
 
     @settings(max_examples=300, deadline=None)
     @given(big_point, big_point, big_point, big_rational, st.booleans())
-    def test_join_sign_is_side(self, a, b, c, k, collinear):
+    def test_cross_of_lifted_points_sign_is_side(self, a, b, c, k, collinear):
         if collinear:
             c = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
-        c0, cx, cy = join(a, b)
+        c0, cx, cy = cross(_lift(a), _lift(b))
         assert _sign(c0 + cx * c[0] + cy * c[1]) == side(a, b, c) == _sign(orient(a, b, c))
+        assert _sign(sum(x * y for x, y in zip(join(a, b), (1, *c)))) == side(a, b, c)
 
     @settings(max_examples=300, deadline=None)
     @given(small_point, small_point, small_point, small_point, small_rational,
@@ -159,7 +176,7 @@ class TestLineHelpers:
 class TestTangentVertex:
     @settings(max_examples=400, deadline=None)
     @given(
-        st.lists(small_point, min_size=3, max_size=8).filter(lambda pts: len(convex_hull(pts)) >= 3),
+        st.lists(small_point, min_size=3, max_size=8).filter(spans_plane),
         small_point,
         st.integers(0, 7),
         st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
@@ -179,22 +196,19 @@ class TestTangentVertex:
         else:  # a + k*(b - a): k in [0, 1] on the edge, k > 1 past b, k < 0 before a
             k = {"edge": min(lam, Fraction(1)), "beyond": Fraction(8, 7) + lam, "before": -Fraction(1, 7) - lam}[where]
             v = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
-        expected = tangent_vertex_brute(v, vs)
-        if expected is None:
-            with pytest.raises(ValueError):
-                tangent_vertex(v, poly)
-        else:
-            assert tangent_vertex(v, poly) == expected
+        assert tangent_of(v, poly) == tangent_vertex_brute(v, vs)
 
 
 class TestHullAndPolygon:
     def test_hull_is_ccw_and_minimal(self):
         pts = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2), (1, 1), (4, 2)]
-        assert convex_hull(pts) == [(0, 0), (4, 0), (4, 4), (0, 4)]
+        assert Polygon2.from_points(pts).vertices == [(0, 0), (4, 0), (4, 4), (0, 4)]
 
     def test_collinear_collapses(self):
-        assert convex_hull([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
-        assert convex_hull([(1, 1), (1, 1)]) == [(1, 1)]
+        """The hull of triples collapses points on one line to the two
+        extreme ones, which `Polygon2.from_points` then refuses."""
+        assert _hull({_lift(p) for p in [(0, 0), (1, 1), (2, 2)]}) == [(1, 0, 0), (1, 2, 2)]
+        assert _hull({_lift((1, 1))}) == [(1, 1, 1)]
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Polygon2([(3, 3)]), "polygon needs at least three vertices"),
@@ -211,8 +225,8 @@ class TestHullAndPolygon:
     def test_polygon_is_two_dimensional(self, build, message):
         """A polygon has three vertices not on one line: fewer vertices,
         points on one line and a region that is a point or a segment are
-        refused with a one-line ValueError, while `convex_hull` still
-        collapses such points."""
+        refused with a one-line ValueError, while the hull of triples still
+        collapses such points (`test_collinear_collapses`)."""
         with pytest.raises(ValueError, match=f"^{message}") as info:
             build()
         assert "\n" not in str(info.value)
@@ -244,7 +258,7 @@ class TestHullAndPolygon:
         """The facet-sign test agrees with one `side` test per edge at the
         vertices, the edge midpoints and points just off each edge: just
         inside and just outside the polygon."""
-        assume(len(convex_hull(pts)) >= 3)
+        assume(spans_plane(pts))
         poly = Polygon2.from_points(pts)
         eps = Fraction(1, 10**6)
         probes = [(v, True) for v in poly.vertices]
@@ -411,7 +425,7 @@ class TestNestedTriangle:
 
     def test_tangent_vertex_basic(self):
         poly = Polygon2([(0, 0), (2, 0), (2, 2), (0, 2)])
-        t = tangent_vertex((3, -1), poly)
+        t = tangent_of((3, -1), poly)
         assert t in poly.vertices
         assert all(
             ((t[0] - 3) * (v[1] + 1) - (t[1] + 1) * (v[0] - 3)) >= 0
@@ -645,10 +659,10 @@ class TestPlantedTriangle:
 
 
 class TestIntegerKernelsAgainstFractionOracles:
-    """chord_exit and polygon_from_halfplanes on integers against the same
+    """exit_point and polygon_from_halfplanes on integers against the same
     kernels in Fraction arithmetic: equal points print the same."""
 
-    def test_chord_exit_on_random_polygons(self, rng):
+    def test_exit_point_on_random_polygons(self, rng):
         for trial in range(300):
             outer = drawn_polygon(lambda: [rnd_big_point(rng) if trial % 2 else rnd_point(rng)
                                            for _ in range(rng.randint(3, 8))])
@@ -660,19 +674,23 @@ class TestIntegerKernelsAgainstFractionOracles:
                 towards = rnd_point(rng) if trial % 3 else vs[rng.randrange(len(vs))]
                 if towards == v:
                     continue
-                assert repr(chord_exit(v, towards, outer)) == repr(chord_exit_by_fractions(v, towards, outer))
+                assert repr(exit_of(v, towards, outer)) == repr(chord_exit_by_fractions(v, towards, outer))
 
-    def test_chord_exit_on_int_points(self, rng):
+    def test_exit_point_on_int_points(self, rng):
         for _ in range(200):
             outer = drawn_polygon(lambda: [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)])
             v = next((x, y) for x in range(-9, 10) for y in range(-9, 10) if outer.contains_point((x, y)))
             towards = (rng.randint(-9, 9), rng.randint(-9, 9))
-            assert kernel_outcome(chord_exit, v, towards, outer) == kernel_outcome(
-                chord_exit_by_fractions, v, towards, outer)
+            if towards != v:
+                assert kernel_outcome(exit_of, v, towards, outer) == kernel_outcome(
+                    chord_exit_by_fractions, v, towards, outer)
 
     def test_undirected_chord_is_refused(self):
+        """A ray from v through v itself has no direction: no facet bounds
+        it, and the kernel refuses it as it refuses a ray that never leaves."""
         square = Polygon2([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert kernel_outcome(chord_exit, (0, 0), (0, 0), square) == (ValueError, "undirected chord")
+        assert kernel_outcome(exit_of, (0, 0), (0, 0), square) == (
+            ValueError, "ray never leaves the polygon; outer must be bounded")
         assert kernel_outcome(chord_exit_by_fractions, (0, 0), (0, 0), square) == (ValueError, "undirected chord")
 
     def test_polygon_from_random_halfplanes(self, rng):
@@ -994,11 +1012,11 @@ class TestRefusesBinaryFloats:
 
     @pytest.mark.parametrize("build", [
         lambda: polygon_from_halfplanes([(0.1, 1, 0), (0, 0, 1), (1, -1, -1)]),
-        lambda: convex_hull([(0.1, 0), (1, 0), (0, 1)]),
+        lambda: Polygon2.from_points([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0.1, 0), (1, 0), (0, 1)]),
         lambda: Polygon2([(0, 0), (1, 0), (0, 1)]).contains_point((0.1, 0)),
         lambda: Polygon2.triangle((0.1, 0), (1, 0), (0, 1)),
-    ], ids=["polygon_from_halfplanes", "convex_hull", "Polygon2", "contains_point", "Triangle"])
+    ], ids=["polygon_from_halfplanes", "from_points", "Polygon2", "contains_point", "Triangle"])
     def test_float_raises_type_error(self, build):
         with pytest.raises(TypeError, match="refusing float 0.1"):
             build()
