@@ -1213,7 +1213,10 @@ class TestIntegerSampling:
     def test_sampling_builds_a_fraction_per_sample_at_most(self, case):
         """Each midpoint is one Fraction of the integer pair of its ends,
         and each anchor is built once, also where an open end and an
-        infinite or another open end would share one."""
+        infinite or another open end would share one.  Counted as CPython
+        3.10 and 3.11 count them, like PRODUCTS_FRACTIONS: from 3.12 on,
+        `Fraction` arithmetic with an int operand also counts the int's
+        conversion, so an anchor one past an end counts twice there."""
         iv, criticals = case
         assert fractions_made(_interval_sample_ts, iv, criticals) <= len(_interval_sample_ts(iv, criticals))
 
